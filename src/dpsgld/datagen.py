@@ -95,6 +95,15 @@ def draw_dataset(model: PopulationModel, n: int, rng: RngStream) -> Dataset:
     return Dataset(X, y)
 
 
+def _held_out_chunks(model: PopulationModel, n_test: int, rng: RngStream):
+    """Yield the (X, y) chunks of an n_test-row held-out sample drawn from ``rng``."""
+    gen = rng.generator
+    chunk = _chunk_rows(model.d)
+    for done in range(0, n_test, chunk):
+        X = _draw_features(model, min(chunk, n_test - done), gen)
+        yield X, _draw_labels(model, X, gen)
+
+
 def population_risk_many(
     loss: GlmLoss, ws, model: PopulationModel, n_test: int, rng: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -119,20 +128,12 @@ def population_risk_many(
         raise InvalidParameterError(
             f"iterates have {W.shape[1]} coordinates, model says d={model.d}"
         )
-    gen = rng.generator
-    k = W.shape[0]
-    chunk = _chunk_rows(model.d)
-    total = np.zeros(k)
-    total_sq = np.zeros(k)
-    done = 0
-    while done < n_test:
-        m = min(chunk, n_test - done)
-        X = _draw_features(model, m, gen)
-        y = _draw_labels(model, X, gen)
+    total = np.zeros(W.shape[0])
+    total_sq = np.zeros(W.shape[0])
+    for X, y in _held_out_chunks(model, n_test, rng):
         values = loss.phi(X @ W.T, y[:, None])
         total += values.sum(axis=0)
         total_sq += (values * values).sum(axis=0)
-        done += m
     mean = total / n_test
     var = np.maximum(total_sq / n_test - mean * mean, 0.0)
     se = np.sqrt(var / n_test)
@@ -161,17 +162,10 @@ def hessian_trace_estimate(
         raise InvalidParameterError(
             f"w has {w.shape[0]} coordinates, model says d={model.d}"
         )
-    gen = rng.generator
-    chunk = _chunk_rows(model.d)
     total = 0.0
-    done = 0
-    while done < n_test:
-        m = min(chunk, n_test - done)
-        X = _draw_features(model, m, gen)
-        y = _draw_labels(model, X, gen)
+    for X, y in _held_out_chunks(model, n_test, rng):
         curv = loss.phi_double_prime(X @ w, y)
         total += float(np.sum(curv * np.sum(X * X, axis=1)))
-        done += m
     estimate = total / n_test
     assert estimate <= loss_bounds(loss).gamma2 + 1e-12
     return estimate

@@ -1,14 +1,16 @@
-"""The noisy update loop: gradient step, shrink, Gaussian resample.
+"""The noisy update: gradient step, shrink, Gaussian resample.
 
 One step maps w to N((1−λ_tη_t)(w − η_t·ḡ), λ_tη_t(2−λ_tη_t)β₀·I) where ḡ is
 the mini-batch mean gradient. Both schedules set λ₁η₁ = 1, so step one's
 output is N(0, β₀I) no matter what the data says: the initial draw and the
 first update coincide, and a run is exactly T update steps from a zero state.
 
-Single-pass runs consume disjoint blocks of a pre-shuffled dataset so each
-example feeds exactly one gradient; multi-pass runs sample one index per step
-with replacement. Coupled runs execute two chains under shared index and
-noise streams for the stability experiments.
+One kernel, ``_advance``, makes every update: it moves a (c, d) matrix of
+iterates, one chain per dataset, through an index plan, giving all chains the
+same indices and noise row at each step. Single-pass runs read disjoint
+blocks of a pre-shuffled dataset, multi-pass runs one index per step drawn
+with replacement, coupled runs are two chains on neighbouring datasets, and
+``sgld_step`` is one step of one chain.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ import numpy as np
 from .core import Dataset, InvalidParameterError, RngStream, Vector, as_vector, seeded_rng
 from .losses import GlmLoss, loss_bounds
 from .schedules import MultiPassSchedule, SinglePassSchedule
+
+# Noise rows are drawn about 1 MB at a time: one (k, d) draw gives the same
+# numbers as k successive draws of d.
+_NOISE_BLOCK_FLOATS = 1 << 17
 
 
 @dataclass
@@ -43,32 +49,58 @@ class RunRecord:
     samples_consumed: int
 
 
-def _noise_std(lambda_eta: float, beta0: float) -> float:
-    if not 0.0 <= lambda_eta <= 2.0:
+def _steps(etas, lambda_etas, beta0: float, batch_sizes) -> tuple:
+    """(η_t, λ_tη_t, σ_t, |M_t|) arrays, with σ_t = √(λ_tη_t(2−λ_tη_t)β₀)."""
+    outside = ~((lambda_etas >= 0.0) & (lambda_etas <= 2.0))
+    if outside.any():
         raise InvalidParameterError(
-            f"lambda_t*eta_t = {lambda_eta:.6g} outside [0, 2]: negative noise variance"
+            f"lambda_t*eta_t = {lambda_etas[outside][0]:.6g} outside [0, 2]: negative noise variance"
         )
     if beta0 < 0:
         raise InvalidParameterError(f"beta0 must be >= 0, got {beta0}")
-    return float(np.sqrt(lambda_eta * (2.0 - lambda_eta) * beta0))
+    return etas, lambda_etas, np.sqrt(lambda_etas * (2.0 - lambda_etas) * beta0), batch_sizes
 
 
-def _step_arrays(
-    w: Vector,
-    Xb: np.ndarray,
-    yb: np.ndarray,
-    eta_t: float,
-    lambda_eta: float,
-    noise_std: float,
-    loss: GlmLoss,
-    noise_rng: RngStream,
-) -> Vector:
-    grad = (loss.phi_prime(Xb @ w, yb) @ Xb) / Xb.shape[0]
-    w_tilde = w - eta_t * grad
-    w_next = (1.0 - lambda_eta) * w_tilde
-    if noise_std > 0.0:
-        w_next = w_next + noise_std * noise_rng.generator.standard_normal(w.shape[0])
-    return w_next
+def _advance(W0, Xs, ys, loss: GlmLoss, order, steps: tuple, noise_gen, observe) -> np.ndarray:
+    """Advance a copy of the (c, d) iterates ``W0``, chain i on data (Xs[i], ys[i]).
+
+    Step t reads the next |M_t| entries of ``order`` and one noise row (none
+    when σ_t = 0), the same for every chain, then calls ``observe(t, W)``.
+    W is updated in place, so an observer that keeps it must copy it.
+    """
+    etas, lambda_etas, sigmas, batch_sizes = steps
+    W = np.array(W0, dtype=np.float64)
+    W_col = W[:, :, None]
+    d = W.shape[1]
+    block = max(1, _NOISE_BLOCK_FLOATS // d)
+    pos = 0
+    for start in range(0, len(etas), block):
+        stop = start + block
+        sizes = batch_sizes[start:stop]
+        rows = order[pos : pos + int(sizes.sum())]
+        pos += len(rows)
+        Xg, yg = Xs[:, rows], ys[:, rows]  # each step below takes a view
+        sig = sigmas[start:stop]
+        noise = iter(noise_gen.standard_normal((int(np.count_nonzero(sig > 0.0)), 1, d)))
+        q = 0
+        for t, b, eta, le, s in zip(
+            range(start + 1, stop + 1), sizes.tolist(),
+            etas[start:stop].tolist(), lambda_etas[start:stop].tolist(), sig.tolist(),
+        ):
+            Xb = Xg[:, q : q + b]
+            # matmul, not vecdot or einsum: those sum in another order once b > 1
+            g = loss.phi_prime((Xb @ W_col)[..., 0], yg[:, q : q + b])
+            q += b
+            grad = (g[:, None, :] @ Xb)[:, 0, :]
+            # (1 − λη)(W − η·ḡ) + σz in place, with the same roundings
+            grad /= b
+            grad *= eta
+            W -= grad
+            W *= 1.0 - le
+            if s > 0.0:
+                W += s * next(noise)
+            observe(t, W)
+    return W
 
 
 def sgld_step(
@@ -101,15 +133,34 @@ def sgld_step(
             f"dimension mismatch: w has {w.shape[0]} coordinates, x has {Xb.shape[1]}"
         )
     yb = np.array([z.y for z in minibatch])
-    le = lambda_t * eta_t
-    std = _noise_std(le, beta0)
-    w_next = _step_arrays(w, Xb, yb, eta_t, le, std, loss, state.rng)
-    return SgldState(
-        t=state.t + 1,
-        w=w_next,
-        samples_consumed=state.samples_consumed + len(minibatch),
-        rng=state.rng,
+    b = len(minibatch)
+    lambda_eta = np.array([lambda_t * eta_t], dtype=np.float64)
+    steps = _steps(np.array([eta_t], dtype=np.float64), lambda_eta, beta0, np.array([b]))
+    W = _advance(w[None], Xb[None], yb[None], loss, np.arange(b), steps, state.rng.generator, lambda t, W: None)
+    return SgldState(t=state.t + 1, w=W[0], samples_consumed=state.samples_consumed + b, rng=state.rng)
+
+
+def _logged_run(dataset, loss, schedule, order, rng, log_interval, risk_eval, risk_interval):
+    """One chain from zero through ``order``, logged as run_single_pass describes."""
+    T = schedule.T
+    log_interval = max(1, T // 1000) if log_interval is None else max(1, int(log_interval))
+    risk_interval = log_interval if risk_interval is None else max(1, int(risk_interval))
+    iterate_log: list = []
+    per_step_risk: list | None = [] if risk_eval is not None else None
+
+    def observe(t, W):
+        if t % log_interval == 0 or t == T:
+            iterate_log.append((t, W[0].copy()))
+        if risk_eval is not None and (t % risk_interval == 0 or t == T):
+            pop, emp = risk_eval(W[0].copy())
+            per_step_risk.append((t, float(pop), float(emp)))
+
+    steps = _steps(schedule.etas, schedule.lambda_etas, schedule.beta0, schedule.batch_sizes)
+    W = _advance(
+        np.zeros((1, dataset.d)), dataset.X[None], dataset.y[None], loss, order, steps,
+        rng.substream(1).generator, observe,
     )
+    return RunRecord(schedule.mode, W[0], iterate_log, per_step_risk, schedule.sample_budget)
 
 
 def run_single_pass(
@@ -141,35 +192,7 @@ def run_single_pass(
             f"(sample budget for T={schedule.T}), dataset has {dataset.n}"
         )
     order = rng.substream(0).generator.permutation(dataset.n)
-    noise_rng = rng.substream(1)
-    T = schedule.T
-    log_interval = max(1, T // 1000) if log_interval is None else max(1, int(log_interval))
-    risk_interval = log_interval if risk_interval is None else max(1, int(risk_interval))
-
-    w = np.zeros(dataset.d)
-    iterate_log: list = []
-    per_step_risk: list | None = [] if risk_eval is not None else None
-    pos = 0
-    for t in range(1, T + 1):
-        b = schedule.batch_size(t)
-        idx = order[pos : pos + b]
-        pos += b
-        le = schedule.lambda_eta(t)
-        std = _noise_std(le, schedule.beta0)
-        w = _step_arrays(w, dataset.X[idx], dataset.y[idx], schedule.eta, le, std, loss, noise_rng)
-        if t % log_interval == 0 or t == T:
-            iterate_log.append((t, w.copy()))
-        if risk_eval is not None and (t % risk_interval == 0 or t == T):
-            pop, emp = risk_eval(w)
-            per_step_risk.append((t, float(pop), float(emp)))
-    assert pos == budget
-    return RunRecord(
-        mode=schedule.mode,
-        final_iterate=w,
-        iterate_log=iterate_log,
-        per_step_risk=per_step_risk,
-        samples_consumed=budget,
-    )
+    return _logged_run(dataset, loss, schedule, order, rng, log_interval, risk_eval, risk_interval)
 
 
 def run_multi_pass(
@@ -186,40 +209,11 @@ def run_multi_pass(
     Same logging contract as run_single_pass. A degenerate T = 0 schedule
     returns just the initial N(0, β₀I) draw.
     """
-    T = schedule.T
-    noise_rng = rng.substream(1)
-    if T == 0:
-        w = float(np.sqrt(schedule.beta0)) * noise_rng.generator.standard_normal(dataset.d)
+    if schedule.T == 0:
+        w = float(np.sqrt(schedule.beta0)) * rng.substream(1).generator.standard_normal(dataset.d)
         return RunRecord(schedule.mode, w, [(0, w.copy())], None, 0)
-    indices = rng.substream(0).generator.integers(0, dataset.n, size=T)
-    log_interval = max(1, T // 1000) if log_interval is None else max(1, int(log_interval))
-    risk_interval = log_interval if risk_interval is None else max(1, int(risk_interval))
-
-    etas = schedule.etas
-    lambda_etas = schedule.lambda_etas
-    stds = np.sqrt(lambda_etas * (2.0 - lambda_etas) * schedule.beta0)
-    X, y = dataset.X, dataset.y
-    w = np.zeros(dataset.d)
-    iterate_log: list = []
-    per_step_risk: list | None = [] if risk_eval is not None else None
-    for t in range(1, T + 1):
-        i = indices[t - 1]
-        w = _step_arrays(
-            w, X[i : i + 1], y[i : i + 1], float(etas[t - 1]),
-            float(lambda_etas[t - 1]), float(stds[t - 1]), loss, noise_rng,
-        )
-        if t % log_interval == 0 or t == T:
-            iterate_log.append((t, w.copy()))
-        if risk_eval is not None and (t % risk_interval == 0 or t == T):
-            pop, emp = risk_eval(w)
-            per_step_risk.append((t, float(pop), float(emp)))
-    return RunRecord(
-        mode=schedule.mode,
-        final_iterate=w,
-        iterate_log=iterate_log,
-        per_step_risk=per_step_risk,
-        samples_consumed=T,
-    )
+    indices = rng.substream(0).generator.integers(0, dataset.n, size=schedule.T)
+    return _logged_run(dataset, loss, schedule, indices, rng, log_interval, risk_eval, risk_interval)
 
 
 def coupled_stability_run(
@@ -252,27 +246,17 @@ def coupled_stability_run(
         raise InvalidParameterError(
             f"eta_1 = {eta1:.6g} exceeds 1/L = {1.0 / bounds.L:.6g}"
         )
-    T = schedule.T
-    indices = seeded_rng(seed, 0).generator.integers(0, n, size=T)
-    noise_gen = seeded_rng(seed, 1).generator
-    etas = schedule.etas
-    lambda_etas = schedule.lambda_etas
-    stds = np.sqrt(lambda_etas * (2.0 - lambda_etas) * schedule.beta0)
-
-    w = np.zeros(dataset.d)
-    wp = np.zeros(dataset.d)
     out = []
-    for t in range(1, T + 1):
-        i = indices[t - 1]
-        eta_t = float(etas[t - 1])
-        le = float(lambda_etas[t - 1])
-        noise = float(stds[t - 1]) * noise_gen.standard_normal(dataset.d)
-        ga = float(loss.phi_prime(dataset.X[i] @ w, dataset.y[i])) * dataset.X[i]
-        gb = float(loss.phi_prime(dataset_prime.X[i] @ wp, dataset_prime.y[i])) * dataset_prime.X[i]
-        w = (1.0 - le) * (w - eta_t * ga) + noise
-        wp = (1.0 - le) * (wp - eta_t * gb) + noise
-        diff = w - wp
+
+    def observe(t, W):
+        diff = W[0] - W[1]
         out.append((t, float(diff @ diff)))
+
+    Xs = np.stack([dataset.X, dataset_prime.X])
+    ys = np.stack([dataset.y, dataset_prime.y])
+    indices = seeded_rng(seed, 0).generator.integers(0, n, size=schedule.T)
+    steps = _steps(schedule.etas, schedule.lambda_etas, schedule.beta0, schedule.batch_sizes)
+    _advance(np.zeros((2, dataset.d)), Xs, ys, loss, indices, steps, seeded_rng(seed, 1).generator, observe)
     return out
 
 

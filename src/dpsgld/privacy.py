@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InfinitePrivacyLossError, InvalidParameterError
-from .schedules import MultiPassSchedule, SinglePassSchedule
+from .schedules import MultiPassSchedule, SinglePassSchedule, _pass_steps
 
 # Per-step enumeration in the account report is vectorized; past this many
 # steps only the closed form is printed.
@@ -218,16 +218,12 @@ def certify_theorem2(
         raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise InvalidParameterError(f"delta must be in (0, 1), got {delta}")
-    T = round(float(n) ** pass_exponent * epsilon * epsilon)
-    if T < 1 and epsilon > 0:
-        raise InvalidParameterError(
-            f"T = round(n^α·ε²) = {T} < 1: epsilon too small for n={n}, α={pass_exponent}"
-        )
-    exact = multi_pass_privacy(n, max(T, 0), delta)
-    claimed = DpBudget(
-        3.0 * epsilon * math.sqrt(math.log(2.0 / delta)) + 3.0 * epsilon**2, delta
-    )
-    return exact, claimed
+    exact = multi_pass_privacy(n, _pass_steps(n, pass_exponent, epsilon), delta)
+    return exact, _claimed_budget(epsilon, delta)
+
+
+def _claimed_budget(epsilon: float, delta: float) -> DpBudget:
+    return DpBudget(3.0 * epsilon * math.sqrt(math.log(2.0 / delta)) + 3.0 * epsilon**2, delta)
 
 
 def _fmt(value) -> str:
@@ -273,10 +269,7 @@ def account_report(schedule) -> str:
 
     n, T, delta = schedule.n, schedule.T, schedule.delta
     closed = multi_pass_privacy(n, T, delta)
-    claimed = DpBudget(
-        3.0 * schedule.epsilon * math.sqrt(math.log(2.0 / delta)) + 3.0 * schedule.epsilon**2,
-        delta,
-    )
+    claimed = _claimed_budget(schedule.epsilon, delta)
     lines += [
         f"eta1 = {_fmt(schedule.eta(1))}",
         f"etaT = {_fmt(schedule.eta(T))}",

@@ -66,8 +66,27 @@ class SinglePassSchedule:
         return minibatch_size(self.T, t)
 
     @cached_property
+    def etas(self) -> np.ndarray:
+        """The constant step size η for t = 1..T (read-only array)."""
+        return np.broadcast_to(self.eta, (self.T,))
+
+    @cached_property
+    def lambda_etas(self) -> np.ndarray:
+        """λ_t·η = 1/t for t = 1..T (read-only array)."""
+        return _read_only(1.0 / np.arange(1, self.T + 1, dtype=np.float64))
+
+    @cached_property
+    def batch_sizes(self) -> np.ndarray:
+        """minibatch_size(T, t) for t = 1..T (read-only int64 array)."""
+        # size m serves the k = T − t + 1 with ⌈T/2m²⌉ <= k < ⌈T/2(m−1)²⌉, so
+        # in t order the sizes are runs of 1, 2, ..., minibatch_size(T, T)
+        m = np.arange(1, minibatch_size(self.T, self.T) + 1, dtype=np.int64)
+        k_min = -(-self.T // (2 * m * m))
+        return _read_only(np.repeat(m, -np.diff(k_min, prepend=self.T + 1)))
+
+    @cached_property
     def sample_budget(self) -> int:
-        return sum(minibatch_size(self.T, t) for t in range(1, self.T + 1))
+        return int(self.batch_sizes.sum())
 
 
 def single_pass_schedule(
@@ -116,20 +135,18 @@ class MultiPassSchedule:
         """η_t = G⁻¹√β₀ / √(8·ln(2.5t²/(nδ))·t) for t = 1..T (read-only array)."""
         t = np.arange(1, self.T + 1, dtype=np.float64)
         logs = np.log(2.5 * t * t / (self.n * self.delta))
-        e = math.sqrt(self.beta0) / (self.G * np.sqrt(8.0 * logs * t))
-        e.setflags(write=False)
-        return e
+        return _read_only(math.sqrt(self.beta0) / (self.G * np.sqrt(8.0 * logs * t)))
 
     @cached_property
     def lambda_etas(self) -> np.ndarray:
         """λ_t·η_t: exactly 1 at t = 1, then 1 − η_t/η_{t−1} ∈ (0, 1)."""
         e = self.etas
-        le = np.empty(self.T)
-        le[0] = 1.0
-        if self.T > 1:
-            le[1:] = 1.0 - e[1:] / e[:-1]
-        le.setflags(write=False)
-        return le
+        return _read_only(np.concatenate(([1.0], 1.0 - e[1:] / e[:-1])))
+
+    @cached_property
+    def batch_sizes(self) -> np.ndarray:
+        """Unit batches for t = 1..T (read-only int64 array)."""
+        return np.broadcast_to(np.int64(1), (self.T,))
 
     def eta(self, t: int) -> float:
         if not 1 <= t <= self.T:
@@ -169,11 +186,7 @@ def multi_pass_schedule(
         raise InvalidParameterError(f"pass exponent must be in [1, 2], got {pass_exponent}")
     _require_positive(epsilon=epsilon, eta0=eta0, G=G)
     _require_unit_interval(delta=delta)
-    T = round(float(n) ** pass_exponent * epsilon * epsilon)
-    if T < 1:
-        raise InvalidParameterError(
-            f"T = round(n^α·ε²) = {T} < 1: epsilon too small for n={n}, α={pass_exponent}"
-        )
+    T = _pass_steps(n, pass_exponent, epsilon)
     if not 2.5 / (n * delta) > 1.0:
         raise InvalidParameterError(
             f"need 2.5/(n·δ) > 1 for a real step size at t=1, got n·δ = {n * delta:.6g}"
@@ -191,6 +204,16 @@ def multi_pass_schedule(
     )
 
 
+def _pass_steps(n: int, pass_exponent: float, epsilon: float) -> int:
+    """T = round(n^α·ε²); a positive ε that rounds to no step is an error."""
+    T = round(float(n) ** pass_exponent * epsilon * epsilon)
+    if T < 1 and epsilon > 0:
+        raise InvalidParameterError(
+            f"T = round(n^α·ε²) = {T} < 1: epsilon too small for n={n}, α={pass_exponent}"
+        )
+    return T
+
+
 def schedule_text(schedule) -> str:
     """Human-readable key/value block for experiment logs."""
     lines = [
@@ -204,6 +227,11 @@ def schedule_text(schedule) -> str:
         f"sample_budget = {schedule.sample_budget}",
     ]
     return "\n".join(lines) + "\n"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _require_positive(**kwargs) -> None:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,16 @@ class TestRunMultiPass:
         z = seeded_rng(3, 0).substream(1).generator.standard_normal(4)
         np.testing.assert_allclose(rec.final_iterate, 0.5 * z, rtol=1e-15)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rejects_schedule_outside_noise_domain(self):
+        # n·δ >= 2.5 makes η_1 NaN, so λ_2η_2 is NaN: refuse instead of returning NaN iterates
+        sched = MultiPassSchedule(
+            n=10, pass_exponent=1.0, epsilon=0.1, delta=0.5,
+            eta0=1.0, G=1.0, T=5, beta0=0.25,
+        )
+        with pytest.raises(InvalidParameterError, match=r"outside \[0, 2\]"):
+            run_multi_pass(toy_dataset(10, 2), LOGISTIC, sched, seeded_rng(0, 0))
+
     def test_final_state_always_logged(self):
         sched = multi_pass_schedule(30, 1.5, 0.9, 1e-4, 1.0, 1.0)
         rec = run_multi_pass(toy_dataset(30, 2), LOGISTIC, sched, seeded_rng(4, 0), log_interval=10**6)
@@ -252,3 +264,112 @@ def test_write_run_record_exact_format(tmp_path):
         "2,0.25,0.125,5\n"
     )
     assert path.read_text() == expected
+
+
+def _digest(*parts):
+    # arrays hash by their float64 bytes, everything else by repr (exact for floats)
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(np.ascontiguousarray(part, dtype=np.float64).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def _record_digest(record):
+    parts = [record.mode, record.samples_consumed, record.final_iterate]
+    for t, w in record.iterate_log:
+        parts += [t, w]
+    return _digest(*parts, record.per_step_risk)
+
+
+def _norm_and_sum(w):
+    return float(w @ w), float(w.sum())
+
+
+def _golden_single_logistic():
+    sched = single_pass_schedule(48, 1.0, 1.0, 0.5, 1e-5)
+    rec = run_single_pass(
+        toy_dataset(120, 6, seed=3), LOGISTIC, sched, seeded_rng(21, 0),
+        log_interval=1, risk_eval=_norm_and_sum,
+    )
+    return _record_digest(rec)
+
+
+def _golden_single_hinge_d64():
+    sched = single_pass_schedule(64, 1.0, 2.0, 0.8, 1e-5)
+    rec = run_single_pass(
+        toy_dataset(200, 64, seed=4), GlmLoss("smoothed-hinge", h=0.3), sched,
+        seeded_rng(22, 0), log_interval=3, risk_eval=_norm_and_sum, risk_interval=5,
+    )
+    return _record_digest(rec)
+
+
+def _golden_multi_logistic():
+    sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
+    rec = run_multi_pass(
+        toy_dataset(40, 5, seed=5), LOGISTIC, sched, seeded_rng(23, 0),
+        log_interval=1, risk_eval=_norm_and_sum,
+    )
+    return _record_digest(rec)
+
+
+def _golden_multi_quadratic_d33():
+    sched = multi_pass_schedule(60, 1.3, 0.7, 1e-4, 0.5, 2.0)
+    rec = run_multi_pass(toy_dataset(60, 33, seed=6), QUADRATIC, sched, seeded_rng(24, 0), log_interval=1)
+    return _record_digest(rec)
+
+
+def _golden_coupled_d16():
+    data = toy_dataset(24, 16, seed=7)
+    yp = data.y.copy()
+    yp[-1] = -yp[-1]
+    sched = multi_pass_schedule(24, 1.5, 0.9, 1e-4, 0.2, 1.0)
+    return _digest(coupled_stability_run(data, Dataset(data.X, yp), LOGISTIC, sched, seed=25))
+
+
+def _golden_sgld_step():
+    gen = np.random.default_rng(8)
+    batch = [Example(0.15 * gen.standard_normal(5), float(y)) for y in (0.5, -0.2, 0.9)]
+    state = SgldState(t=3, w=gen.standard_normal(5), samples_consumed=7, rng=seeded_rng(26, 0))
+    out = sgld_step(state, batch, eta_t=0.3, lambda_t=2.0, beta0=0.4, loss=QUADRATIC)
+    out = sgld_step(out, batch[:2], eta_t=0.2, lambda_t=1.5, beta0=0.4, loss=LOGISTIC)
+    return _digest(out.t, out.samples_consumed, out.w)
+
+
+# sha256 of each run's full output. They pin every bit of every iterate, so a
+# change to the update arithmetic (operation order, the shape of a BLAS call)
+# shows here; re-record them only for an intended change of output.
+GOLDEN = {
+    "single-pass-logistic": (
+        _golden_single_logistic,
+        "12801866cd9821563f64fe1ef92e50dc24a6c212046096cffeb4262dd0564276",
+    ),
+    "single-pass-hinge-d64": (
+        _golden_single_hinge_d64,
+        "c55e14aed6e22d7fa4c3a93b5c84b366912575384207b5b8eb6013407950ff83",
+    ),
+    "multi-pass-logistic": (
+        _golden_multi_logistic,
+        "52ea4a9434d5e989be6f08828cebf441fed61d6812386384ce27635ec5c5f465",
+    ),
+    "multi-pass-quadratic-d33": (
+        _golden_multi_quadratic_d33,
+        "d81acc4296d6ea432407e8b57c8526c099594a6b72e20808dee81720179063ff",
+    ),
+    "coupled-d16": (
+        _golden_coupled_d16,
+        "4ef3faf46232ccb9280c084a829f9703960f1eeb8f8768d66a03c06f9c23d675",
+    ),
+    "sgld-step": (
+        _golden_sgld_step,
+        "d6ada47c725bba68dd2d8597e0802ab7fc6996a15851d73534ad0723daa29e05",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_recorded_digests(name):
+    run, expected = GOLDEN[name]
+    assert run() == expected

@@ -33,6 +33,12 @@ class TestMinibatchSize:
         for T in (1, 2, 3, 7, 8, 64, 100, 333, 1000):
             for t in range(1, T + 1):
                 assert minibatch_size(T, t) == brute_force_batch(T, t)
+        # the schedule's array is built from run lengths of each size and
+        # must agree with the integer search at every step
+        for T in [*range(1, 1500), 10**4, 10**5]:
+            sizes = single_pass_schedule(T, 1.0, 1.0, 0.5, 1e-5).batch_sizes
+            assert sizes.dtype == np.int64
+            assert sizes.tolist() == [minibatch_size(T, t) for t in range(1, T + 1)]
 
     def test_known_budgets(self):
         for T, budget in KNOWN_BUDGETS.items():
