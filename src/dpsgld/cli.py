@@ -209,8 +209,8 @@ def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
             dataset.n, pass_exponent, epsilon, delta, eta0, bounds.G
         )
         record = run_multi_pass(
-            dataset, loss, schedule, rng, log_interval=log_interval, risk_eval=risk_eval
-        )
+            [dataset], loss, schedule, [rng], log_interval=log_interval, risk_eval=risk_eval
+        )[0]
 
     os.makedirs(out_dir, exist_ok=True)
     record_path = os.path.join(out_dir, "run_record.csv")

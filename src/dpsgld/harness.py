@@ -327,7 +327,7 @@ def experiment_stability(config: ExperimentConfig) -> list:
         raise InvalidParameterError(f"checkpoints must lie in 1..{T}, got {checkpoints}")
     model = _model(config, d)
     marks = np.asarray(checkpoints, dtype=np.int64)
-    distances = np.empty((config.replicates, marks.shape[0]))
+    pairs, seeds = [], []
     for r in range(config.replicates):
         data_rng = seeded_rng(config.seed, r).substream(DATA_SUBSTREAM)
         both = draw_dataset(model, n + 1, data_rng)
@@ -336,12 +336,9 @@ def experiment_stability(config: ExperimentConfig) -> list:
         y_prime = both.y[:n].copy()
         x_prime[n - 1] = both.X[n]
         y_prime[n - 1] = both.y[n]
-        pair_seed = int(np.random.SeedSequence([config.seed, r]).generate_state(1, np.uint64)[0])
-        trace = coupled_stability_run(
-            dataset, Dataset(x_prime, y_prime), loss, schedule, pair_seed
-        )
-        sq = np.asarray([value for _, value in trace])
-        distances[r] = sq[marks - 1]
+        pairs.append((dataset, Dataset(x_prime, y_prime)))
+        seeds.append(int(np.random.SeedSequence([config.seed, r]).generate_state(1, np.uint64)[0]))
+    distances = coupled_stability_run(pairs, loss, schedule, seeds)[:, marks - 1]
     accounted = multi_pass_privacy(n, T, delta)
     claimed = certify_theorem2(n, config.pass_exponent, eps, delta)[1]
     rows = []
@@ -393,12 +390,11 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
             continue
         T = schedule.T
         interval = max(1, T // 16)
+        reps = [seeded_rng(config.seed, r) for r in range(config.replicates)]
+        datasets = [draw_dataset(model, n, rep.substream(DATA_SUBSTREAM)) for rep in reps]
         iterates = []
         counts = []
-        for r in range(config.replicates):
-            rep = seeded_rng(config.seed, r)
-            data = draw_dataset(model, n, rep.substream(DATA_SUBSTREAM))
-            record = run_multi_pass(data, loss, schedule, rep, log_interval=interval)
+        for record in run_multi_pass(datasets, loss, schedule, reps, log_interval=interval):
             logged = [w for _, w in record.iterate_log]
             iterates.extend(logged)
             counts.append(len(logged))

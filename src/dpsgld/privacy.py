@@ -18,9 +18,11 @@ import numpy as np
 from .core import InfinitePrivacyLossError, InvalidParameterError
 from .schedules import MultiPassSchedule, SinglePassSchedule, _pass_steps
 
-# Per-step enumeration in the account report is vectorized; past this many
-# steps only the closed form is printed.
+# Per-step enumeration in the account report is vectorized over chunks of
+# _REPORT_CHUNK steps; past _REPORT_STEP_CAP steps only the closed form is
+# printed.
 _REPORT_STEP_CAP = 10**7
+_REPORT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -108,18 +110,29 @@ def strong_compose(per_step, delta_prime: float) -> DpBudget:
     Returns:
         (√(2·ln(2/δ′)·Σε_t²) + Σ ε_t(e^{ε_t}−1), δ′ + Σδ_t).
     """
-    if not 0.0 < delta_prime < 1.0:
-        raise InvalidParameterError(f"delta' must be in (0, 1), got {delta_prime}")
     pairs = np.asarray(per_step, dtype=np.float64).reshape(-1, 2)
-    eps = pairs[:, 0]
+    eps = _nonnegative_epsilons(pairs[:, 0])
+    return _composed(
+        float(np.sum(eps * eps)), float(np.sum(eps * np.expm1(eps))), float(np.sum(pairs[:, 1])),
+        delta_prime,
+    )
+
+
+def _nonnegative_epsilons(eps: np.ndarray) -> np.ndarray:
     if np.any(eps < 0):
         raise InvalidParameterError("per-step epsilons must be >= 0")
-    delta_total = delta_prime + float(np.sum(pairs[:, 1]))
+    return eps
+
+
+def _composed(sum_sq: float, sum_excess: float, sum_delta: float, delta_prime: float) -> DpBudget:
+    """Strong composition from Σε_t², Σε_t(e^{ε_t}−1) and Σδ_t."""
+    if not 0.0 < delta_prime < 1.0:
+        raise InvalidParameterError(f"delta' must be in (0, 1), got {delta_prime}")
+    delta_total = delta_prime + sum_delta
     if delta_total >= 1.0:
         raise InvalidParameterError(f"composed delta budget {delta_total:.6g} >= 1")
-    first = math.sqrt(2.0 * math.log(2.0 / delta_prime) * float(np.sum(eps * eps)))
-    second = float(np.sum(eps * np.expm1(eps)))
-    return DpBudget(first + second, delta_total)
+    first = math.sqrt(2.0 * math.log(2.0 / delta_prime) * sum_sq)
+    return DpBudget(first + sum_excess, delta_total)
 
 
 def multi_pass_privacy(n: int, T: int, delta: float) -> DpBudget:
@@ -232,6 +245,33 @@ def _fmt(value) -> str:
     return f"{value:.9g}"
 
 
+def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
+    """(max step ε, max amplified ε, strong composition) over steps 2..T.
+
+    Steps are enumerated _REPORT_CHUNK at a time, keeping only the running
+    maxima and the sums the composition needs.
+    """
+    n, T, delta = schedule.n, schedule.T, schedule.delta
+    etas = schedule.etas
+    step_max = amplified_max = sum_sq = sum_excess = sum_delta = 0.0
+    for lo in range(2, T + 1, _REPORT_CHUNK):
+        t = np.arange(lo, min(lo + _REPORT_CHUNK, T + 1), dtype=np.float64)
+        # step t releases (η_t/η_{t−1})·(w − η_t·ḡ) + N(0, (1−(η_t/η_{t−1})²)β₀)
+        eta_t = etas[lo - 1 : lo - 1 + len(t)]
+        ratio = eta_t / etas[lo - 2 : lo - 2 + len(t)]
+        eta_eff = eta_t * ratio
+        sigma_eff = np.sqrt((1.0 - ratio**2) * schedule.beta0)
+        delta_gauss = 0.5 * n * delta / (t * (t - 1.0))
+        step_eps = np.sqrt(8.0 * np.log(1.25 / delta_gauss)) * eta_eff * schedule.G / sigma_eff
+        amplified = _nonnegative_epsilons(np.log1p(np.exp(step_eps) / n))
+        step_max = max(step_max, float(np.max(step_eps)))
+        amplified_max = max(amplified_max, float(np.max(amplified)))
+        sum_sq += float(np.sum(amplified * amplified))
+        sum_excess += float(np.sum(amplified * np.expm1(amplified)))
+        sum_delta += float(np.sum(delta_gauss / n))
+    return step_max, amplified_max, _composed(sum_sq, sum_excess, sum_delta, delta / 2.0)
+
+
 def account_report(schedule) -> str:
     """Full accounting block for a schedule, one ``key = value`` line each.
 
@@ -276,22 +316,10 @@ def account_report(schedule) -> str:
     ]
     if T <= _REPORT_STEP_CAP:
         if T >= 2:
-            etas = schedule.etas
-            t = np.arange(2, T + 1, dtype=np.float64)
-            # step t releases (η_t/η_{t−1})·(w − η_t·ḡ) + N(0, (1−(η_t/η_{t−1})²)β₀)
-            ratio = etas[1:] / etas[:-1]
-            eta_eff = etas[1:] * ratio
-            sigma_eff = np.sqrt((1.0 - ratio**2) * schedule.beta0)
-            delta_gauss = 0.5 * n * delta / (t * (t - 1.0))
-            step_eps = (
-                np.sqrt(8.0 * np.log(1.25 / delta_gauss)) * eta_eff * schedule.G / sigma_eff
-            )
-            amplified = np.log1p(np.exp(step_eps) / n)
-            per_step = np.column_stack([amplified, delta_gauss / n])
-            composed = strong_compose(per_step, delta / 2.0)
+            step_max, amplified_max, composed = _enumerated_multi_pass(schedule)
             lines += [
-                f"step_epsilon_max = {_fmt(float(np.max(step_eps)))}",
-                f"amplified_epsilon_max = {_fmt(float(np.max(amplified)))}",
+                f"step_epsilon_max = {_fmt(step_max)}",
+                f"amplified_epsilon_max = {_fmt(amplified_max)}",
                 f"composed_epsilon = {_fmt(composed.epsilon)}",
                 f"composed_delta = {_fmt(composed.delta)}",
             ]

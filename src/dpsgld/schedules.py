@@ -130,6 +130,18 @@ class MultiPassSchedule:
 
     mode = MULTI_PASS
 
+    def __post_init__(self):
+        _require_positive(n=self.n, G=self.G)
+        _require_unit_interval(delta=self.delta)
+        if not self.beta0 >= 0:
+            raise InvalidParameterError(f"beta0 must be >= 0, got {self.beta0}")
+        if not self.T >= 0:
+            raise InvalidParameterError(f"T must be >= 0, got {self.T}")
+        if not 2.5 / (self.n * self.delta) > 1.0:
+            raise InvalidParameterError(
+                f"need 2.5/(n·δ) > 1 for a real step size at t=1, got n·δ = {self.n * self.delta:.6g}"
+            )
+
     @cached_property
     def etas(self) -> np.ndarray:
         """η_t = G⁻¹√β₀ / √(8·ln(2.5t²/(nδ))·t) for t = 1..T (read-only array)."""
@@ -187,10 +199,6 @@ def multi_pass_schedule(
     _require_positive(epsilon=epsilon, eta0=eta0, G=G)
     _require_unit_interval(delta=delta)
     T = _pass_steps(n, pass_exponent, epsilon)
-    if not 2.5 / (n * delta) > 1.0:
-        raise InvalidParameterError(
-            f"need 2.5/(n·δ) > 1 for a real step size at t=1, got n·δ = {n * delta:.6g}"
-        )
     beta0 = eta0 * eta0 * (n / T)
     return MultiPassSchedule(
         n=int(n),

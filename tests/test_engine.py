@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from dpsgld import engine
 from dpsgld.core import Dataset, Example, InvalidParameterError, seeded_rng
 from dpsgld.engine import (
     RunRecord,
@@ -82,6 +83,8 @@ class TestSgldStep:
             sgld_step(state, [z], 0.1, 30.0, 1.0, LOGISTIC)  # lambda*eta = 3 > 2
         with pytest.raises(InvalidParameterError):
             sgld_step(state, [z], 0.1, 1.0, -1.0, LOGISTIC)
+        with pytest.raises(InvalidParameterError, match="not a number"):
+            sgld_step(state, [z], float("nan"), 1.0, 1.0, LOGISTIC)
 
 
 class TestRunSinglePass:
@@ -150,15 +153,17 @@ class TestRunMultiPass:
     def test_deterministic_replay(self):
         sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
         data = toy_dataset(40, 3)
-        a = run_multi_pass(data, LOGISTIC, sched, seeded_rng(11, 0), log_interval=1)
-        b = run_multi_pass(data, LOGISTIC, sched, seeded_rng(11, 0), log_interval=1)
+        [a] = run_multi_pass([data], LOGISTIC, sched, [seeded_rng(11, 0)], log_interval=1)
+        [b] = run_multi_pass([data], LOGISTIC, sched, [seeded_rng(11, 0)], log_interval=1)
         np.testing.assert_array_equal(a.final_iterate, b.final_iterate)
         assert a.samples_consumed == b.samples_consumed == sched.T
 
     def test_first_logged_iterate_ignores_data(self):
         sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
-        a = run_multi_pass(toy_dataset(40, 3, seed=1), LOGISTIC, sched, seeded_rng(2, 0), log_interval=1)
-        b = run_multi_pass(toy_dataset(40, 3, seed=2), LOGISTIC, sched, seeded_rng(2, 0), log_interval=1)
+        [a, b] = run_multi_pass(
+            [toy_dataset(40, 3, seed=1), toy_dataset(40, 3, seed=2)], LOGISTIC, sched,
+            [seeded_rng(2, 0), seeded_rng(2, 0)], log_interval=1,
+        )
         np.testing.assert_array_equal(a.iterate_log[0][1], b.iterate_log[0][1])
         assert not np.array_equal(a.final_iterate, b.final_iterate)
 
@@ -167,25 +172,24 @@ class TestRunMultiPass:
             n=10, pass_exponent=1.0, epsilon=0.1, delta=1e-4,
             eta0=1.0, G=1.0, T=0, beta0=0.25,
         )
-        rec = run_multi_pass(toy_dataset(10, 4), LOGISTIC, sched, seeded_rng(3, 0))
+        [rec] = run_multi_pass([toy_dataset(10, 4)], LOGISTIC, sched, [seeded_rng(3, 0)])
         assert rec.samples_consumed == 0
         assert [t for t, _ in rec.iterate_log] == [0]
         z = seeded_rng(3, 0).substream(1).generator.standard_normal(4)
         np.testing.assert_allclose(rec.final_iterate, 0.5 * z, rtol=1e-15)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_rejects_schedule_outside_noise_domain(self):
-        # n·δ >= 2.5 makes η_1 NaN, so λ_2η_2 is NaN: refuse instead of returning NaN iterates
-        sched = MultiPassSchedule(
-            n=10, pass_exponent=1.0, epsilon=0.1, delta=0.5,
-            eta0=1.0, G=1.0, T=5, beta0=0.25,
-        )
-        with pytest.raises(InvalidParameterError, match=r"outside \[0, 2\]"):
-            run_multi_pass(toy_dataset(10, 2), LOGISTIC, sched, seeded_rng(0, 0))
+        # n·δ >= 2.5 would make η_1 NaN: the schedule refuses to exist, so no run sees it
+        with pytest.raises(InvalidParameterError, match="n·δ = 5"):
+            sched = MultiPassSchedule(
+                n=10, pass_exponent=1.0, epsilon=0.1, delta=0.5,
+                eta0=1.0, G=1.0, T=5, beta0=0.25,
+            )
+            run_multi_pass([toy_dataset(10, 2)], LOGISTIC, sched, [seeded_rng(0, 0)])
 
     def test_final_state_always_logged(self):
         sched = multi_pass_schedule(30, 1.5, 0.9, 1e-4, 1.0, 1.0)
-        rec = run_multi_pass(toy_dataset(30, 2), LOGISTIC, sched, seeded_rng(4, 0), log_interval=10**6)
+        [rec] = run_multi_pass([toy_dataset(30, 2)], LOGISTIC, sched, [seeded_rng(4, 0)], log_interval=10**6)
         assert [t for t, _ in rec.iterate_log] == [sched.T]
         np.testing.assert_array_equal(rec.iterate_log[-1][1], rec.final_iterate)
 
@@ -202,50 +206,138 @@ class TestCoupledStabilityRun:
     def test_identical_datasets_never_separate(self):
         data = toy_dataset(20, 3)
         sched = multi_pass_schedule(20, 1.5, 0.9, 1e-4, 0.2, 1.0)
-        out = coupled_stability_run(data, data, LOGISTIC, sched, seed=77)
-        assert len(out) == sched.T
-        assert all(dist == 0.0 for _, dist in out)
+        out = coupled_stability_run([(data, data)], LOGISTIC, sched, [77])
+        assert out.shape == (1, sched.T)
+        assert np.all(out == 0.0)
 
     def test_distance_zero_until_swap_index_sampled(self):
         data, prime = self.swapped_pair()
         sched = multi_pass_schedule(24, 1.5, 0.9, 1e-4, 0.2, 1.0)
         seed = 123
-        out = coupled_stability_run(data, prime, LOGISTIC, sched, seed=seed)
+        [out] = coupled_stability_run([(data, prime)], LOGISTIC, sched, [seed])
         indices = seeded_rng(seed, 0).generator.integers(0, data.n, size=sched.T)
         hits = np.flatnonzero(indices == data.n - 1) + 1
         # a hit at t=1 cannot separate the chains: lambda_1*eta_1 = 1 wipes
         # the data term, so the first effective hit is the first with t >= 2
         effective = [int(t) for t in hits if sched.lambda_eta(int(t)) != 1.0]
         first_hit = effective[0] if effective else sched.T + 1
-        for t, dist in out:
-            if t < first_hit:
-                assert dist == 0.0
+        assert np.all(out[: first_hit - 1] == 0.0)
         if effective:
-            assert out[first_hit - 1][1] > 0.0
+            assert out[first_hit - 1] > 0.0
 
     def test_shared_first_draw_keeps_chains_together(self):
         data, prime = self.swapped_pair()
         sched = multi_pass_schedule(24, 1.5, 0.9, 1e-4, 0.2, 1.0)
-        out = coupled_stability_run(data, prime, LOGISTIC, sched, seed=9)
-        assert out[0] == (1, 0.0)
+        out = coupled_stability_run([(data, prime)], LOGISTIC, sched, [9])
+        assert out[0, 0] == 0.0
 
     def test_validation(self):
         data = toy_dataset(20, 3)
-        other_n = toy_dataset(21, 3)
         sched = multi_pass_schedule(20, 1.5, 0.9, 1e-4, 0.2, 1.0)
-        with pytest.raises(InvalidParameterError):
-            coupled_stability_run(data, other_n, LOGISTIC, sched, seed=1)
         Xp = data.X.copy()
         Xp[0] = -Xp[0]
-        with pytest.raises(InvalidParameterError):
-            coupled_stability_run(data, Dataset(Xp, data.y), LOGISTIC, sched, seed=1)
+        bad_pairs = [
+            (data, toy_dataset(21, 3)),  # other n
+            (data, Dataset(np.hstack([data.X, np.zeros((20, 1))]), data.y)),  # other d
+            (data, Dataset(Xp, data.y)),  # differs before the last example
+        ]
+        # alone, or at any place in a batch of three
+        for bad in bad_pairs:
+            with pytest.raises(InvalidParameterError, match="neighboring datasets"):
+                coupled_stability_run([bad], LOGISTIC, sched, [1])
+            for bad_at in range(3):
+                pairs = [(data, data)] * 3
+                pairs[bad_at] = bad
+                with pytest.raises(InvalidParameterError, match="neighboring datasets"):
+                    coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3])
+
+    def test_pairs_in_a_batch_must_share_d(self):
+        sched = multi_pass_schedule(20, 1.5, 0.9, 1e-4, 0.2, 1.0)
+        narrow, wide = toy_dataset(20, 3), toy_dataset(20, 4)
+        with pytest.raises(InvalidParameterError, match="share d"):
+            coupled_stability_run([(narrow, narrow), (wide, wide)], LOGISTIC, sched, [1, 2])
+        with pytest.raises(InvalidParameterError, match="random streams"):
+            coupled_stability_run([(narrow, narrow)], LOGISTIC, sched, [1, 2])
 
     def test_step_size_guard(self):
         data, prime = self.swapped_pair(n=30)
         hot = multi_pass_schedule(30, 1.5, 0.9, 1e-4, 50.0, 1.0)
         assert hot.eta(1) > 1.0
-        with pytest.raises(InvalidParameterError, match="exceeds 1/L"):
-            coupled_stability_run(data, prime, QUADRATIC, hot, seed=1)
+        for replicates in (1, 3):
+            with pytest.raises(InvalidParameterError, match="exceeds 1/L"):
+                coupled_stability_run([(data, prime)] * replicates, QUADRATIC, hot, list(range(replicates)))
+
+
+class TestReplicateBatches:
+    """A batch of replicates gives each one exactly what it gets alone."""
+
+    D = 512  # a block holds fewer steps than T, for one chain or several
+
+    def schedule(self):
+        sched = multi_pass_schedule(60, 1.5, 0.9, 1e-4, 0.2, 1.0)
+        assert engine._NOISE_BLOCK_FLOATS // self.D < sched.T
+        return sched
+
+    def datasets(self, replicates):
+        # replicates may differ in n, not in d
+        return [toy_dataset(60 + r, self.D, seed=40 + r) for r in range(replicates)]
+
+    def pairs(self, replicates):
+        pairs = []
+        for data in self.datasets(replicates):
+            yp = data.y.copy()
+            yp[-1] = -yp[-1]
+            pairs.append((data, Dataset(data.X, yp)))
+        return pairs
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_multi_pass_records_match_single_runs(self, replicates):
+        sched = self.schedule()
+        datasets = self.datasets(replicates)
+        rngs = [seeded_rng(31, r) for r in range(replicates)]
+        kwargs = dict(log_interval=50, risk_eval=_norm_and_sum, risk_interval=70)
+        batch = run_multi_pass(datasets, LOGISTIC, sched, rngs, **kwargs)
+        assert len(batch) == replicates
+        for data, rng, record in zip(datasets, rngs, batch):
+            [alone] = run_multi_pass([data], LOGISTIC, sched, [rng], **kwargs)
+            assert _record_digest(record) == _record_digest(alone)
+
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_coupled_rows_match_single_pairs(self, replicates):
+        sched = self.schedule()
+        pairs = self.pairs(replicates)
+        seeds = [500 + r for r in range(replicates)]
+        batch = coupled_stability_run(pairs, LOGISTIC, sched, seeds)
+        assert batch.shape == (replicates, sched.T)
+        assert np.all(batch[:, -1] > 0.0)
+        for pair, seed, row in zip(pairs, seeds, batch):
+            [alone] = coupled_stability_run([pair], LOGISTIC, sched, [seed])
+            assert row.tobytes() == alone.tobytes()
+
+    def test_groups_split_a_large_batch_without_changing_it(self, monkeypatch):
+        sched = self.schedule()
+        datasets = self.datasets(3)
+        rngs = [seeded_rng(32, r) for r in range(3)]
+        pairs = self.pairs(3)
+        whole = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=1)
+        whole_pairs = coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3])
+        assert np.all(whole_pairs[:, -1] > 0.0)
+        # room for the index rows of two replicates per group
+        monkeypatch.setattr(engine, "_GROUP_BYTES", 2 * 8 * sched.T)
+        split = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=1)
+        assert [_record_digest(r) for r in split] == [_record_digest(r) for r in whole]
+        split_pairs = coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3])
+        assert split_pairs.tobytes() == whole_pairs.tobytes()
+
+    def test_replicates_must_line_up(self):
+        sched = self.schedule()
+        data = toy_dataset(60, 3)
+        with pytest.raises(InvalidParameterError, match="random streams"):
+            run_multi_pass([data, data], LOGISTIC, sched, [seeded_rng(1, 0)])
+        with pytest.raises(InvalidParameterError, match="at least one replicate"):
+            run_multi_pass([], LOGISTIC, sched, [])
+        with pytest.raises(InvalidParameterError, match="share d"):
+            run_multi_pass([data, toy_dataset(60, 4)], LOGISTIC, sched, [seeded_rng(1, 0)] * 2)
 
 
 def test_write_run_record_exact_format(tmp_path):
@@ -308,8 +400,8 @@ def _golden_single_hinge_d64():
 
 def _golden_multi_logistic():
     sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
-    rec = run_multi_pass(
-        toy_dataset(40, 5, seed=5), LOGISTIC, sched, seeded_rng(23, 0),
+    [rec] = run_multi_pass(
+        [toy_dataset(40, 5, seed=5)], LOGISTIC, sched, [seeded_rng(23, 0)],
         log_interval=1, risk_eval=_norm_and_sum,
     )
     return _record_digest(rec)
@@ -317,7 +409,7 @@ def _golden_multi_logistic():
 
 def _golden_multi_quadratic_d33():
     sched = multi_pass_schedule(60, 1.3, 0.7, 1e-4, 0.5, 2.0)
-    rec = run_multi_pass(toy_dataset(60, 33, seed=6), QUADRATIC, sched, seeded_rng(24, 0), log_interval=1)
+    [rec] = run_multi_pass([toy_dataset(60, 33, seed=6)], QUADRATIC, sched, [seeded_rng(24, 0)], log_interval=1)
     return _record_digest(rec)
 
 
@@ -326,7 +418,8 @@ def _golden_coupled_d16():
     yp = data.y.copy()
     yp[-1] = -yp[-1]
     sched = multi_pass_schedule(24, 1.5, 0.9, 1e-4, 0.2, 1.0)
-    return _digest(coupled_stability_run(data, Dataset(data.X, yp), LOGISTIC, sched, seed=25))
+    [sq] = coupled_stability_run([(data, Dataset(data.X, yp))], LOGISTIC, sched, [25])
+    return _digest([(t, float(v)) for t, v in enumerate(sq, 1)])
 
 
 def _golden_sgld_step():

@@ -18,6 +18,7 @@ from dpsgld.oracles import (
     theorem2_excess_bound,
     w2_isotropic_gaussian,
 )
+from dpsgld.schedules import MultiPassSchedule
 
 
 class TestBoundReport:
@@ -147,6 +148,15 @@ class TestStabilityBound:
             stability_bound(2, 10, 1.0, [0.1])
         with pytest.raises(InvalidParameterError):
             stability_bound(1, 0, 1.0, [0.1])
+
+    def test_schedule_outside_noise_domain_rejected(self):
+        # n·δ >= 2.5 would make η_1 NaN and so the bound at every t
+        with pytest.raises(InvalidParameterError, match="n·δ"):
+            sched = MultiPassSchedule(
+                n=10, pass_exponent=1.0, epsilon=0.1, delta=0.5,
+                eta0=1.0, G=1.0, T=5, beta0=0.25,
+            )
+            stability_bound(3, sched.n, sched.G, sched.etas)
 
 
 class TestExcessRiskBounds:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpsgld import privacy
 from dpsgld.core import InfinitePrivacyLossError, InvalidParameterError
 from dpsgld.privacy import (
     DpBudget,
@@ -21,7 +22,7 @@ from dpsgld.privacy import (
     strong_compose,
     subsample_amplify,
 )
-from dpsgld.schedules import multi_pass_schedule, single_pass_schedule
+from dpsgld.schedules import MultiPassSchedule, multi_pass_schedule, single_pass_schedule
 
 # Reference values below were computed once with 40-digit arithmetic and frozen.
 
@@ -372,6 +373,19 @@ class TestAccountReport:
         assert float(report["composed_delta"]) < sched.delta
         assert "exp(eps)" in report["note"]
 
+    def test_chunked_enumeration_matches_one_pass(self, monkeypatch):
+        # one chunk covering every step is the unchunked enumeration; chunking
+        # only reorders the sums, so maxima agree exactly and sums to rounding
+        sched = multi_pass_schedule(120, 1.7, 0.9, 1e-5, 1.0, 1.0)
+        monkeypatch.setattr(privacy, "_REPORT_CHUNK", sched.T)
+        whole = privacy._enumerated_multi_pass(sched)
+        monkeypatch.setattr(privacy, "_REPORT_CHUNK", 97)
+        chunked = privacy._enumerated_multi_pass(sched)
+        assert sched.T > 10 * 97
+        assert chunked[:2] == whole[:2]
+        np.testing.assert_allclose(chunked[2].epsilon, whole[2].epsilon, rtol=1e-12)
+        np.testing.assert_allclose(chunked[2].delta, whole[2].delta, rtol=1e-12)
+
     def test_multi_pass_single_step_is_free(self):
         sched = multi_pass_schedule(10, 1.0, 0.32, 1e-3, 1.0, 1.0)
         assert sched.T == 1
@@ -382,3 +396,11 @@ class TestAccountReport:
     def test_unknown_schedule_rejected(self):
         with pytest.raises(InvalidParameterError):
             account_report(object())
+
+    def test_schedule_outside_noise_domain_rejected(self):
+        # n·δ >= 2.5 would make η_1 NaN and every enumerated step NaN
+        with pytest.raises(InvalidParameterError, match="n·δ"):
+            account_report(MultiPassSchedule(
+                n=10, pass_exponent=1.0, epsilon=0.1, delta=0.5,
+                eta0=1.0, G=1.0, T=5, beta0=0.25,
+            ))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dpsgld.core import InvalidParameterError
 from dpsgld.schedules import (
     MULTI_PASS,
+    MultiPassSchedule,
     SINGLE_PASS,
     minibatch_size,
     multi_pass_schedule,
@@ -170,6 +171,25 @@ class TestMultiPassSchedule:
         # epsilon so small that T rounds to zero
         with pytest.raises(InvalidParameterError):
             multi_pass_schedule(10, 1.0, 0.01, 1e-4, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("delta", 0.25, r"n·δ = 2\.5"),
+            ("n", 0, "n must be > 0"),
+            ("G", 0.0, "G must be > 0"),
+            ("delta", 0.0, r"delta must be in \(0, 1\)"),
+            ("delta", 1.0, r"delta must be in \(0, 1\)"),
+            ("beta0", -1e-3, "beta0 must be >= 0"),
+            ("T", -1, "T must be >= 0"),
+        ],
+    )
+    def test_direct_construction_is_validated(self, field, value, message):
+        fields = dict(n=10, pass_exponent=1.0, epsilon=0.1, delta=1e-4, eta0=1.0, G=1.0, T=5, beta0=0.25)
+        MultiPassSchedule(**fields)
+        fields[field] = value
+        with pytest.raises(InvalidParameterError, match=message):
+            MultiPassSchedule(**fields)
 
 
 @given(
