@@ -11,7 +11,20 @@ isotropic laws.
 
 Population risk is estimated by streaming a held-out Monte-Carlo sample in
 chunks regenerated from the caller's stream: memory stays flat and reusing
-one stream across evaluations gives common random numbers.
+one stream across evaluations gives common random numbers. On the sphere and
+ball laws with d >= 3 the sample is drawn in two dimensions, so its cost does
+not grow with d. The loss of w at x depends on x only through wᵀx and
+wStarᵀx, that is through the projection of x onto an orthonormal basis
+(u₁, u₂) of span{wStar, w} with u₁ = wStar/‖wStar‖ (e₁ when wStar = 0).
+A uniform sphere point is g/‖g‖ with g standard Gaussian; rotating the basis
+onto the first two axes leaves g's law unchanged, so the projection is
+exactly (g₁, g₂)/√(g₁² + g₂² + χ²_{d−2}) with the chi-square independent of
+(g₁, g₂), and the ball law scales it by its radius. Each chunk draws one set
+of these 2-D rows and scores every iterate w on it through its coordinates
+(wᵀu₁, ‖w − (wᵀu₁)u₁‖). Each iterate's estimate has exactly the law it has
+on d-dimensional rows, and iterates scored together share the draws, so
+their differences keep common random numbers. The low-rank law and d < 3
+draw full d-dimensional rows.
 """
 
 from __future__ import annotations
@@ -34,6 +47,12 @@ FEATURE_LAWS = ("ball", "sphere", "low-rank")
 def _chunk_rows(d: int) -> int:
     # keep a feature chunk near 32 MB regardless of dimension
     return max(128, min(16384, (1 << 22) // max(1, d)))
+
+
+# Rows per chunk of the 2-D held-out sampler. It depends on neither d nor the
+# number of iterates, so an iterate scored alone sees the same draws as when
+# scored beside others.
+_MARGIN_CHUNK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -68,21 +87,22 @@ class PopulationModel:
 def _draw_features(model: PopulationModel, n: int, gen: np.random.Generator) -> np.ndarray:
     g = gen.standard_normal((n, model.d))
     if model.feature_law == "low-rank":
-        g = g / np.arange(1.0, model.d + 1.0)
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    x = g / norms
+        g /= np.arange(1.0, model.d + 1.0)
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
     if model.feature_law == "ball":
-        x = x * gen.uniform(0.5, 1.0, size=(n, 1))
-    return x
+        g *= gen.uniform(0.5, 1.0, size=(n, 1))
+    return g
 
 
-def _draw_labels(model: PopulationModel, X: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    margins = X @ model.w_star
+def _draw_labels(
+    model: PopulationModel, margins: np.ndarray, gen: np.random.Generator
+) -> np.ndarray:
+    """Labels given the true margins wStarᵀx of the rows."""
     if model.kind == LOGISTIC_KIND:
-        u = gen.uniform(size=X.shape[0])
+        u = gen.uniform(size=margins.shape[0])
         return np.where(u < expit(margins), 1.0, -1.0)
     half_width = math.sqrt(3.0) * model.label_noise
-    return margins + gen.uniform(-half_width, half_width, size=X.shape[0])
+    return margins + gen.uniform(-half_width, half_width, size=margins.shape[0])
 
 
 def draw_dataset(model: PopulationModel, n: int, rng: RngStream) -> Dataset:
@@ -91,7 +111,7 @@ def draw_dataset(model: PopulationModel, n: int, rng: RngStream) -> Dataset:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     gen = rng.generator
     X = _draw_features(model, n, gen)
-    y = _draw_labels(model, X, gen)
+    y = _draw_labels(model, X @ model.w_star, gen)
     return Dataset(X, y)
 
 
@@ -101,7 +121,42 @@ def _held_out_chunks(model: PopulationModel, n_test: int, rng: RngStream):
     chunk = _chunk_rows(model.d)
     for done in range(0, n_test, chunk):
         X = _draw_features(model, min(chunk, n_test - done), gen)
-        yield X, _draw_labels(model, X, gen)
+        yield X, _draw_labels(model, X @ model.w_star, gen)
+
+
+def _held_out_margins(model: PopulationModel, W: np.ndarray, n_test: int, rng: RngStream):
+    """Yield (margins, y, rows) chunks of an n_test-row held-out sample.
+
+    margins[i, j] is W[j]ᵀx_i for the chunk's rows x_i and y their labels.
+    Row i of ``rows`` has the norm of x_i: it is x_i itself, or on the 2-D
+    path a single column holding the ball radius (1 on the sphere). See the
+    module docstring for the 2-D law used on the sphere and ball laws when
+    d >= 3.
+    """
+    if model.feature_law == "low-rank" or model.d < 3:
+        for X, y in _held_out_chunks(model, n_test, rng):
+            yield X @ W.T, y, X
+        return
+    gen = rng.generator
+    star_norm = float(np.linalg.norm(model.w_star))
+    if star_norm > 0:
+        u1 = model.w_star / star_norm
+    else:
+        u1 = np.zeros(model.d)
+        u1[0] = 1.0
+    # with wStar on a coordinate axis, as the harness and CLI build it, u1 is
+    # exact and an iterate parallel to wStar gets a second coordinate of 0
+    along = W @ u1
+    coords = np.stack([along, np.linalg.norm(W - np.outer(along, u1), axis=1)])
+    for done in range(0, n_test, _MARGIN_CHUNK_ROWS):
+        c = min(_MARGIN_CHUNK_ROWS, n_test - done)
+        P = gen.standard_normal((c, 2))
+        P /= np.sqrt(np.sum(P * P, axis=1) + gen.chisquare(model.d - 2, c))[:, None]
+        radii = np.ones((c, 1))
+        if model.feature_law == "ball":
+            radii = gen.uniform(0.5, 1.0, size=(c, 1))
+            P *= radii
+        yield P @ coords, _draw_labels(model, star_norm * P[:, 0], gen), radii
 
 
 def population_risk_many(
@@ -110,7 +165,9 @@ def population_risk_many(
     """Monte-Carlo population risk of several iterates on one shared sample.
 
     Streams the held-out sample in chunks regenerated from ``rng``, scoring
-    every iterate against the same draws (common random numbers).
+    every iterate against the same draws (common random numbers). On the
+    sphere and ball laws with d >= 3 the draws are 2-D projections, so the
+    cost per iterate does not grow with d (module docstring).
 
     Args:
         ws: sequence of iterates, all of the model's dimension.
@@ -130,8 +187,8 @@ def population_risk_many(
         )
     total = np.zeros(W.shape[0])
     total_sq = np.zeros(W.shape[0])
-    for X, y in _held_out_chunks(model, n_test, rng):
-        values = loss.phi(X @ W.T, y[:, None])
+    for margins, y, _ in _held_out_margins(model, W, n_test, rng):
+        values = loss.phi(margins, y[:, None])
         total += values.sum(axis=0)
         total_sq += (values * values).sum(axis=0)
     mean = total / n_test
@@ -163,9 +220,9 @@ def hessian_trace_estimate(
             f"w has {w.shape[0]} coordinates, model says d={model.d}"
         )
     total = 0.0
-    for X, y in _held_out_chunks(model, n_test, rng):
-        curv = loss.phi_double_prime(X @ w, y)
-        total += float(np.sum(curv * np.sum(X * X, axis=1)))
+    for margins, y, rows in _held_out_margins(model, w[None, :], n_test, rng):
+        curv = loss.phi_double_prime(margins[:, 0], y)
+        total += float(np.sum(curv * np.sum(rows * rows, axis=1)))
     estimate = total / n_test
     assert estimate <= loss_bounds(loss).gamma2 + 1e-12
     return estimate
@@ -210,7 +267,10 @@ def export_dataset(dataset: Dataset, path, kind: str) -> None:
 
 
 def import_dataset(path) -> tuple[Dataset, str]:
-    """Read a dataset written by export_dataset; returns (dataset, kind)."""
+    """Read a dataset written by export_dataset; returns (dataset, kind).
+
+    A kind=logistic file is refused unless every label is -1 or +1.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
@@ -231,4 +291,12 @@ def import_dataset(path) -> tuple[Dataset, str]:
         )
     if kind not in KINDS:
         raise InvalidParameterError(f"unknown kind {kind!r} in {path}")
-    return Dataset(rows[:, :d], rows[:, d]), kind
+    y = rows[:, d]
+    if kind == LOGISTIC_KIND:
+        bad = np.flatnonzero((y != 1.0) & (y != -1.0))
+        if bad.size:
+            raise InvalidParameterError(
+                f"{path}: data row {bad[0] + 1} has label {y[bad[0]]:.17g}; "
+                "kind=logistic labels must be -1 or +1"
+            )
+    return Dataset(rows[:, :d], y), kind

@@ -145,9 +145,19 @@ class MultiPassSchedule:
     @cached_property
     def etas(self) -> np.ndarray:
         """η_t = G⁻¹√β₀ / √(8·ln(2.5t²/(nδ))·t) for t = 1..T (read-only array)."""
+        # in place over one work array beside t (T ≈ 10⁷ makes each array 80 MB),
+        # in the operation order of √β₀ / (G·√(8·ln(2.5·t·t/(nδ))·t))
         t = np.arange(1, self.T + 1, dtype=np.float64)
-        logs = np.log(2.5 * t * t / (self.n * self.delta))
-        return _read_only(math.sqrt(self.beta0) / (self.G * np.sqrt(8.0 * logs * t)))
+        a = 2.5 * t
+        a *= t
+        a /= self.n * self.delta
+        np.log(a, out=a)
+        a *= 8.0
+        a *= t
+        np.sqrt(a, out=a)
+        a *= self.G
+        np.divide(math.sqrt(self.beta0), a, out=a)
+        return _read_only(a)
 
     @cached_property
     def lambda_etas(self) -> np.ndarray:

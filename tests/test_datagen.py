@@ -1,6 +1,10 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
+from dpsgld import datagen
 from dpsgld.core import InvalidParameterError, seeded_rng
 from dpsgld.datagen import (
     FEATURE_LAWS,
@@ -131,12 +135,15 @@ class TestPopulationRisk:
             np.testing.assert_allclose(se[i], single_se, rtol=1e-12)
 
     def test_matches_closed_form_quadratic(self):
-        model = model_for(kind="quadratic", d=6, noise=0.1)
         loss = GlmLoss("quadratic")
-        for w in (np.zeros(6), np.full(6, 0.3)):
-            exact = closed_form_quadratic_risk(model, w)
-            est, se = population_risk(loss, w, model, 200_000, seeded_rng(12, 0))
-            assert abs(est - exact) <= 4.0 * max(se, 1e-9)
+        for law in ("ball", "sphere"):
+            for d in (3, 6, 512):
+                model = model_for(kind="quadratic", d=d, law=law, noise=0.1)
+                ws = (np.zeros(d), np.full(d, 0.3), np.full(d, 3.0 / math.sqrt(d)))
+                for w in ws:
+                    exact = closed_form_quadratic_risk(model, w)
+                    est, se = population_risk(loss, w, model, 200_000, seeded_rng(12, 0))
+                    assert abs(est - exact) <= 4.0 * max(se, 1e-9), (law, d)
 
     def test_risk_at_w_star_is_noise_floor(self):
         model = model_for(kind="quadratic", d=6, noise=0.2)
@@ -166,6 +173,106 @@ class TestPopulationRisk:
         _, se_small = population_risk(GlmLoss("logistic"), w, model, 1000, seeded_rng(13, 0))
         _, se_big = population_risk(GlmLoss("logistic"), w, model, 100_000, seeded_rng(13, 0))
         assert se_big < se_small / 5.0
+
+
+def d_dimensional_risk(loss, ws, model, n_test, rng):
+    """Mean and standard error of the loss over full d-dimensional held-out rows."""
+    W = np.stack(ws)
+    values = np.concatenate(
+        [loss.phi(X @ W.T, y[:, None]) for X, y in datagen._held_out_chunks(model, n_test, rng)]
+    )
+    return values.mean(axis=0), values.std(axis=0) / math.sqrt(n_test)
+
+
+class TestProjectedEstimator:
+    """On the sphere and ball laws (d >= 3) the held-out rows are 2-D projections."""
+
+    @pytest.mark.parametrize("w_scale", [1.0, 0.0], ids=["wstar", "wstar0"])
+    @pytest.mark.parametrize("d", [3, 512])
+    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
+    @pytest.mark.parametrize("law", ["sphere", "ball"])
+    def test_matches_d_dimensional_rows(self, law, kind, d, w_scale):
+        # independent samples, so the two estimates differ by noise of
+        # standard error sqrt(se_a² + se_b²); the loss at w = 0 is constant
+        # for logistic labels, so allow rounding there
+        model = model_for(kind=kind, d=d, law=law, w_scale=w_scale)
+        loss = GlmLoss(kind)
+        along = np.zeros(d)
+        along[0] = 2.0  # parallel to wStar, or along u₁ = e₁ when wStar = 0
+        generic = np.random.default_rng(d).standard_normal(d)
+        generic *= 1.5 / np.linalg.norm(generic)
+        ws = [np.zeros(d), along, generic]
+        est, se = population_risk_many(loss, ws, model, 20_000, seeded_rng(21, 0))
+        ref, ref_se = d_dimensional_risk(loss, ws, model, 20_000, seeded_rng(21, 1))
+        tolerance = 4.0 * np.sqrt(se**2 + ref_se**2) + 1e-12
+        assert np.all(np.abs(est - ref) <= tolerance), (est, ref)
+
+    @pytest.mark.parametrize("d", [3, 512])
+    @pytest.mark.parametrize("law", ["sphere", "ball"])
+    def test_iterate_parallel_to_w_star_scores_exactly(self, law, d):
+        # noiseless quadratic labels are wStarᵀx, so wStar itself has zero
+        # loss on every row only if its second coordinate is exactly 0
+        model = model_for(kind="quadratic", d=d, law=law, noise=0.0, w_scale=0.7)
+        loss = GlmLoss("quadratic")
+        est, se = population_risk_many(loss, [model.w_star], model, 1000, seeded_rng(22, 0))
+        assert est[0] == 0.0 and se[0] == 0.0
+
+    @pytest.mark.parametrize("law", ["sphere", "ball"])
+    def test_hessian_trace_matches_d_dimensional_rows(self, law):
+        d, n_test = 512, 20_000
+        model = model_for(d=d, law=law)
+        loss = GlmLoss("logistic")
+        w = np.random.default_rng(24).standard_normal(d)
+        w *= 2.0 / np.linalg.norm(w)
+        est = hessian_trace_estimate(loss, model, w, n_test, seeded_rng(24, 0))
+        per_row = np.concatenate(
+            [
+                loss.phi_double_prime(X @ w, y) * np.sum(X * X, axis=1)
+                for X, y in datagen._held_out_chunks(model, n_test, seeded_rng(24, 1))
+            ]
+        )
+        se = per_row.std() / math.sqrt(n_test)
+        # both sides have the same per-row law, so the combined SE is √2·se
+        assert abs(est - per_row.mean()) <= 4.0 * math.sqrt(2.0) * se
+
+    def test_isotropic_laws_never_draw_d_dimensional_rows(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("drew d-dimensional held-out rows")
+
+        monkeypatch.setattr(datagen, "_draw_features", refuse)
+        d = 100_000
+        for law in ("sphere", "ball"):
+            model = model_for(d=d, law=law)
+            loss = GlmLoss("logistic")
+            est, _ = population_risk_many(
+                loss, [np.zeros(d), model.w_star], model, 10_000, seeded_rng(25, 0)
+            )
+            assert np.all(np.isfinite(est))
+            assert 0.0 < hessian_trace_estimate(loss, model, model.w_star, 1000, seeded_rng(25, 1))
+
+
+# sha256 of (estimates, standard errors, Hessian trace) from the d-dimensional
+# sampler, recorded before the 2-D sampler was added: the low-rank law and
+# d < 3 must keep drawing exactly the same rows. At d = 600 the 20 000 rows
+# come in three chunks.
+D_DIMENSIONAL_DIGESTS = {
+    ("logistic", "low-rank", 40): "9b7214fb6ca8242fd9a9b8f62382566d35b815efa5669dec73b4ffee3e47abec",
+    ("quadratic", "low-rank", 600): "ad8e9a473345633f07b8ebdc9ee61319ae6e4c4023d0952c48ee18eb1c43a0c0",
+    ("logistic", "ball", 2): "492cc84a0cbce8c7c8c94423eaa2e176f9476e372afbc23d3fa9c991446c9b16",
+    ("quadratic", "sphere", 1): "f8c6829f559270eed1b80c67c5a7ef5bf514593be95b843b0492b29ac65222c9",
+    ("quadratic", "ball", 2): "ca45ebad549023c3883aac5284add6ea6ff42639cb909a2bffb787e02dc590d8",
+}
+
+
+@pytest.mark.parametrize("kind,law,d", list(D_DIMENSIONAL_DIGESTS), ids=str)
+def test_d_dimensional_estimates_are_pinned(kind, law, d):
+    model = model_for(kind=kind, d=d, law=law)
+    loss = GlmLoss(kind)
+    ws = [np.zeros(d), model.w_star, np.random.default_rng(5).standard_normal(d) * 0.3]
+    est, se = population_risk_many(loss, ws, model, 20_000, seeded_rng(3, 0))
+    h = hessian_trace_estimate(loss, model, ws[2], 5_000, seeded_rng(4, 0))
+    payload = est.tobytes() + se.tobytes() + np.float64(h).tobytes()
+    assert hashlib.sha256(payload).hexdigest() == D_DIMENSIONAL_DIGESTS[(kind, law, d)]
 
 
 class TestHessianTrace:
@@ -232,6 +339,20 @@ class TestExportImport:
         path.write_text("# d=2 n=3 kind=logistic\n0.1,0.2,1\n0.1,0.2,1\n")
         with pytest.raises(InvalidParameterError, match="expected 3 rows"):
             import_dataset(path)
+
+    def test_logistic_labels_must_be_signs(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        rows = "0.1,0.2,1\n0.1,0.2,-1\n0.1,0.2,0.5\n0.1,0.2,5\n"
+        path.write_text("# d=2 n=4 kind=logistic\n" + rows)
+        with pytest.raises(InvalidParameterError, match="data row 3 has label 0.5"):
+            import_dataset(path)
+        path.write_text("# d=2 n=1 kind=logistic\n0.1,0.2,nan\n")
+        with pytest.raises(InvalidParameterError, match="data row 1 has label nan"):
+            import_dataset(path)
+        path.write_text("# d=2 n=4 kind=quadratic\n" + rows)
+        loaded, kind = import_dataset(path)
+        assert kind == "quadratic"
+        np.testing.assert_array_equal(loaded.y, [1.0, -1.0, 0.5, 5.0])
 
     def test_unknown_kind_rejected(self, tmp_path):
         data = draw_dataset(model_for(d=2), 3, seeded_rng(19, 0))
