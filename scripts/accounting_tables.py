@@ -10,7 +10,7 @@ everywhere on the grid.
 import sys
 
 from dpsgld.privacy import account_report, certify_theorem2
-from dpsgld.schedules import sample_budget, single_pass_schedule
+from dpsgld.schedules import multi_pass_schedule, single_pass_schedule
 
 
 def main() -> int:
@@ -23,7 +23,7 @@ def main() -> int:
     print("single-pass sample budgets")
     print(f"  {'T':>6} {'budget':>8} {'budget/T':>9}")
     for T in (1, 8, 100, 1000, 4096):
-        budget = sample_budget(single_pass_schedule(T, 1.0, 1.0, 0.5, 1e-5))
+        budget = single_pass_schedule(T, 1.0, 1.0, 0.5, 1e-5).sample_budget
         print(f"  {T:>6} {budget:>8} {budget / T:>9.3f}")
 
     for delta in (1e-5, 1e-9):
@@ -33,7 +33,8 @@ def main() -> int:
         for n in (1000, 10_000, 100_000):
             for exponent in (1.0, 1.5, 2.0):
                 for eps in (0.1, 0.3, 1.0):
-                    exact, claimed = certify_theorem2(n, exponent, eps, delta)
+                    schedule = multi_pass_schedule(n, exponent, eps, delta, 1.0, 1.0)
+                    exact, claimed = certify_theorem2(schedule)
                     ratio = exact.epsilon / claimed.epsilon
                     print(
                         f"  {n:>7} {exponent:>8.1f} {eps:>5.1f} "

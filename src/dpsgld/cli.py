@@ -3,7 +3,7 @@
 Configuration is a flat text file of ``key = value`` lines (``#`` comments,
 nested keys via dots), merged with repeatable ``--set key=value`` overrides;
 explicit flags win over both. Unknown keys are rejected by name. All floats
-print with 9 significant digits.
+print with 9 significant digits (``core._fmt``).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .core import (
     Example,
     InfinitePrivacyLossError,
     InvalidParameterError,
+    _fmt,
     seeded_rng,
 )
 from .datagen import (
@@ -57,14 +58,6 @@ _MODES = (SINGLE_PASS, MULTI_PASS)
 
 class ConfigError(Exception):
     """Bad configuration; the CLI maps this to exit status 2."""
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -222,7 +215,7 @@ def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
         print(f"mode = {record.mode}")
         print(f"T = {schedule.T}")
         print(f"samples_consumed = {record.samples_consumed}")
-        print(f"final_iterate_norm = {float(np.linalg.norm(record.final_iterate)):.9g}")
+        print(f"final_iterate_norm = {_fmt(np.linalg.norm(record.final_iterate))}")
         print(f"run_record = {record_path}")
         print(f"account = {account_path}")
     return 0

@@ -1,7 +1,11 @@
-"""Seeded randomness, dense vectors, and examples/datasets shared by every module.
+"""Seeded randomness, dense vectors, examples/datasets, and the argument checks
+and number format shared by every module.
 
 All numerics are float64. Randomness is addressed by (seed, stream id) so that
 any replicate, and any substream inside a replicate, can be replayed exactly.
+The ``_require_*`` checks raise InvalidParameterError with one wording per
+rule, and ``_fmt`` prints every reported number (integers exactly, floats to
+9 significant digits).
 """
 
 from __future__ import annotations
@@ -23,6 +27,30 @@ class InvalidParameterError(ValueError):
 
 class InfinitePrivacyLossError(ValueError):
     """Zero noise against nonzero sensitivity: the privacy loss is unbounded."""
+
+
+def _require_positive(**kwargs) -> None:
+    for name, value in kwargs.items():
+        if not value > 0:
+            raise InvalidParameterError(f"{name} must be > 0, got {value}")
+
+
+def _require_unit_interval(**kwargs) -> None:
+    """Each value (a scalar or a nonempty array of them) lies in (0, 1)."""
+    for name, value in kwargs.items():
+        if not (0.0 < np.min(value) and np.max(value) < 1.0):
+            raise InvalidParameterError(f"{name} must be in (0, 1), got {value}")
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= minimum):
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value}")
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return f"{float(value):.9g}"
 
 
 def as_vector(values) -> Vector:
@@ -71,25 +99,6 @@ class RngStream:
 def seeded_rng(seed: int, stream: int = 0) -> RngStream:
     """Fresh reproducible stream; replays identically for identical (seed, stream)."""
     return RngStream(seed, stream)
-
-
-def gaussian_vector(mean, variance: float, rng: RngStream) -> Vector:
-    """Draw one sample from the isotropic normal N(mean, variance·I).
-
-    Args:
-        mean: center vector.
-        variance: common per-coordinate variance; 0 returns the mean exactly.
-        rng: stream the draw is consumed from (advances its state).
-
-    Returns:
-        A vector of the same length as ``mean``.
-    """
-    m = as_vector(mean)
-    if not np.isfinite(variance) or variance < 0:
-        raise InvalidParameterError(f"variance must be finite and >= 0, got {variance}")
-    if variance == 0.0:
-        return m.copy()
-    return m + np.sqrt(variance) * rng.generator.standard_normal(m.shape[0])
 
 
 @dataclass(frozen=True)
@@ -157,15 +166,6 @@ class Dataset:
     @property
     def examples(self) -> list[Example]:
         return [self.example(i) for i in range(self.n)]
-
-    @classmethod
-    def from_examples(cls, examples) -> "Dataset":
-        examples = list(examples)
-        if not examples:
-            raise InvalidParameterError("dataset needs at least one example")
-        X = np.stack([as_vector(z.x) for z in examples])
-        y = np.array([float(z.y) for z in examples])
-        return cls(X, y)
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, d={self.d})"

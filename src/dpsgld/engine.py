@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, InvalidParameterError, RngStream, Vector, as_vector, seeded_rng
+from .core import Dataset, InvalidParameterError, RngStream, Vector, _fmt, as_vector, seeded_rng
 from .losses import GlmLoss, loss_bounds
 from .schedules import MultiPassSchedule, SinglePassSchedule
 
@@ -351,8 +351,6 @@ def write_run_record(record: RunRecord, path) -> None:
     lines = ["t,risk_population,risk_empirical,iterate_norm"]
     for t, w in record.iterate_log or []:
         pop, emp = risk_at.get(t, (float("nan"), float("nan")))
-        lines.append(
-            f"{t},{pop:.9g},{emp:.9g},{float(np.linalg.norm(w)):.9g}"
-        )
+        lines.append(f"{t},{_fmt(pop)},{_fmt(emp)},{_fmt(np.linalg.norm(w))}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import losses
-from .core import Dataset, InvalidParameterError, RngStream, seeded_rng
+from .core import Dataset, InvalidParameterError, RngStream, _fmt, seeded_rng
 from .datagen import (
     LOGISTIC_KIND,
     QUADRATIC_KIND,
@@ -32,7 +32,7 @@ from .datagen import (
 from .engine import coupled_stability_run, run_multi_pass, run_single_pass
 from .losses import GlmLoss, loss_bounds
 from .oracles import stability_bound, theorem1_excess_bound, theorem2_excess_bound
-from .privacy import certify_theorem1, certify_theorem2, multi_pass_privacy
+from .privacy import certify_theorem1, certify_theorem2
 from .schedules import multi_pass_schedule, single_pass_schedule
 
 EXCESS_RISK_VS_N = "excess-risk-vs-n"
@@ -339,8 +339,7 @@ def experiment_stability(config: ExperimentConfig) -> list:
         pairs.append((dataset, Dataset(x_prime, y_prime)))
         seeds.append(int(np.random.SeedSequence([config.seed, r]).generate_state(1, np.uint64)[0]))
     distances = coupled_stability_run(pairs, loss, schedule, seeds)[:, marks - 1]
-    accounted = multi_pass_privacy(n, T, delta)
-    claimed = certify_theorem2(n, config.pass_exponent, eps, delta)[1]
+    accounted, claimed = certify_theorem2(schedule)
     rows = []
     for j, t in enumerate(checkpoints):
         mean, se = _mean_se(distances[:, j])
@@ -408,7 +407,7 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
             per_rep.append(float(np.mean(est[start : start + k])) - star)
             start += k
         mean, se = _mean_se(np.asarray(per_rep))
-        exact, claimed = certify_theorem2(n, config.pass_exponent, eps, delta)
+        exact, claimed = certify_theorem2(schedule)
         bound = theorem2_excess_bound(
             config.wstar_norm,
             n,
@@ -530,9 +529,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list, dict]:
 def _fmt_cell(value) -> str:
     if isinstance(value, str):
         return value.replace(",", ";")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.9g}"
+    return _fmt(value)
 
 
 def rows_to_csv(rows) -> str:

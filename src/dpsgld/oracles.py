@@ -1,35 +1,27 @@
-"""Independent oracles the test suite checks everything else against.
+"""Independent oracles the test suite and the harness check everything else against.
 
-Finite-difference gradients, analytic Gaussian transport/divergence values,
-and the closed-form bounds, kept deliberately separate from the code they
-audit: nothing here is imported by the engine or the accountant.
+Finite-difference gradients, the Rényi divergence between Gaussians, the
+coupled-run stability bound and the excess-risk bounds, kept deliberately
+separate from the code they audit: nothing here is imported by the engine or
+the accountant, and ``theorem2_excess_bound`` keeps its own copy of the
+T = round(n^α·ε²) rule. Only the argument checks come from ``core``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Example, InvalidParameterError, Vector, as_vector
+from .core import (
+    Example,
+    InvalidParameterError,
+    Vector,
+    _require_positive,
+    _require_unit_interval,
+    as_vector,
+)
 from .losses import GlmLoss, loss_value
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Empirical value vs. a theoretical upper bound, with Monte-Carlo slack."""
-
-    bound_value: float
-    empirical_value: float
-    standard_error: float
-    satisfied: bool = field(init=False)
-
-    def __post_init__(self):
-        if self.standard_error < 0:
-            raise InvalidParameterError("standard error must be >= 0")
-        ok = self.empirical_value <= self.bound_value + 3.0 * self.standard_error
-        object.__setattr__(self, "satisfied", bool(ok))
 
 
 def finite_diff_gradient(loss: GlmLoss, w, z: Example, h: float) -> Vector:
@@ -45,17 +37,6 @@ def finite_diff_gradient(loss: GlmLoss, w, z: Example, h: float) -> Vector:
         wm[i] -= h
         g[i] = (loss_value(loss, wp, z) - loss_value(loss, wm, z)) / (2.0 * h)
     return g
-
-
-def w2_isotropic_gaussian(m1, m2, s: float) -> float:
-    """W₂ distance between N(m1, s²I) and N(m2, s²I).
-
-    Equal isotropic covariances transport onto each other for free, leaving
-    only the mean shift: W₂ = ‖m1 − m2‖₂.
-    """
-    if s < 0:
-        raise InvalidParameterError(f"scale must be >= 0, got {s}")
-    return float(np.linalg.norm(as_vector(m1) - as_vector(m2)))
 
 
 def renyi_gaussian(alpha: float, mu1, mu2, sigma2: float) -> float:
@@ -85,8 +66,7 @@ def theorem1_excess_bound(
 ) -> float:
     """Single-pass excess-risk bound: ln(n)(G‖w‖² + 1.5η₀²G)/(η₀√n) + η₀²ln(1/δ)·trace/(ε²n)."""
     _require_positive(n=n, G=G, eta0=eta0, epsilon=epsilon)
-    if not 0 < delta < 1:
-        raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
+    _require_unit_interval(delta=delta)
     if w_norm < 0 or trace < 0:
         raise InvalidParameterError("w_norm and trace must be >= 0")
     opt = math.log(n) * (G * w_norm**2 + 1.5 * eta0**2 * G) / (eta0 * math.sqrt(n))
@@ -111,8 +91,7 @@ def theorem2_excess_bound(
     constant, so this value is never used in ≤ assertions.
     """
     _require_positive(n=n, G=G, eta0=eta0, epsilon=epsilon)
-    if not 0 < delta < 1:
-        raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
+    _require_unit_interval(delta=delta)
     if not 1 <= pass_exponent <= 2:
         raise InvalidParameterError(f"pass exponent must be in [1,2], got {pass_exponent}")
     if w_norm < 0 or trace < 0:
@@ -122,9 +101,3 @@ def theorem2_excess_bound(
     opt = eta0 * G / math.sqrt(n * math.log(1.0 / delta))
     priv = eta0**2 * trace / (epsilon**2 * n ** (pass_exponent - 1.0))
     return comp + opt + priv
-
-
-def _require_positive(**kwargs) -> None:
-    for name, value in kwargs.items():
-        if not value > 0:
-            raise InvalidParameterError(f"{name} must be > 0, got {value}")

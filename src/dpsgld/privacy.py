@@ -6,6 +6,12 @@ Pure functions of schedule parameters and loss bounds; the accountant never
 sees data. All logarithms are natural. The amplification step keeps the
 nonstandard ln(1 + m⁻¹·e^ε) form (not ln(1 + m⁻¹(e^ε − 1))); the account
 report says so next to the numbers.
+
+The certificates take the schedule that runs: ``certify_theorem1`` a
+single-pass one, ``certify_theorem2`` a multi-pass one. The account report
+enumerates the multi-pass steps through the same per-step functions
+(``step_delta_allotment``, ``gaussian_step_epsilon``, ``subsample_amplify``),
+which take arrays of per-step values as well as scalars.
 """
 
 from __future__ import annotations
@@ -15,8 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InfinitePrivacyLossError, InvalidParameterError
-from .schedules import MultiPassSchedule, SinglePassSchedule, _pass_steps
+from .core import (
+    InfinitePrivacyLossError,
+    InvalidParameterError,
+    _fmt,
+    _require_count,
+    _require_unit_interval,
+)
+from .schedules import MultiPassSchedule, SinglePassSchedule
 
 # Per-step enumeration in the account report is vectorized over chunks of
 # _REPORT_CHUNK steps; past _REPORT_STEP_CAP steps only the closed form is
@@ -27,15 +39,15 @@ _REPORT_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class DpBudget:
-    """(ε, δ) guarantee."""
+    """(ε, δ) guarantee; ``subsample_amplify`` fills it with per-step arrays."""
 
     epsilon: float
     delta: float
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if np.min(self.epsilon) < 0:
             raise InvalidParameterError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not 0.0 <= self.delta < 1.0:
+        if not (0.0 <= np.min(self.delta) and np.max(self.delta) < 1.0):
             raise InvalidParameterError(f"delta must be in [0, 1), got {self.delta}")
 
 
@@ -61,43 +73,51 @@ def gaussian_step_epsilon(eta: float, G: float, sigma: float, delta: float) -> f
         G: gradient-norm bound (the 2ηG sensitivity is absorbed by the √8).
         sigma: noise standard deviation, in the same units as ηG.
         delta: Gaussian-mechanism failure probability.
+        ``eta``, ``sigma`` and ``delta`` may also be arrays of per-step values.
 
     Returns:
-        The per-step ε; 0 when the step has zero sensitivity.
+        The per-step ε, elementwise for arrays; 0 when the step has zero
+        sensitivity.
     """
-    if eta < 0 or G < 0:
+    if np.min(eta) < 0 or G < 0:
         raise InvalidParameterError("eta and G must be >= 0")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must be in (0, 1), got {delta}")
-    if sigma < 0:
+    _require_unit_interval(delta=delta)
+    sigma_min = np.min(sigma)
+    if sigma_min < 0:
         raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        if eta * G > 0.0:
+    if sigma_min == 0.0:
+        silent = np.equal(sigma, 0.0)
+        if np.any(silent & (np.multiply(eta, G) > 0.0)):
             raise InfinitePrivacyLossError("zero noise with nonzero sensitivity")
-        return 0.0
-    return math.sqrt(8.0 * math.log(1.25 / delta)) * eta * G / sigma
+        sigma = np.where(silent, np.inf, sigma)
+    return _unwrap(np.sqrt(8.0 * np.log(1.25 / delta)) * eta * G / sigma)
 
 
 def subsample_amplify(step_epsilon: float, m: int, delta: float) -> DpBudget:
     """Amplification by uniform subsampling of one element among m.
 
     Returns (ln(1 + m⁻¹·e^ε), δ/m), the lemma's form verbatim: the +1 inside
-    the log keeps the whole e^ε rather than e^ε − 1.
+    the log keeps the whole e^ε rather than e^ε − 1. ``step_epsilon`` and
+    ``delta`` may be arrays of per-step values; the budget then holds arrays.
     """
-    if step_epsilon < 0:
+    if np.min(step_epsilon) < 0:
         raise InvalidParameterError(f"step epsilon must be >= 0, got {step_epsilon}")
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise InvalidParameterError(f"m must be an integer >= 1, got {m}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must be in (0, 1), got {delta}")
-    return DpBudget(math.log1p(math.exp(step_epsilon) / m), delta / m)
+    _require_count("m", m, 1)
+    _require_unit_interval(delta=delta)
+    return DpBudget(_unwrap(np.log1p(np.exp(step_epsilon) / m)), delta / m)
 
 
 def step_delta_allotment(t: int, delta: float) -> float:
-    """Per-step δ_t = 0.5·δ/(t(t−1)) for t ≥ 2; telescopes to δ/2 in total."""
-    if t < 2:
+    """Per-step δ_t = 0.5·δ/(t(t−1)) for t ≥ 2 (t may be an array of steps);
+    telescopes to δ/2 in total."""
+    if np.min(t) < 2:
         raise InvalidParameterError(f"allotment starts at t=2, got t={t}")
     return 0.5 * delta / (t * (t - 1))
+
+
+def _unwrap(value):
+    """A 0-d numpy result as a Python float; arrays unchanged."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def strong_compose(per_step, delta_prime: float) -> DpBudget:
@@ -111,23 +131,18 @@ def strong_compose(per_step, delta_prime: float) -> DpBudget:
         (√(2·ln(2/δ′)·Σε_t²) + Σ ε_t(e^{ε_t}−1), δ′ + Σδ_t).
     """
     pairs = np.asarray(per_step, dtype=np.float64).reshape(-1, 2)
-    eps = _nonnegative_epsilons(pairs[:, 0])
+    eps = pairs[:, 0]
+    if np.any(eps < 0):
+        raise InvalidParameterError("per-step epsilons must be >= 0")
     return _composed(
         float(np.sum(eps * eps)), float(np.sum(eps * np.expm1(eps))), float(np.sum(pairs[:, 1])),
         delta_prime,
     )
 
 
-def _nonnegative_epsilons(eps: np.ndarray) -> np.ndarray:
-    if np.any(eps < 0):
-        raise InvalidParameterError("per-step epsilons must be >= 0")
-    return eps
-
-
 def _composed(sum_sq: float, sum_excess: float, sum_delta: float, delta_prime: float) -> DpBudget:
     """Strong composition from Σε_t², Σε_t(e^{ε_t}−1) and Σδ_t."""
-    if not 0.0 < delta_prime < 1.0:
-        raise InvalidParameterError(f"delta' must be in (0, 1), got {delta_prime}")
+    _require_unit_interval(**{"delta'": delta_prime})
     delta_total = delta_prime + sum_delta
     if delta_total >= 1.0:
         raise InvalidParameterError(f"composed delta budget {delta_total:.6g} >= 1")
@@ -140,12 +155,9 @@ def multi_pass_privacy(n: int, T: int, delta: float) -> DpBudget:
 
     T = 0 yields ε = 0.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n}")
-    if not (isinstance(T, (int, np.integer)) and T >= 0):
-        raise InvalidParameterError(f"T must be an integer >= 0, got {T}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must be in (0, 1), got {delta}")
+    _require_count("n", n, 1)
+    _require_count("T", T, 0)
+    _require_unit_interval(delta=delta)
     eps = math.sqrt(2.0 * T * math.log(2.0 / delta)) * math.e / n + T * math.e**2 / n**2
     return DpBudget(eps, delta)
 
@@ -198,8 +210,7 @@ def rdp_to_dp(rdp: RdpBudget, delta: float) -> DpBudget:
     """Convert (α, ε)-RDP to (ε + ln(1/δ)/(α−1), δ)-DP."""
     if not rdp.alpha > 1:
         raise InvalidParameterError(f"Renyi order must be > 1, got {rdp.alpha}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must be in (0, 1), got {delta}")
+    _require_unit_interval(delta=delta)
     return DpBudget(rdp.epsilon + math.log(1.0 / delta) / (rdp.alpha - 1.0), delta)
 
 
@@ -214,35 +225,20 @@ def certify_theorem1(schedule: SinglePassSchedule) -> DpBudget:
     return rdp_to_dp(rdp, schedule.delta)
 
 
-def certify_theorem2(
-    n: int, pass_exponent: float, epsilon: float, delta: float
-) -> tuple[DpBudget, DpBudget]:
+def certify_theorem2(schedule: MultiPassSchedule) -> tuple[DpBudget, DpBudget]:
     """Exact closed-form multi-pass budget next to the claimed one.
 
-    Returns (exact, claimed) where exact is multi_pass_privacy at
-    T = round(n^α·ε²) and claimed is (3ε√(ln(2/δ)) + 3ε², δ). Their ratio
-    depends on δ (it grows as δ does) and is reported by the account CLI.
+    Returns (exact, claimed) where exact is multi_pass_privacy at the
+    schedule's T = round(n^α·ε²) and claimed is (3ε√(ln(2/δ)) + 3ε², δ).
+    Their ratio depends on δ (it grows as δ does) and is reported by the
+    account CLI.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise InvalidParameterError(f"n must be an integer >= 1, got {n}")
-    if not 1.0 <= pass_exponent <= 2.0:
-        raise InvalidParameterError(f"pass exponent must be in [1, 2], got {pass_exponent}")
-    if epsilon < 0:
-        raise InvalidParameterError(f"epsilon must be >= 0, got {epsilon}")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameterError(f"delta must be in (0, 1), got {delta}")
-    exact = multi_pass_privacy(n, _pass_steps(n, pass_exponent, epsilon), delta)
-    return exact, _claimed_budget(epsilon, delta)
+    exact = multi_pass_privacy(schedule.n, schedule.T, schedule.delta)
+    return exact, _claimed_budget(schedule.epsilon, schedule.delta)
 
 
 def _claimed_budget(epsilon: float, delta: float) -> DpBudget:
     return DpBudget(3.0 * epsilon * math.sqrt(math.log(2.0 / delta)) + 3.0 * epsilon**2, delta)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{value:.9g}"
 
 
 def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
@@ -261,14 +257,15 @@ def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
         ratio = eta_t / etas[lo - 2 : lo - 2 + len(t)]
         eta_eff = eta_t * ratio
         sigma_eff = np.sqrt((1.0 - ratio**2) * schedule.beta0)
-        delta_gauss = 0.5 * n * delta / (t * (t - 1.0))
-        step_eps = np.sqrt(8.0 * np.log(1.25 / delta_gauss)) * eta_eff * schedule.G / sigma_eff
-        amplified = _nonnegative_epsilons(np.log1p(np.exp(step_eps) / n))
+        # amplification divides δ by n, so the Gaussian step gets n·δ_t
+        delta_gauss = step_delta_allotment(t, n * delta)
+        step_eps = gaussian_step_epsilon(eta_eff, schedule.G, sigma_eff, delta_gauss)
+        amplified = subsample_amplify(step_eps, n, delta_gauss)
         step_max = max(step_max, float(np.max(step_eps)))
-        amplified_max = max(amplified_max, float(np.max(amplified)))
-        sum_sq += float(np.sum(amplified * amplified))
-        sum_excess += float(np.sum(amplified * np.expm1(amplified)))
-        sum_delta += float(np.sum(delta_gauss / n))
+        amplified_max = max(amplified_max, float(np.max(amplified.epsilon)))
+        sum_sq += float(np.sum(amplified.epsilon * amplified.epsilon))
+        sum_excess += float(np.sum(amplified.epsilon * np.expm1(amplified.epsilon)))
+        sum_delta += float(np.sum(amplified.delta))
     return step_max, amplified_max, _composed(sum_sq, sum_excess, sum_delta, delta / 2.0)
 
 
@@ -307,9 +304,8 @@ def account_report(schedule) -> str:
         ]
         return "\n".join(lines) + "\n"
 
-    n, T, delta = schedule.n, schedule.T, schedule.delta
-    closed = multi_pass_privacy(n, T, delta)
-    claimed = _claimed_budget(schedule.epsilon, delta)
+    T, delta = schedule.T, schedule.delta
+    closed, claimed = certify_theorem2(schedule)
     lines += [
         f"eta1 = {_fmt(schedule.eta(1))}",
         f"etaT = {_fmt(schedule.eta(T))}",

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import InvalidParameterError
+from .core import InvalidParameterError, _require_count, _require_positive, _require_unit_interval
 
 SINGLE_PASS = "single-pass"
 MULTI_PASS = "multi-pass"
@@ -93,8 +93,7 @@ def single_pass_schedule(
     T: int, G: float, eta0: float, epsilon: float, delta: float
 ) -> SinglePassSchedule:
     """Schedule with η = η₀√(1/(4G²T)), β₀ = (ε + ln(1/δ))η₀²/(2ε²T), α = 1 + ln(1/δ)/ε."""
-    if not (isinstance(T, (int, np.integer)) and T >= 1):
-        raise InvalidParameterError(f"T must be an integer >= 1, got {T}")
+    _require_count("T", T, 1)
     _require_positive(G=G, eta0=eta0, epsilon=epsilon)
     _require_unit_interval(delta=delta)
     eta = eta0 * math.sqrt(1.0 / (4.0 * G * G * T))
@@ -112,11 +111,6 @@ def single_pass_schedule(
     )
 
 
-def sample_budget(schedule: SinglePassSchedule) -> int:
-    """Total examples a single-pass run consumes, Σ_t batchSize(t)."""
-    return schedule.sample_budget
-
-
 @dataclass(frozen=True)
 class MultiPassSchedule:
     n: int
@@ -131,10 +125,8 @@ class MultiPassSchedule:
     mode = MULTI_PASS
 
     def __post_init__(self):
-        _require_positive(n=self.n, G=self.G)
+        _require_positive(n=self.n, G=self.G, beta0=self.beta0)
         _require_unit_interval(delta=self.delta)
-        if not self.beta0 >= 0:
-            raise InvalidParameterError(f"beta0 must be >= 0, got {self.beta0}")
         if not self.T >= 0:
             raise InvalidParameterError(f"T must be >= 0, got {self.T}")
         if not 2.5 / (self.n * self.delta) > 1.0:
@@ -202,13 +194,16 @@ def multi_pass_schedule(
     n: int, pass_exponent: float, epsilon: float, delta: float, eta0: float, G: float
 ) -> MultiPassSchedule:
     """Schedule with T = round(n^α·ε²), β₀ = η₀²·n/T, decreasing η_t."""
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise InvalidParameterError(f"n must be an integer >= 2, got {n}")
+    _require_count("n", n, 2)
     if not 1.0 <= pass_exponent <= 2.0:
         raise InvalidParameterError(f"pass exponent must be in [1, 2], got {pass_exponent}")
     _require_positive(epsilon=epsilon, eta0=eta0, G=G)
     _require_unit_interval(delta=delta)
-    T = _pass_steps(n, pass_exponent, epsilon)
+    T = round(float(n) ** pass_exponent * epsilon * epsilon)
+    if T < 1:
+        raise InvalidParameterError(
+            f"T = round(n^α·ε²) = {T} < 1: epsilon too small for n={n}, α={pass_exponent}"
+        )
     beta0 = eta0 * eta0 * (n / T)
     return MultiPassSchedule(
         n=int(n),
@@ -222,43 +217,6 @@ def multi_pass_schedule(
     )
 
 
-def _pass_steps(n: int, pass_exponent: float, epsilon: float) -> int:
-    """T = round(n^α·ε²); a positive ε that rounds to no step is an error."""
-    T = round(float(n) ** pass_exponent * epsilon * epsilon)
-    if T < 1 and epsilon > 0:
-        raise InvalidParameterError(
-            f"T = round(n^α·ε²) = {T} < 1: epsilon too small for n={n}, α={pass_exponent}"
-        )
-    return T
-
-
-def schedule_text(schedule) -> str:
-    """Human-readable key/value block for experiment logs."""
-    lines = [
-        f"mode = {schedule.mode}",
-        f"T = {schedule.T}",
-        f"eta0 = {schedule.eta0:.9g}",
-        f"beta0 = {schedule.beta0:.9g}",
-        f"epsilon = {schedule.epsilon:.9g}",
-        f"delta = {schedule.delta:.9g}",
-        f"G = {schedule.G:.9g}",
-        f"sample_budget = {schedule.sample_budget}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _require_positive(**kwargs) -> None:
-    for name, value in kwargs.items():
-        if not value > 0:
-            raise InvalidParameterError(f"{name} must be > 0, got {value}")
-
-
-def _require_unit_interval(**kwargs) -> None:
-    for name, value in kwargs.items():
-        if not 0.0 < value < 1.0:
-            raise InvalidParameterError(f"{name} must be in (0, 1), got {value}")

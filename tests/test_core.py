@@ -9,7 +9,6 @@ from dpsgld.core import (
     InvalidParameterError,
     RngStream,
     as_vector,
-    gaussian_vector,
     seeded_rng,
 )
 
@@ -77,24 +76,6 @@ class TestRngStream:
         assert "5" in text and "2" in text
 
 
-class TestGaussianVector:
-    def test_zero_variance_returns_mean(self):
-        mean = np.array([1.0, -2.0])
-        out = gaussian_vector(mean, 0.0, seeded_rng(0, 0))
-        np.testing.assert_array_equal(out, mean)
-        assert out is not mean
-
-    def test_moments(self):
-        rng = seeded_rng(123, 0)
-        draws = np.stack([gaussian_vector(np.zeros(2), 4.0, rng) for _ in range(4000)])
-        np.testing.assert_allclose(draws.mean(axis=0), 0.0, atol=0.15)
-        np.testing.assert_allclose(draws.var(axis=0), 4.0, rtol=0.1)
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            gaussian_vector(np.zeros(2), -1.0, seeded_rng(0, 0))
-
-
 class TestExample:
     def test_unit_ball_enforced(self):
         Example(np.array([0.6, 0.8]), 1.0)
@@ -122,7 +103,7 @@ class TestDataset:
         z = data.example(1)
         np.testing.assert_array_equal(z.x, X[1])
         assert z.y == -1.0
-        rebuilt = Dataset.from_examples(data.examples)
+        rebuilt = Dataset([z.x for z in data.examples], [z.y for z in data.examples])
         np.testing.assert_array_equal(rebuilt.X, X)
         np.testing.assert_array_equal(rebuilt.y, y)
 

@@ -10,31 +10,13 @@ from scipy.stats import norm
 from dpsgld.core import Example, InvalidParameterError
 from dpsgld.losses import GlmLoss, loss_gradient
 from dpsgld.oracles import (
-    BoundReport,
     finite_diff_gradient,
     renyi_gaussian,
     stability_bound,
     theorem1_excess_bound,
     theorem2_excess_bound,
-    w2_isotropic_gaussian,
 )
 from dpsgld.schedules import MultiPassSchedule
-
-
-class TestBoundReport:
-    def test_satisfied_with_slack(self):
-        report = BoundReport(bound_value=1.0, empirical_value=1.2, standard_error=0.1)
-        assert report.satisfied
-        report = BoundReport(bound_value=1.0, empirical_value=1.4, standard_error=0.1)
-        assert not report.satisfied
-
-    def test_zero_se_is_a_hard_comparison(self):
-        assert BoundReport(1.0, 1.0, 0.0).satisfied
-        assert not BoundReport(1.0, 1.0000001, 0.0).satisfied
-
-    def test_negative_se_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            BoundReport(1.0, 1.0, -0.1)
 
 
 class TestFiniteDiffGradient:
@@ -62,22 +44,6 @@ class TestFiniteDiffGradient:
     def test_step_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             finite_diff_gradient(GlmLoss("logistic"), np.zeros(1), Example(np.array([0.5]), 1.0), 0.0)
-
-
-class TestW2:
-    def test_mean_shift_only(self):
-        assert w2_isotropic_gaussian([0.0, 0.0], [3.0, 4.0], 2.0) == 5.0
-        assert w2_isotropic_gaussian([1.0], [1.0], 0.5) == 0.0
-
-    def test_quantile_coupling_in_one_dimension(self):
-        # empirical W2 between equal-variance 1-d Gaussians via sorted coupling
-        gen = np.random.default_rng(12)
-        m = 200_000
-        mu1, mu2, s = 0.3, -0.9, 0.7
-        a = np.sort(mu1 + s * gen.standard_normal(m))
-        b = np.sort(mu2 + s * gen.standard_normal(m))
-        w2_hat = math.sqrt(float(np.mean((a - b) ** 2)))
-        assert abs(w2_hat - w2_isotropic_gaussian([mu1], [mu2], s)) < 0.01
 
 
 def numeric_renyi_1d(alpha, gap, sigma):

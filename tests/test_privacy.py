@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -73,6 +74,29 @@ class TestGaussianStepEpsilon:
         with pytest.raises(InvalidParameterError):
             gaussian_step_epsilon(0.1, 1.0, -1.0, 1e-5)
 
+    def test_arrays_match_scalars(self):
+        eta = np.array([0.1, 0.0, 0.3, 0.05])
+        sigma = np.array([1.0, 0.0, 2.0, 0.5])
+        delta = np.array([1e-5, 1e-3, 0.2, 0.6])
+        got = gaussian_step_epsilon(eta, 1.5, sigma, delta)
+        assert isinstance(got, np.ndarray) and got.shape == (4,)
+        for i in range(4):
+            expected = gaussian_step_epsilon(float(eta[i]), 1.5, float(sigma[i]), float(delta[i]))
+            assert isinstance(expected, float)
+            np.testing.assert_allclose(got[i], expected, rtol=1e-15)
+        assert got[1] == 0.0
+
+    def test_array_checks_cover_every_step(self):
+        ok = np.array([0.1, 0.1])
+        with pytest.raises(InvalidParameterError, match="eta and G"):
+            gaussian_step_epsilon(np.array([0.1, -0.1]), 1.0, ok, ok)
+        with pytest.raises(InvalidParameterError, match=r"delta must be in \(0, 1\)"):
+            gaussian_step_epsilon(ok, 1.0, ok, np.array([0.1, 1.0]))
+        with pytest.raises(InvalidParameterError, match="sigma must be >= 0"):
+            gaussian_step_epsilon(ok, 1.0, np.array([1.0, -1.0]), ok)
+        with pytest.raises(InfinitePrivacyLossError):
+            gaussian_step_epsilon(ok, 1.0, np.array([1.0, 0.0]), ok)
+
 
 class TestSubsampleAmplify:
     def test_reference_value(self):
@@ -99,6 +123,23 @@ class TestSubsampleAmplify:
             subsample_amplify(0.1, 1.5, 1e-5)
         with pytest.raises(InvalidParameterError):
             subsample_amplify(0.1, 10, 0.0)
+
+    def test_arrays_match_scalars(self):
+        eps = np.array([0.0, 0.968961, 3.0])
+        delta = np.array([1e-5, 1e-3, 0.5])
+        out = subsample_amplify(eps, 1000, delta)
+        assert isinstance(out, DpBudget) and out.epsilon.shape == out.delta.shape == (3,)
+        for i in range(3):
+            one = subsample_amplify(float(eps[i]), 1000, float(delta[i]))
+            assert isinstance(one.epsilon, float) and isinstance(one.delta, float)
+            np.testing.assert_allclose(out.epsilon[i], one.epsilon, rtol=1e-15)
+            assert out.delta[i] == one.delta
+
+    def test_array_checks_cover_every_step(self):
+        with pytest.raises(InvalidParameterError, match="step epsilon must be >= 0"):
+            subsample_amplify(np.array([0.1, -0.1]), 10, np.array([1e-5, 1e-5]))
+        with pytest.raises(InvalidParameterError, match=r"delta must be in \(0, 1\)"):
+            subsample_amplify(np.array([0.1, 0.1]), 10, np.array([1e-5, 0.0]))
 
 
 @given(
@@ -132,6 +173,13 @@ class TestDeltaAllotment:
     def test_starts_at_t_two(self):
         with pytest.raises(InvalidParameterError):
             step_delta_allotment(1, 1e-4)
+        with pytest.raises(InvalidParameterError, match="allotment starts at t=2"):
+            step_delta_allotment(np.array([3.0, 1.0]), 1e-4)
+
+    def test_arrays_match_scalars(self):
+        t = np.arange(2, 50)
+        got = step_delta_allotment(t.astype(np.float64), 1e-4)
+        np.testing.assert_array_equal(got, [step_delta_allotment(int(k), 1e-4) for k in t])
 
 
 class TestStrongCompose:
@@ -309,7 +357,7 @@ def test_certified_budget_is_twice_target(T, G, eta0, epsilon, delta):
 
 class TestCertifyTheorem2:
     def test_reference_point(self):
-        exact, claimed = certify_theorem2(10_000, 2.0, 0.1, 1e-5)
+        exact, claimed = certify_theorem2(multi_pass_schedule(10_000, 2.0, 0.1, 1e-5, 1.0, 1.0))
         np.testing.assert_allclose(exact.epsilon, 1.4169568700406899137, rtol=1e-13)
         np.testing.assert_allclose(claimed.epsilon, 1.0781157083536700986, rtol=1e-13)
         np.testing.assert_allclose(
@@ -318,22 +366,28 @@ class TestCertifyTheorem2:
 
     def test_exact_leg_is_the_closed_form(self):
         for n, a, eps in ((1000, 2.0, 0.5), (5000, 1.5, 0.3)):
-            exact, _ = certify_theorem2(n, a, eps, 1e-5)
+            sched = multi_pass_schedule(n, a, eps, 1e-5, 1.0, 1.0)
+            exact, _ = certify_theorem2(sched)
             T = round(float(n) ** a * eps * eps)
+            assert sched.T == T
             direct = multi_pass_privacy(n, T, 1e-5)
             assert abs(exact.epsilon - direct.epsilon) <= 1e-12 * max(direct.epsilon, 1.0)
 
     def test_zero_epsilon_costs_nothing(self):
-        exact, claimed = certify_theorem2(1000, 2.0, 0.0, 1e-5)
+        # multi_pass_schedule refuses eps = 0, so the T = 0 schedule is built by hand
+        sched = MultiPassSchedule(
+            n=1000, pass_exponent=2.0, epsilon=0.0, delta=1e-5, eta0=1.0, G=1.0, T=0, beta0=1.0
+        )
+        exact, claimed = certify_theorem2(sched)
         assert exact.epsilon == 0.0
         assert claimed.epsilon == 0.0
 
     def test_epsilon_too_small_for_n(self):
-        with pytest.raises(InvalidParameterError):
-            certify_theorem2(10, 1.0, 0.01, 1e-5)
+        with pytest.raises(InvalidParameterError, match="epsilon too small for n=10"):
+            multi_pass_schedule(10, 1.0, 0.01, 1e-5, 1.0, 1.0)
 
     def test_claimed_formula(self):
-        _, claimed = certify_theorem2(1000, 2.0, 0.5, 1e-5)
+        _, claimed = certify_theorem2(multi_pass_schedule(1000, 2.0, 0.5, 1e-5, 1.0, 1.0))
         expected = 3.0 * 0.5 * math.sqrt(math.log(2.0 / 1e-5)) + 3.0 * 0.25
         np.testing.assert_allclose(claimed.epsilon, expected, rtol=1e-14)
 
@@ -404,3 +458,94 @@ class TestAccountReport:
                 n=10, pass_exponent=1.0, epsilon=0.1, delta=0.5,
                 eta0=1.0, G=1.0, T=5, beta0=0.25,
             ))
+
+
+def scalar_composition(sched):
+    """Steps 2..T of the multi-pass account, one scalar call per step.
+
+    Each step is a Gaussian mechanism at n·δ_t that subsampling over n
+    amplifies to (ε_t, δ_t); the steps are strongly composed with δ′ = δ/2.
+    """
+    n, delta = sched.n, sched.delta
+    step_eps, pairs = [], []
+    for t in range(2, sched.T + 1):
+        ratio = sched.eta(t) / sched.eta(t - 1)
+        sigma = math.sqrt((1.0 - ratio * ratio) * sched.beta0)
+        delta_gauss = n * step_delta_allotment(t, delta)
+        eps = gaussian_step_epsilon(sched.eta(t) * ratio, sched.G, sigma, delta_gauss)
+        amplified = subsample_amplify(eps, n, delta_gauss)
+        step_eps.append(eps)
+        pairs.append((amplified.epsilon, amplified.delta))
+    return max(step_eps), max(e for e, _ in pairs), strong_compose(pairs, delta / 2.0)
+
+
+class TestReportCrossChecks:
+    @pytest.mark.parametrize(
+        "shape", [(200, 1.5, 0.9, 1e-5), (60, 2.0, 0.9, 1e-3), (1000, 1.0, 1.7, 1e-9)]
+    )
+    def test_enumeration_equals_scalar_composition(self, shape):
+        sched = multi_pass_schedule(*shape, 1.0, 1.0)
+        assert 2 <= sched.T <= 3000
+        step_max, amplified_max, composed = scalar_composition(sched)
+        got = privacy._enumerated_multi_pass(sched)
+        np.testing.assert_allclose(got[0], step_max, rtol=1e-12)
+        np.testing.assert_allclose(got[1], amplified_max, rtol=1e-12)
+        np.testing.assert_allclose(got[2].epsilon, composed.epsilon, rtol=1e-12)
+        np.testing.assert_allclose(got[2].delta, composed.delta, rtol=1e-12)
+        report = parse_report(account_report(sched))
+        for key, value in (
+            ("step_epsilon_max", step_max),
+            ("amplified_epsilon_max", amplified_max),
+            ("composed_epsilon", composed.epsilon),
+            ("composed_delta", composed.delta),
+        ):
+            np.testing.assert_allclose(float(report[key]), value, rtol=1e-8)
+
+    def test_composed_account_is_within_the_closed_form(self):
+        checked = 0
+        for n in (50, 500, 10_000):
+            for exponent in (1.0, 1.5, 2.0):
+                for delta in (1e-9, 1e-5, 1e-2):
+                    if n * delta >= 2.5:
+                        continue
+                    T = round(float(n) ** exponent * 0.5**2)
+                    if not 2 <= T <= 500_000:
+                        continue
+                    sched = multi_pass_schedule(n, exponent, 0.5, delta, 1.0, 1.0)
+                    report = parse_report(account_report(sched))
+                    composed = float(report["composed_epsilon"])
+                    closed = float(report["closed_form_epsilon"])
+                    assert 0.0 < composed <= closed, (n, exponent, delta, composed, closed)
+                    assert float(report["composed_delta"]) < delta
+                    checked += 1
+        assert checked >= 10
+
+
+# sha256 of account_report text for (G, η₀) = (1, 1), recorded before the
+# report called the per-step accountant functions; any byte that moves
+# shows here.
+SINGLE_PASS_REPORT_DIGESTS = {
+    1: "18da6b9caf9120d7d2a7156b037f3d4036a45abaa5f5322d6f3748f7b2e1aba2",
+    8: "59e14b108971fd4f9d59ce7204f90372474a638efdf8f00ec86679150ae473a3",
+    10_000: "6fba4110f5197ff03ff3ed5de2e564fb9acdf2a60bc901a529a49221480e9370",
+}
+MULTI_PASS_REPORT_DIGESTS = {
+    (200, 1.5, 0.9, 1e-5): "624b018e2d4b09f6ba43e74d92c3ab7576f88ee20eae2fc9aab9d3429da2bdda",
+    (10, 1.0, 0.32, 1e-3): "1d05d3e6f117df0dc44bee59fb4f3b6e4cc8721ea39002abc38dc9ee2f70a1ff",
+    (120, 1.7, 0.9, 1e-5): "149e06ab62215b5e3668cf4905974478affbc93fa6fa70b017f4cc5d72bb6917",
+    (50, 1.0, 1.0, 1e-2): "ee36bf56e67d3bd3f994cd284d05ac76e749b7e99ed42591d4491f461bcdd2b3",
+    (1000, 2.0, 0.5, 1e-5): "130d78184ca7f4317066139ce4439540deee50b414cb02000ccb4c3241478e5f",
+    (10_000, 1.75, 0.316, 1e-5): "26ff59a9245f3b4df249b1274b85a2571175994c97c2b82ba464387715b0cc91",
+}
+
+
+@pytest.mark.parametrize("T", sorted(SINGLE_PASS_REPORT_DIGESTS))
+def test_single_pass_report_matches_recorded_digest(T):
+    text = account_report(single_pass_schedule(T, 1.0, 1.0, 0.5, 1e-5))
+    assert hashlib.sha256(text.encode()).hexdigest() == SINGLE_PASS_REPORT_DIGESTS[T]
+
+
+@pytest.mark.parametrize("shape", sorted(MULTI_PASS_REPORT_DIGESTS))
+def test_multi_pass_report_matches_recorded_digest(shape):
+    text = account_report(multi_pass_schedule(*shape, 1.0, 1.0))
+    assert hashlib.sha256(text.encode()).hexdigest() == MULTI_PASS_REPORT_DIGESTS[shape]
