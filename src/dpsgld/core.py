@@ -126,13 +126,18 @@ class Dataset:
 
     ``example(i)`` and ``examples`` materialize Example views on demand; the
     update loops work on the arrays directly.
+
+    The arrays are copied unless ``copy=False``, which hands a freshly built
+    X and y over to the dataset: they are checked and made read-only in
+    place, so the caller must hold no writable reference to them.
     """
 
-    def __init__(self, X, y):
-        X = np.array(X, dtype=np.float64, copy=True)
+    def __init__(self, X, y, *, copy: bool = True):
+        to_array = np.array if copy else np.asarray
+        X = to_array(X, dtype=np.float64)
         if X.ndim != 2:
             raise InvalidParameterError(f"X must be 2-d (n, d), got shape {X.shape}")
-        y = np.array(y, dtype=np.float64, copy=True).reshape(-1)
+        y = to_array(y, dtype=np.float64).reshape(-1)
         if y.shape[0] != X.shape[0]:
             raise InvalidParameterError(
                 f"label count {y.shape[0]} != example count {X.shape[0]}"

@@ -112,7 +112,7 @@ def draw_dataset(model: PopulationModel, n: int, rng: RngStream) -> Dataset:
     gen = rng.generator
     X = _draw_features(model, n, gen)
     y = _draw_labels(model, X @ model.w_star, gen)
-    return Dataset(X, y)
+    return Dataset(X, y, copy=False)
 
 
 def _held_out_chunks(model: PopulationModel, n_test: int, rng: RngStream):

@@ -20,6 +20,11 @@ Replicates share one group while their index rows fit in ``_GROUP_BYTES``; a
 larger batch advances one group after another. Every replicate draws from its
 own generators in the same order whatever the grouping, so its output does
 not depend on which replicates run beside it.
+
+The engine runs whatever coordinates it is given: the privacy-utility
+experiment hands it each replicate's data in a basis of the rows' span, and
+lifts the result itself (see ``harness``). On d-dimensional data it is the
+library path and the reference that the reduced chains are tested against.
 """
 
 from __future__ import annotations
@@ -94,6 +99,7 @@ def _advance(W0, Xs, ys, loss: GlmLoss, orders, steps: tuple, noise_gens, observ
     most = int(np.add.reduceat(batch_sizes, starts).max())
     X_block, y_block = np.empty((g, k, most, d)), np.empty((g, k, most))
     noise_block = np.empty((g, block, 1, d))
+    grad_buf = np.empty((g, k, d))
     pos = 0
     for start in starts:
         stop = start + block
@@ -106,9 +112,12 @@ def _advance(W0, Xs, ys, loss: GlmLoss, orders, steps: tuple, noise_gens, observ
                 np.take(ys[j][i], rows, out=y_block[j, i, :m])
         pos += m
         sig = sigmas[start:stop]
-        draws = int(np.count_nonzero(sig > 0.0))
+        scales = sig[sig > 0.0]
+        draws = len(scales)
         for gen, group_noise in zip(noise_gens, noise_block):
             gen.standard_normal(out=group_noise[:draws])
+        # σ_t·z_t for the block's noisy steps at once: the same products as step by step
+        noise_block[:, :draws] *= scales[:, None, None]
         noise = iter(noise_block[:, :draws].swapaxes(0, 1))
         q = 0
         for t, b, eta, le, s in zip(
@@ -119,14 +128,18 @@ def _advance(W0, Xs, ys, loss: GlmLoss, orders, steps: tuple, noise_gens, observ
             # matmul, not vecdot or einsum: those sum in another order once b > 1
             phi = loss.phi_prime((Xb @ W_col)[..., 0], y_block[:, :, q : q + b])
             q += b
-            grad = (phi[..., None, :] @ Xb)[..., 0, :]
+            if b == 1:
+                # a one-term matmul is this single product, so the bits agree
+                grad = np.multiply(phi, Xb[:, :, 0], out=grad_buf)
+            else:
+                grad = (phi[..., None, :] @ Xb)[..., 0, :]
+                grad /= b
             # (1 − λη)(W − η·ḡ) + σz in place, with the same roundings
-            grad /= b
             grad *= eta
             W -= grad
             W *= 1.0 - le
             if s > 0.0:
-                W += s * next(noise)
+                W += next(noise)
             observe(t, W)
     return W
 

@@ -10,6 +10,16 @@ Replicate r draws everything from stream id r of the base seed; the held-out
 evaluation sample lives on its own stream shared by all evaluations, so risks
 are compared under common random numbers. Wall-clock time goes to the sidecar
 text file, never into the CSV, so reruns are byte-identical.
+
+Privacy-utility runs each multi-pass chain in the span of its data. A
+gradient φ′·x lies in span{x₁…x_n}, so the iterate's part orthogonal to that
+span is a data-free Gaussian AR(1) chain, and the rest lives in the
+k = min(n, d) coordinates of an orthonormal basis Q of the rows. The engine
+runs on the projected data XQ, and each logged iterate is lifted to d
+dimensions with an exact draw of the orthogonal part (``_complement``). The
+lifted chain has the d-dimensional chain's law, jointly over the logged
+steps, while a step costs O(k) instead of O(d). The sidecar names the
+simulator behind each experiment.
 """
 
 from __future__ import annotations
@@ -43,8 +53,21 @@ EXPERIMENTS = (EXCESS_RISK_VS_N, DIMENSION_INDEPENDENCE, STABILITY, PRIVACY_UTIL
 
 # stream ids inside one replicate: the engine takes 0 (sampling) and 1 (noise)
 DATA_SUBSTREAM = 10
+# the multi-pass chain's part orthogonal to the data, sampled at logged times
+COMPLEMENT_SUBSTREAM = 11
 # stream id reserved for the shared held-out evaluation sample
 EVAL_STREAM = 1 << 20
+
+# What produces each experiment's rows, named in its sidecar.
+SIMULATORS = {
+    EXCESS_RISK_VS_N: "engine.run_single_pass on d-dimensional data",
+    DIMENSION_INDEPENDENCE: "engine.run_single_pass on d-dimensional data",
+    STABILITY: "engine.coupled_stability_run on d-dimensional data",
+    PRIVACY_UTILITY: (
+        "engine.run_multi_pass in the span of each replicate's data; "
+        "lifted to d dimensions with an exact draw of the orthogonal part"
+    ),
+}
 
 RESULT_COLUMNS = (
     "experiment",
@@ -370,8 +393,72 @@ def experiment_stability(config: ExperimentConfig) -> list:
     return rows
 
 
+def _span_basis(data: Dataset) -> tuple[np.ndarray, Dataset]:
+    """(Q, the dataset in Q's coordinates) for an orthonormal basis Q of its rows' span.
+
+    Q is d×k with k = min(n, d), from X = RᵀQᵀ, so row i of the projected
+    features Rᵀ = XQ keeps every margin: x_iᵀw = (XQ)_i·(Qᵀw).
+    """
+    Q, R = np.linalg.qr(data.X.T)
+    return Q, Dataset(np.ascontiguousarray(R.T), data.y, copy=False)
+
+
+def _complement(Q: np.ndarray, schedule, times, rng: RngStream) -> np.ndarray:
+    """The multi-pass chain's part orthogonal to Q's columns at steps ``times``, one row each.
+
+    No gradient reaches that part, so it is the data-free AR(1) chain
+    P_t = a_t·P_{t−1} + σ_t·(I − QQᵀ)z_t with a_t = 1 − λ_tη_t and
+    σ_t² = (1 − a_t²)β₀. Since a₁ = 0 it is stationary, N(0, β₀(I − QQᵀ)),
+    and from step s to step t it moves as P_t = A·P_s + √((1 − A²)β₀)·(I − QQᵀ)ξ
+    with A = a_{s+1}···a_t and ξ ~ N(0, I_d); from the zero state, A = 0.
+    """
+    d, k = Q.shape
+    P = np.zeros((len(times), d))
+    if k == d:
+        return P
+    xi = rng.generator.standard_normal((len(times), d))
+    xi -= (xi @ Q) @ Q.T
+    # A over each gap between logged steps; the first gap starts at step 1
+    steps = np.asarray(times)
+    A = np.multiply.reduceat(1.0 - schedule.lambda_etas[: steps[-1]], np.r_[0, steps[:-1]])
+    scales = np.sqrt((1.0 - A * A) * schedule.beta0)
+    previous = np.zeros(d)
+    for row, a, scale, z in zip(P, A, scales, xi):
+        np.multiply(z, scale, out=row)
+        row += a * previous
+        previous = row
+    return P
+
+
+def _span_runs(datasets, loss, schedule, reps, log_interval) -> list:
+    """Multi-pass runs in the span of each replicate's data, lifted to d dimensions.
+
+    Each replicate runs ``run_multi_pass`` on its dataset in the coordinates
+    of an orthonormal basis Q of its rows (``_span_basis``): the same index
+    draws, noise in k = min(n, d) dimensions. Each logged k-vector c_t is
+    lifted to Q·c_t plus the orthogonal part P_t (``_complement``), drawn from
+    the replicate's COMPLEMENT_SUBSTREAM. The lifted chain has the law of the
+    d-dimensional one at every logged step, jointly over the logged steps.
+    Returns one (logged steps, (steps, d) iterates) pair per replicate.
+    """
+    bases, projected = zip(*(_span_basis(data) for data in datasets))
+    runs = []
+    for Q, rep, record in zip(
+        bases, reps, run_multi_pass(projected, loss, schedule, reps, log_interval=log_interval)
+    ):
+        times = [t for t, _ in record.iterate_log]
+        C = np.stack([c for _, c in record.iterate_log])
+        P = _complement(Q, schedule, times, rep.substream(COMPLEMENT_SUBSTREAM))
+        runs.append((times, C @ Q.T + P))
+    return runs
+
+
 def experiment_privacy_utility(config: ExperimentConfig) -> list:
-    """Multi-pass risk across an epsilon grid, time-averaged over the run."""
+    """Multi-pass risk across an epsilon grid, time-averaged over the run.
+
+    The chains run in the span of their data (``_span_runs``), so a step
+    costs O(min(n, d)) rather than O(d).
+    """
     loss = _loss(config)
     bounds = loss_bounds(loss)
     n = config.n_grid[0]
@@ -390,11 +477,10 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
         T = schedule.T
         interval = max(1, T // 16)
         reps = [seeded_rng(config.seed, r) for r in range(config.replicates)]
-        datasets = [draw_dataset(model, n, rep.substream(DATA_SUBSTREAM)) for rep in reps]
+        datasets = (draw_dataset(model, n, rep.substream(DATA_SUBSTREAM)) for rep in reps)
         iterates = []
         counts = []
-        for record in run_multi_pass(datasets, loss, schedule, reps, log_interval=interval):
-            logged = [w for _, w in record.iterate_log]
+        for _, logged in _span_runs(datasets, loss, schedule, reps, interval):
             iterates.extend(logged)
             counts.append(len(logged))
         est, _ = population_risk_many(
@@ -554,7 +640,7 @@ def config_echo(config: ExperimentConfig) -> str:
 def write_results(
     config: ExperimentConfig, rows, summary: dict, elapsed_seconds: float | None = None
 ) -> tuple[str, str]:
-    """One CSV per experiment plus a sidecar echoing config, version, summary.
+    """One CSV per experiment plus a sidecar echoing version, simulator, config, summary.
 
     The CSV is a pure function of (config, seed); wall-clock time is reported
     only in the sidecar.
@@ -566,7 +652,11 @@ def write_results(
     sidecar_path = os.path.join(config.out_dir, f"{config.experiment}.config.txt")
     with open(csv_path, "w") as fh:
         fh.write(rows_to_csv(rows))
-    lines = [f"version = {__version__}", config_echo(config).rstrip("\n")]
+    lines = [
+        f"version = {__version__}",
+        f"simulator = {SIMULATORS[config.experiment]}",
+        config_echo(config).rstrip("\n"),
+    ]
     for key in sorted(summary):
         lines.append(f"summary.{key} = {_fmt_cell(summary[key])}")
     if elapsed_seconds is not None:

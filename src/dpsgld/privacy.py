@@ -8,10 +8,12 @@ nonstandard ln(1 + m⁻¹·e^ε) form (not ln(1 + m⁻¹(e^ε − 1))); the acco
 report says so next to the numbers.
 
 The certificates take the schedule that runs: ``certify_theorem1`` a
-single-pass one, ``certify_theorem2`` a multi-pass one. The account report
-enumerates the multi-pass steps through the same per-step functions
-(``step_delta_allotment``, ``gaussian_step_epsilon``, ``subsample_amplify``),
-which take arrays of per-step values as well as scalars.
+single-pass one, ``certify_theorem2`` a multi-pass one. The per-step
+functions (``step_delta_allotment``, ``gaussian_step_epsilon``,
+``subsample_amplify``) take arrays of per-step values as well as scalars;
+each checks its arguments and then calls a private core that holds its
+formula. The account report enumerates the multi-pass steps through those
+cores, so a long schedule is validated once rather than once per chunk.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .schedules import MultiPassSchedule, SinglePassSchedule
 # printed.
 _REPORT_STEP_CAP = 10**7
 _REPORT_CHUNK = 1 << 16
+
+_ZERO_NOISE = "zero noise with nonzero sensitivity"
 
 
 @dataclass(frozen=True)
@@ -88,9 +92,14 @@ def gaussian_step_epsilon(eta: float, G: float, sigma: float, delta: float) -> f
     if sigma_min == 0.0:
         silent = np.equal(sigma, 0.0)
         if np.any(silent & (np.multiply(eta, G) > 0.0)):
-            raise InfinitePrivacyLossError("zero noise with nonzero sensitivity")
+            raise InfinitePrivacyLossError(_ZERO_NOISE)
         sigma = np.where(silent, np.inf, sigma)
-    return _unwrap(np.sqrt(8.0 * np.log(1.25 / delta)) * eta * G / sigma)
+    return _unwrap(_gaussian_epsilon(eta, G, sigma, delta))
+
+
+def _gaussian_epsilon(eta, G, sigma, delta):
+    """gaussian_step_epsilon's formula without its checks."""
+    return np.sqrt(8.0 * np.log(1.25 / delta)) * eta * G / sigma
 
 
 def subsample_amplify(step_epsilon: float, m: int, delta: float) -> DpBudget:
@@ -104,7 +113,12 @@ def subsample_amplify(step_epsilon: float, m: int, delta: float) -> DpBudget:
         raise InvalidParameterError(f"step epsilon must be >= 0, got {step_epsilon}")
     _require_count("m", m, 1)
     _require_unit_interval(delta=delta)
-    return DpBudget(_unwrap(np.log1p(np.exp(step_epsilon) / m)), delta / m)
+    return DpBudget(_unwrap(_amplified_epsilon(step_epsilon, m)), delta / m)
+
+
+def _amplified_epsilon(step_epsilon, m: int):
+    """subsample_amplify's ε without its checks."""
+    return np.log1p(np.exp(step_epsilon) / m)
 
 
 def step_delta_allotment(t: int, delta: float) -> float:
@@ -112,6 +126,11 @@ def step_delta_allotment(t: int, delta: float) -> float:
     telescopes to δ/2 in total."""
     if np.min(t) < 2:
         raise InvalidParameterError(f"allotment starts at t=2, got t={t}")
+    return _delta_allotment(t, delta)
+
+
+def _delta_allotment(t, delta: float):
+    """step_delta_allotment's δ_t without its check."""
     return 0.5 * delta / (t * (t - 1))
 
 
@@ -245,7 +264,10 @@ def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
     """(max step ε, max amplified ε, strong composition) over steps 2..T.
 
     Steps are enumerated _REPORT_CHUNK at a time, keeping only the running
-    maxima and the sums the composition needs.
+    maxima and the sums the composition needs. The chunks call the unchecked
+    formulas: the schedule has checked n, G, β₀ and δ (so every δ_t lies in
+    (0, 1)), and the one value a chunk could still get wrong, a zero σ_t from
+    two equal step sizes, makes its ε infinite, which is checked once at the end.
     """
     n, T, delta = schedule.n, schedule.T, schedule.delta
     etas = schedule.etas
@@ -258,14 +280,16 @@ def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
         eta_eff = eta_t * ratio
         sigma_eff = np.sqrt((1.0 - ratio**2) * schedule.beta0)
         # amplification divides δ by n, so the Gaussian step gets n·δ_t
-        delta_gauss = step_delta_allotment(t, n * delta)
-        step_eps = gaussian_step_epsilon(eta_eff, schedule.G, sigma_eff, delta_gauss)
-        amplified = subsample_amplify(step_eps, n, delta_gauss)
+        delta_gauss = _delta_allotment(t, n * delta)
+        step_eps = _gaussian_epsilon(eta_eff, schedule.G, sigma_eff, delta_gauss)
+        amplified = _amplified_epsilon(step_eps, n)
         step_max = max(step_max, float(np.max(step_eps)))
-        amplified_max = max(amplified_max, float(np.max(amplified.epsilon)))
-        sum_sq += float(np.sum(amplified.epsilon * amplified.epsilon))
-        sum_excess += float(np.sum(amplified.epsilon * np.expm1(amplified.epsilon)))
-        sum_delta += float(np.sum(amplified.delta))
+        amplified_max = max(amplified_max, float(np.max(amplified)))
+        sum_sq += float(np.sum(amplified * amplified))
+        sum_excess += float(np.sum(amplified * np.expm1(amplified)))
+        sum_delta += float(np.sum(delta_gauss / n))
+    if not math.isfinite(step_max):
+        raise InfinitePrivacyLossError(_ZERO_NOISE)
     return step_max, amplified_max, _composed(sum_sq, sum_excess, sum_delta, delta / 2.0)
 
 
@@ -306,10 +330,11 @@ def account_report(schedule) -> str:
 
     T, delta = schedule.T, schedule.delta
     closed, claimed = certify_theorem2(schedule)
-    lines += [
-        f"eta1 = {_fmt(schedule.eta(1))}",
-        f"etaT = {_fmt(schedule.eta(T))}",
-    ]
+    if T >= 1:
+        lines += [
+            f"eta1 = {_fmt(schedule.eta(1))}",
+            f"etaT = {_fmt(schedule.eta(T))}",
+        ]
     if T <= _REPORT_STEP_CAP:
         if T >= 2:
             step_max, amplified_max, composed = _enumerated_multi_pass(schedule)
@@ -320,7 +345,7 @@ def account_report(schedule) -> str:
                 f"composed_delta = {_fmt(composed.delta)}",
             ]
         else:
-            # a single step is the data-independent initial draw
+            # no step, or a single one that is the data-independent initial draw
             lines += [
                 "step_epsilon_max = 0",
                 "amplified_epsilon_max = 0",
@@ -332,7 +357,10 @@ def account_report(schedule) -> str:
     lines += [
         f"closed_form_epsilon = {_fmt(closed.epsilon)}",
         f"claimed_epsilon = {_fmt(claimed.epsilon)}",
-        f"closed_to_claimed_ratio = {_fmt(closed.epsilon / claimed.epsilon)}",
-        "note = amplification uses ln(1 + exp(eps)/m) with the whole exp(eps) kept inside the log",
     ]
+    if claimed.epsilon > 0:
+        lines.append(f"closed_to_claimed_ratio = {_fmt(closed.epsilon / claimed.epsilon)}")
+    lines.append(
+        "note = amplification uses ln(1 + exp(eps)/m) with the whole exp(eps) kept inside the log"
+    )
     return "\n".join(lines) + "\n"

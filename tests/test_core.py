@@ -117,3 +117,25 @@ class TestDataset:
     def test_norm_validation(self):
         with pytest.raises(InvalidParameterError):
             Dataset(np.array([[2.0, 0.0]]), np.array([1.0]))
+        with pytest.raises(InvalidParameterError):
+            Dataset(np.array([[2.0, 0.0]]), np.array([1.0]), copy=False)
+        with pytest.raises(InvalidParameterError):
+            Dataset(np.array([[np.nan, 0.0]]), np.array([1.0]), copy=False)
+
+    def test_caller_arrays_are_copied(self):
+        X, y = np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([1.0, -1.0])
+        data = Dataset(X, y)
+        X[0, 0], y[0] = 0.9, 5.0
+        np.testing.assert_array_equal(data.X, [[0.1, 0.2], [0.3, 0.4]])
+        np.testing.assert_array_equal(data.y, [1.0, -1.0])
+        assert X.flags.writeable and y.flags.writeable
+
+    def test_handed_over_arrays_are_kept_read_only(self):
+        X, y = np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([1.0, -1.0])
+        data = Dataset(X, y, copy=False)
+        assert np.shares_memory(data.X, X) and np.shares_memory(data.y, y)
+        assert not X.flags.writeable
+        with pytest.raises(ValueError):
+            data.X[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            data.y[0] = 1.0

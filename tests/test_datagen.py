@@ -114,6 +114,19 @@ class TestDrawDataset:
         with pytest.raises(InvalidParameterError):
             draw_dataset(model_for(), 0, seeded_rng(0, 0))
 
+    def test_drawn_arrays_are_kept_read_only_without_a_copy(self, monkeypatch):
+        drawn = []
+
+        def features(*args):
+            drawn.append(draw_features(*args))
+            return drawn[-1]
+
+        draw_features = datagen._draw_features
+        monkeypatch.setattr(datagen, "_draw_features", features)
+        data = draw_dataset(model_for(), 50, seeded_rng(9, 4))
+        assert np.shares_memory(data.X, drawn[0])
+        assert not data.X.flags.writeable and not data.y.flags.writeable
+
 
 class TestPopulationRisk:
     def test_common_random_numbers_replay_exactly(self):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dpsgld.core import InvalidParameterError
+from dpsgld import engine, harness
+from dpsgld.core import Dataset, InvalidParameterError, seeded_rng
 from dpsgld.harness import (
+    COMPLEMENT_SUBSTREAM,
     DIMENSION_INDEPENDENCE,
     EXCESS_RISK_VS_N,
     EXPERIMENTS,
@@ -14,6 +16,9 @@ from dpsgld.harness import (
     ExperimentConfig,
     ResultRow,
     _checkpoint_ladder,
+    _complement,
+    _span_basis,
+    _span_runs,
     config_echo,
     default_config,
     loglog_slope_fit,
@@ -22,6 +27,8 @@ from dpsgld.harness import (
     summarize,
     write_results,
 )
+from dpsgld.losses import GlmLoss
+from dpsgld.schedules import multi_pass_schedule
 
 
 class TestLoglogSlopeFit:
@@ -305,6 +312,7 @@ class TestCsvAndSidecar:
         assert "summary.worst_monotonicity_violation_se = " in sidecar
         assert "wall_clock_seconds = 1.250" in sidecar
         assert "experiment = privacy-utility" in sidecar
+        assert "\nsimulator = engine.run_multi_pass in the span of each replicate's data;" in sidecar
 
     def test_summarize_empty_after_errors(self):
         config = small_config(PRIVACY_UTILITY, eps_grid=(0.01,))
@@ -312,3 +320,111 @@ class TestCsvAndSidecar:
         assert summary["rows"] == 1
         assert summary["error_rows"] == 1
         assert "claimed_to_exact_min" not in summary
+
+
+def _leaning_dataset(n, d, seed):
+    """Rows near e₁, all labelled +1, so every sampled gradient pushes one way."""
+    gen = np.random.default_rng(seed)
+    X = np.eye(d)[0] + 0.5 * gen.standard_normal((n, d))
+    X *= 0.9 / np.linalg.norm(X, axis=1, keepdims=True)
+    return Dataset(X, np.ones(n))
+
+
+class TestSpanRuns:
+    """The privacy-utility chains run in the span of their data, then are lifted."""
+
+    LOSS = GlmLoss("logistic")
+
+    def test_lifted_chain_has_the_law_of_the_full_chain(self):
+        # Two independent samples of 2 000 chains on one dataset (n = 6, d = 20,
+        # T = 144, logged at 40, 80, 120, 144): the span path against the
+        # d-dimensional engine. At each logged step the means and variances
+        # of x₁ᵀw and of vᵀw for a unit v ⊥ span(X), the mean of ‖w‖², and the
+        # lag-1 covariance of vᵀw between logged steps (which sees the
+        # complement's decay factor A) must agree within 4.5 standard errors.
+        # The tolerance was fixed before the first run.
+        n, d, chains = 6, 20, 2000
+        data = _leaning_dataset(n, d, seed=3)
+        schedule = multi_pass_schedule(n, 2.0, 2.0, 0.3, 1.0, 1.0)
+        assert schedule.T == 144
+        span = _span_runs(
+            [data] * chains, self.LOSS, schedule, [seeded_rng(1, r) for r in range(chains)], 40
+        )
+        full = engine.run_multi_pass(
+            [data] * chains, self.LOSS, schedule, [seeded_rng(2, r) for r in range(chains)],
+            log_interval=40,
+        )
+        assert all(times == [40, 80, 120, 144] for times, _ in span)
+        W_span = np.stack([W for _, W in span])
+        W_full = np.stack([np.stack([w for _, w in record.iterate_log]) for record in full])
+        basis, _ = np.linalg.qr(data.X.T, mode="complete")
+        x1, v = data.X[0], basis[:, n]
+
+        def z(a, b):
+            se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+            return (a.mean() - b.mean()) / se
+
+        def centered(u):
+            return u - u.mean(axis=0)
+
+        stats = {}
+        for name, W in (("span", W_span), ("full", W_full)):
+            along, across = W @ x1, W @ v
+            stats[name] = {
+                "x1 mean": along,
+                "x1 var": centered(along) ** 2,
+                "v mean": across,
+                "v var": centered(across) ** 2,
+                "norm2 mean": np.sum(W * W, axis=2),
+                "v lag-1 cov": centered(across)[:, 1:] * centered(across)[:, :-1],
+            }
+        # the data moves x₁ᵀw well clear of 0, so a dropped or misplaced gradient shows
+        final = W_full[:, -1] @ x1
+        assert final.mean() > 6.0 * final.std(ddof=1) / math.sqrt(chains)
+        worst = {
+            key: max(abs(z(a, b)) for a, b in zip(stats["span"][key].T, stats["full"][key].T))
+            for key in stats["span"]
+        }
+        assert max(worst.values()) <= 4.5, worst
+
+    def test_basis_and_complement_are_exact(self):
+        n, d = 5, 12
+        data = _leaning_dataset(n, d, seed=8)
+        schedule = multi_pass_schedule(n, 2.0, 3.0, 0.3, 1.0, 1.0)
+        Q, projected = _span_basis(data)
+        assert Q.shape == (d, n) and projected.X.shape == (n, n)
+        np.testing.assert_allclose(Q.T @ Q, np.eye(n), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(projected.X, data.X @ Q, rtol=0, atol=1e-12)
+        assert not projected.X.flags.writeable and not projected.y.flags.writeable
+        rep = seeded_rng(4, 0)
+        (times, lifted), = _span_runs([data], self.LOSS, schedule, [rep], 10)
+        record, = engine.run_multi_pass([projected], self.LOSS, schedule, [rep], log_interval=10)
+        assert times == [t for t, _ in record.iterate_log] and times[-1] == schedule.T
+        C = np.stack([c for _, c in record.iterate_log])
+        P = _complement(Q, schedule, times, rep.substream(COMPLEMENT_SUBSTREAM))
+        np.testing.assert_allclose(Q.T @ P.T, 0.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lifted @ Q, C, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(lifted, C @ Q.T + P)
+
+    def test_square_basis_has_no_complement(self):
+        data = _leaning_dataset(8, 5, seed=2)
+        schedule = multi_pass_schedule(8, 2.0, 1.0, 0.1, 1.0, 1.0)
+        Q, projected = _span_basis(data)
+        assert Q.shape == (5, 5) and projected.d == 5
+        P = _complement(Q, schedule, [10, schedule.T], seeded_rng(0, 0))
+        np.testing.assert_array_equal(P, 0.0)
+
+    def test_experiment_runs_the_engine_in_n_columns(self, monkeypatch):
+        seen = []
+
+        def recording(datasets, *args, **kwargs):
+            seen.extend(data.d for data in datasets)
+            return engine.run_multi_pass(datasets, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_multi_pass", recording)
+        config = small_config(
+            PRIVACY_UTILITY, n_grid=(16,), d_grid=(4096,), eps_grid=(0.5,), replicates=2, n_test=100
+        )
+        rows, _ = run_experiment(config)
+        assert rows[0].d == 4096 and rows[0].note == ""
+        assert seen == [16, 16]
