@@ -1,15 +1,16 @@
 """Run the four shipped experiments at their default sizes.
 
-Writes one CSV plus one config/summary sidecar per experiment into --out.
-The full set takes a couple of minutes on one core; pass --only to run a
-subset, e.g. --only stability --only privacy-utility.
+Each experiment goes through ``dpsgld experiment``, which writes one CSV plus
+one config/summary sidecar into --out and prints its summary. The full set
+takes a couple of minutes on one core; pass --only to run a subset, e.g.
+--only stability --only privacy-utility. Exits nonzero if any run fails.
 """
 
 import argparse
 import sys
-import time
 
-from dpsgld.harness import EXPERIMENTS, default_config, run_experiment, write_results
+from dpsgld import cli
+from dpsgld.harness import EXPERIMENTS
 
 
 def main(argv=None) -> int:
@@ -25,17 +26,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     names = tuple(args.only) if args.only else EXPERIMENTS
+    failed = 0
     for name in names:
-        config = default_config(name, seed=args.seed, out_dir=args.out)
-        start = time.perf_counter()
-        rows, summary = run_experiment(config)
-        elapsed = time.perf_counter() - start
-        csv_path, sidecar_path = write_results(config, rows, summary, elapsed_seconds=elapsed)
-        print(f"{name}: {len(rows)} rows in {elapsed:.1f}s -> {csv_path}")
-        for key in sorted(summary):
-            print(f"  {key} = {summary[key]}")
-        print(f"  sidecar = {sidecar_path}")
-    return 0
+        argv = ["experiment", "--out", args.out, "--seed", str(args.seed)]
+        failed += cli.main(argv + ["--set", f"experiment.name={name}"]) != 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -124,9 +124,6 @@ class Example:
 class Dataset:
     """Ordered immutable sample, stored densely as (X: n×d, y: n).
 
-    ``example(i)`` and ``examples`` materialize Example views on demand; the
-    update loops work on the arrays directly.
-
     The arrays are copied unless ``copy=False``, which hands a freshly built
     X and y over to the dataset: they are checked and made read-only in
     place, so the caller must hold no writable reference to them.
@@ -164,13 +161,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def example(self, i: int) -> Example:
-        return Example(self.X[i], float(self.y[i]))
-
-    @property
-    def examples(self) -> list[Example]:
-        return [self.example(i) for i in range(self.n)]
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, d={self.d})"

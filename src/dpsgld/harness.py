@@ -99,9 +99,9 @@ class ExperimentConfig:
     """
 
     experiment: str
-    n_grid: tuple = (128, 256, 512, 1024, 2048)
-    d_grid: tuple = ()
-    eps_grid: tuple = ()
+    n_grid: tuple[int, ...] = (128, 256, 512, 1024, 2048)
+    d_grid: tuple[int, ...] = ()
+    eps_grid: tuple[float, ...] = ()
     replicates: int = 30
     n_test: int = 100_000
     seed: int = 1234
@@ -116,7 +116,7 @@ class ExperimentConfig:
     epsilon: float = 0.0
     delta: float = 0.0
     dim_factor: int = 2
-    checkpoints: tuple = ()
+    checkpoints: tuple[int, ...] = ()
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -210,12 +210,25 @@ def _loss(config: ExperimentConfig) -> GlmLoss:
     return GlmLoss(config.loss_family, h=config.hinge_half_width)
 
 
-def _model(config: ExperimentConfig, d: int) -> PopulationModel:
-    kind = QUADRATIC_KIND if config.loss_family == losses.QUADRATIC else LOGISTIC_KIND
+def data_kind(loss_family: str) -> str:
+    """The label law a loss family trains on: real labels for quadratic, ±1 otherwise."""
+    return QUADRATIC_KIND if loss_family == losses.QUADRATIC else LOGISTIC_KIND
+
+
+def population_model(
+    loss_family: str, d: int, wstar_norm: float, feature_law: str, label_noise: float
+) -> PopulationModel:
+    """The synthetic law for a loss family, with w* = wstar_norm·e₁."""
     w_star = np.zeros(d)
-    w_star[0] = config.wstar_norm
+    w_star[0] = wstar_norm
     return PopulationModel(
-        kind, d, w_star, feature_law=config.feature_law, label_noise=config.label_noise
+        data_kind(loss_family), d, w_star, feature_law=feature_law, label_noise=label_noise
+    )
+
+
+def _model(config: ExperimentConfig, d: int) -> PopulationModel:
+    return population_model(
+        config.loss_family, d, config.wstar_norm, config.feature_law, config.label_noise
     )
 
 

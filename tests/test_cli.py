@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from dpsgld.cli import ConfigError, main, parse_config_text
 from dpsgld.core import seeded_rng
 from dpsgld.datagen import draw_dataset, export_dataset, PopulationModel
+from dpsgld.harness import ExperimentConfig
 
 
 def run_main(capsys, argv):
@@ -112,6 +114,27 @@ class TestRunCommand:
         )
         assert code == 0, err
         assert parse_kv(out)["samples_consumed"] == "11"
+
+    @pytest.mark.parametrize(
+        "kind, family",
+        [("quadratic", "logistic"), ("quadratic", "smoothed-hinge"), ("logistic", "quadratic")],
+    )
+    def test_imported_kind_must_match_the_loss(self, capsys, tmp_path, kind, family):
+        w = np.zeros(3)
+        w[0] = 0.5
+        data = draw_dataset(PopulationModel(kind, 3, w), 20, seeded_rng(5, 0))
+        data_path = tmp_path / "data.csv"
+        export_dataset(data, data_path, kind)
+        out_dir = tmp_path / "out"
+        base = ["run", "--out", str(out_dir), "--set", f"data.file={data_path}"]
+        base += ["--set", "schedule.T=8"]
+        code, out, err = run_main(capsys, base + ["--set", f"loss.family={family}"])
+        assert code == 2
+        assert out == ""
+        assert f"holds kind={kind} data, but loss.family={family}" in err
+        assert not out_dir.exists()
+        code, out, err = run_main(capsys, base + ["--set", f"loss.family={kind}"])
+        assert code == 0, err
 
     def test_quiet_suppresses_stdout_but_writes_files(self, capsys, tmp_path):
         code, out, err = run_main(
@@ -232,6 +255,48 @@ class TestExperimentCommand:
         assert "experiment.name" in err
 
 
+class TestExperimentKeys:
+    EVERY_FIELD = {
+        "n_grid": "20",
+        "d_grid": "3",
+        "eps_grid": "0.2,0.4",
+        "replicates": "3",
+        "n_test": "500",
+        "loss_family": "smoothed-hinge",
+        "hinge_half_width": "0.25",
+        "feature_law": "sphere",
+        "wstar_norm": "1.5",
+        "label_noise": "0.2",
+        "eta0": "0.5",
+        "pass_exponent": "1.5",
+        "epsilon": "0.7",
+        "delta": "0.001",
+        "dim_factor": "3",
+        "checkpoints": "1,5",
+    }
+
+    def test_every_config_field_is_settable(self, capsys, tmp_path):
+        fixed = {"experiment", "seed", "out_dir"}
+        assert set(self.EVERY_FIELD) == {f.name for f in fields(ExperimentConfig)} - fixed
+        argv = ["experiment", "--out", str(tmp_path), "--set", "experiment.name=stability"]
+        for field, value in self.EVERY_FIELD.items():
+            argv += ["--set", f"experiment.{field}={value}"]
+        code, _, err = run_main(capsys, argv)
+        assert code == 0, err
+        echo = parse_kv((tmp_path / "stability.config.txt").read_text())
+        for field, value in self.EVERY_FIELD.items():
+            assert echo[field] == value, field
+
+        for field in sorted(fixed):
+            argv += ["--set", f"experiment.{field}=x"]
+        code, _, err = run_main(capsys, argv)
+        assert code == 2
+        assert (
+            "unknown config key(s): experiment.experiment, experiment.out_dir, experiment.seed"
+            in err
+        )
+
+
 class TestErrorPaths:
     def test_unknown_key_is_named(self, capsys, tmp_path):
         code, _, err = run_main(
@@ -256,24 +321,44 @@ class TestErrorPaths:
         assert code == 2
         assert "schedule.T must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("experiment.replicates=x", "experiment.replicates must be an integer, got 'x'"),
+            ("experiment.eta0=foo", "experiment.eta0 must be a number, got 'foo'"),
+            (
+                "experiment.n_grid=1,a",
+                "experiment.n_grid must be comma-separated integers, got '1,a'",
+            ),
+            (
+                "experiment.eps_grid=0.1,zz",
+                "experiment.eps_grid must be comma-separated numbers, got '0.1,zz'",
+            ),
+        ],
+    )
+    def test_experiment_value_types(self, capsys, tmp_path, setting, message):
+        code, _, err = run_main(
+            capsys,
+            [
+                "experiment", "--out", str(tmp_path),
+                "--set", "experiment.name=stability", "--set", setting,
+            ],
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_mode(self, capsys):
         code, _, err = run_main(capsys, ["account", "--set", "mode=batch"])
         assert code == 2
         assert "mode must be one of" in err
 
 
-class TestSelftest:
-    def test_all_checks_pass(self, capsys):
-        code, out, err = run_main(capsys, ["selftest"])
-        assert code == 0, out + err
-        assert "all selftest checks passed" in out
-        assert "FAIL" not in out
-        assert out.count("ok   ") == 8
-
-    def test_quiet(self, capsys):
-        code, out, _ = run_main(capsys, ["selftest", "--quiet"])
-        assert code == 0
-        assert out == ""
+def test_selftest_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 def test_module_entry_point_smoke():

@@ -100,10 +100,11 @@ class TestDataset:
         X = np.array([[0.1, 0.2], [0.3, 0.4]])
         y = np.array([1.0, -1.0])
         data = Dataset(X, y)
-        z = data.example(1)
+        examples = [Example(x, label) for x, label in zip(data.X, data.y)]
+        z = examples[1]
         np.testing.assert_array_equal(z.x, X[1])
         assert z.y == -1.0
-        rebuilt = Dataset([z.x for z in data.examples], [z.y for z in data.examples])
+        rebuilt = Dataset([z.x for z in examples], [z.y for z in examples])
         np.testing.assert_array_equal(rebuilt.X, X)
         np.testing.assert_array_equal(rebuilt.y, y)
 

@@ -20,8 +20,10 @@ from dpsgld.harness import (
     _span_basis,
     _span_runs,
     config_echo,
+    data_kind,
     default_config,
     loglog_slope_fit,
+    population_model,
     rows_to_csv,
     run_experiment,
     summarize,
@@ -149,6 +151,17 @@ class TestCheckpointLadder:
         assert _checkpoint_ladder(7) == (1, 2, 5, 7)
         assert _checkpoint_ladder(1) == (1,)
         assert _checkpoint_ladder(43) == (1, 2, 5, 10, 20, 43)
+
+
+@pytest.mark.parametrize(
+    "family, kind",
+    [("logistic", "logistic"), ("smoothed-hinge", "logistic"), ("quadratic", "quadratic")],
+)
+def test_population_model_kind_and_wstar(family, kind):
+    model = population_model(family, 4, 1.5, "sphere", 0.2)
+    assert model.kind == data_kind(family) == kind
+    np.testing.assert_array_equal(model.w_star, [1.5, 0.0, 0.0, 0.0])
+    assert (model.d, model.feature_law, model.label_noise) == (4, "sphere", 0.2)
 
 
 def small_config(experiment, **overrides):

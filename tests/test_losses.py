@@ -211,7 +211,7 @@ class TestPointwiseHelpers:
         data = Dataset(X, y)
         w = rng.standard_normal(4)
         for loss in all_losses():
-            direct = np.mean([loss_value(loss, w, z) for z in data.examples])
+            direct = np.mean([loss_value(loss, w, Example(X[i], y[i])) for i in range(20)])
             np.testing.assert_allclose(empirical_risk(loss, w, data), direct, rtol=1e-12)
 
     def test_empirical_risk_dimension_check(self):
