@@ -1,9 +1,12 @@
 """Command-line front end: run, account, experiment.
 
 Configuration is a flat text file of ``key = value`` lines (``#`` comments,
-nested keys via dots), merged with repeatable ``--set key=value`` overrides;
-explicit flags win over both. Unknown keys are rejected by name. All floats
-print with 9 significant digits (``core._fmt``).
+nested keys via dots), merged with repeatable ``--set key=value`` overrides.
+``run`` and ``experiment`` also take ``--seed``, ``--out`` and ``--quiet``;
+``account`` writes nothing and draws nothing, so it takes none of them. A key
+the command does not read (an unknown name, or one that does not apply to the
+chosen mode or data source) is rejected by name. All floats print with 9
+significant digits (``core._fmt``).
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import losses
-from .core import InfinitePrivacyLossError, InvalidParameterError, _fmt, seeded_rng
+from .core import Dataset, InfinitePrivacyLossError, InvalidParameterError, _fmt, seeded_rng
 from .datagen import draw_dataset, import_dataset
-from .engine import run_multi_pass, run_single_pass, write_run_record
+from .engine import RunRecord, run_multi_pass, run_single_pass
 from .harness import (
     DATA_SUBSTREAM,
     ExperimentConfig,
@@ -124,16 +127,19 @@ def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
     eta0 = options.get("schedule.eta0", float, 1.0)
     epsilon = options.get("schedule.epsilon", float, 0.5)
     delta = options.get("schedule.delta", float, 1e-5)
-    T = options.get("schedule.T", int, 256)
-    pass_exponent = options.get("schedule.pass_exponent", float, 2.0)
+    if mode == SINGLE_PASS:
+        T = options.get("schedule.T", int, 256)
+    else:
+        pass_exponent = options.get("schedule.pass_exponent", float, 2.0)
     log_interval = options.get("run.log_interval", int)
 
     data_file = options.get("data.file")
-    n = options.get("data.n", int)
-    d = options.get("data.d", int, 32)
-    law = options.get("data.law", str, "ball")
-    wstar_norm = options.get("data.wstar_norm", float, 1.0)
-    label_noise = options.get("data.label_noise", float, 0.1)
+    if data_file is None:
+        n = options.get("data.n", int)
+        d = options.get("data.d", int, 32)
+        law = options.get("data.law", str, "ball")
+        wstar_norm = options.get("data.wstar_norm", float, 1.0)
+        label_noise = options.get("data.label_noise", float, 0.1)
     options.reject_leftovers()
 
     rng = seeded_rng(seed, 0)
@@ -154,26 +160,19 @@ def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
         model = population_model(loss.family, d, wstar_norm, law, label_noise)
         dataset = draw_dataset(model, n, rng.substream(DATA_SUBSTREAM))
 
-    def risk_eval(w):
-        return float("nan"), empirical_risk(loss, w, dataset)
-
     if mode == SINGLE_PASS:
         schedule = single_pass_schedule(T, bounds.G, eta0, epsilon, delta)
-        record = run_single_pass(
-            dataset, loss, schedule, rng, log_interval=log_interval, risk_eval=risk_eval
-        )
+        record = run_single_pass(dataset, loss, schedule, rng, log_interval=log_interval)
     else:
         schedule = multi_pass_schedule(
             dataset.n, pass_exponent, epsilon, delta, eta0, bounds.G
         )
-        record = run_multi_pass(
-            [dataset], loss, schedule, [rng], log_interval=log_interval, risk_eval=risk_eval
-        )[0]
+        record = run_multi_pass([dataset], loss, schedule, [rng], log_interval=log_interval)[0]
 
     os.makedirs(out_dir, exist_ok=True)
     record_path = os.path.join(out_dir, "run_record.csv")
     account_path = os.path.join(out_dir, "account.txt")
-    write_run_record(record, record_path)
+    write_run_record(record, loss, dataset, record_path)
     with open(account_path, "w") as fh:
         fh.write(account_report(schedule))
     if not quiet:
@@ -186,7 +185,18 @@ def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
     return 0
 
 
-def cmd_account(options: _Options, quiet: bool) -> int:
+def write_run_record(record: RunRecord, loss: GlmLoss, dataset: Dataset, path) -> None:
+    """One row per logged step: t, population risk (never estimated, so nan),
+    empirical risk on ``dataset``, and ‖w_t‖."""
+    lines = ["t,risk_population,risk_empirical,iterate_norm"]
+    for t, w in record.iterate_log:
+        risk = empirical_risk(loss, w, dataset)
+        lines.append(f"{t},nan,{_fmt(risk)},{_fmt(np.linalg.norm(w))}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def cmd_account(options: _Options) -> int:
     mode = options.get("mode", str, SINGLE_PASS)
     if mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -254,29 +264,28 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", metavar="PATH", help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=None, metavar="N")
-        p.add_argument("--out", default=None, metavar="DIR")
         p.add_argument(
             "--set",
             action="append",
             metavar="KEY=VALUE",
             help="override one config key; repeatable",
         )
-        p.add_argument("--quiet", action="store_true")
+        if name != "account":
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, metavar="N")
+            p.add_argument("--out", default=".", metavar="DIR")
+            p.add_argument("--quiet", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    out_dir = "." if args.out is None else args.out
     try:
         options = _Options(_load_options(args))
-        if args.command == "run":
-            return cmd_run(options, seed, out_dir, args.quiet)
         if args.command == "account":
-            return cmd_account(options, args.quiet)
-        return cmd_experiment(options, seed, out_dir, args.quiet)
+            return cmd_account(options)
+        if args.command == "run":
+            return cmd_run(options, args.seed, args.out, args.quiet)
+        return cmd_experiment(options, args.seed, args.out, args.quiet)
     except (ConfigError, InvalidParameterError, InfinitePrivacyLossError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

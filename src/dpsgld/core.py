@@ -36,9 +36,8 @@ def _require_positive(**kwargs) -> None:
 
 
 def _require_unit_interval(**kwargs) -> None:
-    """Each value (a scalar or a nonempty array of them) lies in (0, 1)."""
     for name, value in kwargs.items():
-        if not (0.0 < np.min(value) and np.max(value) < 1.0):
+        if not 0.0 < value < 1.0:
             raise InvalidParameterError(f"{name} must be in (0, 1), got {value}")
 
 

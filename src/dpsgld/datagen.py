@@ -197,14 +197,6 @@ def population_risk_many(
     return mean, se
 
 
-def population_risk(
-    loss: GlmLoss, w, model: PopulationModel, n_test: int, rng: RngStream
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of E_z ℓ(w, z) with its standard error."""
-    est, se = population_risk_many(loss, [w], model, n_test, rng)
-    return float(est[0]), float(se[0])
-
-
 def hessian_trace_estimate(
     loss: GlmLoss, model: PopulationModel, w, n_test: int, rng: RngStream
 ) -> float:

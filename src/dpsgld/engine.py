@@ -25,6 +25,8 @@ The engine runs whatever coordinates it is given: the privacy-utility
 experiment hands it each replicate's data in a basis of the rows' span, and
 lifts the result itself (see ``harness``). On d-dimensional data it is the
 library path and the reference that the reduced chains are tested against.
+A run returns its final iterate and a thinned log of iterates; scoring them
+(risk, norms) is the caller's job.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, InvalidParameterError, RngStream, Vector, _fmt, as_vector, seeded_rng
+from .core import Dataset, InvalidParameterError, RngStream, Vector, as_vector, seeded_rng
 from .losses import GlmLoss, loss_bounds
 from .schedules import MultiPassSchedule, SinglePassSchedule
 
@@ -57,12 +59,11 @@ class SgldState:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """What a finished run exposes: final iterate plus thinned logs."""
+    """What a finished run exposes: final iterate plus its thinned (t, w_t) log."""
 
     mode: str
     final_iterate: Vector
-    iterate_log: list | None
-    per_step_risk: list | None
+    iterate_log: list
     samples_consumed: int
 
 
@@ -201,25 +202,19 @@ def sgld_step(
     return SgldState(t=state.t + 1, w=W[0, 0], samples_consumed=state.samples_consumed + b, rng=state.rng)
 
 
-def _logged_runs(datasets, loss, schedule, orders, rngs, log_interval, risk_eval, risk_interval):
+def _logged_runs(datasets, loss, schedule, orders, rngs, log_interval):
     """One chain per dataset from zero through its row of ``orders``.
 
     Logged as run_single_pass describes; returns one RunRecord per dataset.
     """
     T = schedule.T
     log_interval = max(1, T // 1000) if log_interval is None else max(1, int(log_interval))
-    risk_interval = log_interval if risk_interval is None else max(1, int(risk_interval))
     iterate_logs = [[] for _ in datasets]
-    risk_logs = [[] if risk_eval is not None else None for _ in datasets]
 
     def observe(t, W):
         if t % log_interval == 0 or t == T:
             for log, w in zip(iterate_logs, W[:, 0]):
                 log.append((t, w.copy()))
-        if risk_eval is not None and (t % risk_interval == 0 or t == T):
-            for log, w in zip(risk_logs, W[:, 0]):
-                pop, emp = risk_eval(w.copy())
-                log.append((t, float(pop), float(emp)))
 
     steps = _steps(schedule.etas, schedule.lambda_etas, schedule.beta0, schedule.batch_sizes)
     W = _advance(
@@ -228,8 +223,8 @@ def _logged_runs(datasets, loss, schedule, orders, rngs, log_interval, risk_eval
         loss, orders, steps, [rng.substream(1).generator for rng in rngs], observe,
     )
     return [
-        RunRecord(schedule.mode, w, iterate_log, per_step_risk, schedule.sample_budget)
-        for w, iterate_log, per_step_risk in zip(W[:, 0], iterate_logs, risk_logs)
+        RunRecord(schedule.mode, w, iterate_log, schedule.sample_budget)
+        for w, iterate_log in zip(W[:, 0], iterate_logs)
     ]
 
 
@@ -239,8 +234,6 @@ def run_single_pass(
     schedule: SinglePassSchedule,
     rng: RngStream,
     log_interval: int | None = None,
-    risk_eval=None,
-    risk_interval: int | None = None,
 ) -> RunRecord:
     """Run T steps over disjoint blocks of a pre-shuffled dataset.
 
@@ -252,8 +245,6 @@ def run_single_pass(
     Args:
         log_interval: iterate-log thinning; default max(1, T//1000). The final
             iterate is always logged.
-        risk_eval: optional callable w -> (population_risk, empirical_risk),
-            applied every ``risk_interval`` steps (default: log_interval).
     """
     budget = schedule.sample_budget
     if dataset.n < budget:
@@ -262,9 +253,7 @@ def run_single_pass(
             f"(sample budget for T={schedule.T}), dataset has {dataset.n}"
         )
     order = rng.substream(0).generator.permutation(dataset.n)
-    return _logged_runs(
-        [dataset], loss, schedule, order[None], [rng], log_interval, risk_eval, risk_interval
-    )[0]
+    return _logged_runs([dataset], loss, schedule, order[None], [rng], log_interval)[0]
 
 
 def run_multi_pass(
@@ -273,8 +262,6 @@ def run_multi_pass(
     schedule: MultiPassSchedule,
     rngs,
     log_interval: int | None = None,
-    risk_eval=None,
-    risk_interval: int | None = None,
 ) -> list:
     """Run T steps per replicate, each sampling one example per step uniformly with replacement.
 
@@ -282,8 +269,7 @@ def run_multi_pass(
     index stream and a noise stream as in run_single_pass. The replicates must
     share d; they advance together and return one RunRecord each, equal
     bit for bit to what a run of that replicate alone returns. Same logging
-    contract as run_single_pass, with ``risk_eval`` applied to each
-    replicate's iterate. A degenerate T = 0 schedule returns just each
+    contract as run_single_pass. A degenerate T = 0 schedule returns just each
     replicate's initial N(0, β₀I) draw.
     """
     datasets, rngs = list(datasets), list(rngs)
@@ -292,7 +278,7 @@ def run_multi_pass(
         records = []
         for data, rng in zip(datasets, rngs):
             w = float(np.sqrt(schedule.beta0)) * rng.substream(1).generator.standard_normal(data.d)
-            records.append(RunRecord(schedule.mode, w, [(0, w.copy())], None, 0))
+            records.append(RunRecord(schedule.mode, w, [(0, w.copy())], 0))
         return records
     records = []
     for group in _groups(len(datasets), schedule.T):
@@ -300,10 +286,7 @@ def run_multi_pass(
             rng.substream(0).generator.integers(0, data.n, size=schedule.T)
             for data, rng in zip(datasets[group], rngs[group])
         ])
-        records += _logged_runs(
-            datasets[group], loss, schedule, indices, rngs[group],
-            log_interval, risk_eval, risk_interval,
-        )
+        records += _logged_runs(datasets[group], loss, schedule, indices, rngs[group], log_interval)
     return records
 
 
@@ -356,14 +339,3 @@ def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, see
             loss, indices, steps, [seeded_rng(seed, 1).generator for seed in seeds[group]], observe,
         )
     return out
-
-
-def write_run_record(record: RunRecord, path) -> None:
-    """Line-oriented record file: one row per logged step."""
-    risk_at = {t: (p, e) for (t, p, e) in (record.per_step_risk or [])}
-    lines = ["t,risk_population,risk_empirical,iterate_norm"]
-    for t, w in record.iterate_log or []:
-        pop, emp = risk_at.get(t, (float("nan"), float("nan")))
-        lines.append(f"{t},{_fmt(pop)},{_fmt(emp)},{_fmt(np.linalg.norm(w))}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

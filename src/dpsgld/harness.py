@@ -69,23 +69,6 @@ SIMULATORS = {
     ),
 }
 
-RESULT_COLUMNS = (
-    "experiment",
-    "n",
-    "d",
-    "eps_target",
-    "eps_accounted",
-    "eps_claimed",
-    "delta",
-    "T",
-    "checkpoint_t",
-    "mean_value",
-    "standard_error",
-    "bound_value",
-    "samples_consumed",
-    "note",
-)
-
 LOGLOG_FLOOR = 1e-6
 
 
@@ -204,6 +187,9 @@ class ResultRow:
         se = self.standard_error
         if not (math.isnan(se) or se >= 0):
             raise InvalidParameterError(f"standard error must be >= 0, got {se}")
+
+
+RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _loss(config: ExperimentConfig) -> GlmLoss:

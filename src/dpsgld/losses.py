@@ -42,11 +42,10 @@ class GlmLoss:
         if self.family == SMOOTHED_HINGE and not self.h > 0:
             raise InvalidParameterError(f"smoothing half-width must be > 0, got {self.h}")
 
-    # φ, φ′, φ″ as functions of the activation a = wᵀx; vectorized over a and y.
+    # φ, φ′, φ″ as functions of the activation a = wᵀx, for float64 arrays or
+    # Python floats a and y (no coercion: φ′ runs once per engine step).
 
     def phi(self, a, y):
-        a = np.asarray(a, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
         if self.family == LOGISTIC:
             return np.logaddexp(0.0, -y * a)
         if self.family == SMOOTHED_HINGE:
@@ -60,8 +59,6 @@ class GlmLoss:
         return 0.5 * (a - y) ** 2
 
     def phi_prime(self, a, y):
-        a = np.asarray(a, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
         if self.family == LOGISTIC:
             return -y * expit(-y * a)
         if self.family == SMOOTHED_HINGE:
@@ -76,8 +73,6 @@ class GlmLoss:
         return a - y
 
     def phi_double_prime(self, a, y):
-        a = np.asarray(a, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
         if self.family == LOGISTIC:
             p = expit(y * a)
             return p * (1.0 - p)

@@ -10,10 +10,10 @@ report says so next to the numbers.
 The certificates take the schedule that runs: ``certify_theorem1`` a
 single-pass one, ``certify_theorem2`` a multi-pass one. The per-step
 functions (``step_delta_allotment``, ``gaussian_step_epsilon``,
-``subsample_amplify``) take arrays of per-step values as well as scalars;
-each checks its arguments and then calls a private core that holds its
-formula. The account report enumerates the multi-pass steps through those
-cores, so a long schedule is validated once rather than once per chunk.
+``subsample_amplify``) take the scalars of one step; each checks its
+arguments and then calls a private core that holds its formula. The account
+report enumerates the multi-pass steps through those cores on arrays of
+steps, so a long schedule is validated once rather than once per step.
 """
 
 from __future__ import annotations
@@ -43,15 +43,15 @@ _ZERO_NOISE = "zero noise with nonzero sensitivity"
 
 @dataclass(frozen=True)
 class DpBudget:
-    """(ε, δ) guarantee; ``subsample_amplify`` fills it with per-step arrays."""
+    """(ε, δ) guarantee."""
 
     epsilon: float
     delta: float
 
     def __post_init__(self):
-        if np.min(self.epsilon) < 0:
+        if self.epsilon < 0:
             raise InvalidParameterError(f"epsilon must be >= 0, got {self.epsilon}")
-        if not (0.0 <= np.min(self.delta) and np.max(self.delta) < 1.0):
+        if not 0.0 <= self.delta < 1.0:
             raise InvalidParameterError(f"delta must be in [0, 1), got {self.delta}")
 
 
@@ -77,24 +77,20 @@ def gaussian_step_epsilon(eta: float, G: float, sigma: float, delta: float) -> f
         G: gradient-norm bound (the 2ηG sensitivity is absorbed by the √8).
         sigma: noise standard deviation, in the same units as ηG.
         delta: Gaussian-mechanism failure probability.
-        ``eta``, ``sigma`` and ``delta`` may also be arrays of per-step values.
 
     Returns:
-        The per-step ε, elementwise for arrays; 0 when the step has zero
-        sensitivity.
+        The per-step ε; 0 when the step has zero sensitivity.
     """
-    if np.min(eta) < 0 or G < 0:
+    if eta < 0 or G < 0:
         raise InvalidParameterError("eta and G must be >= 0")
     _require_unit_interval(delta=delta)
-    sigma_min = np.min(sigma)
-    if sigma_min < 0:
+    if sigma < 0:
         raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
-    if sigma_min == 0.0:
-        silent = np.equal(sigma, 0.0)
-        if np.any(silent & (np.multiply(eta, G) > 0.0)):
+    if sigma == 0.0:
+        if eta * G > 0.0:
             raise InfinitePrivacyLossError(_ZERO_NOISE)
-        sigma = np.where(silent, np.inf, sigma)
-    return _unwrap(_gaussian_epsilon(eta, G, sigma, delta))
+        sigma = math.inf
+    return float(_gaussian_epsilon(eta, G, sigma, delta))
 
 
 def _gaussian_epsilon(eta, G, sigma, delta):
@@ -106,14 +102,13 @@ def subsample_amplify(step_epsilon: float, m: int, delta: float) -> DpBudget:
     """Amplification by uniform subsampling of one element among m.
 
     Returns (ln(1 + m⁻¹·e^ε), δ/m), the lemma's form verbatim: the +1 inside
-    the log keeps the whole e^ε rather than e^ε − 1. ``step_epsilon`` and
-    ``delta`` may be arrays of per-step values; the budget then holds arrays.
+    the log keeps the whole e^ε rather than e^ε − 1.
     """
-    if np.min(step_epsilon) < 0:
+    if step_epsilon < 0:
         raise InvalidParameterError(f"step epsilon must be >= 0, got {step_epsilon}")
     _require_count("m", m, 1)
     _require_unit_interval(delta=delta)
-    return DpBudget(_unwrap(_amplified_epsilon(step_epsilon, m)), delta / m)
+    return DpBudget(float(_amplified_epsilon(step_epsilon, m)), delta / m)
 
 
 def _amplified_epsilon(step_epsilon, m: int):
@@ -122,9 +117,8 @@ def _amplified_epsilon(step_epsilon, m: int):
 
 
 def step_delta_allotment(t: int, delta: float) -> float:
-    """Per-step δ_t = 0.5·δ/(t(t−1)) for t ≥ 2 (t may be an array of steps);
-    telescopes to δ/2 in total."""
-    if np.min(t) < 2:
+    """Per-step δ_t = 0.5·δ/(t(t−1)) for t ≥ 2; telescopes to δ/2 in total."""
+    if t < 2:
         raise InvalidParameterError(f"allotment starts at t=2, got t={t}")
     return _delta_allotment(t, delta)
 
@@ -132,11 +126,6 @@ def step_delta_allotment(t: int, delta: float) -> float:
 def _delta_allotment(t, delta: float):
     """step_delta_allotment's δ_t without its check."""
     return 0.5 * delta / (t * (t - 1))
-
-
-def _unwrap(value):
-    """A 0-d numpy result as a Python float; arrays unchanged."""
-    return float(value) if np.ndim(value) == 0 else value
 
 
 def strong_compose(per_step, delta_prime: float) -> DpBudget:

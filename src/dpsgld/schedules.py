@@ -50,6 +50,13 @@ class SinglePassSchedule:
 
     mode = SINGLE_PASS
 
+    def __post_init__(self):
+        _require_count("T", self.T, 1)
+        _require_positive(G=self.G, eta0=self.eta0, epsilon=self.epsilon, eta=self.eta, beta0=self.beta0)
+        _require_unit_interval(delta=self.delta)
+        if not self.renyi_order > 1:
+            raise InvalidParameterError(f"Renyi order must be > 1, got {self.renyi_order}")
+
     def lambda_(self, t: int) -> float:
         if not 1 <= t <= self.T:
             raise InvalidParameterError(f"step t={t} outside 1..{self.T}")

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from dataclasses import fields
@@ -157,6 +158,45 @@ class TestRunCommand:
         )
         assert code == 0, err
         assert parse_kv(out)["T"] == "8"
+
+
+# sha256 of what `dpsgld run` printed and wrote, run from the output's parent
+# directory so stdout holds no absolute path; re-record only for an intended
+# change of output.
+RUN_DIGESTS = {
+    "single-pass-logistic": (
+        ["--set", "schedule.T=64", "--set", "data.d=8", "--set", "run.log_interval=5"],
+        {
+            "stdout": "9fbf32c207be1f083625702c9ccb77f1eb95ac22cfc1bf18becb81d64c9aa340",
+            "run_record.csv": "c9b315cc7609783a6cf185297df234640da18f2eee6d0d5bcd56bbd0d8928e63",
+            "account.txt": "1466faefe8f8d17a7f0a49cca2bd021cb4397d5566b561cbbe958fd72972d492",
+        },
+    ),
+    "multi-pass-quadratic": (
+        [
+            "--set", "mode=multi-pass", "--set", "loss.family=quadratic",
+            "--set", "data.n=40", "--set", "data.d=6", "--set", "schedule.epsilon=0.3",
+            "--set", "schedule.delta=1e-4", "--set", "run.log_interval=7",
+        ],
+        {
+            "stdout": "66a83fa444738166603dec77f996ecad0bd3dd72a4ae32b138f69a05d904fc71",
+            "run_record.csv": "38b610a744c929ff9bc2b6edb6b023767575582bda53ba5be613c0cf41f8243b",
+            "account.txt": "39b2e3def1f27ffc0d4373d9805373ab1723cf68a373f51bf3529d13d025b4ac",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_DIGESTS))
+def test_run_outputs_match_recorded_digests(capsys, tmp_path, monkeypatch, name):
+    settings, expected = RUN_DIGESTS[name]
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(capsys, ["run", "--out", "out"] + settings)
+    assert code == 0, err
+    got = {"stdout": hashlib.sha256(out.encode()).hexdigest()}
+    for file in ("run_record.csv", "account.txt"):
+        got[file] = hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest()
+    assert got == expected
 
 
 class TestAccountCommand:
@@ -352,6 +392,51 @@ class TestErrorPaths:
         code, _, err = run_main(capsys, ["account", "--set", "mode=batch"])
         assert code == 2
         assert "mode must be one of" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["account", "--out", "{out}"], "unrecognized arguments: --out"),
+        (["account", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["account", "--quiet"], "unrecognized arguments: --quiet"),
+        (
+            ["run", "--set", "mode=multi-pass", "--set", "schedule.T=5", "--set", "data.n=40"],
+            "unknown config key(s): schedule.T",
+        ),
+        (["run", "--set", "schedule.pass_exponent=1.5"], "unknown config key(s): schedule.pass_exponent"),
+        (
+            ["run", "--set", "data.file={data}", "--set", "schedule.T=8", "--set", "data.d=4",
+             "--set", "data.law=sphere"],
+            "unknown config key(s): data.d, data.law",
+        ),
+        (
+            ["run", "--set", "data.file={data}", "--set", "schedule.T=8", "--set", "data.n=40"],
+            "unknown config key(s): data.n",
+        ),
+    ],
+    ids=[
+        "account-out", "account-seed", "account-quiet", "multi-pass-T",
+        "single-pass-exponent", "file-with-shape", "file-with-n",
+    ],
+)
+def test_inapplicable_flags_and_keys_are_refused(capsys, tmp_path, argv, message):
+    data = draw_dataset(PopulationModel("logistic", 3, np.eye(3)[0]), 20, seeded_rng(5, 0))
+    data_path = tmp_path / "data.csv"
+    export_dataset(data, data_path, "logistic")
+    out_dir = tmp_path / "out"
+    argv = [arg.format(out=out_dir, data=data_path) for arg in argv]
+    if argv[0] == "run":
+        argv += ["--out", str(out_dir)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
+    assert not out_dir.exists()
 
 
 def test_selftest_is_not_a_subcommand(capsys):

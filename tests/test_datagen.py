@@ -15,7 +15,6 @@ from dpsgld.datagen import (
     feature_second_moment,
     hessian_trace_estimate,
     import_dataset,
-    population_risk,
     population_risk_many,
 )
 from dpsgld.losses import GlmLoss, loss_bounds
@@ -132,17 +131,17 @@ class TestPopulationRisk:
     def test_common_random_numbers_replay_exactly(self):
         model = model_for(kind="quadratic")
         w = np.full(8, 0.1)
-        a = population_risk(GlmLoss("quadratic"), w, model, 5000, seeded_rng(10, 0))
-        b = population_risk(GlmLoss("quadratic"), w, model, 5000, seeded_rng(10, 0))
-        assert a == b
+        a = population_risk_many(GlmLoss("quadratic"), [w], model, 5000, seeded_rng(10, 0))
+        b = population_risk_many(GlmLoss("quadratic"), [w], model, 5000, seeded_rng(10, 0))
+        np.testing.assert_array_equal(a, b)
 
     def test_many_matches_single_with_shared_sample(self):
         model = model_for(kind="quadratic")
         ws = [np.zeros(8), np.full(8, 0.1), model.w_star]
         est, se = population_risk_many(GlmLoss("quadratic"), ws, model, 4000, seeded_rng(11, 0))
         for i, w in enumerate(ws):
-            single, single_se = population_risk(
-                GlmLoss("quadratic"), w, model, 4000, seeded_rng(11, 0)
+            [single], [single_se] = population_risk_many(
+                GlmLoss("quadratic"), [w], model, 4000, seeded_rng(11, 0)
             )
             np.testing.assert_allclose(est[i], single, rtol=1e-12)
             np.testing.assert_allclose(se[i], single_se, rtol=1e-12)
@@ -155,7 +154,7 @@ class TestPopulationRisk:
                 ws = (np.zeros(d), np.full(d, 0.3), np.full(d, 3.0 / math.sqrt(d)))
                 for w in ws:
                     exact = closed_form_quadratic_risk(model, w)
-                    est, se = population_risk(loss, w, model, 200_000, seeded_rng(12, 0))
+                    [est], [se] = population_risk_many(loss, [w], model, 200_000, seeded_rng(12, 0))
                     assert abs(est - exact) <= 4.0 * max(se, 1e-9), (law, d)
 
     def test_risk_at_w_star_is_noise_floor(self):
@@ -174,17 +173,19 @@ class TestPopulationRisk:
 
     def test_minimum_sample_size_enforced(self):
         with pytest.raises(InvalidParameterError):
-            population_risk(GlmLoss("logistic"), np.zeros(8), model_for(), 99, seeded_rng(0, 0))
+            population_risk_many(GlmLoss("logistic"), [np.zeros(8)], model_for(), 99, seeded_rng(0, 0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            population_risk(GlmLoss("logistic"), np.zeros(3), model_for(d=8), 1000, seeded_rng(0, 0))
+            population_risk_many(
+                GlmLoss("logistic"), [np.zeros(3)], model_for(d=8), 1000, seeded_rng(0, 0)
+            )
 
     def test_se_shrinks_like_sqrt_n(self):
         model = model_for(kind="logistic")
         w = np.full(8, 0.2)
-        _, se_small = population_risk(GlmLoss("logistic"), w, model, 1000, seeded_rng(13, 0))
-        _, se_big = population_risk(GlmLoss("logistic"), w, model, 100_000, seeded_rng(13, 0))
+        _, [se_small] = population_risk_many(GlmLoss("logistic"), [w], model, 1000, seeded_rng(13, 0))
+        _, [se_big] = population_risk_many(GlmLoss("logistic"), [w], model, 100_000, seeded_rng(13, 0))
         assert se_big < se_small / 5.0
 
 

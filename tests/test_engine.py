@@ -6,13 +6,11 @@ import pytest
 from dpsgld import engine
 from dpsgld.core import Dataset, Example, InvalidParameterError, seeded_rng
 from dpsgld.engine import (
-    RunRecord,
     SgldState,
     coupled_stability_run,
     run_multi_pass,
     run_single_pass,
     sgld_step,
-    write_run_record,
 )
 from dpsgld.losses import GlmLoss
 from dpsgld.schedules import MultiPassSchedule, multi_pass_schedule, single_pass_schedule
@@ -124,22 +122,6 @@ class TestRunSinglePass:
         data = toy_dataset(60, 2)
         rec = run_single_pass(data, LOGISTIC, sched, seeded_rng(1, 0), log_interval=7)
         assert [t for t, _ in rec.iterate_log] == [7, 14, 20]
-
-    def test_risk_eval_hook(self):
-        sched = single_pass_schedule(10, 1.0, 1.0, 0.5, 1e-5)
-        data = toy_dataset(40, 2)
-        calls = []
-
-        def fake_eval(w):
-            calls.append(np.linalg.norm(w))
-            return 0.5, 0.25
-
-        rec = run_single_pass(
-            data, LOGISTIC, sched, seeded_rng(1, 0), log_interval=5, risk_eval=fake_eval
-        )
-        assert [t for t, _, _ in rec.per_step_risk] == [5, 10]
-        assert len(calls) == 2
-        assert rec.per_step_risk[0][1:] == (0.5, 0.25)
 
     def test_first_step_output_ignores_data(self):
         # lambda_1 eta_1 = 1, so a T = 1 run is the prior draw N(0, beta0 I)
@@ -295,11 +277,10 @@ class TestReplicateBatches:
         sched = self.schedule()
         datasets = self.datasets(replicates)
         rngs = [seeded_rng(31, r) for r in range(replicates)]
-        kwargs = dict(log_interval=50, risk_eval=_norm_and_sum, risk_interval=70)
-        batch = run_multi_pass(datasets, LOGISTIC, sched, rngs, **kwargs)
+        batch = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=50)
         assert len(batch) == replicates
         for data, rng, record in zip(datasets, rngs, batch):
-            [alone] = run_multi_pass([data], LOGISTIC, sched, [rng], **kwargs)
+            [alone] = run_multi_pass([data], LOGISTIC, sched, [rng], log_interval=50)
             assert _record_digest(record) == _record_digest(alone)
 
     @pytest.mark.parametrize("replicates", [1, 3])
@@ -340,24 +321,6 @@ class TestReplicateBatches:
             run_multi_pass([data, toy_dataset(60, 4)], LOGISTIC, sched, [seeded_rng(1, 0)] * 2)
 
 
-def test_write_run_record_exact_format(tmp_path):
-    record = RunRecord(
-        mode="single-pass",
-        final_iterate=np.array([3.0, 4.0]),
-        iterate_log=[(1, np.array([0.6, 0.8])), (2, np.array([3.0, 4.0]))],
-        per_step_risk=[(2, 0.25, 0.125)],
-        samples_consumed=3,
-    )
-    path = tmp_path / "record.csv"
-    write_run_record(record, path)
-    expected = (
-        "t,risk_population,risk_empirical,iterate_norm\n"
-        "1,nan,nan,1\n"
-        "2,0.25,0.125,5\n"
-    )
-    assert path.read_text() == expected
-
-
 def _digest(*parts):
     # arrays hash by their float64 bytes, everything else by repr (exact for floats)
     h = hashlib.sha256()
@@ -369,42 +332,47 @@ def _digest(*parts):
     return h.hexdigest()
 
 
-def _record_digest(record):
+def _record_digest(record, log_interval=1, risk_interval=None):
+    """Digest of a record's mode, consumption, final iterate and (t, w_t) log.
+
+    For a record that logs every step, ``log_interval`` thins the log, and
+    ``risk_interval`` appends (t, w·w, Σw) at every risk_interval-th step and
+    the last (None without it): the golden digests were recorded in that form.
+    """
+    last = record.iterate_log[-1][0]
     parts = [record.mode, record.samples_consumed, record.final_iterate]
+    risks = None if risk_interval is None else []
     for t, w in record.iterate_log:
-        parts += [t, w]
-    return _digest(*parts, record.per_step_risk)
-
-
-def _norm_and_sum(w):
-    return float(w @ w), float(w.sum())
+        if t % log_interval == 0 or t == last:
+            parts += [t, w]
+        if risks is not None and (t % risk_interval == 0 or t == last):
+            risks.append((t, float(w @ w), float(w.sum())))
+    return _digest(*parts, risks)
 
 
 def _golden_single_logistic():
     sched = single_pass_schedule(48, 1.0, 1.0, 0.5, 1e-5)
     rec = run_single_pass(
-        toy_dataset(120, 6, seed=3), LOGISTIC, sched, seeded_rng(21, 0),
-        log_interval=1, risk_eval=_norm_and_sum,
+        toy_dataset(120, 6, seed=3), LOGISTIC, sched, seeded_rng(21, 0), log_interval=1
     )
-    return _record_digest(rec)
+    return _record_digest(rec, risk_interval=1)
 
 
 def _golden_single_hinge_d64():
     sched = single_pass_schedule(64, 1.0, 2.0, 0.8, 1e-5)
     rec = run_single_pass(
         toy_dataset(200, 64, seed=4), GlmLoss("smoothed-hinge", h=0.3), sched,
-        seeded_rng(22, 0), log_interval=3, risk_eval=_norm_and_sum, risk_interval=5,
+        seeded_rng(22, 0), log_interval=1,
     )
-    return _record_digest(rec)
+    return _record_digest(rec, log_interval=3, risk_interval=5)
 
 
 def _golden_multi_logistic():
     sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
     [rec] = run_multi_pass(
-        [toy_dataset(40, 5, seed=5)], LOGISTIC, sched, [seeded_rng(23, 0)],
-        log_interval=1, risk_eval=_norm_and_sum,
+        [toy_dataset(40, 5, seed=5)], LOGISTIC, sched, [seeded_rng(23, 0)], log_interval=1
     )
-    return _record_digest(rec)
+    return _record_digest(rec, risk_interval=1)
 
 
 def _golden_multi_quadratic_d33():

@@ -318,9 +318,10 @@ class TestCsvAndSidecar:
         config = small_config(PRIVACY_UTILITY, out_dir=str(tmp_path))
         rows, summary = run_experiment(config)
         csv_path, sidecar_path = write_results(config, rows, summary, elapsed_seconds=1.25)
-        csv_text = open(csv_path).read()
-        assert csv_text == rows_to_csv(rows)
-        sidecar = open(sidecar_path).read()
+        with open(csv_path) as fh:
+            assert fh.read() == rows_to_csv(rows)
+        with open(sidecar_path) as fh:
+            sidecar = fh.read()
         assert sidecar.startswith("version = ")
         assert "summary.worst_monotonicity_violation_se = " in sidecar
         assert "wall_clock_seconds = 1.250" in sidecar

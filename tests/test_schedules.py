@@ -10,6 +10,7 @@ from dpsgld.schedules import (
     MULTI_PASS,
     MultiPassSchedule,
     SINGLE_PASS,
+    SinglePassSchedule,
     minibatch_size,
     multi_pass_schedule,
     single_pass_schedule,
@@ -119,6 +120,29 @@ class TestSinglePassSchedule:
             s.lambda_eta(0)
         with pytest.raises(InvalidParameterError):
             s.batch_size(11)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("T", 0, "T must be an integer >= 1"),
+            ("T", 2.5, "T must be an integer >= 1"),
+            ("G", 0.0, "G must be > 0"),
+            ("eta0", -1.0, "eta0 must be > 0"),
+            ("epsilon", 0.0, "epsilon must be > 0"),
+            ("eta", float("nan"), "eta must be > 0"),
+            ("eta", -0.2, "eta must be > 0"),
+            ("beta0", 0.0, "beta0 must be > 0"),
+            ("delta", 0.0, r"delta must be in \(0, 1\)"),
+            ("delta", 1.0, r"delta must be in \(0, 1\)"),
+            ("renyi_order", 1.0, "Renyi order must be > 1"),
+        ],
+    )
+    def test_direct_construction_is_validated(self, field, value, message):
+        fields = dict(T=8, G=1.0, eta0=1.0, epsilon=0.5, delta=1e-5, eta=0.2, beta0=0.3, renyi_order=24.0)
+        SinglePassSchedule(**fields)
+        fields[field] = value
+        with pytest.raises(InvalidParameterError, match=message):
+            SinglePassSchedule(**fields)
 
 
 class TestMultiPassSchedule:
