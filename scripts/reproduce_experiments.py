@@ -2,8 +2,9 @@
 
 Each experiment goes through ``dpsgld experiment``, which writes one CSV plus
 one config/summary sidecar into --out and prints its summary. The full set
-takes a couple of minutes on one core; pass --only to run a subset, e.g.
---only stability --only privacy-utility. Exits nonzero if any run fails.
+takes about half a minute on one core, nearly all of it privacy-utility; pass
+--only to run a subset, e.g. --only stability --only excess-risk-vs-n. Exits
+nonzero if any run fails.
 """
 
 import argparse

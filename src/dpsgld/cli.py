@@ -5,8 +5,8 @@ nested keys via dots), merged with repeatable ``--set key=value`` overrides.
 ``run`` and ``experiment`` also take ``--seed``, ``--out`` and ``--quiet``;
 ``account`` writes nothing and draws nothing, so it takes none of them. A key
 the command does not read (an unknown name, or one that does not apply to the
-chosen mode or data source) is rejected by name. All floats print with 9
-significant digits (``core._fmt``).
+chosen mode, data source, experiment or loss) is rejected by name. All floats
+print with 9 significant digits (``core._fmt``).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .harness import (
     default_config,
     population_model,
     run_experiment,
+    unread_fields,
     write_results,
 )
 from .losses import GlmLoss, empirical_risk, loss_bounds
@@ -106,16 +107,18 @@ class _Options:
             wanted = one if scalar else f"comma-separated {many}"
             raise ConfigError(f"{key} must be {wanted}, got {value!r}") from None
 
-    def reject_leftovers(self):
-        if self._raw:
-            names = ", ".join(sorted(self._raw))
-            raise ConfigError(f"unknown config key(s): {names}")
+    def reject_leftovers(self, unread=()):
+        """Refuse what is left, plus the ``unread`` keys that were popped but do not apply."""
+        names = sorted([*self._raw, *unread])
+        if names:
+            raise ConfigError(f"unknown config key(s): {', '.join(names)}")
 
 
 def _loss_from(options: _Options) -> GlmLoss:
     family = options.get("loss.family", str, losses.LOGISTIC)
-    h = options.get("loss.h", float, 0.5)
-    return GlmLoss(family, h=h)
+    if family == losses.SMOOTHED_HINGE:
+        return GlmLoss(family, h=options.get("loss.h", float, 0.5))
+    return GlmLoss(family)
 
 
 def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
@@ -233,7 +236,9 @@ def cmd_experiment(options: _Options, seed: int, out_dir: str, quiet: bool) -> i
         value = options.get(f"experiment.{field}", kind)
         if value is not None:
             overrides[field] = value
-    options.reject_leftovers()
+    # a key the experiment never reads is refused like an unknown one
+    unread = unread_fields(name, overrides.get("loss_family", config.loss_family))
+    options.reject_leftovers(f"experiment.{field}" for field in overrides if field in unread)
     if overrides:
         config = replace(config, **overrides)
     started = time.monotonic()

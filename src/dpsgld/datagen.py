@@ -115,6 +115,21 @@ def draw_dataset(model: PopulationModel, n: int, rng: RngStream) -> Dataset:
     return Dataset(X, y, copy=False)
 
 
+def _planar(model: PopulationModel) -> bool:
+    """Whether the law is the sphere or ball law with d >= 3, so 2-D projections are exact."""
+    return model.feature_law != "low-rank" and model.d >= 3
+
+
+def _wstar_axis(model: PopulationModel) -> tuple[float, np.ndarray]:
+    """(‖wStar‖, u₁) with u₁ = wStar/‖wStar‖, or e₁ when wStar = 0."""
+    star_norm = float(np.linalg.norm(model.w_star))
+    if star_norm > 0:
+        return star_norm, model.w_star / star_norm
+    u1 = np.zeros(model.d)
+    u1[0] = 1.0
+    return star_norm, u1
+
+
 def _held_out_chunks(model: PopulationModel, n_test: int, rng: RngStream):
     """Yield the (X, y) chunks of an n_test-row held-out sample drawn from ``rng``."""
     gen = rng.generator
@@ -133,17 +148,12 @@ def _held_out_margins(model: PopulationModel, W: np.ndarray, n_test: int, rng: R
     module docstring for the 2-D law used on the sphere and ball laws when
     d >= 3.
     """
-    if model.feature_law == "low-rank" or model.d < 3:
+    if not _planar(model):
         for X, y in _held_out_chunks(model, n_test, rng):
             yield X @ W.T, y, X
         return
     gen = rng.generator
-    star_norm = float(np.linalg.norm(model.w_star))
-    if star_norm > 0:
-        u1 = model.w_star / star_norm
-    else:
-        u1 = np.zeros(model.d)
-        u1[0] = 1.0
+    star_norm, u1 = _wstar_axis(model)
     # with wStar on a coordinate axis, as the harness and CLI build it, u1 is
     # exact and an iterate parallel to wStar gets a second coordinate of 0
     along = W @ u1

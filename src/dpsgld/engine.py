@@ -26,7 +26,9 @@ experiment hands it each replicate's data in a basis of the rows' span, and
 lifts the result itself (see ``harness``). On d-dimensional data it is the
 library path and the reference that the reduced chains are tested against.
 A run returns its final iterate and a thinned log of iterates; scoring them
-(risk, norms) is the caller's job.
+(risk, norms) is the caller's job. Under the logistic and smoothed-hinge
+losses a run refuses labels outside [−1, 1], on which their gradient bound G
+rests.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, InvalidParameterError, RngStream, Vector, as_vector, seeded_rng
-from .losses import GlmLoss, loss_bounds
+from .losses import QUADRATIC, GlmLoss, loss_bounds
 from .schedules import MultiPassSchedule, SinglePassSchedule
 
 # A block of steps gathers about 1 MB of rows (unit batches) across all
@@ -151,6 +153,23 @@ def _groups(count: int, T: int) -> list:
     return [slice(lo, lo + size) for lo in range(0, count, size)]
 
 
+def _require_labels(loss: GlmLoss, datasets) -> None:
+    """Refuse labels outside [−1, 1] under the ±1 losses, naming the first bad row.
+
+    The logistic and smoothed-hinge bounds G assume |y| <= 1; the quadratic
+    family takes real labels.
+    """
+    if loss.family == QUADRATIC:
+        return
+    for r, data in enumerate(datasets):
+        bad = np.flatnonzero(np.abs(data.y) > 1.0)
+        if bad.size:
+            raise InvalidParameterError(
+                f"dataset {r}, example {bad[0]}: label {data.y[bad[0]]:.17g} lies outside "
+                f"[-1, 1], which the {loss.family} loss needs"
+            )
+
+
 def _require_batch(datasets: list, streams: list) -> None:
     if len(datasets) != len(streams):
         raise InvalidParameterError(
@@ -246,6 +265,7 @@ def run_single_pass(
         log_interval: iterate-log thinning; default max(1, T//1000). The final
             iterate is always logged.
     """
+    _require_labels(loss, [dataset])
     budget = schedule.sample_budget
     if dataset.n < budget:
         raise InvalidParameterError(
@@ -274,6 +294,7 @@ def run_multi_pass(
     """
     datasets, rngs = list(datasets), list(rngs)
     _require_batch(datasets, rngs)
+    _require_labels(loss, datasets)
     if schedule.T == 0:
         records = []
         for data, rng in zip(datasets, rngs):
@@ -313,6 +334,7 @@ def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, see
                 "neighboring datasets may differ only in the last example"
             )
     _require_batch([dataset for dataset, _ in pairs], seeds)
+    _require_labels(loss, [data for pair in pairs for data in pair])
     bounds = loss_bounds(loss)
     eta1 = schedule.eta(1)
     if bounds.L > 0 and eta1 > 1.0 / bounds.L:

@@ -11,6 +11,26 @@ evaluation sample lives on its own stream shared by all evaluations, so risks
 are compared under common random numbers. Wall-clock time goes to the sidecar
 text file, never into the CSV, so reruns are byte-identical.
 
+The single-pass experiments run, on the sphere and ball laws with d >= 3,
+the exact-in-law chain of (α, β) = (u₁ᵀw, ‖w − (u₁ᵀw)u₁‖) with
+u₁ = w*/‖w*‖ (e₁ when w* = 0), from (0, 0). A single pass reads each i.i.d.
+row once, and the law of the rows and of the noise is invariant under the
+rotations that fix u₁, so step t may use fresh rows written in a frame
+(u₁, v), v the direction of w's part orthogonal to u₁. Each of the b rows is
+r·g/‖g‖ with g ~ N(0, I_d) and r the ball radius (1 on the sphere); its
+(u₁, v) coordinates come from (g₁, g₂), and its part outside span{u₁, v},
+like the noise's, is a standard Gaussian vector in R^(d−2). Only the Gram
+matrix S of those b + 1 vectors enters the step, through the rows' norms
+‖g‖² = g₁² + g₂² + S_ii and the new orthogonal length: with a = 1 − λ_tη,
+α ← a(α − (η/b)Σφ′_i x_i1) + σ_t z₁ and β ← √(β₂² + cᵀSc), where
+β₂ = a(β − (η/b)Σφ′_i x_i2) + σ_t z₂, c_i = −a(η/b)φ′_i r_i/‖g_i‖ and
+c_(b+1) = σ_t. S is drawn as LLᵀ from its Bartlett factor (χ_(d−2−j) on the
+diagonal, N(0, 1) below it, no columns past d − 2), so a step costs O(b²)
+whatever d is and no n × d data is drawn. The final (α, β) is lifted to
+α·u₁ + β·e₂ and scored by the 2-D evaluator, which sees exactly (α, β). The
+low-rank law and d < 3 run the engine on drawn data, which is also the
+reference the reduced chain is tested against.
+
 Privacy-utility runs each multi-pass chain in the span of its data. A
 gradient φ′·x lies in span{x₁…x_n}, so the iterate's part orthogonal to that
 span is a data-free Gaussian AR(1) chain, and the rest lives in the
@@ -36,10 +56,13 @@ from .datagen import (
     LOGISTIC_KIND,
     QUADRATIC_KIND,
     PopulationModel,
+    _draw_labels,
+    _planar,
+    _wstar_axis,
     draw_dataset,
     population_risk_many,
 )
-from .engine import coupled_stability_run, run_multi_pass, run_single_pass
+from .engine import _steps, coupled_stability_run, run_multi_pass, run_single_pass
 from .losses import GlmLoss, loss_bounds
 from .oracles import stability_bound, theorem1_excess_bound, theorem2_excess_bound
 from .privacy import certify_theorem1, certify_theorem2
@@ -59,9 +82,13 @@ COMPLEMENT_SUBSTREAM = 11
 EVAL_STREAM = 1 << 20
 
 # What produces each experiment's rows, named in its sidecar.
+_SINGLE_PASS_SIMULATOR = (
+    "the exact-in-law chain of (u1'w, |w - (u1'w)u1|) on the sphere and ball laws with d >= 3; "
+    "engine.run_single_pass on d-dimensional data for the low-rank law and d < 3"
+)
 SIMULATORS = {
-    EXCESS_RISK_VS_N: "engine.run_single_pass on d-dimensional data",
-    DIMENSION_INDEPENDENCE: "engine.run_single_pass on d-dimensional data",
+    EXCESS_RISK_VS_N: _SINGLE_PASS_SIMULATOR,
+    DIMENSION_INDEPENDENCE: _SINGLE_PASS_SIMULATOR,
     STABILITY: "engine.coupled_stability_run on d-dimensional data",
     PRIVACY_UTILITY: (
         "engine.run_multi_pass in the span of each replicate's data; "
@@ -70,6 +97,9 @@ SIMULATORS = {
 }
 
 LOGLOG_FLOOR = 1e-6
+
+# Floats per replicate in one block of the reduced chain's bulk draws.
+_REDUCED_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -126,6 +156,23 @@ class ExperimentConfig:
             raise InvalidParameterError(f"{self.experiment} needs exactly one d")
         if self.dim_factor < 1:
             raise InvalidParameterError(f"dim factor must be >= 1, got {self.dim_factor}")
+
+
+# The ExperimentConfig fields each experiment never reads; the CLI refuses them.
+UNREAD_FIELDS = {
+    EXCESS_RISK_VS_N: ("d_grid", "eps_grid", "pass_exponent", "checkpoints"),
+    DIMENSION_INDEPENDENCE: ("eps_grid", "pass_exponent", "dim_factor", "checkpoints"),
+    STABILITY: ("eps_grid", "n_test", "dim_factor"),
+    PRIVACY_UTILITY: ("epsilon", "dim_factor", "checkpoints"),
+}
+
+
+def unread_fields(experiment: str, loss_family: str) -> tuple[str, ...]:
+    """The fields ``experiment`` never reads; only smoothed hinge reads its half-width."""
+    unread = UNREAD_FIELDS[experiment]
+    if loss_family != losses.SMOOTHED_HINGE:
+        unread += ("hinge_half_width",)
+    return unread
 
 
 def default_config(experiment: str, seed: int = 1234, out_dir: str = ".") -> ExperimentConfig:
@@ -254,6 +301,74 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(r))
 
 
+def _reduced_draws(model: PopulationModel, star_norm: float, b: int, steps: int, gen):
+    """The state-free draws of ``steps`` reduced-chain steps of batch size b.
+
+    Returns (x, scale, y, z, L): the rows' (u₁, v) coordinates x (steps, b, 2),
+    their r/‖g‖ (steps, b), labels (steps, b), the noise's (u₁, v) part
+    (steps, 2), and the Bartlett factor L (steps, b + 1, min(b + 1, d − 2)) of
+    the Gram matrix of the b + 1 parts outside span{u₁, v}.
+    """
+    p = model.d - 2
+    m = b + 1
+    q = min(m, p)
+    L = np.tril(gen.standard_normal((steps, m, q)), -1)
+    diag = np.arange(q)
+    L[:, diag, diag] = np.sqrt(gen.chisquare(p - diag, size=(steps, q)))
+    g = gen.standard_normal((steps, b, 2))
+    scale = 1.0 / np.sqrt(np.sum(g * g, axis=2) + np.sum(L[:, :b] ** 2, axis=2))
+    if model.feature_law == "ball":
+        scale *= gen.uniform(0.5, 1.0, size=(steps, b))
+    x = g * scale[..., None]
+    y = _draw_labels(model, star_norm * x[..., 0].reshape(-1), gen).reshape(steps, b)
+    return x, scale, y, gen.standard_normal((steps, 2)), L
+
+
+def _reduced_single_pass(model: PopulationModel, loss, schedule, reps) -> np.ndarray:
+    """Final iterates of single-pass chains run as the (α, β) chain, lifted to d dimensions.
+
+    Replicate r's chain draws from its own DATA_SUBSTREAM generator, a block
+    of steps of one batch size at a time, so its output does not depend on
+    which replicates run beside it. The final (α, β) is lifted to α·u₁ + β·e₂,
+    which the 2-D evaluator scores exactly; e₂ ⊥ u₁ because ``population_model``
+    puts wStar on e₁. See the module docstring for why the chain is exact.
+    """
+    star_norm, u1 = _wstar_axis(model)
+    gens = [rep.substream(DATA_SUBSTREAM).generator for rep in reps]
+    alpha = np.zeros(len(gens))
+    beta = np.zeros(len(gens))
+    etas, lambda_etas, sigmas, sizes = _steps(
+        schedule.etas, schedule.lambda_etas, schedule.beta0, schedule.batch_sizes
+    )
+    shrinks, etas, sigmas = (1.0 - lambda_etas).tolist(), etas.tolist(), sigmas.tolist()
+    runs = np.flatnonzero(np.diff(sizes, prepend=0, append=0))
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        b = int(sizes[lo])
+        c = np.empty((len(gens), b + 1))
+        block = max(1, _REDUCED_BLOCK_FLOATS // ((b + 1) * (b + 1)))
+        for start in range(lo, hi, block):
+            stop = min(hi, start + block)
+            draws = [_reduced_draws(model, star_norm, b, stop - start, gen) for gen in gens]
+            x, scale, y, z, L = (np.stack(part) for part in zip(*draws))
+            for k, t in enumerate(range(start, stop)):
+                a, s = shrinks[t], sigmas[t]
+                xk = x[:, k]
+                margins = alpha[:, None] * xk[..., 0] + beta[:, None] * xk[..., 1]
+                # u_i = −a(η/b)φ′_i: the drift is Σu_i·x_i and c_i = u_i·r_i/‖g_i‖
+                u = loss.phi_prime(margins, y[:, k]) * (-a * etas[t] / b)
+                drift = np.sum(u[..., None] * xk, axis=1)
+                alpha = a * alpha + drift[:, 0] + s * z[:, k, 0]
+                beta_v = a * beta + drift[:, 1] + s * z[:, k, 1]
+                np.multiply(u, scale[:, k], out=c[:, :b])
+                c[:, b] = s
+                # cᵀSc = ‖Lᵀc‖²
+                outside = np.sum(c[..., None] * L[:, k], axis=1)
+                beta = np.sqrt(beta_v * beta_v + np.sum(outside * outside, axis=1))
+    e2 = np.zeros(model.d)
+    e2[1] = 1.0
+    return np.outer(alpha, u1) + np.outer(beta, e2)
+
+
 def _single_pass_point(config, loss, n: int, d: int) -> ResultRow:
     """Run one (n, d) cell of a single-pass experiment and aggregate it."""
     eps, delta = _resolved(config, n)
@@ -264,12 +379,17 @@ def _single_pass_point(config, loss, n: int, d: int) -> ResultRow:
         return _error_row(config, n, d, eps, delta, err)
     model = _model(config, d)
     budget = schedule.sample_budget
-    finals = []
-    for r in range(config.replicates):
-        rep = seeded_rng(config.seed, r)
-        data = draw_dataset(model, budget, rep.substream(DATA_SUBSTREAM))
-        record = run_single_pass(data, loss, schedule, rep, log_interval=schedule.T)
-        finals.append(record.final_iterate)
+    reps = [seeded_rng(config.seed, r) for r in range(config.replicates)]
+    if _planar(model):
+        finals = list(_reduced_single_pass(model, loss, schedule, reps))
+    else:
+        finals = [
+            run_single_pass(
+                draw_dataset(model, budget, rep.substream(DATA_SUBSTREAM)),
+                loss, schedule, rep, log_interval=schedule.T,
+            ).final_iterate
+            for rep in reps
+        ]
     est, _ = population_risk_many(
         loss, finals + [model.w_star], model, config.n_test, _eval_rng(config)
     )

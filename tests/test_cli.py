@@ -9,7 +9,7 @@ import pytest
 from dpsgld.cli import ConfigError, main, parse_config_text
 from dpsgld.core import seeded_rng
 from dpsgld.datagen import draw_dataset, export_dataset, PopulationModel
-from dpsgld.harness import ExperimentConfig
+from dpsgld.harness import EXPERIMENTS, UNREAD_FIELDS, ExperimentConfig
 
 
 def run_main(capsys, argv):
@@ -316,16 +316,25 @@ class TestExperimentKeys:
     }
 
     def test_every_config_field_is_settable(self, capsys, tmp_path):
+        # each experiment gets every field it reads, and reads each one back
         fixed = {"experiment", "seed", "out_dir"}
         assert set(self.EVERY_FIELD) == {f.name for f in fields(ExperimentConfig)} - fixed
-        argv = ["experiment", "--out", str(tmp_path), "--set", "experiment.name=stability"]
-        for field, value in self.EVERY_FIELD.items():
-            argv += ["--set", f"experiment.{field}={value}"]
-        code, _, err = run_main(capsys, argv)
-        assert code == 0, err
-        echo = parse_kv((tmp_path / "stability.config.txt").read_text())
-        for field, value in self.EVERY_FIELD.items():
-            assert echo[field] == value, field
+        read_somewhere = set()
+        for name in EXPERIMENTS:
+            reads = {
+                field: value for field, value in self.EVERY_FIELD.items()
+                if field not in UNREAD_FIELDS[name]
+            }
+            argv = ["experiment", "--out", str(tmp_path), "--set", f"experiment.name={name}"]
+            for field, value in reads.items():
+                argv += ["--set", f"experiment.{field}={value}"]
+            code, _, err = run_main(capsys, argv)
+            assert code == 0, (name, err)
+            echo = parse_kv((tmp_path / f"{name}.config.txt").read_text())
+            for field, value in reads.items():
+                assert echo[field] == value, (name, field)
+            read_somewhere |= set(reads)
+        assert read_somewhere == set(self.EVERY_FIELD)
 
         for field in sorted(fixed):
             argv += ["--set", f"experiment.{field}=x"]
@@ -335,6 +344,52 @@ class TestExperimentKeys:
             "unknown config key(s): experiment.experiment, experiment.out_dir, experiment.seed"
             in err
         )
+
+    @pytest.mark.parametrize(
+        "name, settings, refused",
+        [
+            ("stability", ["eps_grid=0.2"], "eps_grid"),
+            ("stability", ["n_test=500"], "n_test"),
+            ("stability", ["dim_factor=3"], "dim_factor"),
+            ("dimension-independence", ["eps_grid=0.2"], "eps_grid"),
+            ("dimension-independence", ["pass_exponent=1.5"], "pass_exponent"),
+            ("dimension-independence", ["dim_factor=3"], "dim_factor"),
+            ("dimension-independence", ["checkpoints=1"], "checkpoints"),
+            ("excess-risk-vs-n", ["d_grid=3"], "d_grid"),
+            ("excess-risk-vs-n", ["eps_grid=0.2"], "eps_grid"),
+            ("excess-risk-vs-n", ["pass_exponent=1.5"], "pass_exponent"),
+            ("excess-risk-vs-n", ["checkpoints=1"], "checkpoints"),
+            ("privacy-utility", ["epsilon=0.7"], "epsilon"),
+            ("privacy-utility", ["dim_factor=3"], "dim_factor"),
+            ("privacy-utility", ["checkpoints=1"], "checkpoints"),
+            ("stability", ["hinge_half_width=0.25"], "hinge_half_width"),
+            (
+                "privacy-utility",
+                ["loss_family=quadratic", "hinge_half_width=0.25"],
+                "hinge_half_width",
+            ),
+        ],
+    )
+    def test_unread_keys_are_refused(self, capsys, tmp_path, name, settings, refused):
+        argv = ["experiment", "--out", str(tmp_path / "out"), "--set", f"experiment.name={name}"]
+        for setting in settings:
+            argv += ["--set", f"experiment.{setting}"]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: unknown config key(s): experiment.{refused}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_unread_and_unknown_keys_are_listed_together(self, capsys, tmp_path):
+        code, _, err = run_main(
+            capsys,
+            [
+                "experiment", "--out", str(tmp_path), "--set", "experiment.name=stability",
+                "--set", "experiment.n_test=500", "--set", "experiment.nn_grid=4",
+            ],
+        )
+        assert code == 2
+        assert err == "error: unknown config key(s): experiment.n_test, experiment.nn_grid\n"
 
 
 class TestErrorPaths:
@@ -414,10 +469,16 @@ class TestErrorPaths:
             ["run", "--set", "data.file={data}", "--set", "schedule.T=8", "--set", "data.n=40"],
             "unknown config key(s): data.n",
         ),
+        (["run", "--set", "loss.h=0.3"], "unknown config key(s): loss.h"),
+        (
+            ["run", "--set", "loss.family=quadratic", "--set", "loss.h=0.3"],
+            "unknown config key(s): loss.h",
+        ),
     ],
     ids=[
         "account-out", "account-seed", "account-quiet", "multi-pass-T",
         "single-pass-exponent", "file-with-shape", "file-with-n",
+        "logistic-h", "quadratic-h",
     ],
 )
 def test_inapplicable_flags_and_keys_are_refused(capsys, tmp_path, argv, message):
@@ -437,6 +498,18 @@ def test_inapplicable_flags_and_keys_are_refused(capsys, tmp_path, argv, message
     assert captured.out == ""
     assert message in captured.err
     assert not out_dir.exists()
+
+
+def test_hinge_half_width_is_read_for_smoothed_hinge(capsys, tmp_path):
+    settings = ["--set", "loss.family=smoothed-hinge", "--set", "schedule.T=8", "--set", "data.d=4"]
+    argv = ["run", "--quiet", "--out", str(tmp_path / "{}")] + settings
+    assert main([arg.format("a") for arg in argv] + ["--set", "loss.h=0.1"]) == 0
+    assert main([arg.format("b") for arg in argv] + ["--set", "loss.h=0.9"]) == 0
+    capsys.readouterr()
+    # the width changes the loss, so it changes the recorded empirical risk
+    assert (tmp_path / "a" / "run_record.csv").read_bytes() != (
+        tmp_path / "b" / "run_record.csv"
+    ).read_bytes()
 
 
 def test_selftest_is_not_a_subcommand(capsys):

@@ -250,6 +250,42 @@ class TestCoupledStabilityRun:
                 coupled_stability_run([(data, prime)] * replicates, QUADRATIC, hot, list(range(replicates)))
 
 
+class TestLabelRange:
+    """The logistic and smoothed-hinge losses refuse labels outside [-1, 1] where a run starts."""
+
+    def labelled(self, y_bad_at=None, label=5.0, n=30):
+        data = toy_dataset(n, 3, seed=4)
+        y = data.y.copy()
+        if y_bad_at is not None:
+            y[y_bad_at] = label
+        return Dataset(data.X, y)
+
+    @pytest.mark.parametrize("family", ["logistic", "smoothed-hinge"])
+    def test_every_entry_point_names_the_first_bad_row(self, family):
+        loss = GlmLoss(family)
+        good, bad = self.labelled(), self.labelled(y_bad_at=7)
+        y = bad.y.copy()
+        y[11] = -3.0
+        worse = Dataset(bad.X, y)
+        message = rf"dataset 1, example 7: label 5 lies outside \[-1, 1\], which the {family} loss"
+        single = single_pass_schedule(16, 1.0, 1.0, 0.5, 1e-4)
+        with pytest.raises(InvalidParameterError, match="dataset 0, example 7: label 5 "):
+            run_single_pass(worse, loss, single, seeded_rng(0, 0))
+        multi = multi_pass_schedule(30, 1.5, 0.9, 1e-4, 0.2, 1.0)
+        with pytest.raises(InvalidParameterError, match=message):
+            run_multi_pass([good, worse], loss, multi, [seeded_rng(0, r) for r in range(2)])
+        # the pair (dataset, dataset′) counts as datasets 0 and 1
+        twin = Dataset(good.X, np.r_[good.y[:-1], 5.0])
+        with pytest.raises(InvalidParameterError, match="dataset 1, example 29: label 5 "):
+            coupled_stability_run([(good, twin)], loss, multi, [1])
+
+    def test_boundary_labels_and_quadratic_labels_run(self):
+        at_edge = self.labelled(y_bad_at=3, label=-1.0)
+        multi = multi_pass_schedule(30, 1.5, 0.9, 1e-4, 0.2, 1.0)
+        run_multi_pass([at_edge], LOGISTIC, multi, [seeded_rng(0, 0)])
+        run_multi_pass([self.labelled(y_bad_at=3)], QUADRATIC, multi, [seeded_rng(0, 0)])
+
+
 class TestReplicateBatches:
     """A batch of replicates gives each one exactly what it gets alone."""
 

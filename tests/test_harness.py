@@ -1,12 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dpsgld import engine, harness
+from dpsgld import datagen, engine, harness
 from dpsgld.core import Dataset, InvalidParameterError, seeded_rng
+from dpsgld.datagen import draw_dataset
 from dpsgld.harness import (
     COMPLEMENT_SUBSTREAM,
+    DATA_SUBSTREAM,
     DIMENSION_INDEPENDENCE,
     EXCESS_RISK_VS_N,
     EXPERIMENTS,
@@ -17,6 +20,7 @@ from dpsgld.harness import (
     ResultRow,
     _checkpoint_ladder,
     _complement,
+    _reduced_single_pass,
     _span_basis,
     _span_runs,
     config_echo,
@@ -29,8 +33,8 @@ from dpsgld.harness import (
     summarize,
     write_results,
 )
-from dpsgld.losses import GlmLoss
-from dpsgld.schedules import multi_pass_schedule
+from dpsgld.losses import GlmLoss, loss_bounds
+from dpsgld.schedules import multi_pass_schedule, single_pass_schedule
 
 
 class TestLoglogSlopeFit:
@@ -328,6 +332,17 @@ class TestCsvAndSidecar:
         assert "experiment = privacy-utility" in sidecar
         assert "\nsimulator = engine.run_multi_pass in the span of each replicate's data;" in sidecar
 
+        single = small_config(DIMENSION_INDEPENDENCE, out_dir=str(tmp_path))
+        _, sidecar_path = write_results(single, *run_experiment(single))
+        with open(sidecar_path) as fh:
+            sidecar = fh.read()
+        assert (
+            "\nsimulator = the exact-in-law chain of (u1'w, |w - (u1'w)u1|) on the sphere and "
+            "ball laws with d >= 3; engine.run_single_pass on d-dimensional data for the "
+            "low-rank law and d < 3\n"
+        ) in sidecar
+        assert harness.SIMULATORS[EXCESS_RISK_VS_N] == harness.SIMULATORS[DIMENSION_INDEPENDENCE]
+
     def test_summarize_empty_after_errors(self):
         config = small_config(PRIVACY_UTILITY, eps_grid=(0.01,))
         rows, summary = run_experiment(config)
@@ -442,3 +457,138 @@ class TestSpanRuns:
         rows, _ = run_experiment(config)
         assert rows[0].d == 4096 and rows[0].note == ""
         assert seen == [16, 16]
+
+
+def _z(a, b):
+    se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+    return (a.mean() - b.mean()) / se
+
+
+def _final_coordinates(W):
+    """(α, β) = (e₁ᵀw, ‖w − (e₁ᵀw)e₁‖) of each row; the harness puts wStar on e₁."""
+    return W[:, 0], np.linalg.norm(W[:, 1:], axis=1)
+
+
+class TestReducedSinglePass:
+    """Single-pass chains on the sphere and ball laws run as the (α, β) chain."""
+
+    @pytest.mark.parametrize(
+        "law, family, n, d, eps, eta0",
+        [
+            ("ball", "logistic", 64, 40, None, 1.0),
+            ("sphere", "logistic", 128, 100, 20.0, 4.0),
+            # d − 2 = 3 < b + 1 from b = 3 on: a rank-deficient Bartlett factor
+            ("sphere", "quadratic", 64, 5, None, 1.0),
+            ("ball", "quadratic", 64, 24, 20.0, 4.0),
+        ],
+    )
+    def test_reduced_chain_has_the_law_of_the_engine(self, law, family, n, d, eps, eta0):
+        # Two independent samples of 1 000 chains: the reduced chain against
+        # engine.run_single_pass on drawn d-dimensional data, each drawn from
+        # DATA_SUBSTREAM as the experiments draw it. The means and variances of
+        # α and β must agree within 4.5 standard errors. The tolerance was
+        # fixed before the first run. The harness default ε = n^(−1/4) leaves
+        # the chains noise-dominated; ε = 20, η₀ = 4 lets the data drive them.
+        chains = 1000
+        loss = GlmLoss(family)
+        eps = eps if eps is not None else n**-0.25
+        schedule = single_pass_schedule(n, loss_bounds(loss).G, eta0, eps, 1.0 / n**2)
+        model = population_model(family, d, 2.0, law, 0.1)
+        reduced = _reduced_single_pass(
+            model, loss, schedule, [seeded_rng(1, r) for r in range(chains)]
+        )
+        full = []
+        for r in range(chains):
+            rep = seeded_rng(2, r)
+            data = draw_dataset(model, schedule.sample_budget, rep.substream(DATA_SUBSTREAM))
+            full.append(
+                engine.run_single_pass(data, loss, schedule, rep, log_interval=schedule.T)
+                .final_iterate
+            )
+        worst = {}
+        for name, a, b in zip(
+            ("alpha", "beta"), _final_coordinates(reduced), _final_coordinates(np.stack(full))
+        ):
+            worst[f"{name} mean"] = _z(a, b)
+            worst[f"{name} var"] = _z((a - a.mean()) ** 2, (b - b.mean()) ** 2)
+        assert max(abs(z) for z in worst.values()) <= 4.5, worst
+
+    def test_replicate_output_does_not_depend_on_its_neighbours(self):
+        loss = GlmLoss("logistic")
+        schedule = single_pass_schedule(40, 1.0, 1.0, 0.5, 1e-3)
+        for law, d in (("ball", 30), ("sphere", 4)):
+            model = population_model("logistic", d, 2.0, law, 0.1)
+            reps = [seeded_rng(6, r) for r in range(3)]
+            together = _reduced_single_pass(model, loss, schedule, reps)
+            for r, rep in enumerate(reps):
+                alone = _reduced_single_pass(model, loss, schedule, [seeded_rng(6, r)])
+                np.testing.assert_array_equal(together[r], alone[0])
+            assert together.shape == (3, d)
+            np.testing.assert_array_equal(together[:, 2:], 0.0)
+            assert np.all(together[:, 1] > 0)
+
+    def test_small_blocks_keep_replicates_independent(self, monkeypatch):
+        # splitting a run of equal batch sizes into blocks redraws the numbers
+        # but keeps every replicate independent of its neighbours
+        loss = GlmLoss("logistic")
+        schedule = single_pass_schedule(40, 1.0, 1.0, 0.5, 1e-3)
+        model = population_model("logistic", 12, 2.0, "ball", 0.1)
+        monkeypatch.setattr(harness, "_REDUCED_BLOCK_FLOATS", 8)
+        reps = [seeded_rng(6, r) for r in range(2)]
+        together = _reduced_single_pass(model, loss, schedule, reps)
+        alone = _reduced_single_pass(model, loss, schedule, [seeded_rng(6, 1)])
+        np.testing.assert_array_equal(together[1], alone[0])
+
+    @pytest.mark.parametrize(
+        "law, d_grid", [("low-rank", (8,)), ("sphere", (2,)), ("ball", (1,))]
+    )
+    def test_low_rank_law_and_small_d_use_the_engine(self, monkeypatch, law, d_grid):
+        calls = []
+
+        def recording(data, *args, **kwargs):
+            calls.append(data.d)
+            return engine.run_single_pass(data, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the reduced chain ran")
+
+        monkeypatch.setattr(harness, "run_single_pass", recording)
+        monkeypatch.setattr(harness, "_reduced_single_pass", refuse)
+        config = small_config(DIMENSION_INDEPENDENCE, d_grid=d_grid, feature_law=law)
+        rows, _ = run_experiment(config)
+        assert [row.note for row in rows] == [""]
+        assert calls == [d_grid[0]] * config.replicates
+
+    def test_sphere_and_ball_never_draw_d_dimensional_rows(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("d-dimensional rows were drawn")
+
+        monkeypatch.setattr(datagen, "_draw_features", refuse)
+        monkeypatch.setattr(harness, "run_single_pass", refuse)
+        for law in ("sphere", "ball"):
+            for experiment in (EXCESS_RISK_VS_N, DIMENSION_INDEPENDENCE):
+                rows, _ = run_experiment(small_config(experiment, feature_law=law))
+                assert all(row.note == "" and math.isfinite(row.mean_value) for row in rows)
+
+
+def test_dimension_independence_far_beyond_the_default_grid(monkeypatch):
+    # Criterion 10's checks on n = 512 with the default replicates and n_test,
+    # sphere law, at d up to 131 072: max/min mean excess risk <= 1.5 and one
+    # distinct accounted epsilon. No d-dimensional data is drawn and the
+    # engine never runs, so d costs nothing but the final lift.
+    def refuse(*args, **kwargs):
+        raise AssertionError("d-dimensional work ran")
+
+    monkeypatch.setattr(datagen, "_draw_features", refuse)
+    monkeypatch.setattr(engine, "run_single_pass", refuse)
+    monkeypatch.setattr(harness, "run_single_pass", refuse)
+    config = replace(default_config(DIMENSION_INDEPENDENCE), d_grid=(512, 8192, 131072))
+    assert (config.n_grid, config.feature_law, config.replicates, config.n_test) == (
+        (512,), "sphere", 30, 100_000
+    )
+    rows, summary = run_experiment(config)
+    assert [row.d for row in rows] == [512, 8192, 131072]
+    assert all(row.note == "" for row in rows)
+    assert summary["eps_accounted_distinct"] == 1
+    ratio = summary["excess_max_over_min"]
+    assert ratio <= 1.5, f"excess risk ratio across d is {ratio} > 1.5"
