@@ -24,9 +24,10 @@ matrix S of those b + 1 vectors enters the step, through the rows' norms
 ‖g‖² = g₁² + g₂² + S_ii and the new orthogonal length: with a = 1 − λ_tη,
 α ← a(α − (η/b)Σφ′_i x_i1) + σ_t z₁ and β ← √(β₂² + cᵀSc), where
 β₂ = a(β − (η/b)Σφ′_i x_i2) + σ_t z₂, c_i = −a(η/b)φ′_i r_i/‖g_i‖ and
-c_(b+1) = σ_t. S is drawn as LLᵀ from its Bartlett factor (χ_(d−2−j) on the
-diagonal, N(0, 1) below it, no columns past d − 2), so a step costs O(b²)
-whatever d is and no n × d data is drawn. The final (α, β) is lifted to
+c_(b+1) = σ_t, with φ′ clipped to [−γ₁, γ₁] as in the engine. S is drawn
+as LLᵀ from its Bartlett factor (χ_(d−2−j) on the diagonal, N(0, 1) below
+it, no columns past d − 2), so a step costs O(b²) whatever d is and no
+n × d data is drawn. The final (α, β) is lifted to
 α·u₁ + β·e₂ and scored by the 2-D evaluator, which sees exactly (α, β). The
 low-rank law and d < 3 run the engine on drawn data, which is also the
 reference the reduced chain is tested against.
@@ -92,7 +93,9 @@ SIMULATORS = {
     STABILITY: "engine.coupled_stability_run on d-dimensional data",
     PRIVACY_UTILITY: (
         "engine.run_multi_pass in the span of each replicate's data; "
-        "lifted to d dimensions with an exact draw of the orthogonal part"
+        "lifted to d dimensions with an exact draw of the orthogonal part; "
+        "steps advance in blocks whose margins are solved exactly, "
+        "equal to the per-step chain up to rounding"
     ),
 }
 
@@ -316,7 +319,7 @@ def _reduced_draws(model: PopulationModel, star_norm: float, b: int, steps: int,
     diag = np.arange(q)
     L[:, diag, diag] = np.sqrt(gen.chisquare(p - diag, size=(steps, q)))
     g = gen.standard_normal((steps, b, 2))
-    scale = 1.0 / np.sqrt(np.sum(g * g, axis=2) + np.sum(L[:, :b] ** 2, axis=2))
+    scale = 1.0 / np.sqrt((g * g).sum(axis=2) + (L[:, :b] ** 2).sum(axis=2))
     if model.feature_law == "ball":
         scale *= gen.uniform(0.5, 1.0, size=(steps, b))
     x = g * scale[..., None]
@@ -355,15 +358,15 @@ def _reduced_single_pass(model: PopulationModel, loss, schedule, reps) -> np.nda
                 xk = x[:, k]
                 margins = alpha[:, None] * xk[..., 0] + beta[:, None] * xk[..., 1]
                 # u_i = −a(η/b)φ′_i: the drift is Σu_i·x_i and c_i = u_i·r_i/‖g_i‖
-                u = loss.phi_prime(margins, y[:, k]) * (-a * etas[t] / b)
-                drift = np.sum(u[..., None] * xk, axis=1)
+                u = loss.clipped_phi_prime(margins, y[:, k]) * (-a * etas[t] / b)
+                drift = (u[..., None] * xk).sum(axis=1)
                 alpha = a * alpha + drift[:, 0] + s * z[:, k, 0]
                 beta_v = a * beta + drift[:, 1] + s * z[:, k, 1]
                 np.multiply(u, scale[:, k], out=c[:, :b])
                 c[:, b] = s
                 # cᵀSc = ‖Lᵀc‖²
-                outside = np.sum(c[..., None] * L[:, k], axis=1)
-                beta = np.sqrt(beta_v * beta_v + np.sum(outside * outside, axis=1))
+                outside = (c[..., None] * L[:, k]).sum(axis=1)
+                beta = np.sqrt(beta_v * beta_v + (outside * outside).sum(axis=1))
     e2 = np.zeros(model.d)
     e2[1] = 1.0
     return np.outer(alpha, u1) + np.outer(beta, e2)

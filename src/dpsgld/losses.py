@@ -10,6 +10,7 @@ bound; all hold under ‖x‖₂ ≤ 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -71,6 +72,20 @@ class GlmLoss:
             )
             return y * slope
         return a - y
+
+    def clipped_phi_prime(self, a, y):
+        """φ′ clipped to [−γ₁, γ₁], so a step's gradient φ′·x obeys G when ‖x‖₂ ≤ 1.
+
+        This is the clip the samplers apply: it enforces the quadratic family's
+        G on every label and iterate, and never fires under the logistic and
+        smoothed-hinge losses with |y| <= 1.
+        """
+        bound = self._gamma1
+        return np.minimum(np.maximum(self.phi_prime(a, y), -bound), bound)
+
+    @cached_property
+    def _gamma1(self) -> float:
+        return loss_bounds(self).gamma1
 
     def phi_double_prime(self, a, y):
         if self.family == LOGISTIC:

@@ -12,7 +12,7 @@ from dpsgld.engine import (
     run_single_pass,
     sgld_step,
 )
-from dpsgld.losses import GlmLoss
+from dpsgld.losses import GlmLoss, loss_bounds
 from dpsgld.schedules import MultiPassSchedule, multi_pass_schedule, single_pass_schedule
 
 LOGISTIC = GlmLoss("logistic")
@@ -68,6 +68,15 @@ class TestSgldStep:
              + float(QUADRATIC.phi_prime(0.0, -1.0)) * zs[1].x) / 2.0
         np.testing.assert_allclose(out.w, -g, rtol=1e-14)
         assert out.samples_consumed == 2
+
+    def test_gradient_is_clipped_to_the_certified_bound(self):
+        # quadratic G = 2 holds only on |wᵀx| <= 1, |y| <= 1; the clip enforces it for any label
+        z = Example(np.array([1.0, 0.0]), -1e6)
+        state = SgldState(0, np.zeros(2), 0, seeded_rng(0, 0))
+        eta = 0.3
+        out = sgld_step(state, [z], eta_t=eta, lambda_t=0.0, beta0=0.0, loss=QUADRATIC)
+        assert np.linalg.norm(out.w - state.w) <= eta * loss_bounds(QUADRATIC).G
+        np.testing.assert_array_equal(out.w, [-eta * 2.0, 0.0])
 
     def test_rejects_bad_inputs(self):
         state = SgldState(0, np.zeros(2), 0, seeded_rng(0, 0))
@@ -357,6 +366,123 @@ class TestReplicateBatches:
             run_multi_pass([data, toy_dataset(60, 4)], LOGISTIC, sched, [seeded_rng(1, 0)] * 2)
 
 
+class TestBlockKernel:
+    """_advance_blocks against the per-step _advance on the same index rows and noise streams."""
+
+    D = 12
+    # the kernels differ only in rounding order; a block's products are O(1)
+    # and the chain contracts, so about 4 500 ulps at unit scale is ample
+    RTOL = 1e-12
+
+    def inputs(self, family, g, T, seed=0):
+        datasets = [toy_dataset(40 + 7 * r, self.D, seed=seed + r) for r in range(g)]
+        if family == "quadratic":
+            # a canary label far outside [-1, 1] makes the clip fire
+            datasets = [Dataset(data.X, np.append(data.y[:-1], -1e6)) for data in datasets]
+        gen = np.random.default_rng(seed + 100)
+        orders = np.stack([gen.integers(0, data.n, size=T) for data in datasets])
+        return datasets, orders
+
+    def both(self, loss, datasets, orders, steps, noise_seed, log_times):
+        g, T = orders.shape
+        logged = []
+
+        def observe(t, W):
+            if t in log_times:
+                logged.append(W[:, 0].copy())
+
+        X, y, firsts = engine._stacked([data.X for data in datasets], [data.y for data in datasets])
+        W_ref = engine._advance(
+            np.zeros((g, 1, self.D)), (X, y, firsts[:, None]), loss, orders, steps,
+            [np.random.default_rng(noise_seed + r) for r in range(g)], observe,
+        )[:, 0]
+        W, blocks = engine._advance_blocks(
+            np.zeros((g, self.D)), (X, y, firsts), loss, orders, steps,
+            [np.random.default_rng(noise_seed + r) for r in range(g)], log_times,
+        )
+        return np.stack(logged, axis=1), blocks, W_ref, W
+
+    def assert_close(self, reference, got):
+        assert reference.shape == got.shape
+        assert np.all(np.abs(got - reference) <= self.RTOL * max(1.0, np.abs(reference).max()))
+
+    @pytest.mark.parametrize("T", [1, 2, 33, 200])
+    @pytest.mark.parametrize("interval", [1, 7, None])
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("family", ["logistic", "smoothed-hinge", "quadratic"])
+    def test_matches_the_per_step_kernel(self, family, g, interval, T):
+        interval = T if interval is None else interval
+        sched = multi_pass_schedule(60, 1.5, 0.9, 1e-4, 1.0, 1.0)
+        steps = engine._steps(
+            np.resize(sched.etas, T), np.resize(sched.lambda_etas, T), sched.beta0,
+            np.ones(T, dtype=np.int64),
+        )
+        log_times = [t for t in range(1, T + 1) if t % interval == 0 or t == T]
+        datasets, orders = self.inputs(family, g, T)
+        reference, got, W_ref, W = self.both(
+            GlmLoss(family, h=0.3), datasets, orders, steps, 50, log_times
+        )
+        self.assert_close(reference, got)
+        self.assert_close(W_ref, W)
+        np.testing.assert_array_equal(got[:, -1], W)
+
+    def test_hand_built_schedule_without_noise_draws_nothing(self):
+        T = 100
+        gen = np.random.default_rng(3)
+        etas = 0.5 * gen.random(T)
+        lambda_etas = 2.0 * gen.random(T)
+        lambda_etas[[0, 40]] = 1.0    # these steps forget w and run alone
+        lambda_etas[50:60] = 0.0      # no shrink
+        steps = engine._steps(etas, lambda_etas, 0.0, np.ones(T, dtype=np.int64))
+        assert not steps[2].any()
+        datasets, orders = self.inputs("logistic", 3, T, seed=5)
+        gens = [np.random.default_rng(60 + r) for r in range(3)]
+        data = engine._stacked([data.X for data in datasets], [data.y for data in datasets])
+        W, logged = engine._advance_blocks(
+            np.zeros((3, self.D)), data, LOGISTIC, orders, steps, gens, list(range(1, T + 1)),
+        )
+        # no noise was drawn: each stream is where it started
+        for r, gen in enumerate(gens):
+            assert gen.random() == np.random.default_rng(60 + r).random()
+        reference, got, _, _ = self.both(LOGISTIC, datasets, orders, steps, 60, list(range(1, T + 1)))
+        self.assert_close(reference, got)
+        # λη = 1 with no noise sends w to zero at step 41, whatever came before
+        assert not got[:, 40].any()
+
+    def test_mixed_noisy_and_noiseless_steps(self):
+        # λη = 0 (no shrink) and λη = 2 steps have σ = 0 inside a block of noisy steps
+        T = 90
+        gen = np.random.default_rng(4)
+        etas = 0.4 * gen.random(T)
+        lambda_etas = 0.5 * gen.random(T)
+        lambda_etas[0] = 1.0
+        lambda_etas[[5, 17, 18, 70]] = 0.0
+        lambda_etas[33] = 2.0
+        steps = engine._steps(etas, lambda_etas, 0.8, np.ones(T, dtype=np.int64))
+        datasets, orders = self.inputs("smoothed-hinge", 2, T, seed=9)
+        log_times = list(range(3, T + 1, 3))
+        reference, got, W_ref, W = self.both(
+            GlmLoss("smoothed-hinge"), datasets, orders, steps, 70, log_times
+        )
+        self.assert_close(reference, got)
+        self.assert_close(W_ref, W)
+
+    def test_multi_pass_runs_use_the_block_kernel(self, monkeypatch):
+        sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
+        assert sched.T > engine._BLOCK_STEPS + 1
+        # step 1 (λη = 1) runs alone through _advance; the rest must not
+        calls = []
+        advance = engine._advance
+
+        def count(W0, data, loss, orders, steps, gens, observe):
+            calls.append(len(steps[0]))
+            return advance(W0, data, loss, orders, steps, gens, observe)
+
+        monkeypatch.setattr(engine, "_advance", count)
+        run_multi_pass([toy_dataset(40, 3)], LOGISTIC, sched, [seeded_rng(1, 0)], log_interval=1)
+        assert calls[0] == 1 and sum(calls) < sched.T / 2
+
+
 def _digest(*parts):
     # arrays hash by their float64 bytes, everything else by repr (exact for floats)
     h = hashlib.sha256()
@@ -437,7 +563,9 @@ def _golden_sgld_step():
 
 # sha256 of each run's full output. They pin every bit of every iterate, so a
 # change to the update arithmetic (operation order, the shape of a BLAS call)
-# shows here; re-record them only for an intended change of output.
+# shows here; re-record them only for an intended change of output. The two
+# multi-pass digests come from the block kernel, which TestBlockKernel holds to
+# the per-step kernel.
 GOLDEN = {
     "single-pass-logistic": (
         _golden_single_logistic,
@@ -449,11 +577,11 @@ GOLDEN = {
     ),
     "multi-pass-logistic": (
         _golden_multi_logistic,
-        "52ea4a9434d5e989be6f08828cebf441fed61d6812386384ce27635ec5c5f465",
+        "e5d0382b23c98298faed496303a4a8166f7966b95f0858a439e2d05d0235c0b0",
     ),
     "multi-pass-quadratic-d33": (
         _golden_multi_quadratic_d33,
-        "d81acc4296d6ea432407e8b57c8526c099594a6b72e20808dee81720179063ff",
+        "f43289a4ea3db769a96499fc9d9ba15b05a411536fea37d73dcb628b119b60cd",
     ),
     "coupled-d16": (
         _golden_coupled_d16,
