@@ -7,38 +7,48 @@ account assumes. Both schedules set λ₁η₁ = 1, so step one's output is
 N(0, β₀I) no matter what the data says: the initial draw and the first update
 coincide, and a run is exactly T update steps from a zero state.
 
-Two kernels make the updates, and both read the same index rows and noise
-streams. ``_advance`` runs one step at a time and moves a (g, k, d) array of
-iterates: g independent groups (replicates), each with its own index row and
-its own noise generator, and k chains per group, one per dataset, that share
-the group's indices and noise row at every step. Single-pass runs read
-disjoint blocks of a pre-shuffled dataset (g = k = 1), coupled runs are pairs
-of chains on neighbouring datasets (g pairs, k = 2), and ``sgld_step`` is one
-step with g = k = 1. The steps run in blocks of
+Two kernels make the updates under one contract,
+``kernel(W0, data, loss, orders, steps, noise_gens, log_times) -> (W, logged)``.
+Each advances a copy of the (g, k, d) iterates ``W0``: g independent groups
+(replicates), each with its own index row ``orders[j]`` and its own noise
+generator, and k chains per group, one per dataset, that share the group's
+indices and noise row at every step. Chain (j, i) reads rows
+firsts[j, i] + orders[j, s] of ``data = (X, y, firsts)``, every chain's rows
+concatenated once per run (``_stacked``, no copy for one chain), so a block
+of steps gathers with one ``np.take`` for X and one for y. ``steps`` holds the
+(η_t, λ_tη_t, σ_t, |M_t|) arrays; a step with σ_t = 0 draws nothing. A kernel
+returns the final iterates and the (g, k, len(log_times), d) iterates after
+the ascending steps ``log_times``.
+
+``_advance`` runs one step at a time, on any batch sizes. Single-pass runs
+read disjoint blocks of a pre-shuffled dataset (g = k = 1), coupled runs are
+pairs of chains on neighbouring datasets (g pairs, k = 2), and ``sgld_step``
+is one step with g = k = 1. The steps run in blocks of
 ``_NOISE_BLOCK_FLOATS // (g·k·d)``: each block gathers its rows (about 1 MB
 for unit batches) and draws each group's noise rows into a buffer that every
 block reuses.
 
-Multi-pass runs (g replicates, k = 1, one index per step drawn with
+Multi-pass runs (unit batches, k = 1, one index per step drawn with
 replacement) go through ``_advance_blocks``, which advances _BLOCK_STEPS
-unit-batch steps per round trip to NumPy. With a_t = 1 − λ_tη_t and Π_j the
-product of a over the block's first j steps, v_j = w_j/Π_j moves by
-c_j·x_j + (σ_j/Π_j)·z_j with c_j = −(η_j/Π_(j−1))·φ′_j, so the margin of step j
-is Π_(j−1)·(x_jᵀw₀ + Σ_(l<j) x_jᵀx_l·c_l + Σ_(l<j) (σ_l/Π_l)·x_jᵀz_l): two
-batched matmuls give the Gram and noise cross terms of the whole block. The
-coefficients c are found by sweeps c ← F(c) from c = 0 until a sweep returns
-c unchanged. Row j of F reads only rows before j, so row j is final after
-j + 1 sweeps, at most _BLOCK_STEPS + 1 sweeps run, and the fixed point they
-stop at is the unique one: the forward-substitution answer, which is the
-per-step chain's. The logged iterates and the block's last one then come from
-matmuls. The two kernels see the same indices and noise and do the same
-arithmetic in another order, so they differ only by rounding
-(tests/test_engine.py holds them within 1e-12·max(1, max|w|)). A block ends
-before |Π| falls below _MIN_SHRINK, so a step with λ_tη_t = 1 (a_t = 0,
-step one) runs alone through ``_advance``; a step with σ_t = 0 draws nothing
-in either kernel. Both kernels gather a block's rows of all chains with one
-``np.take`` for X and one for y, from the chains' data concatenated once per
-run (no copy when there is one chain).
+steps per round trip to NumPy. In a block's own indices, with
+a_l = 1 − λ_lη_l, step l maps w_l to a_l·w_l + g_l·x_l + σ_l·z_l with
+g_l = −a_l·η_l·φ′_l, so
+
+    w_j = P_j·w₀ + Σ_(l<j) N_jl·(g_l·x_l + σ_l·z_l),
+    P_j = a_0···a_(j−1),  N_jl = a_(l+1)···a_(j−1)  (N_jl = 0 for l >= j),
+
+and the margin of step j is P_j·x_jᵀw₀ + Σ_(l<j) N_jl·(g_l·K_jl + σ_l·x_jᵀz_l)
+with K = XXᵀ. Nothing is divided, so a step with a_l = 0 (step one) needs no
+care. N, (L+1)×L for a block of L steps, is one masked ``cumprod``; two
+batched matmuls give the Gram and noise cross terms of the block. The
+coefficients g are found by sweeps g ← F(g) from g = 0 until a sweep returns
+g unchanged. Row j of F reads only rows before j, so row j is final after
+j + 1 sweeps, at most L + 1 sweeps run, and the fixed point they stop at is
+the unique one: the forward-substitution answer, which is the per-step
+chain's. The logged iterates and the block's last one take their rows of N
+through two more matmuls. The two kernels see the same indices and noise and
+do the same arithmetic in another order, so they differ only by rounding
+(tests/test_engine.py holds them within 1e-12·max(1, max|w|)).
 
 Replicates share one group while their index rows fit in ``_GROUP_BYTES``; a
 larger batch advances one group after another. Every replicate draws from its
@@ -62,7 +72,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, InvalidParameterError, RngStream, Vector, as_vector, seeded_rng
+from .core import (
+    Dataset,
+    InvalidParameterError,
+    RngStream,
+    Vector,
+    _require_count,
+    as_vector,
+    seeded_rng,
+)
 from .losses import QUADRATIC, GlmLoss, loss_bounds
 from .schedules import MultiPassSchedule, SinglePassSchedule
 
@@ -76,9 +94,10 @@ _GROUP_BYTES = 1 << 25
 # VM, 64 ran best at 2 replicates and 16 at 30 (the Gram matmuls grow with
 # the block); 32 was within 10 % of the best at both.
 _BLOCK_STEPS = 32
-# A block ends before the product of its shrink factors 1 − λ_tη_t falls
-# below this, so dividing by it stays finite; a step with λ_tη_t = 1 runs alone.
-_MIN_SHRINK = 1e-100
+# Masks of a block's (L+1)×L matrix N: N_jl is a product where l < j (else 0),
+# and that product has the factor a_(j−1) where l < j − 1.
+_BEFORE = np.tri(_BLOCK_STEPS + 1, _BLOCK_STEPS, k=-1)
+_BEFORE_LAST = np.tri(_BLOCK_STEPS + 1, _BLOCK_STEPS, k=-2, dtype=bool)
 
 
 @dataclass
@@ -129,14 +148,12 @@ def _stacked(Xs, ys) -> tuple:
     return np.concatenate(Xs), np.concatenate(ys), firsts
 
 
-def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, observe) -> np.ndarray:
-    """Advance a copy of the (g, k, d) iterates ``W0`` on ``data = (X, y, firsts)``.
+def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, log_times) -> tuple:
+    """The per-step kernel: the module docstring gives its contract.
 
     Step t reads the next |M_t| entries of group j's index row ``orders[j]``
-    and one noise row from ``noise_gens[j]`` (none when σ_t = 0), the same for
-    the group's k chains, then calls ``observe(t, W)``; chain (j, i) reads
-    row firsts[j, i] + orders[j, s] of X and y. W is updated in place, so an
-    observer that keeps it must copy it.
+    and, when σ_t > 0, one noise row from ``noise_gens[j]``, the same for the
+    group's k chains.
     """
     etas, lambda_etas, sigmas, batch_sizes = steps
     X_all, y_all, firsts = data
@@ -144,6 +161,8 @@ def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, o
     W = np.array(W0, dtype=np.float64)
     W_col = W[..., None]
     g, k, d = W.shape
+    logged = np.empty((g, k, len(log_times), d))
+    slots = {t: i for i, t in enumerate(log_times)}
     block = max(1, _NOISE_BLOCK_FLOATS // (g * k * d))
     starts = range(0, len(etas), block)
     # one buffer for a block's noise, reused by every block
@@ -186,101 +205,80 @@ def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, o
             W *= 1.0 - le
             if s > 0.0:
                 W += next(noise)
-            observe(t, W)
-    return W
+            if t in slots:
+                logged[:, :, slots[t]] = W
+    return W, logged
 
 
-def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, log_times):
-    """Advance a copy of the (g, d) iterates ``W0`` by unit-batch steps, _BLOCK_STEPS at a time.
+def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, log_times) -> tuple:
+    """The block kernel for unit batches: the module docstring gives its contract and its solve.
 
-    Replicate j reads rows firsts[j] + orders[j, s] of ``data = (X, y, firsts)``
-    and its noise from ``noise_gens[j]`` in the order ``_advance`` reads them
-    with k = 1, so the two kernels see the same rows and noise. Returns the
-    final (g, d) iterates and the (g, len(log_times), d) iterates after the
-    ascending steps ``log_times``. See the module docstring for the solve.
+    Group j reads its rows and its noise from ``noise_gens[j]`` in the order
+    ``_advance`` reads them, so the two kernels see the same rows and noise.
     """
     etas, lambda_etas, sigmas, _ = steps
-    W = np.array(W0, dtype=np.float64)
-    g, d = W.shape
-    T = len(etas)
     X_all, y_all, firsts = data
-    firsts = firsts[:, None]
+    firsts = firsts[..., None]
+    W = np.array(W0, dtype=np.float64)
+    g, k, d = W.shape
+    T = len(etas)
     shrinks = 1.0 - lambda_etas
-    neg_etas = -etas
+    grad_coefs = (lambda_etas - 1.0) * etas  # g_l = −a_l·η_l·φ′_l
     noisy = sigmas > 0.0
     draws_before = np.concatenate(([0], np.cumsum(noisy)))
-    strict = np.tri(_BLOCK_STEPS, k=-1)
-    through = np.tri(_BLOCK_STEPS)
-    logged = np.empty((g, len(log_times), d))
+    logged = np.empty((g, k, len(log_times), d))
     done = 0  # iterates logged so far
-    start = 0
-    while start < T:
+    for start in range(0, T, _BLOCK_STEPS):
         stop = min(T, start + _BLOCK_STEPS)
-        prod = np.cumprod(np.concatenate(([1.0], shrinks[start:stop])))  # Π_0..Π_L
-        if abs(prod[-1]) < _MIN_SHRINK:
-            # end the block before its product gets too small to divide by
-            stop = start + max(1, int(np.argmax(np.abs(prod[1:]) < _MIN_SHRINK)))
         L = stop - start
-        block_logs = log_times[done : bisect.bisect_right(log_times, stop, lo=done)]
-        if L == 1:
-            # one step, e.g. λη = 1, runs the per-step kernel
-            W = _advance(
-                W[:, None], (X_all, y_all, firsts), loss, orders[:, start:stop],
-                tuple(part[start:stop] for part in steps), noise_gens, lambda t, W: None,
-            )[:, 0]
-            if block_logs:
-                logged[:, done] = W
-                done += 1
-            start = stop
-            continue
-        P = prod[1 : L + 1]       # Π_j, j = 1..L
-        P_before = prod[:L]       # Π_(j−1)
-        rows = orders[:, start:stop] + firsts
+        # row j holds a_(j−1): P is its running product, N_jl its product over rows l+2..j
+        shifted = np.concatenate(([1.0], shrinks[start:stop]))
+        P = shifted.cumprod()
+        N = np.where(_BEFORE_LAST[: L + 1, :L], shifted[:, None], 1.0).cumprod(axis=0)
+        N *= _BEFORE[: L + 1, :L]
+        rows = orders[:, None, start:stop] + firsts
         X = np.take(X_all, rows, axis=0)
         y = np.take(y_all, rows)
         Z = np.empty((g, int(draws_before[stop] - draws_before[start]), d))
         for gen, z in zip(noise_gens, Z):
             gen.standard_normal(out=z)
-        if len(Z[0]) < L:
+        if Z.shape[1] < L:
             # steps with σ_t = 0 draw nothing; their z_t is 0
             drawn, Z = Z, np.zeros((g, L, d))
             Z[:, noisy[start:stop]] = drawn
-        # v_j = w_j/Π_j moves by c_j·x_j + (σ_j/Π_j)·z_j
-        noise_coef = sigmas[start:stop] / P
-        step_coef = neg_etas[start:stop] / P_before
+        Z = Z[:, None]  # shared by the group's k chains
+        sig = sigmas[start:stop]
+        phi_scale = grad_coefs[start:stop]
         K = X @ X.mT
-        K *= strict[:L, :L]
+        K *= N[:L]
         cross = X @ Z.mT
-        cross *= strict[:L, :L]
-        # x_jᵀv_(j−1) = x_jᵀw₀ + Σ_(l<j) (σ_l/Π_l)·x_jᵀz_l + Σ_(l<j) K_jl·c_l
-        base = cross @ noise_coef
-        base += (X @ W[..., None])[..., 0]
+        cross *= N[:L]
+        # margins = base + (N∘K)·g, base_j = P_j·x_jᵀw₀ + Σ_(l<j) N_jl·σ_l·x_jᵀz_l
+        base = cross @ sig
+        base += P[:L] * (X @ W[..., None])[..., 0]
         # row j of the sweep reads only rows before it, so it is final after
         # j + 1 sweeps; the fixed point is the forward-substitution answer
-        c = np.zeros((g, L))
+        coefs = np.zeros((g, k, L))
         for _ in range(L + 1):
-            margins = (K @ c[..., None])[..., 0]
+            margins = (K @ coefs[..., None])[..., 0]
             margins += base
-            margins *= P_before
             swept = loss.clipped_phi_prime(margins, y)
-            swept *= step_coef
-            if np.array_equal(swept, c):
+            swept *= phi_scale
+            if (swept == coefs).all():
                 break
-            c = swept
-        # the logged iterates and the block's last one: w_j = Π_j·v_j
+            coefs = swept
+        # the logged iterates and the block's last one, from their rows of N
+        block_logs = log_times[done : bisect.bisect_right(log_times, stop, lo=done)]
         ends = [t - start for t in block_logs]
         if not ends or ends[-1] != L:
             ends.append(L)
-        ends = np.array(ends)
-        upto = through[ends - 1, :L]
-        out = (c[:, None, :] * upto) @ X
-        out += (noise_coef * upto) @ Z
-        out += W[:, None, :]
-        out *= P[ends - 1, None]
-        logged[:, done : done + len(block_logs)] = out[:, : len(block_logs)]
+        N_ends = N[ends]
+        out = (coefs[..., None, :] * N_ends) @ X
+        out += (sig * N_ends) @ Z
+        out += P[ends, None] * W[..., None, :]
+        logged[:, :, done : done + len(block_logs)] = out[:, :, : len(block_logs)]
         done += len(block_logs)
-        W = out[:, -1]
-        start = stop
+        W = out[:, :, -1]
     return W, logged
 
 
@@ -351,9 +349,9 @@ def sgld_step(
     b = len(minibatch)
     lambda_eta = np.array([lambda_t * eta_t], dtype=np.float64)
     steps = _steps(np.array([eta_t], dtype=np.float64), lambda_eta, beta0, np.array([b]))
-    W = _advance(
+    W, _ = _advance(
         w[None, None], (Xb, yb, np.zeros((1, 1), dtype=np.int64)), loss, np.arange(b)[None],
-        steps, [state.rng.generator], lambda t, W: None,
+        steps, [state.rng.generator], (),
     )
     return SgldState(t=state.t + 1, w=W[0, 0], samples_consumed=state.samples_consumed + b, rng=state.rng)
 
@@ -366,28 +364,23 @@ def _logged_runs(datasets, loss, schedule, orders, rngs, log_interval):
     through _advance.
     """
     T = schedule.T
-    log_interval = max(1, T // 1000) if log_interval is None else max(1, int(log_interval))
+    if log_interval is None:
+        log_interval = max(1, T // 1000)
+    _require_count("log_interval", log_interval, 1)
     times = list(range(log_interval, T + 1, log_interval))
     if T % log_interval:
         times.append(T)
     steps = _steps(schedule.etas, schedule.lambda_etas, schedule.beta0, schedule.batch_sizes)
-    W0 = np.zeros((len(datasets), datasets[0].d))
     X, y, firsts = _stacked([data.X for data in datasets], [data.y for data in datasets])
     gens = [rng.substream(1).generator for rng in rngs]
-    if isinstance(schedule, MultiPassSchedule):
-        W, logged = _advance_blocks(W0, (X, y, firsts), loss, orders, steps, gens, times)
-    else:
-        logged = np.empty((len(datasets), len(times), W0.shape[1]))
-        slots = {t: i for i, t in enumerate(times)}
-
-        def observe(t, W):
-            if t in slots:
-                logged[:, slots[t]] = W[:, 0]
-
-        W = _advance(W0[:, None], (X, y, firsts[:, None]), loss, orders, steps, gens, observe)[:, 0]
+    kernel = _advance_blocks if isinstance(schedule, MultiPassSchedule) else _advance
+    W, logged = kernel(
+        np.zeros((len(datasets), 1, datasets[0].d)), (X, y, firsts[:, None]), loss, orders,
+        steps, gens, times,
+    )
     return [
         RunRecord(schedule.mode, w, list(zip(times, log)), schedule.sample_budget)
-        for w, log in zip(W, logged)
+        for w, log in zip(W[:, 0], logged[:, 0])
     ]
 
 
@@ -433,18 +426,11 @@ def run_multi_pass(
     index stream and a noise stream as in run_single_pass. The replicates must
     share d; they advance together and return one RunRecord each, equal
     bit for bit to what a run of that replicate alone returns. Same logging
-    contract as run_single_pass. A degenerate T = 0 schedule returns just each
-    replicate's initial N(0, β₀I) draw.
+    contract as run_single_pass.
     """
     datasets, rngs = list(datasets), list(rngs)
     _require_batch(datasets, rngs)
     _require_labels(loss, datasets)
-    if schedule.T == 0:
-        records = []
-        for data, rng in zip(datasets, rngs):
-            w = float(np.sqrt(schedule.beta0)) * rng.substream(1).generator.standard_normal(data.d)
-            records.append(RunRecord(schedule.mode, w, [(0, w.copy())], 0))
-        return records
     records = []
     for group in _groups(len(datasets), schedule.T):
         indices = np.stack([
@@ -455,15 +441,16 @@ def run_multi_pass(
     return records
 
 
-def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, seeds) -> np.ndarray:
+def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, seeds, times) -> np.ndarray:
     """Run pairs of chains on neighboring datasets under shared randomness.
 
     In each pair (dataset, dataset′) the datasets must agree everywhere except
     possibly the last example. The pair's two chains share the index stream
     seeded_rng(seed, 0) and the noise stream seeded_rng(seed, 1), so their
     squared distance grows only when the differing index is sampled. Pairs
-    must share d; they advance together. Returns the (R, T) array whose
-    row r holds ‖w_t − w_t′‖₂² of pair r for t = 1..T.
+    must share d; they advance together. ``times`` are steps in 1..T, in any
+    order and with repeats. Returns the (R, len(times)) array whose entry
+    (r, i) is ‖w_t − w_t′‖₂² of pair r at step t = times[i].
     """
     pairs, seeds = list(pairs), list(seeds)
     for dataset, dataset_prime in pairs:
@@ -485,16 +472,14 @@ def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, see
         raise InvalidParameterError(
             f"eta_1 = {eta1:.6g} exceeds 1/L = {1.0 / bounds.L:.6g}"
         )
-    out = np.empty((len(pairs), schedule.T))
+    marks = np.asarray(times)
+    in_range = np.issubdtype(marks.dtype, np.integer) and ((1 <= marks) & (marks <= schedule.T)).all()
+    if marks.ndim != 1 or not in_range:
+        raise InvalidParameterError(f"times must be steps in 1..{schedule.T}, got {times}")
+    log_times, slots = np.unique(marks, return_inverse=True)
+    out = np.empty((len(pairs), len(marks)))
     steps = _steps(schedule.etas, schedule.lambda_etas, schedule.beta0, schedule.batch_sizes)
     for group in _groups(len(pairs), schedule.T):
-        group_out = out[group]
-
-        def observe(t, W):
-            diff = W[:, 0] - W[:, 1]
-            # batched matmul, not einsum: einsum sums in another order
-            group_out[:, t - 1] = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-
         indices = np.stack([
             seeded_rng(seed, 0).generator.integers(0, a.n, size=schedule.T)
             for (a, _), seed in zip(pairs[group], seeds[group])
@@ -503,8 +488,12 @@ def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, see
             [data.X for pair in pairs[group] for data in pair],
             [data.y for pair in pairs[group] for data in pair],
         )
-        _advance(
-            np.zeros((len(indices), 2, pairs[0][0].d)), (X, y, firsts.reshape(-1, 2)),
-            loss, indices, steps, [seeded_rng(seed, 1).generator for seed in seeds[group]], observe,
+        _, logged = _advance(
+            np.zeros((len(indices), 2, pairs[0][0].d)), (X, y, firsts.reshape(-1, 2)), loss,
+            indices, steps, [seeded_rng(seed, 1).generator for seed in seeds[group]],
+            log_times.tolist(),
         )
+        diff = logged[:, 0] - logged[:, 1]
+        # batched matmul, not einsum: einsum sums in another order
+        out[group] = (diff[..., None, :] @ diff[..., None])[..., 0, 0][:, slots]
     return out

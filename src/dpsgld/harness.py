@@ -159,6 +159,11 @@ class ExperimentConfig:
             raise InvalidParameterError(f"{self.experiment} needs exactly one d")
         if self.dim_factor < 1:
             raise InvalidParameterError(f"dim factor must be >= 1, got {self.dim_factor}")
+        for name, value in (("epsilon", self.epsilon), ("delta", self.delta)):
+            if not value >= 0:
+                raise InvalidParameterError(
+                    f"{name} must be >= 0 (0 means the per-n default), got {value}"
+                )
 
 
 # The ExperimentConfig fields each experiment never reads; the CLI refuses them.
@@ -468,10 +473,7 @@ def experiment_stability(config: ExperimentConfig) -> list:
     schedule = multi_pass_schedule(n, config.pass_exponent, eps, delta, config.eta0, bounds.G)
     T = schedule.T
     checkpoints = config.checkpoints if config.checkpoints else _checkpoint_ladder(T)
-    if any(not 1 <= t <= T for t in checkpoints):
-        raise InvalidParameterError(f"checkpoints must lie in 1..{T}, got {checkpoints}")
     model = _model(config, d)
-    marks = np.asarray(checkpoints, dtype=np.int64)
     pairs, seeds = [], []
     for r in range(config.replicates):
         data_rng = seeded_rng(config.seed, r).substream(DATA_SUBSTREAM)
@@ -483,7 +485,7 @@ def experiment_stability(config: ExperimentConfig) -> list:
         y_prime[n - 1] = both.y[n]
         pairs.append((dataset, Dataset(x_prime, y_prime)))
         seeds.append(int(np.random.SeedSequence([config.seed, r]).generate_state(1, np.uint64)[0]))
-    distances = coupled_stability_run(pairs, loss, schedule, seeds)[:, marks - 1]
+    distances = coupled_stability_run(pairs, loss, schedule, seeds, checkpoints)
     accounted, claimed = certify_theorem2(schedule)
     rows = []
     for j, t in enumerate(checkpoints):

@@ -319,11 +319,10 @@ def account_report(schedule) -> str:
 
     T, delta = schedule.T, schedule.delta
     closed, claimed = certify_theorem2(schedule)
-    if T >= 1:
-        lines += [
-            f"eta1 = {_fmt(schedule.eta(1))}",
-            f"etaT = {_fmt(schedule.eta(T))}",
-        ]
+    lines += [
+        f"eta1 = {_fmt(schedule.eta(1))}",
+        f"etaT = {_fmt(schedule.eta(T))}",
+    ]
     if T <= _REPORT_STEP_CAP:
         if T >= 2:
             step_max, amplified_max, composed = _enumerated_multi_pass(schedule)
@@ -334,7 +333,7 @@ def account_report(schedule) -> str:
                 f"composed_delta = {_fmt(composed.delta)}",
             ]
         else:
-            # no step, or a single one that is the data-independent initial draw
+            # the one step is the data-independent initial draw
             lines += [
                 "step_epsilon_max = 0",
                 "amplified_epsilon_max = 0",

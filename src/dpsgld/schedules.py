@@ -134,8 +134,7 @@ class MultiPassSchedule:
     def __post_init__(self):
         _require_positive(n=self.n, G=self.G, beta0=self.beta0)
         _require_unit_interval(delta=self.delta)
-        if not self.T >= 0:
-            raise InvalidParameterError(f"T must be >= 0, got {self.T}")
+        _require_count("T", self.T, 1)
         if not 2.5 / (self.n * self.delta) > 1.0:
             raise InvalidParameterError(
                 f"need 2.5/(n·δ) > 1 for a real step size at t=1, got n·δ = {self.n * self.delta:.6g}"

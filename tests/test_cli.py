@@ -448,6 +448,41 @@ class TestErrorPaths:
         assert code == 2
         assert "mode must be one of" in err
 
+    @pytest.mark.parametrize("mode", ["single-pass", "multi-pass"])
+    @pytest.mark.parametrize("interval", [0, -5])
+    def test_log_interval_below_one_is_refused(self, capsys, tmp_path, mode, interval):
+        sizes = ["schedule.T=20"] if mode == "single-pass" else ["data.n=40"]
+        argv = ["run", "--out", str(tmp_path / "out"), "--set", f"mode={mode}"]
+        for setting in [*sizes, f"run.log_interval={interval}"]:
+            argv += ["--set", setting]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: log_interval must be an integer >= 1, got {interval}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("experiment.epsilon=-0.5", "epsilon must be >= 0 (0 means the per-n default), got -0.5"),
+            ("experiment.epsilon=nan", "epsilon must be >= 0 (0 means the per-n default), got nan"),
+            ("experiment.delta=-3", "delta must be >= 0 (0 means the per-n default), got -3.0"),
+            ("experiment.delta=nan", "delta must be >= 0 (0 means the per-n default), got nan"),
+        ],
+    )
+    def test_negative_or_nan_epsilon_and_delta_are_refused(self, capsys, tmp_path, setting, message):
+        code, out, err = run_main(
+            capsys,
+            [
+                "experiment", "--out", str(tmp_path),
+                "--set", "experiment.name=dimension-independence", "--set", setting,
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
 
 @pytest.mark.parametrize(
     "argv, message",

@@ -158,17 +158,6 @@ class TestRunMultiPass:
         np.testing.assert_array_equal(a.iterate_log[0][1], b.iterate_log[0][1])
         assert not np.array_equal(a.final_iterate, b.final_iterate)
 
-    def test_degenerate_t_zero_returns_prior_draw(self):
-        sched = MultiPassSchedule(
-            n=10, pass_exponent=1.0, epsilon=0.1, delta=1e-4,
-            eta0=1.0, G=1.0, T=0, beta0=0.25,
-        )
-        [rec] = run_multi_pass([toy_dataset(10, 4)], LOGISTIC, sched, [seeded_rng(3, 0)])
-        assert rec.samples_consumed == 0
-        assert [t for t, _ in rec.iterate_log] == [0]
-        z = seeded_rng(3, 0).substream(1).generator.standard_normal(4)
-        np.testing.assert_allclose(rec.final_iterate, 0.5 * z, rtol=1e-15)
-
     def test_rejects_schedule_outside_noise_domain(self):
         # n·δ >= 2.5 would make η_1 NaN: the schedule refuses to exist, so no run sees it
         with pytest.raises(InvalidParameterError, match="n·δ = 5"):
@@ -197,7 +186,7 @@ class TestCoupledStabilityRun:
     def test_identical_datasets_never_separate(self):
         data = toy_dataset(20, 3)
         sched = multi_pass_schedule(20, 1.5, 0.9, 1e-4, 0.2, 1.0)
-        out = coupled_stability_run([(data, data)], LOGISTIC, sched, [77])
+        out = coupled_stability_run([(data, data)], LOGISTIC, sched, [77], range(1, sched.T + 1))
         assert out.shape == (1, sched.T)
         assert np.all(out == 0.0)
 
@@ -205,7 +194,7 @@ class TestCoupledStabilityRun:
         data, prime = self.swapped_pair()
         sched = multi_pass_schedule(24, 1.5, 0.9, 1e-4, 0.2, 1.0)
         seed = 123
-        [out] = coupled_stability_run([(data, prime)], LOGISTIC, sched, [seed])
+        [out] = coupled_stability_run([(data, prime)], LOGISTIC, sched, [seed], range(1, sched.T + 1))
         indices = seeded_rng(seed, 0).generator.integers(0, data.n, size=sched.T)
         hits = np.flatnonzero(indices == data.n - 1) + 1
         # a hit at t=1 cannot separate the chains: lambda_1*eta_1 = 1 wipes
@@ -219,8 +208,25 @@ class TestCoupledStabilityRun:
     def test_shared_first_draw_keeps_chains_together(self):
         data, prime = self.swapped_pair()
         sched = multi_pass_schedule(24, 1.5, 0.9, 1e-4, 0.2, 1.0)
-        out = coupled_stability_run([(data, prime)], LOGISTIC, sched, [9])
+        out = coupled_stability_run([(data, prime)], LOGISTIC, sched, [9], [1])
         assert out[0, 0] == 0.0
+
+    def test_times_in_any_order_with_repeats(self):
+        data, prime = self.swapped_pair()
+        sched = multi_pass_schedule(24, 1.5, 0.9, 1e-4, 0.2, 1.0)
+        pairs = [(data, prime)] * 2
+        every = coupled_stability_run(pairs, LOGISTIC, sched, [3, 4], range(1, sched.T + 1))
+        assert np.all(every[:, -1] > 0.0)
+        times = [sched.T, 5, 5, 1, sched.T - 1]
+        some = coupled_stability_run(pairs, LOGISTIC, sched, [3, 4], times)
+        assert some.tobytes() == every[:, np.array(times) - 1].tobytes()
+
+    def test_times_must_be_steps_of_the_run(self):
+        data, prime = self.swapped_pair()
+        sched = multi_pass_schedule(24, 1.5, 0.9, 1e-4, 0.2, 1.0)
+        for bad in ([0], [sched.T + 1], [2.0], [[1, 2]], []):
+            with pytest.raises(InvalidParameterError, match=rf"times must be steps in 1\.\.{sched.T}"):
+                coupled_stability_run([(data, prime)], LOGISTIC, sched, [3], bad)
 
     def test_validation(self):
         data = toy_dataset(20, 3)
@@ -235,20 +241,20 @@ class TestCoupledStabilityRun:
         # alone, or at any place in a batch of three
         for bad in bad_pairs:
             with pytest.raises(InvalidParameterError, match="neighboring datasets"):
-                coupled_stability_run([bad], LOGISTIC, sched, [1])
+                coupled_stability_run([bad], LOGISTIC, sched, [1], [1])
             for bad_at in range(3):
                 pairs = [(data, data)] * 3
                 pairs[bad_at] = bad
                 with pytest.raises(InvalidParameterError, match="neighboring datasets"):
-                    coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3])
+                    coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3], [1])
 
     def test_pairs_in_a_batch_must_share_d(self):
         sched = multi_pass_schedule(20, 1.5, 0.9, 1e-4, 0.2, 1.0)
         narrow, wide = toy_dataset(20, 3), toy_dataset(20, 4)
         with pytest.raises(InvalidParameterError, match="share d"):
-            coupled_stability_run([(narrow, narrow), (wide, wide)], LOGISTIC, sched, [1, 2])
+            coupled_stability_run([(narrow, narrow), (wide, wide)], LOGISTIC, sched, [1, 2], [1])
         with pytest.raises(InvalidParameterError, match="random streams"):
-            coupled_stability_run([(narrow, narrow)], LOGISTIC, sched, [1, 2])
+            coupled_stability_run([(narrow, narrow)], LOGISTIC, sched, [1, 2], [1])
 
     def test_step_size_guard(self):
         data, prime = self.swapped_pair(n=30)
@@ -256,7 +262,9 @@ class TestCoupledStabilityRun:
         assert hot.eta(1) > 1.0
         for replicates in (1, 3):
             with pytest.raises(InvalidParameterError, match="exceeds 1/L"):
-                coupled_stability_run([(data, prime)] * replicates, QUADRATIC, hot, list(range(replicates)))
+                coupled_stability_run(
+                    [(data, prime)] * replicates, QUADRATIC, hot, list(range(replicates)), [1]
+                )
 
 
 class TestLabelRange:
@@ -286,7 +294,7 @@ class TestLabelRange:
         # the pair (dataset, dataset′) counts as datasets 0 and 1
         twin = Dataset(good.X, np.r_[good.y[:-1], 5.0])
         with pytest.raises(InvalidParameterError, match="dataset 1, example 29: label 5 "):
-            coupled_stability_run([(good, twin)], loss, multi, [1])
+            coupled_stability_run([(good, twin)], loss, multi, [1], [1])
 
     def test_boundary_labels_and_quadratic_labels_run(self):
         at_edge = self.labelled(y_bad_at=3, label=-1.0)
@@ -333,11 +341,12 @@ class TestReplicateBatches:
         sched = self.schedule()
         pairs = self.pairs(replicates)
         seeds = [500 + r for r in range(replicates)]
-        batch = coupled_stability_run(pairs, LOGISTIC, sched, seeds)
+        every = range(1, sched.T + 1)
+        batch = coupled_stability_run(pairs, LOGISTIC, sched, seeds, every)
         assert batch.shape == (replicates, sched.T)
         assert np.all(batch[:, -1] > 0.0)
         for pair, seed, row in zip(pairs, seeds, batch):
-            [alone] = coupled_stability_run([pair], LOGISTIC, sched, [seed])
+            [alone] = coupled_stability_run([pair], LOGISTIC, sched, [seed], every)
             assert row.tobytes() == alone.tobytes()
 
     def test_groups_split_a_large_batch_without_changing_it(self, monkeypatch):
@@ -346,13 +355,13 @@ class TestReplicateBatches:
         rngs = [seeded_rng(32, r) for r in range(3)]
         pairs = self.pairs(3)
         whole = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=1)
-        whole_pairs = coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3])
+        whole_pairs = coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3], range(1, sched.T + 1))
         assert np.all(whole_pairs[:, -1] > 0.0)
         # room for the index rows of two replicates per group
         monkeypatch.setattr(engine, "_GROUP_BYTES", 2 * 8 * sched.T)
         split = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=1)
         assert [_record_digest(r) for r in split] == [_record_digest(r) for r in whole]
-        split_pairs = coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3])
+        split_pairs = coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3], range(1, sched.T + 1))
         assert split_pairs.tobytes() == whole_pairs.tobytes()
 
     def test_replicates_must_line_up(self):
@@ -374,33 +383,34 @@ class TestBlockKernel:
     # and the chain contracts, so about 4 500 ulps at unit scale is ample
     RTOL = 1e-12
 
-    def inputs(self, family, g, T, seed=0):
-        datasets = [toy_dataset(40 + 7 * r, self.D, seed=seed + r) for r in range(g)]
+    def inputs(self, family, g, T, seed=0, k=1):
+        """g groups of k datasets, and each group's index row valid in all k."""
+        datasets = [toy_dataset(40 + 7 * r, self.D, seed=seed + r) for r in range(g * k)]
         if family == "quadratic":
             # a canary label far outside [-1, 1] makes the clip fire
             datasets = [Dataset(data.X, np.append(data.y[:-1], -1e6)) for data in datasets]
         gen = np.random.default_rng(seed + 100)
-        orders = np.stack([gen.integers(0, data.n, size=T) for data in datasets])
+        orders = np.stack([
+            gen.integers(0, min(data.n for data in datasets[j * k : (j + 1) * k]), size=T)
+            for j in range(g)
+        ])
         return datasets, orders
 
     def both(self, loss, datasets, orders, steps, noise_seed, log_times):
-        g, T = orders.shape
-        logged = []
-
-        def observe(t, W):
-            if t in log_times:
-                logged.append(W[:, 0].copy())
-
+        """(reference log, block log, reference final, block final) of both kernels."""
+        g = len(orders)
         X, y, firsts = engine._stacked([data.X for data in datasets], [data.y for data in datasets])
-        W_ref = engine._advance(
-            np.zeros((g, 1, self.D)), (X, y, firsts[:, None]), loss, orders, steps,
-            [np.random.default_rng(noise_seed + r) for r in range(g)], observe,
-        )[:, 0]
-        W, blocks = engine._advance_blocks(
-            np.zeros((g, self.D)), (X, y, firsts), loss, orders, steps,
-            [np.random.default_rng(noise_seed + r) for r in range(g)], log_times,
+        args = (
+            np.zeros((g, len(datasets) // g, self.D)), (X, y, firsts.reshape(g, -1)), loss,
+            orders, steps,
         )
-        return np.stack(logged, axis=1), blocks, W_ref, W
+        W_ref, reference = engine._advance(
+            *args, [np.random.default_rng(noise_seed + r) for r in range(g)], log_times
+        )
+        W, got = engine._advance_blocks(
+            *args, [np.random.default_rng(noise_seed + r) for r in range(g)], log_times
+        )
+        return reference, got, W_ref, W
 
     def assert_close(self, reference, got):
         assert reference.shape == got.shape
@@ -424,22 +434,23 @@ class TestBlockKernel:
         )
         self.assert_close(reference, got)
         self.assert_close(W_ref, W)
-        np.testing.assert_array_equal(got[:, -1], W)
+        np.testing.assert_array_equal(got[:, :, -1], W)
 
     def test_hand_built_schedule_without_noise_draws_nothing(self):
         T = 100
         gen = np.random.default_rng(3)
         etas = 0.5 * gen.random(T)
         lambda_etas = 2.0 * gen.random(T)
-        lambda_etas[[0, 40]] = 1.0    # these steps forget w and run alone
+        lambda_etas[[0, 40]] = 1.0    # these steps forget w
         lambda_etas[50:60] = 0.0      # no shrink
         steps = engine._steps(etas, lambda_etas, 0.0, np.ones(T, dtype=np.int64))
         assert not steps[2].any()
         datasets, orders = self.inputs("logistic", 3, T, seed=5)
         gens = [np.random.default_rng(60 + r) for r in range(3)]
-        data = engine._stacked([data.X for data in datasets], [data.y for data in datasets])
-        W, logged = engine._advance_blocks(
-            np.zeros((3, self.D)), data, LOGISTIC, orders, steps, gens, list(range(1, T + 1)),
+        X, y, firsts = engine._stacked([data.X for data in datasets], [data.y for data in datasets])
+        engine._advance_blocks(
+            np.zeros((3, 1, self.D)), (X, y, firsts[:, None]), LOGISTIC, orders, steps, gens,
+            list(range(1, T + 1)),
         )
         # no noise was drawn: each stream is where it started
         for r, gen in enumerate(gens):
@@ -447,7 +458,7 @@ class TestBlockKernel:
         reference, got, _, _ = self.both(LOGISTIC, datasets, orders, steps, 60, list(range(1, T + 1)))
         self.assert_close(reference, got)
         # λη = 1 with no noise sends w to zero at step 41, whatever came before
-        assert not got[:, 40].any()
+        assert not got[:, :, 40].any()
 
     def test_mixed_noisy_and_noiseless_steps(self):
         # λη = 0 (no shrink) and λη = 2 steps have σ = 0 inside a block of noisy steps
@@ -467,20 +478,43 @@ class TestBlockKernel:
         self.assert_close(reference, got)
         self.assert_close(W_ref, W)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_noisy_schedule_with_full_and_reversing_shrinks_mid_block(self, k):
+        # λη = 1 (a = 0: w forgotten, fresh noise) and λη = 2 (a = −1, σ = 0)
+        # inside blocks of noisy steps, for single chains and for pairs
+        T = 100
+        gen = np.random.default_rng(6)
+        etas = 0.5 * gen.random(T)
+        lambda_etas = 0.6 * gen.random(T)
+        lambda_etas[[0, 10, 40, 41, 63]] = 1.0
+        lambda_etas[[20, 45, 46, 95]] = 2.0
+        steps = engine._steps(etas, lambda_etas, 0.8, np.ones(T, dtype=np.int64))
+        assert steps[2][1] > 0.0 and steps[2][20] == 0.0
+        datasets, orders = self.inputs("quadratic", 2, T, seed=12, k=k)
+        log_times = [5, 10, 11, 32, 33, 41, 64, 77, 100]
+        reference, got, W_ref, W = self.both(QUADRATIC, datasets, orders, steps, 80, log_times)
+        self.assert_close(reference, got)
+        self.assert_close(W_ref, W)
+
     def test_multi_pass_runs_use_the_block_kernel(self, monkeypatch):
         sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
         assert sched.T > engine._BLOCK_STEPS + 1
-        # step 1 (λη = 1) runs alone through _advance; the rest must not
+
+        def per_step(*args):
+            raise AssertionError("a multi-pass run stepped through _advance")
+
         calls = []
-        advance = engine._advance
+        blocks = engine._advance_blocks
 
-        def count(W0, data, loss, orders, steps, gens, observe):
-            calls.append(len(steps[0]))
-            return advance(W0, data, loss, orders, steps, gens, observe)
+        def count(*args):
+            calls.append(len(args[4][0]))
+            return blocks(*args)
 
-        monkeypatch.setattr(engine, "_advance", count)
-        run_multi_pass([toy_dataset(40, 3)], LOGISTIC, sched, [seeded_rng(1, 0)], log_interval=1)
-        assert calls[0] == 1 and sum(calls) < sched.T / 2
+        monkeypatch.setattr(engine, "_advance", per_step)
+        monkeypatch.setattr(engine, "_advance_blocks", count)
+        [rec] = run_multi_pass([toy_dataset(40, 3)], LOGISTIC, sched, [seeded_rng(1, 0)], log_interval=1)
+        assert calls == [sched.T]
+        assert [t for t, _ in rec.iterate_log] == list(range(1, sched.T + 1))
 
 
 def _digest(*parts):
@@ -548,7 +582,9 @@ def _golden_coupled_d16():
     yp = data.y.copy()
     yp[-1] = -yp[-1]
     sched = multi_pass_schedule(24, 1.5, 0.9, 1e-4, 0.2, 1.0)
-    [sq] = coupled_stability_run([(data, Dataset(data.X, yp))], LOGISTIC, sched, [25])
+    [sq] = coupled_stability_run(
+        [(data, Dataset(data.X, yp))], LOGISTIC, sched, [25], range(1, sched.T + 1)
+    )
     return _digest([(t, float(v)) for t, v in enumerate(sq, 1)])
 
 
@@ -577,11 +613,11 @@ GOLDEN = {
     ),
     "multi-pass-logistic": (
         _golden_multi_logistic,
-        "e5d0382b23c98298faed496303a4a8166f7966b95f0858a439e2d05d0235c0b0",
+        "4d6886f487485cc3ac9a51e769de4c13bdfa4012771318224de0dad77ae34a5c",
     ),
     "multi-pass-quadratic-d33": (
         _golden_multi_quadratic_d33,
-        "f43289a4ea3db769a96499fc9d9ba15b05a411536fea37d73dcb628b119b60cd",
+        "b71ca91b439feb29f9465661f1255e06244de449377be60618258140abf06ba7",
     ),
     "coupled-d16": (
         _golden_coupled_d16,
