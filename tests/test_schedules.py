@@ -197,7 +197,7 @@ class TestMultiPassSchedule:
     def test_needs_at_least_one_step(self):
         # multi_pass_schedule never builds T < 1, and a hand-built schedule cannot either
         fields = dict(n=10, pass_exponent=1.0, epsilon=0.1, delta=1e-4, eta0=1.0, G=1.0, beta0=0.25)
-        for T in (0, -1, 2.5):
+        for T in (0, 2.5):
             with pytest.raises(InvalidParameterError, match="T must be an integer >= 1"):
                 MultiPassSchedule(**fields, T=T)
 
@@ -211,6 +211,7 @@ class TestMultiPassSchedule:
             ("delta", 1.0, r"delta must be in \(0, 1\)"),
             ("beta0", -1e-3, "beta0 must be > 0"),
             ("beta0", 0.0, "beta0 must be > 0"),
+            pytest.param("T", -1, "T must be an integer >= 1", id="T--1-T must be >= 1"),
         ],
     )
     def test_direct_construction_is_validated(self, field, value, message):
