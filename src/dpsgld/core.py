@@ -10,6 +10,7 @@ rule, and ``_fmt`` prints every reported number (integers exactly, floats to
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,9 @@ class InfinitePrivacyLossError(ValueError):
 
 def _require_positive(**kwargs) -> None:
     for name, value in kwargs.items():
-        if not value > 0:
-            raise InvalidParameterError(f"{name} must be > 0, got {value}")
+        # a comparison, not math.isfinite: exact for ints of any size
+        if not 0 < value < math.inf:
+            raise InvalidParameterError(f"{name} must be > 0 and finite, got {value}")
 
 
 def _require_unit_interval(**kwargs) -> None:

@@ -37,18 +37,44 @@ g_l = −a_l·η_l·φ′_l, so
     w_j = P_j·w₀ + Σ_(l<j) N_jl·(g_l·x_l + σ_l·z_l),
     P_j = a_0···a_(j−1),  N_jl = a_(l+1)···a_(j−1)  (N_jl = 0 for l >= j),
 
-and the margin of step j is P_j·x_jᵀw₀ + Σ_(l<j) N_jl·(g_l·K_jl + σ_l·x_jᵀz_l)
-with K = XXᵀ. Nothing is divided, so a step with a_l = 0 (step one) needs no
-care. N, (L+1)×L for a block of L steps, is one masked ``cumprod``; two
-batched matmuls give the Gram and noise cross terms of the block. The
-coefficients g are found by sweeps g ← F(g) from g = 0 until a sweep returns
-g unchanged. Row j of F reads only rows before j, so row j is final after
-j + 1 sweeps, at most L + 1 sweeps run, and the fixed point they stop at is
-the unique one: the forward-substitution answer, which is the per-step
-chain's. The logged iterates and the block's last one take their rows of N
-through two more matmuls. The two kernels see the same indices and noise and
-do the same arithmetic in another order, so they differ only by rounding
-(tests/test_engine.py holds them within 1e-12·max(1, max|w|)).
+and the margin of step j is P_j·x_jᵀw₀ + Σ_(l<j) N_jl·g_l·K_jl + n_j with
+K = XXᵀ, n_j = x_jᵀζ_j and ζ_j = Σ_l A_jl·z_l, the noise carried into w_j,
+A = N·diag(σ). Nothing is divided, so a step with a_l = 0 (step one) needs no
+care. N, (L+1)×L for a block of L steps, is one masked ``cumprod``; one
+batched matmul gives the Gram. The coefficients g are found by sweeps
+g ← F(g) from g = 0 until a sweep returns g unchanged. Row j of F reads only
+rows before j, so row j is final after j + 1 sweeps, at most L + 1 sweeps
+run, and the fixed point they stop at is the unique one: the
+forward-substitution answer, which is the per-step chain's. The logged
+iterates and the block's last one (the block's ends e) take their rows of N
+through one more matmul, plus the end sums ζ_e.
+
+The block reads its noise only through n and the ζ_e, so ``_block_noise``
+draws those, exactly in law, instead of the L·d normals of the z_l. Let the
+L×E matrix Ĉ have orthonormal columns spanning the rows A_e of the E ends.
+The ends are nested, and on [0, e) a later row A_e′ is a multiple of A_e, so
+column s is row A_(e_s) on [e_(s−1), e_s), normalised (0 if that part
+vanishes). Split Z along Ĉ: Ξ = ĈᵀZ is E×d standard normal, ζ_e = A_eĈ·Ξ,
+and ζ_j = Ξᵀ·M_jᵀ plus a part independent of Ξ, with M = A·Ĉ. So
+n_j = x_jᵀΞᵀM_jᵀ + r_j, where the r_j are jointly Gaussian with
+Cov(r_j, r_j′) = K_jj′·Σ_jj′ and Σ = A(I − ĈĈᵀ)Aᵀ = AAᵀ − MMᵀ. K∘Σ is a Schur
+product of two positive semidefinite matrices; its pivoted Cholesky factor F
+(LAPACK ``dpstrf``) gives r = F·u with u ~ N(0, I_L). The pivoted factor needs
+no positive definiteness, so repeated rows, d < L, and σ_l = 0 or
+λ_lη_l ∈ {0, 1, 2} inside a block need no special case. Each group reads E·d
+normals for Ξ, then L for u, whatever the rank: d + L per block at the usual
+E = 1, against L·d for the z_l. A block whose σ are all 0 reads none. The draw
+is exact for one chain per group, which is why ``_advance_blocks`` takes
+k = 1: chains that shared noise would need the joint law of all their
+margins. scipy.linalg, home of ``dpstrf``, takes 45-75 ms to import, so
+``_block_noise`` imports it inside the function: runs that never advance a
+multi-pass block (single pass, coupled pairs, the accountant) never load it.
+
+The two kernels therefore agree in law, not bit for bit. With a full draw of
+the z_l in ``_advance``'s order put in place of ``_block_noise``, they see the
+same indices and noise and do the same arithmetic in another order, so they
+differ only by rounding: tests/test_engine.py holds them within
+1e-12·max(1, max|w|) that way, and tests the law of the draw on its own.
 
 Replicates share one group while their index rows fit in ``_GROUP_BYTES``; a
 larger batch advances one group after another. Every replicate draws from its
@@ -98,6 +124,8 @@ _BLOCK_STEPS = 32
 # and that product has the factor a_(j−1) where l < j − 1.
 _BEFORE = np.tri(_BLOCK_STEPS + 1, _BLOCK_STEPS, k=-1)
 _BEFORE_LAST = np.tri(_BLOCK_STEPS + 1, _BLOCK_STEPS, k=-2, dtype=bool)
+# Mask of the lower triangle of a block's L×L matrices
+_LOWER = np.tri(_BLOCK_STEPS)
 
 
 @dataclass
@@ -210,11 +238,63 @@ def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, l
     return W, logged
 
 
-def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, log_times) -> tuple:
-    """The block kernel for unit batches: the module docstring gives its contract and its solve.
+def _block_noise(X, K, A, ends, noise_gens) -> tuple:
+    """(n, S) of one block, exact in law: the margin noise n_j = x_jᵀζ_j and the end sums ζ_e.
 
-    Group j reads its rows and its noise from ``noise_gens[j]`` in the order
-    ``_advance`` reads them, so the two kernels see the same rows and noise.
+    ``X`` holds each group's (L, d) rows and ``K`` their (L, L) Gram;
+    ζ_j = Σ_l A_jl·z_l with ``A`` = N·diag(σ), (L+1)×L; ``ends`` ascend to L.
+    Returns n, (g, L), and S, (g, len(ends), d). A block with any σ_l > 0
+    reads E·d + L normals from each group's generator (E = len(ends)), one
+    with none reads nothing. The module docstring gives the draw.
+    """
+    g, L, d = X.shape
+    E = len(ends)
+    if not A.any():
+        return np.zeros((g, L)), np.zeros((g, E, d))
+    # scipy.linalg costs 45-75 ms to import; only multi-pass blocks need it,
+    # so single-pass, coupled and accountant runs never pay for it
+    from scipy.linalg.lapack import dpstrf
+
+    # Ĉ: row A_(e_s) on [e_(s−1), e_s), normalised (0 where it vanishes). The
+    # ends are nested, so these disjoint pieces span every row A_e.
+    C = np.zeros((L, E))
+    lo = 0
+    for s, e in enumerate(ends):
+        piece = A[e, lo:e]
+        norm = np.sqrt(piece @ piece)
+        if norm > 0.0:
+            C[lo:e, s] = piece / norm
+        lo = e
+    M = A[:L] @ C
+    # Σ = AAᵀ − MMᵀ, formed as BBᵀ with B = A(I − ĈĈᵀ): no difference to round below 0
+    B = A[:L] - M @ C.T
+    Sigma = B @ B.T
+    # dpstrf reads and writes only the lower triangle; a zero upper one keeps the factor triangular
+    Sigma *= _LOWER[:L, :L]
+    draws = np.empty((g, E * d + L))
+    for gen, row in zip(noise_gens, draws):
+        gen.standard_normal(out=row)
+    Xi = draws[:, : E * d].reshape(g, E, d)
+    n = ((X @ Xi.mT) * M).sum(axis=-1)
+    # the rest of each ζ_j is independent of Ξ; its margins have covariance K∘Σ
+    KS = K * Sigma
+    pivots = np.empty((g, L), dtype=np.intp)
+    rest = np.empty((g, L))
+    for j in range(g):
+        factor, piv, rank, _ = dpstrf(KS[j], lower=1)
+        pivots[j] = piv
+        np.matmul(factor[:, :rank], draws[j, E * d : E * d + rank], out=rest[j])
+    pivots -= 1  # LAPACK counts from 1
+    n[np.arange(g)[:, None], pivots] += rest
+    return n, (A[ends] @ C) @ Xi
+
+
+def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, log_times) -> tuple:
+    """The block kernel for unit batches and one chain per group (k = 1).
+
+    The module docstring gives its contract, its solve and its noise draw.
+    Group j reads its rows in the order ``_advance`` reads them, and its
+    noise from ``noise_gens[j]`` through ``_block_noise``.
     """
     etas, lambda_etas, sigmas, _ = steps
     X_all, y_all, firsts = data
@@ -224,8 +304,6 @@ def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_
     T = len(etas)
     shrinks = 1.0 - lambda_etas
     grad_coefs = (lambda_etas - 1.0) * etas  # g_l = −a_l·η_l·φ′_l
-    noisy = sigmas > 0.0
-    draws_before = np.concatenate(([0], np.cumsum(noisy)))
     logged = np.empty((g, k, len(log_times), d))
     done = 0  # iterates logged so far
     for start in range(0, T, _BLOCK_STEPS):
@@ -239,23 +317,18 @@ def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_
         rows = orders[:, None, start:stop] + firsts
         X = np.take(X_all, rows, axis=0)
         y = np.take(y_all, rows)
-        Z = np.empty((g, int(draws_before[stop] - draws_before[start]), d))
-        for gen, z in zip(noise_gens, Z):
-            gen.standard_normal(out=z)
-        if Z.shape[1] < L:
-            # steps with σ_t = 0 draw nothing; their z_t is 0
-            drawn, Z = Z, np.zeros((g, L, d))
-            Z[:, noisy[start:stop]] = drawn
-        Z = Z[:, None]  # shared by the group's k chains
-        sig = sigmas[start:stop]
-        phi_scale = grad_coefs[start:stop]
+        # the logged iterates and the block's last one
+        block_logs = log_times[done : bisect.bisect_right(log_times, stop, lo=done)]
+        ends = [t - start for t in block_logs]
+        if not ends or ends[-1] != L:
+            ends.append(L)
         K = X @ X.mT
+        noise, ends_noise = _block_noise(X[:, 0], K[:, 0], N * sigmas[start:stop], ends, noise_gens)
         K *= N[:L]
-        cross = X @ Z.mT
-        cross *= N[:L]
-        # margins = base + (N∘K)·g, base_j = P_j·x_jᵀw₀ + Σ_(l<j) N_jl·σ_l·x_jᵀz_l
-        base = cross @ sig
-        base += P[:L] * (X @ W[..., None])[..., 0]
+        phi_scale = grad_coefs[start:stop]
+        # margins = base + (N∘K)·g, base_j = P_j·x_jᵀw₀ + n_j
+        base = P[:L] * (X @ W[..., None])[..., 0]
+        base += noise[:, None]
         # row j of the sweep reads only rows before it, so it is final after
         # j + 1 sweeps; the fixed point is the forward-substitution answer
         coefs = np.zeros((g, k, L))
@@ -267,14 +340,10 @@ def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_
             if (swept == coefs).all():
                 break
             coefs = swept
-        # the logged iterates and the block's last one, from their rows of N
-        block_logs = log_times[done : bisect.bisect_right(log_times, stop, lo=done)]
-        ends = [t - start for t in block_logs]
-        if not ends or ends[-1] != L:
-            ends.append(L)
+        # the ends' iterates from their rows of N
         N_ends = N[ends]
         out = (coefs[..., None, :] * N_ends) @ X
-        out += (sig * N_ends) @ Z
+        out += ends_noise[:, None]
         out += P[ends, None] * W[..., None, :]
         logged[:, :, done : done + len(block_logs)] = out[:, :, : len(block_logs)]
         done += len(block_logs)

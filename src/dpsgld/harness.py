@@ -164,6 +164,7 @@ class ExperimentConfig:
                 raise InvalidParameterError(
                     f"{name} must be >= 0 (0 means the per-n default), got {value}"
                 )
+        _require_wstar_norm(self.wstar_norm)
 
 
 # The ExperimentConfig fields each experiment never reads; the CLI refuses them.
@@ -256,10 +257,16 @@ def data_kind(loss_family: str) -> str:
     return QUADRATIC_KIND if loss_family == losses.QUADRATIC else LOGISTIC_KIND
 
 
+def _require_wstar_norm(value) -> None:
+    if not value >= 0:
+        raise InvalidParameterError(f"wstar_norm must be >= 0, got {value}")
+
+
 def population_model(
     loss_family: str, d: int, wstar_norm: float, feature_law: str, label_noise: float
 ) -> PopulationModel:
-    """The synthetic law for a loss family, with w* = wstar_norm·e₁."""
+    """The synthetic law for a loss family, with w* = wstar_norm·e₁ (wstar_norm >= 0)."""
+    _require_wstar_norm(wstar_norm)
     w_star = np.zeros(d)
     w_star[0] = wstar_norm
     return PopulationModel(

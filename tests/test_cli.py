@@ -179,8 +179,8 @@ RUN_DIGESTS = {
             "--set", "schedule.delta=1e-4", "--set", "run.log_interval=7",
         ],
         {
-            "stdout": "66a83fa444738166603dec77f996ecad0bd3dd72a4ae32b138f69a05d904fc71",
-            "run_record.csv": "38b610a744c929ff9bc2b6edb6b023767575582bda53ba5be613c0cf41f8243b",
+            "stdout": "424007c13938f78feaa93b7c7eb184ad22502a5b00a2193c7d084348124f062a",
+            "run_record.csv": "06a87eb934fba79b0f00f04a58acb4615cb00e806a9b3e4effaf2381c29ed789",
             "account.txt": "39b2e3def1f27ffc0d4373d9805373ab1723cf68a373f51bf3529d13d025b4ac",
         },
     ),
@@ -481,6 +481,52 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (["mode=multi-pass", "schedule.epsilon=inf"], "epsilon must be > 0 and finite, got inf"),
+            (["mode=multi-pass", "schedule.G=inf"], "G must be > 0 and finite, got inf"),
+            (["schedule.eta0=inf"], "eta0 must be > 0 and finite, got inf"),
+            (["schedule.epsilon=inf"], "epsilon must be > 0 and finite, got inf"),
+            (["schedule.epsilon=-inf"], "epsilon must be > 0 and finite, got -inf"),
+        ],
+    )
+    def test_infinite_schedule_inputs_are_refused(self, capsys, settings, message):
+        argv = ["account"]
+        for setting in settings:
+            argv += ["--set", setting]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("nan", "nan")])
+    def test_negative_or_nan_wstar_norm_is_refused_by_run(self, capsys, tmp_path, value, shown):
+        code, out, err = run_main(
+            capsys, ["run", "--out", str(tmp_path / "out"), "--set", f"data.wstar_norm={value}"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: wstar_norm must be >= 0, got {shown}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["stability", "privacy-utility", "excess-risk-vs-n"])
+    @pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("nan", "nan")])
+    def test_negative_or_nan_wstar_norm_is_refused_by_experiment(
+        self, capsys, tmp_path, name, value, shown
+    ):
+        code, out, err = run_main(
+            capsys,
+            [
+                "experiment", "--out", str(tmp_path), "--set", f"experiment.name={name}",
+                "--set", f"experiment.wstar_norm={value}",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: wstar_norm must be >= 0, got {shown}\n"
         assert not any(tmp_path.iterdir())
 
 

@@ -1,4 +1,6 @@
 import hashlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -375,6 +377,16 @@ class TestReplicateBatches:
             run_multi_pass([data, toy_dataset(60, 4)], LOGISTIC, sched, [seeded_rng(1, 0)] * 2)
 
 
+def _full_draw(X, K, A, ends, noise_gens):
+    """``engine._block_noise`` from a full draw: z_l for the noisy steps only, in ``_advance``'s order."""
+    g, L, d = X.shape
+    noisy = np.diagonal(A, offset=-1) > 0.0  # A_(l+1)l = σ_l
+    Z = np.zeros((g, L, d))
+    for gen, z in zip(noise_gens, Z):
+        z[noisy] = gen.standard_normal((int(noisy.sum()), d))
+    return ((X @ Z.mT) * A[:L]).sum(axis=-1), A[ends] @ Z
+
+
 class TestBlockKernel:
     """_advance_blocks against the per-step _advance on the same index rows and noise streams."""
 
@@ -383,33 +395,33 @@ class TestBlockKernel:
     # and the chain contracts, so about 4 500 ulps at unit scale is ample
     RTOL = 1e-12
 
-    def inputs(self, family, g, T, seed=0, k=1):
-        """g groups of k datasets, and each group's index row valid in all k."""
-        datasets = [toy_dataset(40 + 7 * r, self.D, seed=seed + r) for r in range(g * k)]
+    def inputs(self, family, g, T, seed=0):
+        """g datasets, and an index row valid in each."""
+        datasets = [toy_dataset(40 + 7 * r, self.D, seed=seed + r) for r in range(g)]
         if family == "quadratic":
             # a canary label far outside [-1, 1] makes the clip fire
             datasets = [Dataset(data.X, np.append(data.y[:-1], -1e6)) for data in datasets]
         gen = np.random.default_rng(seed + 100)
-        orders = np.stack([
-            gen.integers(0, min(data.n for data in datasets[j * k : (j + 1) * k]), size=T)
-            for j in range(g)
-        ])
+        orders = np.stack([gen.integers(0, data.n, size=T) for data in datasets])
         return datasets, orders
 
     def both(self, loss, datasets, orders, steps, noise_seed, log_times):
-        """(reference log, block log, reference final, block final) of both kernels."""
+        """(reference log, block log, reference final, block final) of both kernels.
+
+        The block kernel draws its noise through ``_full_draw``, so both
+        kernels read the same z_t and differ only by rounding.
+        """
         g = len(orders)
         X, y, firsts = engine._stacked([data.X for data in datasets], [data.y for data in datasets])
-        args = (
-            np.zeros((g, len(datasets) // g, self.D)), (X, y, firsts.reshape(g, -1)), loss,
-            orders, steps,
-        )
+        args = (np.zeros((g, 1, self.D)), (X, y, firsts[:, None]), loss, orders, steps)
         W_ref, reference = engine._advance(
             *args, [np.random.default_rng(noise_seed + r) for r in range(g)], log_times
         )
-        W, got = engine._advance_blocks(
-            *args, [np.random.default_rng(noise_seed + r) for r in range(g)], log_times
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_block_noise", _full_draw)
+            W, got = engine._advance_blocks(
+                *args, [np.random.default_rng(noise_seed + r) for r in range(g)], log_times
+            )
         return reference, got, W_ref, W
 
     def assert_close(self, reference, got):
@@ -478,10 +490,9 @@ class TestBlockKernel:
         self.assert_close(reference, got)
         self.assert_close(W_ref, W)
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_noisy_schedule_with_full_and_reversing_shrinks_mid_block(self, k):
+    def test_noisy_schedule_with_full_and_reversing_shrinks_mid_block(self):
         # λη = 1 (a = 0: w forgotten, fresh noise) and λη = 2 (a = −1, σ = 0)
-        # inside blocks of noisy steps, for single chains and for pairs
+        # inside blocks of noisy steps
         T = 100
         gen = np.random.default_rng(6)
         etas = 0.5 * gen.random(T)
@@ -490,7 +501,7 @@ class TestBlockKernel:
         lambda_etas[[20, 45, 46, 95]] = 2.0
         steps = engine._steps(etas, lambda_etas, 0.8, np.ones(T, dtype=np.int64))
         assert steps[2][1] > 0.0 and steps[2][20] == 0.0
-        datasets, orders = self.inputs("quadratic", 2, T, seed=12, k=k)
+        datasets, orders = self.inputs("quadratic", 2, T, seed=12)
         log_times = [5, 10, 11, 32, 33, 41, 64, 77, 100]
         reference, got, W_ref, W = self.both(QUADRATIC, datasets, orders, steps, 80, log_times)
         self.assert_close(reference, got)
@@ -515,6 +526,145 @@ class TestBlockKernel:
         [rec] = run_multi_pass([toy_dataset(40, 3)], LOGISTIC, sched, [seeded_rng(1, 0)], log_interval=1)
         assert calls == [sched.T]
         assert [t for t, _ in rec.iterate_log] == list(range(1, sched.T + 1))
+
+
+def _z_scores(a, b):
+    """|z| of the two-sample differences of the column means of a and b.
+
+    Columns that are constant on both sides must agree exactly and are left out.
+    """
+    se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
+    diff = a.mean(axis=0) - b.mean(axis=0)
+    constant = se == 0.0
+    assert not diff[constant].any()
+    return np.abs(diff[~constant]) / se[~constant]
+
+
+def _moments(V):
+    """Each row of V (samples × variables) with the products of every pair of its entries."""
+    i, j = np.triu_indices(V.shape[1])
+    return np.concatenate([V, V[:, i] * V[:, j]], axis=1)
+
+
+class TestBlockNoise:
+    """engine._block_noise: the law of (n, S) and the count of normals it reads."""
+
+    # a block of L = 7 steps in d = 3 < L, row 4 repeating row 1, a full shrink
+    # (a = 0) at step 3, a noiseless step 5 (λη = 2), and logs after steps 2 and 5
+    L, D = 7, 3
+    ENDS = [2, 5, 7]
+
+    def block(self, d=D):
+        """(X, K, A) of the block, with N_jl = a_(l+1)···a_(j−1) built entry by entry."""
+        gen = np.random.default_rng(31)
+        X = gen.standard_normal((self.L, d))
+        X[4] = X[1]
+        lambda_etas = 0.2 + 0.6 * gen.random(self.L)
+        lambda_etas[[3, 5]] = [1.0, 2.0]
+        sigmas = engine._steps(np.ones(self.L), lambda_etas, 0.7, np.ones(self.L))[2]
+        a = 1.0 - lambda_etas
+        N = np.array([
+            [np.prod(a[l + 1 : j]) if l < j else 0.0 for l in range(self.L)]
+            for j in range(self.L + 1)
+        ])
+        return X, X @ X.T, N * sigmas
+
+    def test_moments_match_the_full_draw(self):
+        # 20 000 draws a side: every mean and every second moment of the 16
+        # entries of (n, S) must agree within 4.5 standard errors (fixed before
+        # the first run); n_0 = 0 on both sides
+        draws = 20_000
+        X, K, A = self.block()
+        samples = []
+        for draw, seed in ((engine._block_noise, 1), (_full_draw, 2)):
+            gen = np.random.default_rng(seed)
+            n, S = draw(
+                np.broadcast_to(X, (draws, *X.shape)), np.broadcast_to(K, (draws, *K.shape)), A,
+                self.ENDS, [gen] * draws,
+            )
+            samples.append(_moments(np.concatenate([n, S.reshape(draws, -1)], axis=1)))
+        worst = max(_z_scores(*samples))
+        assert worst <= 4.5, worst
+
+    @pytest.mark.parametrize("d", [3, 12])
+    @pytest.mark.parametrize("ends", [[7], ENDS])
+    def test_a_noisy_block_reads_ends_times_d_plus_L_normals(self, ends, d):
+        # whatever the rank of K∘Σ: 3 when d = 3, full when d = 12
+        X, K, A = self.block(d)
+        gen = np.random.default_rng(5)
+        engine._block_noise(X[None], K[None], A, ends, [gen])
+        fresh = np.random.default_rng(5)
+        fresh.standard_normal(len(ends) * d + self.L)
+        assert gen.random() == fresh.random()
+
+    def test_a_noiseless_block_reads_nothing(self):
+        X, K, A = self.block()
+        gen = np.random.default_rng(5)
+        n, S = engine._block_noise(X[None], K[None], 0.0 * A, self.ENDS, [gen])
+        assert not n.any() and not S.any() and S.shape == (1, len(self.ENDS), self.D)
+        assert gen.random() == np.random.default_rng(5).random()
+
+    def test_block_kernel_has_the_law_of_the_per_step_kernel(self):
+        # 4 000 chains a side on one quadratic dataset (n = 5, d = 3 < L, row 4
+        # repeating row 1), T = 80 with η in [0.5, 2] so that the margin noise
+        # moves the iterate, a full shrink at step 40, noiseless steps 20
+        # (λη = 0) and 50 (λη = 2), and logs inside blocks and at their ends.
+        # At each logged step every mean and second moment of the coordinates
+        # must agree within 4.5 standard errors; fixed before the first run.
+        chains, T, d = 4000, 80, 3
+        gen = np.random.default_rng(41)
+        X = gen.standard_normal((5, d))
+        X *= 0.9 / np.linalg.norm(X, axis=1, keepdims=True)
+        X[4] = X[1]
+        y = np.array([0.8, -0.5, 0.3, -0.9, 0.6])
+        etas = 0.5 + 1.5 * gen.random(T)
+        lambda_etas = 0.05 + 0.25 * gen.random(T)
+        lambda_etas[[0, 39, 19, 49]] = [1.0, 1.0, 0.0, 2.0]
+        steps = engine._steps(etas, lambda_etas, 1.0, np.ones(T, dtype=np.int64))
+        log_times = [10, 32, 45, 50, 64, 71, 80]
+        samples = []
+        for kernel, seed in ((engine._advance, 1), (engine._advance_blocks, 2)):
+            rng = np.random.default_rng(seed)
+            logs = []
+            for _ in range(4):  # 1 000 chains at a time keeps the block Grams small
+                orders = rng.integers(0, 5, size=(chains // 4, T))
+                _, logged = kernel(
+                    np.zeros((chains // 4, 1, d)), (X, y, np.zeros((chains // 4, 1), dtype=np.int64)),
+                    QUADRATIC, orders, steps, [rng] * (chains // 4), log_times,
+                )
+                logs.append(logged[:, 0])
+            W = np.concatenate(logs)
+            samples.append(np.concatenate([_moments(W[:, i]) for i in range(len(log_times))], axis=1))
+        worst = max(_z_scores(*samples))
+        assert worst <= 4.5, worst
+
+
+def test_scipy_linalg_is_imported_only_by_a_multi_pass_block():
+    # importing scipy.linalg costs tens of ms, which every CLI start would pay
+    script = "\n".join([
+        "import io, sys, contextlib",
+        "from dpsgld import cli, harness",
+        "from dpsgld.harness import ExperimentConfig",
+        "assert 'scipy.linalg' not in sys.modules, 'on import'",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['account']) == 0",
+        "harness.run_experiment(ExperimentConfig(",
+        "    experiment='stability', n_grid=(20,), d_grid=(3,), replicates=2,",
+        "    epsilon=0.5, delta=1e-3, checkpoints=(1, 5)))",
+        "assert 'scipy.linalg' not in sys.modules, 'after account and stability'",
+        "from dpsgld.core import seeded_rng",
+        "from dpsgld.datagen import draw_dataset",
+        "from dpsgld.engine import run_multi_pass",
+        "from dpsgld.losses import GlmLoss",
+        "from dpsgld.schedules import multi_pass_schedule",
+        "model = harness.population_model('logistic', 3, 1.0, 'ball', 0.1)",
+        "data = draw_dataset(model, 20, seeded_rng(1, 0))",
+        "schedule = multi_pass_schedule(20, 1.5, 1.0, 1e-3, 1.0, 1.0)",
+        "run_multi_pass([data], GlmLoss('logistic'), schedule, [seeded_rng(1, 1)])",
+        "assert 'scipy.linalg' in sys.modules, 'after a multi-pass run'",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _digest(*parts):
@@ -601,7 +751,7 @@ def _golden_sgld_step():
 # change to the update arithmetic (operation order, the shape of a BLAS call)
 # shows here; re-record them only for an intended change of output. The two
 # multi-pass digests come from the block kernel, which TestBlockKernel holds to
-# the per-step kernel.
+# the per-step kernel and TestBlockNoise to its law.
 GOLDEN = {
     "single-pass-logistic": (
         _golden_single_logistic,
@@ -613,11 +763,11 @@ GOLDEN = {
     ),
     "multi-pass-logistic": (
         _golden_multi_logistic,
-        "4d6886f487485cc3ac9a51e769de4c13bdfa4012771318224de0dad77ae34a5c",
+        "65651fcbafb84778b329ae9e48a3f8e919deb6b68fa9b53f78e291530a2bff06",
     ),
     "multi-pass-quadratic-d33": (
         _golden_multi_quadratic_d33,
-        "b71ca91b439feb29f9465661f1255e06244de449377be60618258140abf06ba7",
+        "a563e8ee10793264f14d28d334acc45696b1b050034ea041b5e9e84e65ad7c36",
     ),
     "coupled-d16": (
         _golden_coupled_d16,
