@@ -48,6 +48,11 @@ def _require_count(name: str, value, minimum: int) -> None:
         raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value}")
 
 
+def _require_step(t, T) -> None:
+    if not 1 <= t <= T:
+        raise InvalidParameterError(f"step t={t} outside 1..{T}")
+
+
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -78,6 +83,7 @@ class RngStream:
     def __init__(self, seed: int, stream: int = 0, _path: tuple = ()):
         self.seed = int(seed)
         self.stream = int(stream)
+        _require_count("seed", self.seed, 0)
         self._path = tuple(int(k) for k in _path)
         self._generator: np.random.Generator | None = None
 

@@ -79,8 +79,10 @@ class PopulationModel:
             raise InvalidParameterError(
                 f"wStar has {w.shape[0]} coordinates, model says d={self.d}"
             )
-        if self.label_noise < 0:
-            raise InvalidParameterError(f"label noise must be >= 0, got {self.label_noise}")
+        if not 0 <= self.label_noise < math.inf:
+            raise InvalidParameterError(
+                f"label noise must be >= 0 and finite, got {self.label_noise}"
+            )
         object.__setattr__(self, "w_star", w)
 
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import losses
-from .core import Dataset, InvalidParameterError, RngStream, _fmt, seeded_rng
+from .core import Dataset, InvalidParameterError, RngStream, _fmt, _require_count, seeded_rng
 from .datagen import (
     LOGISTIC_KIND,
     QUADRATIC_KIND,
@@ -67,7 +67,7 @@ from .engine import _steps, coupled_stability_run, run_multi_pass, run_single_pa
 from .losses import GlmLoss, loss_bounds
 from .oracles import stability_bound, theorem1_excess_bound, theorem2_excess_bound
 from .privacy import certify_theorem1, certify_theorem2
-from .schedules import multi_pass_schedule, single_pass_schedule
+from .schedules import SINGLE_PASS, multi_pass_schedule, single_pass_schedule
 
 EXCESS_RISK_VS_N = "excess-risk-vs-n"
 DIMENSION_INDEPENDENCE = "dimension-independence"
@@ -147,6 +147,8 @@ class ExperimentConfig:
             raise InvalidParameterError(f"replicates must be >= 2, got {self.replicates}")
         if self.n_test < 100:
             raise InvalidParameterError(f"n_test must be >= 100, got {self.n_test}")
+        # checked here too: a grid of only infeasible schedules draws nothing
+        _require_count("seed", self.seed, 0)
         if self.loss_family not in losses.FAMILIES:
             raise InvalidParameterError(
                 f"unknown loss family {self.loss_family!r}; expected {losses.FAMILIES}"
@@ -280,9 +282,18 @@ def _model(config: ExperimentConfig, d: int) -> PopulationModel:
     )
 
 
-def _eval_rng(config: ExperimentConfig) -> RngStream:
-    # a fresh instance replays the stream, so every call sees the same sample
-    return seeded_rng(config.seed, EVAL_STREAM)
+def _replicates(config: ExperimentConfig) -> list:
+    """Replicate r's stream: stream id r of the base seed."""
+    return [seeded_rng(config.seed, r) for r in range(config.replicates)]
+
+
+def _excess_risks(config: ExperimentConfig, loss, model: PopulationModel, iterates) -> np.ndarray:
+    """Each iterate's population risk minus w*'s, all scored on the shared held-out sample."""
+    # a fresh evaluation stream replays the same sample on every call
+    est, _ = population_risk_many(
+        loss, [*iterates, model.w_star], model, config.n_test, seeded_rng(config.seed, EVAL_STREAM)
+    )
+    return est[:-1] - est[-1]
 
 
 def _resolved(config: ExperimentConfig, n: int) -> tuple[float, float]:
@@ -308,6 +319,35 @@ def _error_row(config, n, d, eps, delta, err) -> ResultRow:
         bound_value=nan,
         samples_consumed=0,
         note=f"error: {err}",
+    )
+
+
+def _row(config, n, d, schedule, mean, se, bound, checkpoint_t=None, note="") -> ResultRow:
+    """A measured row whose account columns come from the schedule and its certificate.
+
+    Theorem 1 certifies a single-pass schedule and claims (2ε, δ); Theorem 2
+    certifies a multi-pass one next to its own claimed ε.
+    """
+    if schedule.mode == SINGLE_PASS:
+        accounted, claimed = certify_theorem1(schedule), 2.0 * schedule.epsilon
+    else:
+        accounted, claimed_budget = certify_theorem2(schedule)
+        claimed = claimed_budget.epsilon
+    return ResultRow(
+        experiment=config.experiment,
+        n=n,
+        d=d,
+        eps_target=schedule.epsilon,
+        eps_accounted=accounted.epsilon,
+        eps_claimed=claimed,
+        delta=accounted.delta,
+        T=schedule.T,
+        checkpoint_t=schedule.T if checkpoint_t is None else checkpoint_t,
+        mean_value=mean,
+        standard_error=se,
+        bound_value=bound,
+        samples_consumed=schedule.sample_budget,
+        note=note,
     )
 
 
@@ -393,23 +433,17 @@ def _single_pass_point(config, loss, n: int, d: int) -> ResultRow:
     except InvalidParameterError as err:
         return _error_row(config, n, d, eps, delta, err)
     model = _model(config, d)
-    budget = schedule.sample_budget
-    reps = [seeded_rng(config.seed, r) for r in range(config.replicates)]
+    reps = _replicates(config)
     if _planar(model):
-        finals = list(_reduced_single_pass(model, loss, schedule, reps))
+        finals = _reduced_single_pass(model, loss, schedule, reps)
     else:
         finals = [
             run_single_pass(
-                draw_dataset(model, budget, rep.substream(DATA_SUBSTREAM)),
+                draw_dataset(model, schedule.sample_budget, rep.substream(DATA_SUBSTREAM)),
                 loss, schedule, rep, log_interval=schedule.T,
             ).final_iterate
             for rep in reps
         ]
-    est, _ = population_risk_many(
-        loss, finals + [model.w_star], model, config.n_test, _eval_rng(config)
-    )
-    mean, se = _mean_se(est[:-1] - est[-1])
-    accounted = certify_theorem1(schedule)
     bound = theorem1_excess_bound(
         config.wstar_norm,
         n,
@@ -419,21 +453,8 @@ def _single_pass_point(config, loss, n: int, d: int) -> ResultRow:
         delta,
         bounds.hessian_trace_bound,
     )
-    return ResultRow(
-        experiment=config.experiment,
-        n=n,
-        d=d,
-        eps_target=eps,
-        eps_accounted=accounted.epsilon,
-        eps_claimed=2.0 * eps,
-        delta=accounted.delta,
-        T=schedule.T,
-        checkpoint_t=schedule.T,
-        mean_value=mean,
-        standard_error=se,
-        bound_value=bound,
-        samples_consumed=budget,
-    )
+    excess = _excess_risks(config, loss, model, finals)
+    return _row(config, n, d, schedule, *_mean_se(excess), bound)
 
 
 def experiment_excess_risk_vs_n(config: ExperimentConfig) -> list:
@@ -478,13 +499,11 @@ def experiment_stability(config: ExperimentConfig) -> list:
     d = config.d_grid[0]
     eps, delta = _resolved(config, n)
     schedule = multi_pass_schedule(n, config.pass_exponent, eps, delta, config.eta0, bounds.G)
-    T = schedule.T
-    checkpoints = config.checkpoints if config.checkpoints else _checkpoint_ladder(T)
+    checkpoints = config.checkpoints if config.checkpoints else _checkpoint_ladder(schedule.T)
     model = _model(config, d)
     pairs, seeds = [], []
-    for r in range(config.replicates):
-        data_rng = seeded_rng(config.seed, r).substream(DATA_SUBSTREAM)
-        both = draw_dataset(model, n + 1, data_rng)
+    for r, rep in enumerate(_replicates(config)):
+        both = draw_dataset(model, n + 1, rep.substream(DATA_SUBSTREAM))
         dataset = Dataset(both.X[:n], both.y[:n])
         x_prime = both.X[:n].copy()
         y_prime = both.y[:n].copy()
@@ -493,30 +512,13 @@ def experiment_stability(config: ExperimentConfig) -> list:
         pairs.append((dataset, Dataset(x_prime, y_prime)))
         seeds.append(int(np.random.SeedSequence([config.seed, r]).generate_state(1, np.uint64)[0]))
     distances = coupled_stability_run(pairs, loss, schedule, seeds, checkpoints)
-    accounted, claimed = certify_theorem2(schedule)
     rows = []
     for j, t in enumerate(checkpoints):
         mean, se = _mean_se(distances[:, j])
         bound = stability_bound(int(t), n, bounds.G, schedule.etas)
         holds = mean <= bound + 3.0 * se
-        rows.append(
-            ResultRow(
-                experiment=config.experiment,
-                n=n,
-                d=d,
-                eps_target=eps,
-                eps_accounted=accounted.epsilon,
-                eps_claimed=claimed.epsilon,
-                delta=delta,
-                T=T,
-                checkpoint_t=int(t),
-                mean_value=mean,
-                standard_error=se,
-                bound_value=bound,
-                samples_consumed=T,
-                note="" if holds else "bound_violated",
-            )
-        )
+        note = "" if holds else "bound_violated"
+        rows.append(_row(config, n, d, schedule, mean, se, bound, int(t), note))
         assert holds, (
             f"stability bound violated at t={t}: mean {mean:.6g} > "
             f"bound {bound:.6g} + 3*SE {se:.6g}"
@@ -605,26 +607,12 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
         except InvalidParameterError as err:
             rows.append(_error_row(config, n, d, eps, delta, err))
             continue
-        T = schedule.T
-        interval = max(1, T // 16)
-        reps = [seeded_rng(config.seed, r) for r in range(config.replicates)]
+        reps = _replicates(config)
         datasets = (draw_dataset(model, n, rep.substream(DATA_SUBSTREAM)) for rep in reps)
-        iterates = []
-        counts = []
-        for _, logged in _span_runs(datasets, loss, schedule, reps, interval):
-            iterates.extend(logged)
-            counts.append(len(logged))
-        est, _ = population_risk_many(
-            loss, iterates + [model.w_star], model, config.n_test, _eval_rng(config)
-        )
-        star = est[-1]
-        per_rep = []
-        start = 0
-        for k in counts:
-            per_rep.append(float(np.mean(est[start : start + k])) - star)
-            start += k
-        mean, se = _mean_se(np.asarray(per_rep))
-        exact, claimed = certify_theorem2(schedule)
+        runs = _span_runs(datasets, loss, schedule, reps, max(1, schedule.T // 16))
+        excess = _excess_risks(config, loss, model, np.concatenate([W for _, W in runs]))
+        # every replicate logs the same steps; its value is its run's time average
+        per_rep = excess.reshape(config.replicates, -1).mean(axis=1)
         bound = theorem2_excess_bound(
             config.wstar_norm,
             n,
@@ -635,23 +623,7 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
             delta,
             bounds.hessian_trace_bound,
         )
-        rows.append(
-            ResultRow(
-                experiment=config.experiment,
-                n=n,
-                d=d,
-                eps_target=eps,
-                eps_accounted=exact.epsilon,
-                eps_claimed=claimed.epsilon,
-                delta=delta,
-                T=T,
-                checkpoint_t=T,
-                mean_value=mean,
-                standard_error=se,
-                bound_value=bound,
-                samples_consumed=T,
-            )
-        )
+        rows.append(_row(config, n, d, schedule, *_mean_se(per_rep), bound))
     return rows
 
 

@@ -19,7 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import InvalidParameterError, _require_count, _require_positive, _require_unit_interval
+from .core import (
+    InvalidParameterError, _require_count, _require_positive, _require_step, _require_unit_interval
+)
 
 SINGLE_PASS = "single-pass"
 MULTI_PASS = "multi-pass"
@@ -27,8 +29,7 @@ MULTI_PASS = "multi-pass"
 
 def minibatch_size(T: int, t: int) -> int:
     """⌈√(T/(2(T−t+1)))⌉, computed in exact integer arithmetic."""
-    if not 1 <= t <= T:
-        raise InvalidParameterError(f"step t={t} outside 1..{T}")
+    _require_step(t, T)
     k = T - t + 1
     # smallest m with m²·2k >= T
     m = math.isqrt(T // (2 * k))
@@ -58,15 +59,13 @@ class SinglePassSchedule:
             raise InvalidParameterError(f"Renyi order must be > 1, got {self.renyi_order}")
 
     def lambda_(self, t: int) -> float:
-        if not 1 <= t <= self.T:
-            raise InvalidParameterError(f"step t={t} outside 1..{self.T}")
+        _require_step(t, self.T)
         return 1.0 / (t * self.eta)
 
     def lambda_eta(self, t: int) -> float:
         # λ_t·η = 1/t exactly; kept separate from lambda_() so noise variances
         # never pick up the 1/η roundtrip error.
-        if not 1 <= t <= self.T:
-            raise InvalidParameterError(f"step t={t} outside 1..{self.T}")
+        _require_step(t, self.T)
         return 1.0 / t
 
     def batch_size(self, t: int) -> int:
@@ -169,25 +168,21 @@ class MultiPassSchedule:
         return np.broadcast_to(np.int64(1), (self.T,))
 
     def eta(self, t: int) -> float:
-        if not 1 <= t <= self.T:
-            raise InvalidParameterError(f"step t={t} outside 1..{self.T}")
+        _require_step(t, self.T)
         return float(self.etas[t - 1])
 
     def lambda_(self, t: int) -> float:
-        if not 1 <= t <= self.T:
-            raise InvalidParameterError(f"step t={t} outside 1..{self.T}")
+        _require_step(t, self.T)
         if t == 1:
             return 1.0 / float(self.etas[0])
         return 1.0 / float(self.etas[t - 1]) - 1.0 / float(self.etas[t - 2])
 
     def lambda_eta(self, t: int) -> float:
-        if not 1 <= t <= self.T:
-            raise InvalidParameterError(f"step t={t} outside 1..{self.T}")
+        _require_step(t, self.T)
         return float(self.lambda_etas[t - 1])
 
     def batch_size(self, t: int) -> int:
-        if not 1 <= t <= self.T:
-            raise InvalidParameterError(f"step t={t} outside 1..{self.T}")
+        _require_step(t, self.T)
         return 1
 
     @property

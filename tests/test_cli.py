@@ -529,6 +529,44 @@ class TestErrorPaths:
         assert err == f"error: wstar_norm must be >= 0, got {shown}\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run"],
+            ["experiment", "--set", "experiment.name=stability"],
+            # every schedule infeasible: only error rows, no random draw
+            ["experiment", "--set", "experiment.name=privacy-utility",
+             "--set", "experiment.eps_grid=0.001"],
+        ],
+        ids=["run", "experiment", "experiment-error-rows-only"],
+    )
+    def test_negative_seed_is_refused(self, capsys, tmp_path, argv):
+        code, out, err = run_main(capsys, argv + ["--out", str(tmp_path / "out"), "--seed", "-1"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            ["loss.family=quadratic", "data.label_noise={}"],
+            ["experiment.name=stability", "experiment.label_noise={}"],
+        ],
+        ids=["run", "experiment"],
+    )
+    def test_non_finite_label_noise_is_refused(self, capsys, tmp_path, settings, value):
+        command = "experiment" if settings[0].startswith("experiment.") else "run"
+        argv = [command, "--out", str(tmp_path / "out")]
+        for setting in settings:
+            argv += ["--set", setting.format(value)]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: label noise must be >= 0 and finite, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.mark.parametrize(
     "argv, message",

@@ -75,6 +75,11 @@ class TestRngStream:
         text = repr(RngStream(5, 2))
         assert "5" in text and "2" in text
 
+    def test_negative_seed_is_refused(self):
+        # refused when the stream is made, not later inside numpy's SeedSequence
+        with pytest.raises(InvalidParameterError, match="seed must be an integer >= 0, got -1"):
+            seeded_rng(-1, 0)
+
 
 class TestExample:
     def test_unit_ball_enforced(self):

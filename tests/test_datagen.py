@@ -37,6 +37,11 @@ class TestPopulationModel:
         with pytest.raises(InvalidParameterError):
             PopulationModel(kind="quadratic", d=2, w_star=np.zeros(2), label_noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf])
+    def test_label_noise_must_be_finite(self, noise):
+        with pytest.raises(InvalidParameterError, match="label noise must be >= 0 and finite"):
+            PopulationModel(kind="quadratic", d=2, w_star=np.zeros(2), label_noise=noise)
+
 
 class TestFeatureLaws:
     def test_sphere_norms_are_one(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -276,6 +277,38 @@ class TestPrivacyUtilityExperiment:
         assert rows[0].samples_consumed == 0
         assert rows[1].note == ""
         assert summary["error_rows"] == 1
+
+
+# sha256 of the CSV of small configs, one per way a row is built: the reduced
+# single-pass chain (ball law), the engine's single pass (low-rank law),
+# stability at chosen checkpoints, and privacy-utility with an error row.
+# Every cell is pinned to its printed digits, so a change in how a row's
+# columns are derived shows here; re-record only for an intended change.
+CSV_DIGESTS = {
+    "single-pass-ball": (
+        small_config(EXCESS_RISK_VS_N),
+        "88362a40deebcaffff70466013e2371983c06ba54bff841c02aaa527a4e25ab1",
+    ),
+    "single-pass-low-rank": (
+        small_config(DIMENSION_INDEPENDENCE, feature_law="low-rank"),
+        "f67fa829e694b304f5aabc33b7f6951a79093de966d5b15c3d10d2d3cb0096ee",
+    ),
+    "stability-checkpoints": (
+        small_config(STABILITY, checkpoints=(2, 30, 89)),
+        "f500ef5e421df8b2b030c8681ad08a564e9b3ce63265ea12bd86ca1e7cf639e7",
+    ),
+    "privacy-utility-infeasible-eps": (
+        small_config(PRIVACY_UTILITY, eps_grid=(0.01, 0.5)),
+        "6af67caf2564e60425bbded7e617d4220439aa55d57d26d2cf2b67c68c08d3ca",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
+def test_small_config_csv_matches_recorded_digest(name):
+    config, expected = CSV_DIGESTS[name]
+    rows, _ = run_experiment(config)
+    assert hashlib.sha256(rows_to_csv(rows).encode()).hexdigest() == expected
 
 
 class TestCsvAndSidecar:

@@ -242,3 +242,18 @@ def test_multi_pass_chain_invariants(n, pass_exponent, epsilon, delta, eta0, G):
     np.testing.assert_allclose(s.beta0, eta0 * eta0 * n / s.T, rtol=1e-15)
     assert s.sample_budget == s.T == round(n**pass_exponent * epsilon * epsilon)
 
+
+
+@pytest.mark.parametrize("t", [0, 7])
+def test_every_per_step_accessor_refuses_steps_outside_the_schedule(t):
+    single = single_pass_schedule(6, 1.0, 1.0, 0.5, 1e-5)
+    multi = multi_pass_schedule(10, 1.0, 0.75, 1e-3, 1.0, 1.0)
+    assert single.T == multi.T == 6
+    accessors = [
+        lambda t: minibatch_size(6, t),
+        single.lambda_, single.lambda_eta, single.batch_size,
+        multi.eta, multi.lambda_, multi.lambda_eta, multi.batch_size,
+    ]
+    for accessor in accessors:
+        with pytest.raises(InvalidParameterError, match=rf"^step t={t} outside 1\.\.6$"):
+            accessor(t)
