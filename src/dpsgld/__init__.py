@@ -15,7 +15,7 @@ from .core import (
     RngStream,
     seeded_rng,
 )
-from .engine import RunRecord, SgldState, run_multi_pass, run_single_pass, sgld_step
+from .engine import SgldState, run_multi_pass, run_single_pass, sgld_step
 from .losses import GlmLoss, LossBounds, loss_bounds
 from .privacy import (
     DpBudget,
@@ -45,7 +45,6 @@ __all__ = [
     "MultiPassSchedule",
     "RdpBudget",
     "RngStream",
-    "RunRecord",
     "SgldState",
     "SinglePassSchedule",
     "account_report",

@@ -23,7 +23,7 @@ import numpy as np
 from . import losses
 from .core import Dataset, InfinitePrivacyLossError, InvalidParameterError, _fmt, seeded_rng
 from .datagen import draw_dataset, import_dataset
-from .engine import RunRecord, run_multi_pass, run_single_pass
+from .engine import run_multi_pass, run_single_pass
 from .harness import (
     DATA_SUBSTREAM,
     ExperimentConfig,
@@ -142,7 +142,9 @@ def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
         d = options.get("data.d", int, 32)
         law = options.get("data.law", str, "ball")
         wstar_norm = options.get("data.wstar_norm", float, 1.0)
-        label_noise = options.get("data.label_noise", float, 0.1)
+        # only the quadratic family's real labels read the label noise
+        quadratic = loss.family == losses.QUADRATIC
+        label_noise = options.get("data.label_noise", float, 0.1) if quadratic else 0.1
     options.reject_leftovers()
 
     rng = seeded_rng(seed, 0)
@@ -165,34 +167,34 @@ def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
 
     if mode == SINGLE_PASS:
         schedule = single_pass_schedule(T, bounds.G, eta0, epsilon, delta)
-        record = run_single_pass(dataset, loss, schedule, rng, log_interval=log_interval)
+        times, iterates = run_single_pass(dataset, loss, schedule, rng, log_interval=log_interval)
     else:
         schedule = multi_pass_schedule(
             dataset.n, pass_exponent, epsilon, delta, eta0, bounds.G
         )
-        record = run_multi_pass([dataset], loss, schedule, [rng], log_interval=log_interval)[0]
+        times, [iterates] = run_multi_pass([dataset], loss, schedule, [rng], log_interval=log_interval)
 
     os.makedirs(out_dir, exist_ok=True)
     record_path = os.path.join(out_dir, "run_record.csv")
     account_path = os.path.join(out_dir, "account.txt")
-    write_run_record(record, loss, dataset, record_path)
+    write_run_record(times, iterates, loss, dataset, record_path)
     with open(account_path, "w") as fh:
         fh.write(account_report(schedule))
     if not quiet:
-        print(f"mode = {record.mode}")
+        print(f"mode = {schedule.mode}")
         print(f"T = {schedule.T}")
-        print(f"samples_consumed = {record.samples_consumed}")
-        print(f"final_iterate_norm = {_fmt(np.linalg.norm(record.final_iterate))}")
+        print(f"samples_consumed = {schedule.sample_budget}")
+        print(f"final_iterate_norm = {_fmt(np.linalg.norm(iterates[-1]))}")
         print(f"run_record = {record_path}")
         print(f"account = {account_path}")
     return 0
 
 
-def write_run_record(record: RunRecord, loss: GlmLoss, dataset: Dataset, path) -> None:
-    """One row per logged step: t, population risk (never estimated, so nan),
-    empirical risk on ``dataset``, and ‖w_t‖."""
+def write_run_record(times, iterates, loss: GlmLoss, dataset: Dataset, path) -> None:
+    """One row per logged step t and its iterate w_t: t, population risk
+    (never estimated, so nan), empirical risk on ``dataset``, and ‖w_t‖."""
     lines = ["t,risk_population,risk_empirical,iterate_norm"]
-    for t, w in record.iterate_log:
+    for t, w in zip(times, iterates):
         risk = empirical_risk(loss, w, dataset)
         lines.append(f"{t},nan,{_fmt(risk)},{_fmt(np.linalg.norm(w))}")
     with open(path, "w") as fh:

@@ -48,11 +48,6 @@ def _require_count(name: str, value, minimum: int) -> None:
         raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value}")
 
 
-def _require_step(t, T) -> None:
-    if not 1 <= t <= T:
-        raise InvalidParameterError(f"step t={t} outside 1..{T}")
-
-
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))

@@ -68,10 +68,7 @@ class PopulationModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameterError(f"unknown kind {self.kind!r}; expected {KINDS}")
-        if self.feature_law not in FEATURE_LAWS:
-            raise InvalidParameterError(
-                f"unknown feature law {self.feature_law!r}; expected {FEATURE_LAWS}"
-            )
+        _require_feature_law(self.feature_law)
         if not self.d >= 1:
             raise InvalidParameterError(f"d must be >= 1, got {self.d}")
         w = as_vector(self.w_star)
@@ -84,6 +81,11 @@ class PopulationModel:
                 f"label noise must be >= 0 and finite, got {self.label_noise}"
             )
         object.__setattr__(self, "w_star", w)
+
+
+def _require_feature_law(law: str) -> None:
+    if law not in FEATURE_LAWS:
+        raise InvalidParameterError(f"unknown feature law {law!r}; expected {FEATURE_LAWS}")
 
 
 def _draw_features(model: PopulationModel, n: int, gen: np.random.Generator) -> np.ndarray:

@@ -85,10 +85,10 @@ The engine runs whatever coordinates it is given: the privacy-utility
 experiment hands it each replicate's data in a basis of the rows' span, and
 lifts the result itself (see ``harness``). On d-dimensional data it is the
 library path and the reference that the reduced chains are tested against.
-A run returns its final iterate and a thinned log of iterates; scoring them
-(risk, norms) is the caller's job. Under the logistic and smoothed-hinge
-losses a run refuses labels outside [−1, 1], on which their gradient bound G
-rests.
+A run returns the kernels' arrays, its logged steps and the iterates after
+them (the last is the final one); scoring them (risk, norms) is the caller's
+job. Under the logistic and smoothed-hinge losses a run refuses labels
+outside [−1, 1], on which their gradient bound G rests.
 """
 
 from __future__ import annotations
@@ -136,16 +136,6 @@ class SgldState:
     w: Vector
     samples_consumed: int
     rng: RngStream
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """What a finished run exposes: final iterate plus its thinned (t, w_t) log."""
-
-    mode: str
-    final_iterate: Vector
-    iterate_log: list
-    samples_consumed: int
 
 
 def _steps(etas, lambda_etas, beta0: float, batch_sizes) -> tuple:
@@ -428,9 +418,9 @@ def sgld_step(
 def _logged_runs(datasets, loss, schedule, orders, rngs, log_interval):
     """One chain per dataset from zero through its row of ``orders``.
 
-    Logged as run_single_pass describes; returns one RunRecord per dataset.
-    Multi-pass schedules run through _advance_blocks, single-pass ones
-    through _advance.
+    Logged as run_single_pass describes; returns (times, iterates) with
+    iterates of shape (len(datasets), len(times), d). Multi-pass schedules
+    run through _advance_blocks, single-pass ones through _advance.
     """
     T = schedule.T
     if log_interval is None:
@@ -443,14 +433,11 @@ def _logged_runs(datasets, loss, schedule, orders, rngs, log_interval):
     X, y, firsts = _stacked([data.X for data in datasets], [data.y for data in datasets])
     gens = [rng.substream(1).generator for rng in rngs]
     kernel = _advance_blocks if isinstance(schedule, MultiPassSchedule) else _advance
-    W, logged = kernel(
+    _, logged = kernel(
         np.zeros((len(datasets), 1, datasets[0].d)), (X, y, firsts[:, None]), loss, orders,
         steps, gens, times,
     )
-    return [
-        RunRecord(schedule.mode, w, list(zip(times, log)), schedule.sample_budget)
-        for w, log in zip(W[:, 0], logged[:, 0])
-    ]
+    return times, logged[:, 0]
 
 
 def run_single_pass(
@@ -459,13 +446,14 @@ def run_single_pass(
     schedule: SinglePassSchedule,
     rng: RngStream,
     log_interval: int | None = None,
-) -> RunRecord:
+) -> tuple[list, np.ndarray]:
     """Run T steps over disjoint blocks of a pre-shuffled dataset.
 
     Requires dataset.n >= the schedule's sample budget; consumes exactly the
     budget, each example at most once. ``rng`` is split into a shuffle stream
     and a noise stream, so two runs with equal (dataset, schedule, seed)
-    produce identical records.
+    return equal (times, iterates): the logged steps, ascending to T, and the
+    (len(times), d) iterates after them.
 
     Args:
         log_interval: iterate-log thinning; default max(1, T//1000). The final
@@ -479,7 +467,8 @@ def run_single_pass(
             f"(sample budget for T={schedule.T}), dataset has {dataset.n}"
         )
     order = rng.substream(0).generator.permutation(dataset.n)
-    return _logged_runs([dataset], loss, schedule, order[None], [rng], log_interval)[0]
+    times, iterates = _logged_runs([dataset], loss, schedule, order[None], [rng], log_interval)
+    return times, iterates[0]
 
 
 def run_multi_pass(
@@ -488,26 +477,27 @@ def run_multi_pass(
     schedule: MultiPassSchedule,
     rngs,
     log_interval: int | None = None,
-) -> list:
+) -> tuple[list, np.ndarray]:
     """Run T steps per replicate, each sampling one example per step uniformly with replacement.
 
     Replicate r runs on ``datasets[r]`` with stream ``rngs[r]``, split into an
     index stream and a noise stream as in run_single_pass. The replicates must
-    share d; they advance together and return one RunRecord each, equal
-    bit for bit to what a run of that replicate alone returns. Same logging
-    contract as run_single_pass.
+    share d; they advance together. Returns (times, iterates) as
+    run_single_pass does, with iterates of shape (R, len(times), d): row r is
+    bit for bit what a run of replicate r alone returns.
     """
     datasets, rngs = list(datasets), list(rngs)
     _require_batch(datasets, rngs)
     _require_labels(loss, datasets)
-    records = []
+    parts = []
     for group in _groups(len(datasets), schedule.T):
         indices = np.stack([
             rng.substream(0).generator.integers(0, data.n, size=schedule.T)
             for data, rng in zip(datasets[group], rngs[group])
         ])
-        records += _logged_runs(datasets[group], loss, schedule, indices, rngs[group], log_interval)
-    return records
+        times, iterates = _logged_runs(datasets[group], loss, schedule, indices, rngs[group], log_interval)
+        parts.append(iterates)
+    return times, np.concatenate(parts)
 
 
 def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, seeds, times) -> np.ndarray:
@@ -536,7 +526,7 @@ def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, see
     _require_batch([dataset for dataset, _ in pairs], seeds)
     _require_labels(loss, [data for pair in pairs for data in pair])
     bounds = loss_bounds(loss)
-    eta1 = schedule.eta(1)
+    eta1 = schedule.etas[0]
     if bounds.L > 0 and eta1 > 1.0 / bounds.L:
         raise InvalidParameterError(
             f"eta_1 = {eta1:.6g} exceeds 1/L = {1.0 / bounds.L:.6g}"

@@ -52,13 +52,17 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import losses
-from .core import Dataset, InvalidParameterError, RngStream, _fmt, _require_count, seeded_rng
+from .core import (
+    Dataset, InvalidParameterError, RngStream, _fmt, _require_count, _require_positive,
+    _require_unit_interval, seeded_rng,
+)
 from .datagen import (
     LOGISTIC_KIND,
     QUADRATIC_KIND,
     PopulationModel,
     _draw_labels,
     _planar,
+    _require_feature_law,
     _wstar_axis,
     draw_dataset,
     population_risk_many,
@@ -67,7 +71,7 @@ from .engine import _steps, coupled_stability_run, run_multi_pass, run_single_pa
 from .losses import GlmLoss, loss_bounds
 from .oracles import stability_bound, theorem1_excess_bound, theorem2_excess_bound
 from .privacy import certify_theorem1, certify_theorem2
-from .schedules import SINGLE_PASS, multi_pass_schedule, single_pass_schedule
+from .schedules import SINGLE_PASS, _require_pass_exponent, multi_pass_schedule, single_pass_schedule
 
 EXCESS_RISK_VS_N = "excess-risk-vs-n"
 DIMENSION_INDEPENDENCE = "dimension-independence"
@@ -112,6 +116,8 @@ class ExperimentConfig:
     epsilon = 0 resolves to n^(-1/4) and delta = 0 to 1/n² at each grid
     point. d_grid drives dimension-independence, stability and
     privacy-utility; excess-risk-vs-n ignores it and uses d = dim_factor·n.
+    Inputs a schedule or the data law would refuse are refused here, so only
+    an infeasible schedule (T = round(n^α·ε²) < 1, or n·δ >= 2.5) makes an error row.
     """
 
     experiment: str
@@ -166,6 +172,15 @@ class ExperimentConfig:
                 raise InvalidParameterError(
                     f"{name} must be >= 0 (0 means the per-n default), got {value}"
                 )
+        if self.epsilon:
+            _require_positive(epsilon=self.epsilon)
+        if self.delta:
+            _require_unit_interval(delta=self.delta)
+        for epsilon in self.eps_grid:
+            _require_positive(epsilon=epsilon)
+        _require_positive(eta0=self.eta0)
+        _require_pass_exponent(self.pass_exponent)
+        _require_feature_law(self.feature_law)
         _require_wstar_norm(self.wstar_norm)
 
 
@@ -179,10 +194,13 @@ UNREAD_FIELDS = {
 
 
 def unread_fields(experiment: str, loss_family: str) -> tuple[str, ...]:
-    """The fields ``experiment`` never reads; only smoothed hinge reads its half-width."""
+    """The fields ``experiment`` never reads; only smoothed hinge reads its
+    half-width, and only the quadratic family's real labels the label noise."""
     unread = UNREAD_FIELDS[experiment]
     if loss_family != losses.SMOOTHED_HINGE:
         unread += ("hinge_half_width",)
+    if loss_family != losses.QUADRATIC:
+        unread += ("label_noise",)
     return unread
 
 
@@ -428,10 +446,7 @@ def _single_pass_point(config, loss, n: int, d: int) -> ResultRow:
     """Run one (n, d) cell of a single-pass experiment and aggregate it."""
     eps, delta = _resolved(config, n)
     bounds = loss_bounds(loss)
-    try:
-        schedule = single_pass_schedule(n, bounds.G, config.eta0, eps, delta)
-    except InvalidParameterError as err:
-        return _error_row(config, n, d, eps, delta, err)
+    schedule = single_pass_schedule(n, bounds.G, config.eta0, eps, delta)
     model = _model(config, d)
     reps = _replicates(config)
     if _planar(model):
@@ -441,7 +456,7 @@ def _single_pass_point(config, loss, n: int, d: int) -> ResultRow:
             run_single_pass(
                 draw_dataset(model, schedule.sample_budget, rep.substream(DATA_SUBSTREAM)),
                 loss, schedule, rep, log_interval=schedule.T,
-            ).final_iterate
+            )[1][-1]
             for rep in reps
         ]
     bound = theorem1_excess_bound(
@@ -563,7 +578,7 @@ def _complement(Q: np.ndarray, schedule, times, rng: RngStream) -> np.ndarray:
     return P
 
 
-def _span_runs(datasets, loss, schedule, reps, log_interval) -> list:
+def _span_runs(datasets, loss, schedule, reps, log_interval) -> tuple[list, np.ndarray]:
     """Multi-pass runs in the span of each replicate's data, lifted to d dimensions.
 
     Each replicate runs ``run_multi_pass`` on its dataset in the coordinates
@@ -572,18 +587,14 @@ def _span_runs(datasets, loss, schedule, reps, log_interval) -> list:
     lifted to Q·c_t plus the orthogonal part P_t (``_complement``), drawn from
     the replicate's COMPLEMENT_SUBSTREAM. The lifted chain has the law of the
     d-dimensional one at every logged step, jointly over the logged steps.
-    Returns one (logged steps, (steps, d) iterates) pair per replicate.
+    Returns (times, iterates) as ``run_multi_pass`` does, in d dimensions.
     """
     bases, projected = zip(*(_span_basis(data) for data in datasets))
-    runs = []
-    for Q, rep, record in zip(
-        bases, reps, run_multi_pass(projected, loss, schedule, reps, log_interval=log_interval)
-    ):
-        times = [t for t, _ in record.iterate_log]
-        C = np.stack([c for _, c in record.iterate_log])
-        P = _complement(Q, schedule, times, rep.substream(COMPLEMENT_SUBSTREAM))
-        runs.append((times, C @ Q.T + P))
-    return runs
+    times, C = run_multi_pass(projected, loss, schedule, reps, log_interval=log_interval)
+    return times, np.stack([
+        c @ Q.T + _complement(Q, schedule, times, rep.substream(COMPLEMENT_SUBSTREAM))
+        for Q, rep, c in zip(bases, reps, C)
+    ])
 
 
 def experiment_privacy_utility(config: ExperimentConfig) -> list:
@@ -609,8 +620,8 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
             continue
         reps = _replicates(config)
         datasets = (draw_dataset(model, n, rep.substream(DATA_SUBSTREAM)) for rep in reps)
-        runs = _span_runs(datasets, loss, schedule, reps, max(1, schedule.T // 16))
-        excess = _excess_risks(config, loss, model, np.concatenate([W for _, W in runs]))
+        _, W = _span_runs(datasets, loss, schedule, reps, max(1, schedule.T // 16))
+        excess = _excess_risks(config, loss, model, W.reshape(-1, d))
         # every replicate logs the same steps; its value is its run's time average
         per_rep = excess.reshape(config.replicates, -1).mean(axis=1)
         bound = theorem2_excess_bound(

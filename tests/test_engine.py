@@ -103,62 +103,75 @@ class TestRunSinglePass:
         with pytest.raises(InvalidParameterError, match="at least 11"):
             run_single_pass(data, LOGISTIC, sched, seeded_rng(0, 0))
 
-    def test_consumes_exact_budget(self):
+    def test_consumes_exact_budget(self, monkeypatch):
         sched = single_pass_schedule(8, 1.0, 1.0, 0.5, 1e-5)
+        assert sched.sample_budget == 11 and sched.mode == "single-pass"
         data = toy_dataset(50, 3)
-        rec = run_single_pass(data, LOGISTIC, sched, seeded_rng(0, 0))
-        assert rec.samples_consumed == 11
-        assert rec.mode == "single-pass"
+        seen = []
+        advance = engine._advance
+
+        def spy(W0, data, loss, orders, steps, *rest):
+            seen.append((orders, steps[3]))
+            return advance(W0, data, loss, orders, steps, *rest)
+
+        monkeypatch.setattr(engine, "_advance", spy)
+        times, iterates = run_single_pass(data, LOGISTIC, sched, seeded_rng(0, 0))
+        assert times == list(range(1, 9)) and iterates.shape == (8, 3)
+        # step t reads the next |M_t| distinct rows of the shuffled order
+        [(orders, sizes)] = seen
+        assert int(sizes.sum()) == 11
+        assert sorted(orders[0].tolist()) == list(range(50))
 
     def test_deterministic_replay(self):
         sched = single_pass_schedule(32, 1.0, 1.0, 0.5, 1e-5)
         data = toy_dataset(80, 4)
-        a = run_single_pass(data, LOGISTIC, sched, seeded_rng(7, 0), log_interval=1)
-        b = run_single_pass(data, LOGISTIC, sched, seeded_rng(7, 0), log_interval=1)
-        np.testing.assert_array_equal(a.final_iterate, b.final_iterate)
-        assert len(a.iterate_log) == len(b.iterate_log) == 32
-        for (ta, wa), (tb, wb) in zip(a.iterate_log, b.iterate_log):
-            assert ta == tb
-            np.testing.assert_array_equal(wa, wb)
+        times_a, a = run_single_pass(data, LOGISTIC, sched, seeded_rng(7, 0), log_interval=1)
+        times_b, b = run_single_pass(data, LOGISTIC, sched, seeded_rng(7, 0), log_interval=1)
+        assert times_a == times_b == list(range(1, 33))
+        assert a.shape == (32, 4)
+        np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_outcome(self):
         sched = single_pass_schedule(32, 1.0, 1.0, 0.5, 1e-5)
         data = toy_dataset(80, 4)
-        a = run_single_pass(data, LOGISTIC, sched, seeded_rng(7, 0))
-        b = run_single_pass(data, LOGISTIC, sched, seeded_rng(8, 0))
-        assert not np.array_equal(a.final_iterate, b.final_iterate)
+        _, a = run_single_pass(data, LOGISTIC, sched, seeded_rng(7, 0))
+        _, b = run_single_pass(data, LOGISTIC, sched, seeded_rng(8, 0))
+        assert not np.array_equal(a[-1], b[-1])
 
     def test_log_thinning(self):
         sched = single_pass_schedule(20, 1.0, 1.0, 0.5, 1e-5)
         data = toy_dataset(60, 2)
-        rec = run_single_pass(data, LOGISTIC, sched, seeded_rng(1, 0), log_interval=7)
-        assert [t for t, _ in rec.iterate_log] == [7, 14, 20]
+        times, iterates = run_single_pass(data, LOGISTIC, sched, seeded_rng(1, 0), log_interval=7)
+        assert times == [7, 14, 20] and iterates.shape == (3, 2)
+        _, every = run_single_pass(data, LOGISTIC, sched, seeded_rng(1, 0), log_interval=1)
+        np.testing.assert_array_equal(iterates, every[np.array(times) - 1])
 
     def test_first_step_output_ignores_data(self):
         # lambda_1 eta_1 = 1, so a T = 1 run is the prior draw N(0, beta0 I)
         sched = single_pass_schedule(1, 1.0, 1.0, 0.5, 1e-5)
-        a = run_single_pass(toy_dataset(5, 3, seed=1), LOGISTIC, sched, seeded_rng(9, 0))
-        b = run_single_pass(toy_dataset(5, 3, seed=2), LOGISTIC, sched, seeded_rng(9, 0))
-        np.testing.assert_array_equal(a.final_iterate, b.final_iterate)
+        _, a = run_single_pass(toy_dataset(5, 3, seed=1), LOGISTIC, sched, seeded_rng(9, 0))
+        _, b = run_single_pass(toy_dataset(5, 3, seed=2), LOGISTIC, sched, seeded_rng(9, 0))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestRunMultiPass:
     def test_deterministic_replay(self):
         sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
         data = toy_dataset(40, 3)
-        [a] = run_multi_pass([data], LOGISTIC, sched, [seeded_rng(11, 0)], log_interval=1)
-        [b] = run_multi_pass([data], LOGISTIC, sched, [seeded_rng(11, 0)], log_interval=1)
-        np.testing.assert_array_equal(a.final_iterate, b.final_iterate)
-        assert a.samples_consumed == b.samples_consumed == sched.T
+        times_a, a = run_multi_pass([data], LOGISTIC, sched, [seeded_rng(11, 0)], log_interval=1)
+        times_b, b = run_multi_pass([data], LOGISTIC, sched, [seeded_rng(11, 0)], log_interval=1)
+        assert times_a == times_b == list(range(1, sched.T + 1))
+        assert a.shape == (1, sched.T, 3)
+        np.testing.assert_array_equal(a, b)
 
     def test_first_logged_iterate_ignores_data(self):
         sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
-        [a, b] = run_multi_pass(
+        _, [a, b] = run_multi_pass(
             [toy_dataset(40, 3, seed=1), toy_dataset(40, 3, seed=2)], LOGISTIC, sched,
             [seeded_rng(2, 0), seeded_rng(2, 0)], log_interval=1,
         )
-        np.testing.assert_array_equal(a.iterate_log[0][1], b.iterate_log[0][1])
-        assert not np.array_equal(a.final_iterate, b.final_iterate)
+        np.testing.assert_array_equal(a[0], b[0])
+        assert not np.array_equal(a[-1], b[-1])
 
     def test_rejects_schedule_outside_noise_domain(self):
         # n·δ >= 2.5 would make η_1 NaN: the schedule refuses to exist, so no run sees it
@@ -171,9 +184,8 @@ class TestRunMultiPass:
 
     def test_final_state_always_logged(self):
         sched = multi_pass_schedule(30, 1.5, 0.9, 1e-4, 1.0, 1.0)
-        [rec] = run_multi_pass([toy_dataset(30, 2)], LOGISTIC, sched, [seeded_rng(4, 0)], log_interval=10**6)
-        assert [t for t, _ in rec.iterate_log] == [sched.T]
-        np.testing.assert_array_equal(rec.iterate_log[-1][1], rec.final_iterate)
+        times, iterates = run_multi_pass([toy_dataset(30, 2)], LOGISTIC, sched, [seeded_rng(4, 0)], log_interval=10**6)
+        assert times == [sched.T] and iterates.shape == (1, 1, 2)
 
 
 class TestCoupledStabilityRun:
@@ -201,7 +213,7 @@ class TestCoupledStabilityRun:
         hits = np.flatnonzero(indices == data.n - 1) + 1
         # a hit at t=1 cannot separate the chains: lambda_1*eta_1 = 1 wipes
         # the data term, so the first effective hit is the first with t >= 2
-        effective = [int(t) for t in hits if sched.lambda_eta(int(t)) != 1.0]
+        effective = [int(t) for t in hits if sched.lambda_etas[t - 1] != 1.0]
         first_hit = effective[0] if effective else sched.T + 1
         assert np.all(out[: first_hit - 1] == 0.0)
         if effective:
@@ -261,7 +273,7 @@ class TestCoupledStabilityRun:
     def test_step_size_guard(self):
         data, prime = self.swapped_pair(n=30)
         hot = multi_pass_schedule(30, 1.5, 0.9, 1e-4, 50.0, 1.0)
-        assert hot.eta(1) > 1.0
+        assert hot.etas[0] > 1.0
         for replicates in (1, 3):
             with pytest.raises(InvalidParameterError, match="exceeds 1/L"):
                 coupled_stability_run(
@@ -332,11 +344,11 @@ class TestReplicateBatches:
         sched = self.schedule()
         datasets = self.datasets(replicates)
         rngs = [seeded_rng(31, r) for r in range(replicates)]
-        batch = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=50)
-        assert len(batch) == replicates
-        for data, rng, record in zip(datasets, rngs, batch):
-            [alone] = run_multi_pass([data], LOGISTIC, sched, [rng], log_interval=50)
-            assert _record_digest(record) == _record_digest(alone)
+        times, batch = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=50)
+        assert batch.shape == (replicates, len(times), self.D)
+        for data, rng, iterates in zip(datasets, rngs, batch):
+            alone_times, [alone] = run_multi_pass([data], LOGISTIC, sched, [rng], log_interval=50)
+            assert _record_digest(sched, times, iterates) == _record_digest(sched, alone_times, alone)
 
     @pytest.mark.parametrize("replicates", [1, 3])
     def test_coupled_rows_match_single_pairs(self, replicates):
@@ -356,13 +368,14 @@ class TestReplicateBatches:
         datasets = self.datasets(3)
         rngs = [seeded_rng(32, r) for r in range(3)]
         pairs = self.pairs(3)
-        whole = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=1)
+        times, whole = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=1)
         whole_pairs = coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3], range(1, sched.T + 1))
         assert np.all(whole_pairs[:, -1] > 0.0)
         # room for the index rows of two replicates per group
         monkeypatch.setattr(engine, "_GROUP_BYTES", 2 * 8 * sched.T)
-        split = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=1)
-        assert [_record_digest(r) for r in split] == [_record_digest(r) for r in whole]
+        split_times, split = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=1)
+        assert split_times == times
+        assert split.tobytes() == whole.tobytes()
         split_pairs = coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3], range(1, sched.T + 1))
         assert split_pairs.tobytes() == whole_pairs.tobytes()
 
@@ -523,9 +536,9 @@ class TestBlockKernel:
 
         monkeypatch.setattr(engine, "_advance", per_step)
         monkeypatch.setattr(engine, "_advance_blocks", count)
-        [rec] = run_multi_pass([toy_dataset(40, 3)], LOGISTIC, sched, [seeded_rng(1, 0)], log_interval=1)
+        times, _ = run_multi_pass([toy_dataset(40, 3)], LOGISTIC, sched, [seeded_rng(1, 0)], log_interval=1)
         assert calls == [sched.T]
-        assert [t for t, _ in rec.iterate_log] == list(range(1, sched.T + 1))
+        assert times == list(range(1, sched.T + 1))
 
 
 def _z_scores(a, b):
@@ -678,17 +691,18 @@ def _digest(*parts):
     return h.hexdigest()
 
 
-def _record_digest(record, log_interval=1, risk_interval=None):
-    """Digest of a record's mode, consumption, final iterate and (t, w_t) log.
+def _record_digest(schedule, times, iterates, log_interval=1, risk_interval=None):
+    """Digest of a run's mode and consumption (from its schedule), its final
+    iterate and its logged (t, w_t).
 
-    For a record that logs every step, ``log_interval`` thins the log, and
+    For a run that logs every step, ``log_interval`` thins the log, and
     ``risk_interval`` appends (t, w·w, Σw) at every risk_interval-th step and
     the last (None without it): the golden digests were recorded in that form.
     """
-    last = record.iterate_log[-1][0]
-    parts = [record.mode, record.samples_consumed, record.final_iterate]
+    last = times[-1]
+    parts = [schedule.mode, schedule.sample_budget, iterates[-1]]
     risks = None if risk_interval is None else []
-    for t, w in record.iterate_log:
+    for t, w in zip(times, iterates):
         if t % log_interval == 0 or t == last:
             parts += [t, w]
         if risks is not None and (t % risk_interval == 0 or t == last):
@@ -698,33 +712,35 @@ def _record_digest(record, log_interval=1, risk_interval=None):
 
 def _golden_single_logistic():
     sched = single_pass_schedule(48, 1.0, 1.0, 0.5, 1e-5)
-    rec = run_single_pass(
+    times, iterates = run_single_pass(
         toy_dataset(120, 6, seed=3), LOGISTIC, sched, seeded_rng(21, 0), log_interval=1
     )
-    return _record_digest(rec, risk_interval=1)
+    return _record_digest(sched, times, iterates, risk_interval=1)
 
 
 def _golden_single_hinge_d64():
     sched = single_pass_schedule(64, 1.0, 2.0, 0.8, 1e-5)
-    rec = run_single_pass(
+    times, iterates = run_single_pass(
         toy_dataset(200, 64, seed=4), GlmLoss("smoothed-hinge", h=0.3), sched,
         seeded_rng(22, 0), log_interval=1,
     )
-    return _record_digest(rec, log_interval=3, risk_interval=5)
+    return _record_digest(sched, times, iterates, log_interval=3, risk_interval=5)
 
 
 def _golden_multi_logistic():
     sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
-    [rec] = run_multi_pass(
+    times, [iterates] = run_multi_pass(
         [toy_dataset(40, 5, seed=5)], LOGISTIC, sched, [seeded_rng(23, 0)], log_interval=1
     )
-    return _record_digest(rec, risk_interval=1)
+    return _record_digest(sched, times, iterates, risk_interval=1)
 
 
 def _golden_multi_quadratic_d33():
     sched = multi_pass_schedule(60, 1.3, 0.7, 1e-4, 0.5, 2.0)
-    [rec] = run_multi_pass([toy_dataset(60, 33, seed=6)], QUADRATIC, sched, [seeded_rng(24, 0)], log_interval=1)
-    return _record_digest(rec)
+    times, [iterates] = run_multi_pass(
+        [toy_dataset(60, 33, seed=6)], QUADRATIC, sched, [seeded_rng(24, 0)], log_interval=1
+    )
+    return _record_digest(sched, times, iterates)
 
 
 def _golden_coupled_d16():

@@ -103,6 +103,39 @@ class TestExperimentConfig:
                 experiment=STABILITY, d_grid=(8, 16), n_grid=(100,)
             )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("delta", 1.0, "delta must be in (0, 1), got 1.0"),
+            ("delta", 2.0, "delta must be in (0, 1), got 2.0"),
+            ("delta", math.inf, "delta must be in (0, 1), got inf"),
+            ("eta0", 0.0, "eta0 must be > 0 and finite, got 0.0"),
+            ("eta0", -1.0, "eta0 must be > 0 and finite, got -1.0"),
+            ("eta0", math.nan, "eta0 must be > 0 and finite, got nan"),
+            ("eta0", math.inf, "eta0 must be > 0 and finite, got inf"),
+            ("pass_exponent", 3.0, "pass exponent must be in [1, 2], got 3.0"),
+            ("pass_exponent", 0.5, "pass exponent must be in [1, 2], got 0.5"),
+            ("pass_exponent", math.nan, "pass exponent must be in [1, 2], got nan"),
+            ("feature_law", "foo", "unknown feature law 'foo'; expected ('ball', 'sphere', 'low-rank')"),
+            ("epsilon", math.inf, "epsilon must be > 0 and finite, got inf"),
+            ("eps_grid", (0.3, 0.0), "epsilon must be > 0 and finite, got 0.0"),
+            ("eps_grid", (-0.1,), "epsilon must be > 0 and finite, got -0.1"),
+            ("eps_grid", (math.nan,), "epsilon must be > 0 and finite, got nan"),
+            ("eps_grid", (0.3, math.inf), "epsilon must be > 0 and finite, got inf"),
+        ],
+        ids=[
+            "delta=1", "delta=2", "delta=inf", "eta0=0", "eta0=-1", "eta0=nan", "eta0=inf",
+            "pass_exponent=3", "pass_exponent=0.5", "pass_exponent=nan", "feature_law=foo",
+            "epsilon=inf", "eps_grid=0.3,0", "eps_grid=-0.1", "eps_grid=nan", "eps_grid=0.3,inf",
+        ],
+    )
+    def test_inputs_a_schedule_or_law_refuses_are_refused_here(self, field, value, message):
+        # refused at the boundary in the schedules' words, not turned into error rows
+        config = small_config(PRIVACY_UTILITY)
+        with pytest.raises(InvalidParameterError) as info:
+            replace(config, **{field: value})
+        assert str(info.value) == message
+
     def test_result_row_rejects_negative_se(self):
         with pytest.raises(InvalidParameterError):
             ResultRow(
@@ -409,16 +442,15 @@ class TestSpanRuns:
         data = _leaning_dataset(n, d, seed=3)
         schedule = multi_pass_schedule(n, 2.0, 2.0, 0.3, 1.0, 1.0)
         assert schedule.T == 144
-        span = _span_runs(
+        span_times, W_span = _span_runs(
             [data] * chains, self.LOSS, schedule, [seeded_rng(1, r) for r in range(chains)], 40
         )
-        full = engine.run_multi_pass(
+        full_times, W_full = engine.run_multi_pass(
             [data] * chains, self.LOSS, schedule, [seeded_rng(2, r) for r in range(chains)],
             log_interval=40,
         )
-        assert all(times == [40, 80, 120, 144] for times, _ in span)
-        W_span = np.stack([W for _, W in span])
-        W_full = np.stack([np.stack([w for _, w in record.iterate_log]) for record in full])
+        assert span_times == full_times == [40, 80, 120, 144]
+        assert W_span.shape == W_full.shape == (chains, 4, d)
         basis, _ = np.linalg.qr(data.X.T, mode="complete")
         x1, v = data.X[0], basis[:, n]
 
@@ -459,10 +491,9 @@ class TestSpanRuns:
         np.testing.assert_allclose(projected.X, data.X @ Q, rtol=0, atol=1e-12)
         assert not projected.X.flags.writeable and not projected.y.flags.writeable
         rep = seeded_rng(4, 0)
-        (times, lifted), = _span_runs([data], self.LOSS, schedule, [rep], 10)
-        record, = engine.run_multi_pass([projected], self.LOSS, schedule, [rep], log_interval=10)
-        assert times == [t for t, _ in record.iterate_log] and times[-1] == schedule.T
-        C = np.stack([c for _, c in record.iterate_log])
+        times, [lifted] = _span_runs([data], self.LOSS, schedule, [rep], 10)
+        C_times, [C] = engine.run_multi_pass([projected], self.LOSS, schedule, [rep], log_interval=10)
+        assert times == C_times and times[-1] == schedule.T
         P = _complement(Q, schedule, times, rep.substream(COMPLEMENT_SUBSTREAM))
         np.testing.assert_allclose(Q.T @ P.T, 0.0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(lifted @ Q, C, rtol=0, atol=1e-12)
@@ -534,10 +565,8 @@ class TestReducedSinglePass:
         for r in range(chains):
             rep = seeded_rng(2, r)
             data = draw_dataset(model, schedule.sample_budget, rep.substream(DATA_SUBSTREAM))
-            full.append(
-                engine.run_single_pass(data, loss, schedule, rep, log_interval=schedule.T)
-                .final_iterate
-            )
+            _, [final] = engine.run_single_pass(data, loss, schedule, rep, log_interval=schedule.T)
+            full.append(final)
         worst = {}
         for name, a, b in zip(
             ("alpha", "beta"), _final_coordinates(reduced), _final_coordinates(np.stack(full))

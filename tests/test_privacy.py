@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsgld import privacy
-from dpsgld.core import InfinitePrivacyLossError, InvalidParameterError
+from dpsgld.core import InfinitePrivacyLossError, InvalidParameterError, _fmt
 from dpsgld.privacy import (
     DpBudget,
     RdpBudget,
@@ -20,7 +20,6 @@ from dpsgld.privacy import (
     rdp_to_dp,
     single_pass_rdp,
     step_delta_allotment,
-    strong_compose,
     subsample_amplify,
 )
 from dpsgld.schedules import MultiPassSchedule, multi_pass_schedule, single_pass_schedule
@@ -136,37 +135,40 @@ class TestDeltaAllotment:
 
 
 class TestStrongCompose:
+    """privacy._composed: strong composition from Σε_t², Σε_t(e^{ε_t}−1) and Σδ_t."""
+
+    # a thousand steps of ε_t = e/1000 and δ_t = 0
+    EPS = math.e / 1000.0
+    THOUSAND = (1000 * EPS * EPS, 1000 * EPS * math.expm1(EPS), 0.0)
+
     def test_reference_value_thousand_uniform_steps(self):
-        eps = math.e / 1000.0
-        out = strong_compose([(eps, 0.0)] * 1000, 1e-5)
+        out = privacy._composed(*self.THOUSAND, 1e-5)
         np.testing.assert_allclose(out.epsilon, 0.43211396649707017750, rtol=1e-13)
         np.testing.assert_allclose(out.delta, 1e-5, rtol=1e-15)
 
     def test_two_terms_add_up(self):
-        eps = math.e / 1000.0
-        first = math.sqrt(2.0 * math.log(2.0 / 1e-5) * 1000 * eps * eps)
-        second = 1000 * eps * math.expm1(eps)
+        first = math.sqrt(2.0 * math.log(2.0 / 1e-5) * self.THOUSAND[0])
+        second = self.THOUSAND[1]
         np.testing.assert_allclose(first, 0.42471485852379901619, rtol=1e-13)
         np.testing.assert_allclose(second, 0.0073991079732711613114, rtol=1e-13)
-        out = strong_compose([(eps, 0.0)] * 1000, 1e-5)
+        out = privacy._composed(*self.THOUSAND, 1e-5)
         np.testing.assert_allclose(out.epsilon, first + second, rtol=1e-14)
 
     def test_deltas_accumulate(self):
-        out = strong_compose([(0.1, 1e-7), (0.2, 2e-7)], 1e-5)
+        out = privacy._composed(0.1**2 + 0.2**2, 0.1 * math.expm1(0.1) + 0.2 * math.expm1(0.2), 3e-7, 1e-5)
         np.testing.assert_allclose(out.delta, 1e-5 + 3e-7, rtol=1e-14)
 
     def test_empty_composition_costs_only_slack(self):
-        out = strong_compose([], 1e-5)
+        out = privacy._composed(0.0, 0.0, 0.0, 1e-5)
         assert out.epsilon == 0.0
         assert out.delta == 1e-5
 
     def test_rejects_saturated_delta(self):
-        with pytest.raises(InvalidParameterError):
-            strong_compose([(0.1, 0.6)], 0.5)
-        with pytest.raises(InvalidParameterError):
-            strong_compose([(-0.1, 0.0)], 1e-5)
-        with pytest.raises(InvalidParameterError):
-            strong_compose([(0.1, 0.0)], 0.0)
+        with pytest.raises(InvalidParameterError, match="composed delta budget 1.1 >= 1"):
+            privacy._composed(0.01, 0.0, 0.6, 0.5)
+        for delta_prime in (0.0, 1.0):
+            with pytest.raises(InvalidParameterError, match=r"delta' must be in \(0, 1\)"):
+                privacy._composed(0.01, 0.0, 0.0, delta_prime)
 
 
 class TestMultiPassPrivacy:
@@ -372,8 +374,8 @@ class TestAccountReport:
         sched = multi_pass_schedule(200, 1.5, 0.9, 1e-5, 1.0, 1.0)
         report = parse_report(account_report(sched))
         assert report["mode"] == "multi-pass"
-        np.testing.assert_allclose(float(report["eta1"]), sched.eta(1), rtol=1e-8)
-        np.testing.assert_allclose(float(report["etaT"]), sched.eta(sched.T), rtol=1e-8)
+        np.testing.assert_allclose(float(report["eta1"]), sched.etas[0], rtol=1e-8)
+        np.testing.assert_allclose(float(report["etaT"]), sched.etas[-1], rtol=1e-8)
         closed = multi_pass_privacy(sched.n, sched.T, sched.delta)
         np.testing.assert_allclose(float(report["closed_form_epsilon"]), closed.epsilon, rtol=1e-8)
         ratio = float(report["closed_form_epsilon"]) / float(report["claimed_epsilon"])
@@ -402,6 +404,60 @@ class TestAccountReport:
         assert report["step_epsilon_max"] == "0"
         assert report["composed_epsilon"] == "0"
 
+    def test_single_step_report_lines(self):
+        # T = 1: the one step is the data-independent initial draw, so the
+        # enumerated account is zero and only δ is spent
+        sched = multi_pass_schedule(10, 1.0, 0.32, 1e-3, 1.0, 1.0)
+        assert sched.T == 1 and _fmt(sched.etas[0]) == _fmt(sched.etas[-1]) == "0.475803909"
+        assert account_report(sched).splitlines() == [
+            "mode = multi-pass",
+            "T = 1",
+            "G = 1",
+            "eta0 = 1",
+            "beta0 = 10",
+            "epsilon_target = 0.32",
+            "delta = 0.001",
+            "sample_budget = 1",
+            "eta1 = 0.475803909",
+            "etaT = 0.475803909",
+            "step_epsilon_max = 0",
+            "amplified_epsilon_max = 0",
+            "composed_epsilon = 0",
+            "composed_delta = 0.001",
+            "closed_form_epsilon = 1.13373484",
+            "claimed_epsilon = 2.95389449",
+            "closed_to_claimed_ratio = 0.383810202",
+            "note = amplification uses ln(1 + exp(eps)/m) with the whole exp(eps) kept inside the log",
+        ]
+
+    def test_report_past_the_step_cap_skips_the_enumeration(self, monkeypatch):
+        sched = multi_pass_schedule(10, 1.0, 0.9, 1e-3, 1.0, 1.0)
+        assert sched.T == 8
+        assert (_fmt(sched.etas[0]), _fmt(sched.etas[-1])) == ("0.168222085", "0.0449179186")
+        monkeypatch.setattr(privacy, "_REPORT_STEP_CAP", 5)
+
+        def refuse(schedule):
+            raise AssertionError("enumerated the steps of a schedule past the cap")
+
+        monkeypatch.setattr(privacy, "_enumerated_multi_pass", refuse)
+        assert account_report(sched).splitlines() == [
+            "mode = multi-pass",
+            "T = 8",
+            "G = 1",
+            "eta0 = 1",
+            "beta0 = 1.25",
+            "epsilon_target = 0.9",
+            "delta = 0.001",
+            "sample_budget = 8",
+            "eta1 = 0.168222085",
+            "etaT = 0.0449179186",
+            "note = per-step enumeration skipped for T > 5",
+            "closed_form_epsilon = 3.58881679",
+            "claimed_epsilon = 9.87382824",
+            "closed_to_claimed_ratio = 0.363467614",
+            "note = amplification uses ln(1 + exp(eps)/m) with the whole exp(eps) kept inside the log",
+        ]
+
     def test_unknown_schedule_rejected(self):
         with pytest.raises(InvalidParameterError):
             account_report(object())
@@ -423,15 +479,21 @@ def scalar_composition(sched):
     """
     n, delta = sched.n, sched.delta
     step_eps, pairs = [], []
+    etas = sched.etas.tolist()
     for t in range(2, sched.T + 1):
-        ratio = sched.eta(t) / sched.eta(t - 1)
+        ratio = etas[t - 1] / etas[t - 2]
         sigma = math.sqrt((1.0 - ratio * ratio) * sched.beta0)
         delta_gauss = n * step_delta_allotment(t, delta)
-        eps = gaussian_step_epsilon(sched.eta(t) * ratio, sched.G, sigma, delta_gauss)
+        eps = gaussian_step_epsilon(etas[t - 1] * ratio, sched.G, sigma, delta_gauss)
         amplified = subsample_amplify(eps, n, delta_gauss)
         step_eps.append(eps)
         pairs.append((amplified.epsilon, amplified.delta))
-    return max(step_eps), max(e for e, _ in pairs), strong_compose(pairs, delta / 2.0)
+    amplified_eps = np.array([e for e, _ in pairs])
+    composed = privacy._composed(
+        float(np.sum(amplified_eps**2)), float(np.sum(amplified_eps * np.expm1(amplified_eps))),
+        float(np.sum([d for _, d in pairs])), delta / 2.0,
+    )
+    return max(step_eps), float(amplified_eps.max()), composed
 
 
 class TestReportCrossChecks:

@@ -58,9 +58,9 @@ class TestMinibatchSize:
                 assert m == 1 or (m - 1) * (m - 1) * 2 * k < T
 
     def test_step_out_of_range(self):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"^step t=0 outside 1\.\.10$"):
             minibatch_size(10, 0)
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"^step t=11 outside 1\.\.10$"):
             minibatch_size(10, 11)
 
 
@@ -88,8 +88,8 @@ class TestSinglePassSchedule:
     def test_lambda_eta_is_one_over_t(self):
         s = single_pass_schedule(100, 1.0, 2.0, 0.3, 1e-6)
         for t in (1, 2, 17, 100):
-            assert s.lambda_eta(t) == 1.0 / t
-            np.testing.assert_allclose(s.lambda_(t) * s.eta, 1.0 / t, rtol=1e-12)
+            assert s.lambda_etas[t - 1] == 1.0 / t
+        np.testing.assert_array_equal(s.lambda_etas, 1.0 / np.arange(1, 101))
 
     def test_budget_accessor_agrees(self):
         s = single_pass_schedule(1000, 1.0, 1.0, 0.5, 1e-5)
@@ -115,11 +115,12 @@ class TestSinglePassSchedule:
             single_pass_schedule(10, -1.0, 1.0, 0.5, 1e-5)
 
     def test_step_bounds_enforced(self):
+        # the per-step arrays hold steps 1..T only, and no caller can rewrite them
         s = single_pass_schedule(10, 1.0, 1.0, 0.5, 1e-5)
-        with pytest.raises(InvalidParameterError):
-            s.lambda_eta(0)
-        with pytest.raises(InvalidParameterError):
-            s.batch_size(11)
+        for steps in (s.etas, s.lambda_etas, s.batch_sizes):
+            assert steps.shape == (10,)
+            with pytest.raises(ValueError, match="read-only"):
+                steps[0] = 1
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -150,16 +151,16 @@ class TestMultiPassSchedule:
         s = multi_pass_schedule(1000, 2.0, 0.5, 1e-5, 1.0, 1.0)
         assert s.T == 250_000
         np.testing.assert_allclose(s.beta0, 0.004, rtol=1e-15)
-        np.testing.assert_allclose(s.eta(1), 0.0095160781706201225794, rtol=1e-13)
-        np.testing.assert_allclose(s.eta(2), 0.0060159128006704839237, rtol=1e-13)
-        np.testing.assert_allclose(s.lambda_(2), 61.140506206108854631, rtol=1e-12)
-        np.testing.assert_allclose(s.lambda_eta(2), 0.36781595392480342326, rtol=1e-13)
+        np.testing.assert_allclose(s.etas[0], 0.0095160781706201225794, rtol=1e-13)
+        np.testing.assert_allclose(s.etas[1], 0.0060159128006704839237, rtol=1e-13)
+        # λ_2 = 1/η_2 − 1/η_1
+        np.testing.assert_allclose(1.0 / s.etas[1] - 1.0 / s.etas[0], 61.140506206108854631, rtol=1e-12)
+        np.testing.assert_allclose(s.lambda_etas[1], 0.36781595392480342326, rtol=1e-13)
         assert s.mode == MULTI_PASS
 
     def test_first_step_is_pure_prior_draw(self):
         s = multi_pass_schedule(64, 1.5, 0.9, 1e-4, 1.0, 1.0)
-        assert s.lambda_eta(1) == 1.0
-        np.testing.assert_allclose(s.lambda_(1) * s.eta(1), 1.0, rtol=1e-15)
+        assert s.lambda_etas[0] == 1.0
 
     def test_etas_strictly_decreasing(self):
         s = multi_pass_schedule(100, 2.0, 0.8, 1e-5, 1.0, 1.0)
@@ -171,7 +172,7 @@ class TestMultiPassSchedule:
 
     def test_unit_batches_with_budget_t(self):
         s = multi_pass_schedule(64, 1.5, 0.9, 1e-4, 1.0, 1.0)
-        assert s.batch_size(1) == s.batch_size(s.T) == 1
+        assert s.batch_sizes.shape == (s.T,) and np.all(s.batch_sizes == 1)
         assert s.sample_budget == s.T
 
     def test_t_rounding(self):
@@ -242,18 +243,3 @@ def test_multi_pass_chain_invariants(n, pass_exponent, epsilon, delta, eta0, G):
     np.testing.assert_allclose(s.beta0, eta0 * eta0 * n / s.T, rtol=1e-15)
     assert s.sample_budget == s.T == round(n**pass_exponent * epsilon * epsilon)
 
-
-
-@pytest.mark.parametrize("t", [0, 7])
-def test_every_per_step_accessor_refuses_steps_outside_the_schedule(t):
-    single = single_pass_schedule(6, 1.0, 1.0, 0.5, 1e-5)
-    multi = multi_pass_schedule(10, 1.0, 0.75, 1e-3, 1.0, 1.0)
-    assert single.T == multi.T == 6
-    accessors = [
-        lambda t: minibatch_size(6, t),
-        single.lambda_, single.lambda_eta, single.batch_size,
-        multi.eta, multi.lambda_, multi.lambda_eta, multi.batch_size,
-    ]
-    for accessor in accessors:
-        with pytest.raises(InvalidParameterError, match=rf"^step t={t} outside 1\.\.6$"):
-            accessor(t)
