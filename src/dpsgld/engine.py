@@ -76,10 +76,9 @@ same indices and noise and do the same arithmetic in another order, so they
 differ only by rounding: tests/test_engine.py holds them within
 1e-12·max(1, max|w|) that way, and tests the law of the draw on its own.
 
-Replicates share one group while their index rows fit in ``_GROUP_BYTES``; a
-larger batch advances one group after another. Every replicate draws from its
-own generators in the same order whatever the grouping, so its output does
-not depend on which replicates run beside it.
+A run stacks its replicates' index rows and makes one kernel call. Every
+replicate draws from its own generators, so its output does not depend on
+which replicates run beside it.
 
 The engine runs whatever coordinates it is given: the privacy-utility
 experiment hands it each replicate's data in a basis of the rows' span, and
@@ -114,8 +113,6 @@ from .schedules import MultiPassSchedule, SinglePassSchedule
 # chains and draws its noise rows at once: one (m, d) draw gives the same
 # numbers as m successive draws of d.
 _NOISE_BLOCK_FLOATS = 1 << 17
-# Replicates advance as one group while their index rows fit in 32 MiB.
-_GROUP_BYTES = 1 << 25
 # Unit-batch steps per block of _advance_blocks. With k = 256 on a 2-core Xeon
 # VM, 64 ran best at 2 replicates and 16 at 30 (the Gram matmuls grow with
 # the block); 32 was within 10 % of the best at both.
@@ -341,12 +338,6 @@ def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_
     return W, logged
 
 
-def _groups(count: int, T: int) -> list:
-    """Slices of ``count`` replicates whose index rows of T steps fit in _GROUP_BYTES."""
-    size = max(1, _GROUP_BYTES // (8 * T))
-    return [slice(lo, lo + size) for lo in range(0, count, size)]
-
-
 def _require_labels(loss: GlmLoss, datasets) -> None:
     """Refuse labels outside [−1, 1] under the ±1 losses, naming the first bad row.
 
@@ -489,15 +480,11 @@ def run_multi_pass(
     datasets, rngs = list(datasets), list(rngs)
     _require_batch(datasets, rngs)
     _require_labels(loss, datasets)
-    parts = []
-    for group in _groups(len(datasets), schedule.T):
-        indices = np.stack([
-            rng.substream(0).generator.integers(0, data.n, size=schedule.T)
-            for data, rng in zip(datasets[group], rngs[group])
-        ])
-        times, iterates = _logged_runs(datasets[group], loss, schedule, indices, rngs[group], log_interval)
-        parts.append(iterates)
-    return times, np.concatenate(parts)
+    indices = np.stack([
+        rng.substream(0).generator.integers(0, data.n, size=schedule.T)
+        for data, rng in zip(datasets, rngs)
+    ])
+    return _logged_runs(datasets, loss, schedule, indices, rngs, log_interval)
 
 
 def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, seeds, times) -> np.ndarray:
@@ -536,23 +523,18 @@ def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, see
     if marks.ndim != 1 or not in_range:
         raise InvalidParameterError(f"times must be steps in 1..{schedule.T}, got {times}")
     log_times, slots = np.unique(marks, return_inverse=True)
-    out = np.empty((len(pairs), len(marks)))
     steps = _steps(schedule.etas, schedule.lambda_etas, schedule.beta0, schedule.batch_sizes)
-    for group in _groups(len(pairs), schedule.T):
-        indices = np.stack([
-            seeded_rng(seed, 0).generator.integers(0, a.n, size=schedule.T)
-            for (a, _), seed in zip(pairs[group], seeds[group])
-        ])
-        X, y, firsts = _stacked(
-            [data.X for pair in pairs[group] for data in pair],
-            [data.y for pair in pairs[group] for data in pair],
-        )
-        _, logged = _advance(
-            np.zeros((len(indices), 2, pairs[0][0].d)), (X, y, firsts.reshape(-1, 2)), loss,
-            indices, steps, [seeded_rng(seed, 1).generator for seed in seeds[group]],
-            log_times.tolist(),
-        )
-        diff = logged[:, 0] - logged[:, 1]
-        # batched matmul, not einsum: einsum sums in another order
-        out[group] = (diff[..., None, :] @ diff[..., None])[..., 0, 0][:, slots]
-    return out
+    indices = np.stack([
+        seeded_rng(seed, 0).generator.integers(0, a.n, size=schedule.T)
+        for (a, _), seed in zip(pairs, seeds)
+    ])
+    X, y, firsts = _stacked(
+        [data.X for pair in pairs for data in pair], [data.y for pair in pairs for data in pair]
+    )
+    _, logged = _advance(
+        np.zeros((len(pairs), 2, pairs[0][0].d)), (X, y, firsts.reshape(-1, 2)), loss,
+        indices, steps, [seeded_rng(seed, 1).generator for seed in seeds], log_times.tolist(),
+    )
+    diff = logged[:, 0] - logged[:, 1]
+    # batched matmul, not einsum: einsum sums in another order
+    return (diff[..., None, :] @ diff[..., None])[..., 0, 0][:, slots]

@@ -115,9 +115,11 @@ class ExperimentConfig:
 
     epsilon = 0 resolves to n^(-1/4) and delta = 0 to 1/n² at each grid
     point. d_grid drives dimension-independence, stability and
-    privacy-utility; excess-risk-vs-n ignores it and uses d = dim_factor·n.
-    Inputs a schedule or the data law would refuse are refused here, so only
-    an infeasible schedule (T = round(n^α·ε²) < 1, or n·δ >= 2.5) makes an error row.
+    privacy-utility; excess-risk-vs-n ignores it and uses d = dim_factor·n,
+    and it alone reads more than one n. Inputs a schedule or the data law
+    would refuse are refused here. Only privacy-utility writes error rows: one
+    per ε whose schedule is infeasible (T = round(n^α·ε²) < 1, or n·δ >= 2.5).
+    Stability refuses such a schedule.
     """
 
     experiment: str
@@ -165,6 +167,8 @@ class ExperimentConfig:
             raise InvalidParameterError("privacy-utility needs an epsilon grid")
         if self.experiment in (STABILITY, PRIVACY_UTILITY) and len(self.d_grid) != 1:
             raise InvalidParameterError(f"{self.experiment} needs exactly one d")
+        if self.experiment != EXCESS_RISK_VS_N and len(self.n_grid) != 1:
+            raise InvalidParameterError(f"{self.experiment} needs exactly one n")
         if self.dim_factor < 1:
             raise InvalidParameterError(f"dim factor must be >= 1, got {self.dim_factor}")
         for name, value in (("epsilon", self.epsilon), ("delta", self.delta)):

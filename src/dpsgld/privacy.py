@@ -30,7 +30,7 @@ from .core import (
     _require_count,
     _require_unit_interval,
 )
-from .schedules import MultiPassSchedule, SinglePassSchedule
+from .schedules import MultiPassSchedule, SinglePassSchedule, _multi_pass_etas
 
 # Per-step enumeration in the account report is vectorized over chunks of
 # _REPORT_CHUNK steps; past _REPORT_STEP_CAP steps only the closed form is
@@ -234,19 +234,22 @@ def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
     """(max step ε, max amplified ε, strong composition) over steps 2..T.
 
     Steps are enumerated _REPORT_CHUNK at a time, keeping only the running
-    maxima and the sums the composition needs. The chunks call the unchecked
-    formulas: the schedule has checked n, G, β₀ and δ (so every δ_t lies in
-    (0, 1)), and the one value a chunk could still get wrong, a zero σ_t from
-    two equal step sizes, makes its ε infinite, which is checked once at the end.
+    maxima and the sums the composition needs. Each chunk evaluates η on its
+    own steps and the one before, so memory does not grow with T. The chunks
+    call the unchecked formulas: the schedule has checked n, G, β₀ and δ (so
+    every δ_t lies in (0, 1)), and the one value a chunk could still get
+    wrong, a zero σ_t from two equal step sizes, makes its ε infinite, which
+    is checked once at the end.
     """
     n, T, delta = schedule.n, schedule.T, schedule.delta
-    etas = schedule.etas
     step_max = amplified_max = sum_sq = sum_excess = sum_delta = 0.0
     for lo in range(2, T + 1, _REPORT_CHUNK):
-        t = np.arange(lo, min(lo + _REPORT_CHUNK, T + 1), dtype=np.float64)
+        hi = min(lo + _REPORT_CHUNK - 1, T)
+        t = np.arange(lo, hi + 1, dtype=np.float64)
         # step t releases (η_t/η_{t−1})·(w − η_t·ḡ) + N(0, (1−(η_t/η_{t−1})²)β₀)
-        eta_t = etas[lo - 1 : lo - 1 + len(t)]
-        ratio = eta_t / etas[lo - 2 : lo - 2 + len(t)]
+        etas = _multi_pass_etas(schedule, lo - 1, hi)
+        eta_t = etas[1:]
+        ratio = eta_t / etas[:-1]
         eta_eff = eta_t * ratio
         sigma_eff = np.sqrt((1.0 - ratio**2) * schedule.beta0)
         # amplification divides δ by n, so the Gaussian step gets n·δ_t
@@ -301,8 +304,8 @@ def account_report(schedule) -> str:
     T, delta = schedule.T, schedule.delta
     closed, claimed = certify_theorem2(schedule)
     lines += [
-        f"eta1 = {_fmt(schedule.etas[0])}",
-        f"etaT = {_fmt(schedule.etas[-1])}",
+        f"eta1 = {_fmt(_multi_pass_etas(schedule, 1, 1)[0])}",
+        f"etaT = {_fmt(_multi_pass_etas(schedule, T, T)[0])}",
     ]
     if T <= _REPORT_STEP_CAP:
         if T >= 2:

@@ -71,15 +71,21 @@ class SinglePassSchedule:
     @cached_property
     def batch_sizes(self) -> np.ndarray:
         """minibatch_size(T, t) for t = 1..T (read-only int64 array)."""
-        # size m serves the k = T − t + 1 with ⌈T/2m²⌉ <= k < ⌈T/2(m−1)²⌉, so
-        # in t order the sizes are runs of 1, 2, ..., minibatch_size(T, T)
-        m = np.arange(1, minibatch_size(self.T, self.T) + 1, dtype=np.int64)
-        k_min = -(-self.T // (2 * m * m))
-        return _read_only(np.repeat(m, -np.diff(k_min, prepend=self.T + 1)))
+        return _read_only(np.repeat(*_batch_runs(self.T)))
 
     @cached_property
     def sample_budget(self) -> int:
-        return int(self.batch_sizes.sum())
+        sizes, counts = _batch_runs(self.T)
+        return int(sizes @ counts)
+
+
+def _batch_runs(T: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sizes, counts): the batch sizes of t = 1..T are counts[i] steps of sizes[i] in turn."""
+    # size m serves the k = T − t + 1 with ⌈T/2m²⌉ <= k < ⌈T/2(m−1)²⌉, so
+    # in t order the sizes are runs of 1, 2, ..., minibatch_size(T, T)
+    sizes = np.arange(1, minibatch_size(T, T) + 1, dtype=np.int64)
+    k_min = -(-T // (2 * sizes * sizes))
+    return sizes, -np.diff(k_min, prepend=T + 1)
 
 
 def single_pass_schedule(
@@ -128,20 +134,8 @@ class MultiPassSchedule:
 
     @cached_property
     def etas(self) -> np.ndarray:
-        """η_t = G⁻¹√β₀ / √(8·ln(2.5t²/(nδ))·t) for t = 1..T (read-only array)."""
-        # in place over one work array beside t (T ≈ 10⁷ makes each array 80 MB),
-        # in the operation order of √β₀ / (G·√(8·ln(2.5·t·t/(nδ))·t))
-        t = np.arange(1, self.T + 1, dtype=np.float64)
-        a = 2.5 * t
-        a *= t
-        a /= self.n * self.delta
-        np.log(a, out=a)
-        a *= 8.0
-        a *= t
-        np.sqrt(a, out=a)
-        a *= self.G
-        np.divide(math.sqrt(self.beta0), a, out=a)
-        return _read_only(a)
+        """η_t for t = 1..T (read-only array); ``_multi_pass_etas`` gives the formula."""
+        return _read_only(_multi_pass_etas(self, 1, self.T))
 
     @cached_property
     def lambda_etas(self) -> np.ndarray:
@@ -158,6 +152,17 @@ class MultiPassSchedule:
     def sample_budget(self) -> int:
         # one draw with replacement per step
         return self.T
+
+
+def _multi_pass_etas(schedule: MultiPassSchedule, first: int, last: int) -> np.ndarray:
+    """η_t = G⁻¹√β₀ / √(8·ln(2.5t²/(nδ))·t) for t = first..last.
+
+    Each η_t is computed from its own t in one fixed operation order, so any
+    range of steps gives the same bits as the whole schedule's ``etas``.
+    """
+    t = np.arange(first, last + 1, dtype=np.float64)
+    scale = np.sqrt(8.0 * np.log(2.5 * t * t / (schedule.n * schedule.delta)) * t) * schedule.G
+    return math.sqrt(schedule.beta0) / scale
 
 
 def multi_pass_schedule(

@@ -516,6 +516,15 @@ class TestErrorPaths:
         assert err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", ["dimension-independence", "stability", "privacy-utility"])
+    def test_second_n_is_refused_where_one_n_is_read(self, capsys, tmp_path, name):
+        argv = ["experiment", "--out", str(tmp_path / "out"), "--set", f"experiment.name={name}"]
+        code, out, err = run_main(capsys, argv + ["--set", "experiment.n_grid=32,64"])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {name} needs exactly one n\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "settings, message",
         [

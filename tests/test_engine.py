@@ -363,22 +363,6 @@ class TestReplicateBatches:
             [alone] = coupled_stability_run([pair], LOGISTIC, sched, [seed], every)
             assert row.tobytes() == alone.tobytes()
 
-    def test_groups_split_a_large_batch_without_changing_it(self, monkeypatch):
-        sched = self.schedule()
-        datasets = self.datasets(3)
-        rngs = [seeded_rng(32, r) for r in range(3)]
-        pairs = self.pairs(3)
-        times, whole = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=1)
-        whole_pairs = coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3], range(1, sched.T + 1))
-        assert np.all(whole_pairs[:, -1] > 0.0)
-        # room for the index rows of two replicates per group
-        monkeypatch.setattr(engine, "_GROUP_BYTES", 2 * 8 * sched.T)
-        split_times, split = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=1)
-        assert split_times == times
-        assert split.tobytes() == whole.tobytes()
-        split_pairs = coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3], range(1, sched.T + 1))
-        assert split_pairs.tobytes() == whole_pairs.tobytes()
-
     def test_replicates_must_line_up(self):
         sched = self.schedule()
         data = toy_dataset(60, 3)

@@ -103,6 +103,13 @@ class TestExperimentConfig:
                 experiment=STABILITY, d_grid=(8, 16), n_grid=(100,)
             )
 
+    @pytest.mark.parametrize("experiment", [DIMENSION_INDEPENDENCE, STABILITY, PRIVACY_UTILITY])
+    def test_one_n_experiments_refuse_a_longer_n_grid(self, experiment):
+        # they read only n_grid[0]; a second n would be echoed but never run
+        with pytest.raises(InvalidParameterError) as info:
+            small_config(experiment, n_grid=(32, 64))
+        assert str(info.value) == f"{experiment} needs exactly one n"
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

@@ -22,7 +22,12 @@ from dpsgld.privacy import (
     step_delta_allotment,
     subsample_amplify,
 )
-from dpsgld.schedules import MultiPassSchedule, multi_pass_schedule, single_pass_schedule
+from dpsgld.schedules import (
+    MultiPassSchedule,
+    SinglePassSchedule,
+    multi_pass_schedule,
+    single_pass_schedule,
+)
 
 # Reference values below were computed once with 40-digit arithmetic and frozen.
 
@@ -457,6 +462,34 @@ class TestAccountReport:
             "closed_to_claimed_ratio = 0.363467614",
             "note = amplification uses ln(1 + exp(eps)/m) with the whole exp(eps) kept inside the log",
         ]
+
+    @pytest.mark.parametrize("cap", [10**7, 5], ids=["below-cap", "past-cap"])
+    @pytest.mark.parametrize(
+        "make, refused",
+        [
+            (lambda: single_pass_schedule(2000, 1.0, 1.0, 0.5, 1e-5), (SinglePassSchedule, "batch_sizes")),
+            (lambda: multi_pass_schedule(200, 1.5, 0.9, 1e-5, 1.0, 1.0), (MultiPassSchedule, "etas")),
+        ],
+        ids=["single-pass", "multi-pass"],
+    )
+    def test_report_builds_no_per_step_array(self, monkeypatch, cap, make, refused):
+        # a T-long array would bound T by memory; the report evaluates what it reads
+        monkeypatch.setattr(privacy, "_REPORT_STEP_CAP", cap)
+        expected = account_report(make())
+
+        def refuse(schedule):
+            raise AssertionError(f"the report read {refused[0].__name__}.{refused[1]}")
+
+        monkeypatch.setattr(*refused, property(refuse))
+        assert account_report(make()) == expected
+
+    def test_chunk_boundaries_leave_the_report_unchanged(self, monkeypatch):
+        # each chunk re-evaluates η at its step lo − 1, which the step lo ratio reads
+        sched = multi_pass_schedule(100, 1.5, 0.45, 1e-5, 1.0, 1.0)
+        assert sched.T == 202
+        whole = account_report(sched)
+        monkeypatch.setattr(privacy, "_REPORT_CHUNK", 7)
+        assert account_report(sched) == whole
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(InvalidParameterError):

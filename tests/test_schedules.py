@@ -11,6 +11,7 @@ from dpsgld.schedules import (
     MultiPassSchedule,
     SINGLE_PASS,
     SinglePassSchedule,
+    _multi_pass_etas,
     minibatch_size,
     multi_pass_schedule,
     single_pass_schedule,
@@ -71,6 +72,8 @@ def test_budget_within_sqrt2_t_plus_t(T):
     # sum telescopes below 2*sqrt(T), so the budget sits below (sqrt(2)+1)T
     s = single_pass_schedule(T, 1.0, 1.0, 0.5, 1e-5)
     assert s.sample_budget <= (math.sqrt(2.0) + 1.0) * T
+    # the budget sums the batch-size runs without building batch_sizes
+    assert s.sample_budget == int(s.batch_sizes.sum())
 
 
 class TestSinglePassSchedule:
@@ -243,3 +246,22 @@ def test_multi_pass_chain_invariants(n, pass_exponent, epsilon, delta, eta0, G):
     np.testing.assert_allclose(s.beta0, eta0 * eta0 * n / s.T, rtol=1e-15)
     assert s.sample_budget == s.T == round(n**pass_exponent * epsilon * epsilon)
 
+
+@given(
+    n=st.integers(min_value=10, max_value=300),
+    pass_exponent=st.floats(min_value=1.0, max_value=2.0),
+    epsilon=st.floats(min_value=0.3, max_value=1.0),
+    delta=st.floats(min_value=1e-7, max_value=1e-3),
+    G=st.floats(min_value=0.5, max_value=4.0),
+    data=st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_eta_formula_on_any_steps_equals_etas(n, pass_exponent, epsilon, delta, G, data):
+    # the account report evaluates η_t on chunks of steps; they must be the engine's bits
+    s = multi_pass_schedule(n, pass_exponent, epsilon, delta, 1.0, G)
+    first = data.draw(st.integers(min_value=1, max_value=s.T), label="first")
+    last = data.draw(st.integers(min_value=first, max_value=s.T), label="last")
+    got = _multi_pass_etas(s, first, last)
+    assert got.tobytes() == s.etas[first - 1 : last].tobytes()
+    for t in (1, s.T):
+        assert _multi_pass_etas(s, t, t).tobytes() == s.etas[t - 1 : t].tobytes()
