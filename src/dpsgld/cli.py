@@ -22,14 +22,13 @@ import numpy as np
 
 from . import losses
 from .core import Dataset, InfinitePrivacyLossError, InvalidParameterError, _fmt, seeded_rng
-from .datagen import draw_dataset, import_dataset
+from .datagen import PopulationModel, draw_dataset, import_dataset
 from .engine import run_multi_pass, run_single_pass
 from .harness import (
     DATA_SUBSTREAM,
     ExperimentConfig,
     data_kind,
     default_config,
-    population_model,
     run_experiment,
     unread_fields,
     write_results,
@@ -162,7 +161,7 @@ def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
             n = single_pass_schedule(T, bounds.G, eta0, epsilon, delta).sample_budget
         if mode == MULTI_PASS and n is None:
             n = 256
-        model = population_model(loss.family, d, wstar_norm, law, label_noise)
+        model = PopulationModel(data_kind(loss.family), d, wstar_norm, law, label_noise)
         dataset = draw_dataset(model, n, rng.substream(DATA_SUBSTREAM))
 
     if mode == SINGLE_PASS:
@@ -191,12 +190,12 @@ def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
 
 
 def write_run_record(times, iterates, loss: GlmLoss, dataset: Dataset, path) -> None:
-    """One row per logged step t and its iterate w_t: t, population risk
-    (never estimated, so nan), empirical risk on ``dataset``, and ‖w_t‖."""
-    lines = ["t,risk_population,risk_empirical,iterate_norm"]
+    """One row per logged step t and its iterate w_t: t, empirical risk on
+    ``dataset``, and ‖w_t‖."""
+    lines = ["t,risk_empirical,iterate_norm"]
     for t, w in zip(times, iterates):
         risk = empirical_risk(loss, w, dataset)
-        lines.append(f"{t},nan,{_fmt(risk)},{_fmt(np.linalg.norm(w))}")
+        lines.append(f"{t},{_fmt(risk)},{_fmt(np.linalg.norm(w))}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -3,28 +3,29 @@
 Feature laws, all with ‖x‖₂ ≤ 1: "sphere" (uniform on the unit sphere),
 "ball" (sphere times a U[0.5, 1] radius, the default), and "low-rank"
 (Gaussian coordinates damped as 1/i, then normalized, so unit norm with
-energy concentrated on the leading coordinates). Labels: logistic draws
-y ∈ {−1, +1} with P(y=1|x) = σ(wStarᵀx); the quadratic kind draws
-y = wStarᵀx + noise with bounded uniform noise of variance s², so its
-population risk has the closed form ‖w − wStar‖²·E‖x‖²/(2d) + s²/2 on the
-isotropic laws.
+energy concentrated on the leading coordinates). wStar = wstar_norm·e₁: the
+excess-risk bounds see only ‖wStar‖, and the sphere and ball laws are
+rotation invariant. Labels: logistic draws y ∈ {−1, +1} with
+P(y=1|x) = σ(wStarᵀx); the quadratic kind draws y = wStarᵀx + noise with
+bounded uniform noise of variance s², so its population risk has the closed
+form ‖w − wStar‖²·E‖x‖²/(2d) + s²/2 on the isotropic laws.
 
 Population risk is estimated by streaming a held-out Monte-Carlo sample in
 chunks regenerated from the caller's stream: memory stays flat and reusing
 one stream across evaluations gives common random numbers. On the sphere and
 ball laws with d >= 3 the sample is drawn in two dimensions, so its cost does
-not grow with d. The loss of w at x depends on x only through wᵀx and
-wStarᵀx, that is through the projection of x onto an orthonormal basis
-(u₁, u₂) of span{wStar, w} with u₁ = wStar/‖wStar‖ (e₁ when wStar = 0).
-A uniform sphere point is g/‖g‖ with g standard Gaussian; rotating the basis
-onto the first two axes leaves g's law unchanged, so the projection is
-exactly (g₁, g₂)/√(g₁² + g₂² + χ²_{d−2}) with the chi-square independent of
+not grow with d. The model's wStar is wstar_norm·e₁, so the loss of w at x
+depends on x only through wᵀx and x₁, that is through the projection of x
+onto the orthonormal frame (e₁, u₂) of span{e₁, w}. A uniform sphere point
+is g/‖g‖ with g standard Gaussian; rotating the frame onto the first two
+axes leaves g's law unchanged, so the projection is exactly
+(g₁, g₂)/√(g₁² + g₂² + χ²_{d−2}) with the chi-square independent of
 (g₁, g₂), and the ball law scales it by its radius. Each chunk draws one set
 of these 2-D rows and scores every iterate w on it through its coordinates
-(wᵀu₁, ‖w − (wᵀu₁)u₁‖). Each iterate's estimate has exactly the law it has
-on d-dimensional rows, and iterates scored together share the draws, so
-their differences keep common random numbers. The low-rank law and d < 3
-draw full d-dimensional rows.
+(w₁, ‖w − w₁e₁‖). Each iterate's estimate has exactly the law it has on
+d-dimensional rows, and iterates scored together share the draws, so their
+differences keep common random numbers. The low-rank law and d < 3 draw
+full d-dimensional rows.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .core import Dataset, InvalidParameterError, RngStream, Vector, as_vector
+from .core import Dataset, InvalidParameterError, RngStream, as_vector
 from .losses import GlmLoss, loss_bounds
 
 LOGISTIC_KIND = "logistic"
@@ -57,11 +58,11 @@ _MARGIN_CHUNK_ROWS = 1 << 13
 
 @dataclass(frozen=True)
 class PopulationModel:
-    """The data law: feature law on the unit ball plus a labeling rule."""
+    """The data law: feature law on the unit ball plus a labeling rule, wStar = wstar_norm·e₁."""
 
     kind: str
     d: int
-    w_star: Vector
+    wstar_norm: float
     feature_law: str = "ball"
     label_noise: float = 0.1  # quadratic only: uniform noise with this std
 
@@ -71,16 +72,23 @@ class PopulationModel:
         _require_feature_law(self.feature_law)
         if not self.d >= 1:
             raise InvalidParameterError(f"d must be >= 1, got {self.d}")
-        w = as_vector(self.w_star)
-        if w.shape[0] != self.d:
-            raise InvalidParameterError(
-                f"wStar has {w.shape[0]} coordinates, model says d={self.d}"
-            )
+        _require_wstar_norm(self.wstar_norm)
         if not 0 <= self.label_noise < math.inf:
             raise InvalidParameterError(
                 f"label noise must be >= 0 and finite, got {self.label_noise}"
             )
-        object.__setattr__(self, "w_star", w)
+
+    @property
+    def w_star(self) -> np.ndarray:
+        """wStar as a d-vector."""
+        w = np.zeros(self.d)
+        w[0] = self.wstar_norm
+        return w
+
+
+def _require_wstar_norm(value) -> None:
+    if not value >= 0:
+        raise InvalidParameterError(f"wstar_norm must be >= 0, got {value}")
 
 
 def _require_feature_law(law: str) -> None:
@@ -101,7 +109,7 @@ def _draw_features(model: PopulationModel, n: int, gen: np.random.Generator) -> 
 def _draw_labels(
     model: PopulationModel, margins: np.ndarray, gen: np.random.Generator
 ) -> np.ndarray:
-    """Labels given the true margins wStarᵀx of the rows."""
+    """Labels given the true margins wStarᵀx = wstar_norm·x₁ of the rows."""
     if model.kind == LOGISTIC_KIND:
         u = gen.uniform(size=margins.shape[0])
         return np.where(u < expit(margins), 1.0, -1.0)
@@ -115,7 +123,7 @@ def draw_dataset(model: PopulationModel, n: int, rng: RngStream) -> Dataset:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     gen = rng.generator
     X = _draw_features(model, n, gen)
-    y = _draw_labels(model, X @ model.w_star, gen)
+    y = _draw_labels(model, model.wstar_norm * X[:, 0], gen)
     return Dataset(X, y, copy=False)
 
 
@@ -124,23 +132,13 @@ def _planar(model: PopulationModel) -> bool:
     return model.feature_law != "low-rank" and model.d >= 3
 
 
-def _wstar_axis(model: PopulationModel) -> tuple[float, np.ndarray]:
-    """(‖wStar‖, u₁) with u₁ = wStar/‖wStar‖, or e₁ when wStar = 0."""
-    star_norm = float(np.linalg.norm(model.w_star))
-    if star_norm > 0:
-        return star_norm, model.w_star / star_norm
-    u1 = np.zeros(model.d)
-    u1[0] = 1.0
-    return star_norm, u1
-
-
 def _held_out_chunks(model: PopulationModel, n_test: int, rng: RngStream):
     """Yield the (X, y) chunks of an n_test-row held-out sample drawn from ``rng``."""
     gen = rng.generator
     chunk = _chunk_rows(model.d)
     for done in range(0, n_test, chunk):
         X = _draw_features(model, min(chunk, n_test - done), gen)
-        yield X, _draw_labels(model, X @ model.w_star, gen)
+        yield X, _draw_labels(model, model.wstar_norm * X[:, 0], gen)
 
 
 def _held_out_margins(model: PopulationModel, W: np.ndarray, n_test: int, rng: RngStream):
@@ -157,11 +155,10 @@ def _held_out_margins(model: PopulationModel, W: np.ndarray, n_test: int, rng: R
             yield X @ W.T, y, X
         return
     gen = rng.generator
-    star_norm, u1 = _wstar_axis(model)
-    # with wStar on a coordinate axis, as the harness and CLI build it, u1 is
-    # exact and an iterate parallel to wStar gets a second coordinate of 0
-    along = W @ u1
-    coords = np.stack([along, np.linalg.norm(W - np.outer(along, u1), axis=1)])
+    # an iterate parallel to wStar gets a second coordinate of exactly 0
+    across = W.copy()
+    across[:, 0] = 0.0
+    coords = np.stack([W[:, 0], np.linalg.norm(across, axis=1)])
     for done in range(0, n_test, _MARGIN_CHUNK_ROWS):
         c = min(_MARGIN_CHUNK_ROWS, n_test - done)
         P = gen.standard_normal((c, 2))
@@ -170,7 +167,7 @@ def _held_out_margins(model: PopulationModel, W: np.ndarray, n_test: int, rng: R
         if model.feature_law == "ball":
             radii = gen.uniform(0.5, 1.0, size=(c, 1))
             P *= radii
-        yield P @ coords, _draw_labels(model, star_norm * P[:, 0], gen), radii
+        yield P @ coords, _draw_labels(model, model.wstar_norm * P[:, 0], gen), radii
 
 
 def population_risk_many(

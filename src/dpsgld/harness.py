@@ -12,14 +12,14 @@ are compared under common random numbers. Wall-clock time goes to the sidecar
 text file, never into the CSV, so reruns are byte-identical.
 
 The single-pass experiments run, on the sphere and ball laws with d >= 3,
-the exact-in-law chain of (α, β) = (u₁ᵀw, ‖w − (u₁ᵀw)u₁‖) with
-u₁ = w*/‖w*‖ (e₁ when w* = 0), from (0, 0). A single pass reads each i.i.d.
-row once, and the law of the rows and of the noise is invariant under the
-rotations that fix u₁, so step t may use fresh rows written in a frame
-(u₁, v), v the direction of w's part orthogonal to u₁. Each of the b rows is
-r·g/‖g‖ with g ~ N(0, I_d) and r the ball radius (1 on the sphere); its
-(u₁, v) coordinates come from (g₁, g₂), and its part outside span{u₁, v},
-like the noise's, is a standard Gaussian vector in R^(d−2). Only the Gram
+the exact-in-law chain of (α, β) = (w₁, ‖w − w₁e₁‖), from (0, 0); the data
+law puts w* on e₁. A single pass reads each i.i.d. row once, and the law of
+the rows and of the noise is invariant under the rotations that fix e₁, so
+step t may use fresh rows written in a frame (e₁, v), v the direction of w's
+part orthogonal to e₁. Each of the b rows is r·g/‖g‖ with g ~ N(0, I_d) and
+r the ball radius (1 on the sphere); its (e₁, v) coordinates come from
+(g₁, g₂), and its part outside span{e₁, v}, like the noise's, is a
+standard Gaussian vector in R^(d−2). Only the Gram
 matrix S of those b + 1 vectors enters the step, through the rows' norms
 ‖g‖² = g₁² + g₂² + S_ii and the new orthogonal length: with a = 1 − λ_tη,
 α ← a(α − (η/b)Σφ′_i x_i1) + σ_t z₁ and β ← √(β₂² + cᵀSc), where
@@ -28,7 +28,7 @@ c_(b+1) = σ_t, with φ′ clipped to [−γ₁, γ₁] as in the engine. S is d
 as LLᵀ from its Bartlett factor (χ_(d−2−j) on the diagonal, N(0, 1) below
 it, no columns past d − 2), so a step costs O(b²) whatever d is and no
 n × d data is drawn. The final (α, β) is lifted to
-α·u₁ + β·e₂ and scored by the 2-D evaluator, which sees exactly (α, β). The
+α·e₁ + β·e₂ and scored by the 2-D evaluator, which sees exactly (α, β). The
 low-rank law and d < 3 run the engine on drawn data, which is also the
 reference the reduced chain is tested against.
 
@@ -63,7 +63,7 @@ from .datagen import (
     _draw_labels,
     _planar,
     _require_feature_law,
-    _wstar_axis,
+    _require_wstar_norm,
     draw_dataset,
     population_risk_many,
 )
@@ -88,7 +88,7 @@ EVAL_STREAM = 1 << 20
 
 # What produces each experiment's rows, named in its sidecar.
 _SINGLE_PASS_SIMULATOR = (
-    "the exact-in-law chain of (u1'w, |w - (u1'w)u1|) on the sphere and ball laws with d >= 3; "
+    "the exact-in-law chain of (w1, |w - w1 e1|) on the sphere and ball laws with d >= 3; "
     "engine.run_single_pass on d-dimensional data for the low-rank law and d < 3"
 )
 SIMULATORS = {
@@ -116,8 +116,9 @@ class ExperimentConfig:
     epsilon = 0 resolves to n^(-1/4) and delta = 0 to 1/n² at each grid
     point. d_grid drives dimension-independence, stability and
     privacy-utility; excess-risk-vs-n ignores it and uses d = dim_factor·n,
-    and it alone reads more than one n. Inputs a schedule or the data law
-    would refuse are refused here. Only privacy-utility writes error rows: one
+    and it alone reads more than one n. Rows are keyed by their grid values,
+    so no grid may repeat one. Inputs a schedule or the data law would refuse
+    are refused here. Only privacy-utility writes error rows: one
     per ε whose schedule is infeasible (T = round(n^α·ε²) < 1, or n·δ >= 2.5).
     Stability refuses such a schedule.
     """
@@ -151,11 +152,13 @@ class ExperimentConfig:
             raise InvalidParameterError("n grid must be nonempty")
         if any(not n >= 2 for n in self.n_grid):
             raise InvalidParameterError(f"every n must be >= 2, got {self.n_grid}")
+        if any(not d >= 1 for d in self.d_grid):
+            raise InvalidParameterError(f"every d must be >= 1, got {self.d_grid}")
         if self.replicates < 2:
             raise InvalidParameterError(f"replicates must be >= 2, got {self.replicates}")
         if self.n_test < 100:
             raise InvalidParameterError(f"n_test must be >= 100, got {self.n_test}")
-        # checked here too: a grid of only infeasible schedules draws nothing
+        # checked here too, so a bad seed is refused before any cell runs
         _require_count("seed", self.seed, 0)
         if self.loss_family not in losses.FAMILIES:
             raise InvalidParameterError(
@@ -182,6 +185,9 @@ class ExperimentConfig:
             _require_unit_interval(delta=self.delta)
         for epsilon in self.eps_grid:
             _require_positive(epsilon=epsilon)
+        for name, grid in (("n", self.n_grid), ("d", self.d_grid), ("epsilon", self.eps_grid)):
+            if len(set(grid)) != len(grid):
+                raise InvalidParameterError(f"the {name} grid repeats a value, got {grid}")
         _require_positive(eta0=self.eta0)
         _require_pass_exponent(self.pass_exponent)
         _require_feature_law(self.feature_law)
@@ -281,26 +287,9 @@ def data_kind(loss_family: str) -> str:
     return QUADRATIC_KIND if loss_family == losses.QUADRATIC else LOGISTIC_KIND
 
 
-def _require_wstar_norm(value) -> None:
-    if not value >= 0:
-        raise InvalidParameterError(f"wstar_norm must be >= 0, got {value}")
-
-
-def population_model(
-    loss_family: str, d: int, wstar_norm: float, feature_law: str, label_noise: float
-) -> PopulationModel:
-    """The synthetic law for a loss family, with w* = wstar_norm·e₁ (wstar_norm >= 0)."""
-    _require_wstar_norm(wstar_norm)
-    w_star = np.zeros(d)
-    w_star[0] = wstar_norm
-    return PopulationModel(
-        data_kind(loss_family), d, w_star, feature_law=feature_law, label_noise=label_noise
-    )
-
-
 def _model(config: ExperimentConfig, d: int) -> PopulationModel:
-    return population_model(
-        config.loss_family, d, config.wstar_norm, config.feature_law, config.label_noise
+    return PopulationModel(
+        data_kind(config.loss_family), d, config.wstar_norm, config.feature_law, config.label_noise
     )
 
 
@@ -378,13 +367,13 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(r))
 
 
-def _reduced_draws(model: PopulationModel, star_norm: float, b: int, steps: int, gen):
+def _reduced_draws(model: PopulationModel, b: int, steps: int, gen):
     """The state-free draws of ``steps`` reduced-chain steps of batch size b.
 
-    Returns (x, scale, y, z, L): the rows' (u₁, v) coordinates x (steps, b, 2),
-    their r/‖g‖ (steps, b), labels (steps, b), the noise's (u₁, v) part
+    Returns (x, scale, y, z, L): the rows' (e₁, v) coordinates x (steps, b, 2),
+    their r/‖g‖ (steps, b), labels (steps, b), the noise's (e₁, v) part
     (steps, 2), and the Bartlett factor L (steps, b + 1, min(b + 1, d − 2)) of
-    the Gram matrix of the b + 1 parts outside span{u₁, v}.
+    the Gram matrix of the b + 1 parts outside span{e₁, v}.
     """
     p = model.d - 2
     m = b + 1
@@ -397,7 +386,7 @@ def _reduced_draws(model: PopulationModel, star_norm: float, b: int, steps: int,
     if model.feature_law == "ball":
         scale *= gen.uniform(0.5, 1.0, size=(steps, b))
     x = g * scale[..., None]
-    y = _draw_labels(model, star_norm * x[..., 0].reshape(-1), gen).reshape(steps, b)
+    y = _draw_labels(model, model.wstar_norm * x[..., 0].reshape(-1), gen).reshape(steps, b)
     return x, scale, y, gen.standard_normal((steps, 2)), L
 
 
@@ -406,11 +395,10 @@ def _reduced_single_pass(model: PopulationModel, loss, schedule, reps) -> np.nda
 
     Replicate r's chain draws from its own DATA_SUBSTREAM generator, a block
     of steps of one batch size at a time, so its output does not depend on
-    which replicates run beside it. The final (α, β) is lifted to α·u₁ + β·e₂,
-    which the 2-D evaluator scores exactly; e₂ ⊥ u₁ because ``population_model``
-    puts wStar on e₁. See the module docstring for why the chain is exact.
+    which replicates run beside it. The final (α, β) is lifted to α·e₁ + β·e₂,
+    which the 2-D evaluator scores exactly. See the module docstring for why
+    the chain is exact.
     """
-    star_norm, u1 = _wstar_axis(model)
     gens = [rep.substream(DATA_SUBSTREAM).generator for rep in reps]
     alpha = np.zeros(len(gens))
     beta = np.zeros(len(gens))
@@ -425,7 +413,7 @@ def _reduced_single_pass(model: PopulationModel, loss, schedule, reps) -> np.nda
         block = max(1, _REDUCED_BLOCK_FLOATS // ((b + 1) * (b + 1)))
         for start in range(lo, hi, block):
             stop = min(hi, start + block)
-            draws = [_reduced_draws(model, star_norm, b, stop - start, gen) for gen in gens]
+            draws = [_reduced_draws(model, b, stop - start, gen) for gen in gens]
             x, scale, y, z, L = (np.stack(part) for part in zip(*draws))
             for k, t in enumerate(range(start, stop)):
                 a, s = shrinks[t], sigmas[t]
@@ -441,9 +429,10 @@ def _reduced_single_pass(model: PopulationModel, loss, schedule, reps) -> np.nda
                 # cᵀSc = ‖Lᵀc‖²
                 outside = (c[..., None] * L[:, k]).sum(axis=1)
                 beta = np.sqrt(beta_v * beta_v + (outside * outside).sum(axis=1))
-    e2 = np.zeros(model.d)
-    e2[1] = 1.0
-    return np.outer(alpha, u1) + np.outer(beta, e2)
+    finals = np.zeros((len(gens), model.d))
+    finals[:, 0] = alpha
+    finals[:, 1] = beta
+    return finals
 
 
 def _single_pass_point(config, loss, n: int, d: int) -> ResultRow:
@@ -582,18 +571,19 @@ def _complement(Q: np.ndarray, schedule, times, rng: RngStream) -> np.ndarray:
     return P
 
 
-def _span_runs(datasets, loss, schedule, reps, log_interval) -> tuple[list, np.ndarray]:
+def _span_runs(spans, loss, schedule, reps, log_interval) -> tuple[list, np.ndarray]:
     """Multi-pass runs in the span of each replicate's data, lifted to d dimensions.
 
-    Each replicate runs ``run_multi_pass`` on its dataset in the coordinates
-    of an orthonormal basis Q of its rows (``_span_basis``): the same index
-    draws, noise in k = min(n, d) dimensions. Each logged k-vector c_t is
-    lifted to Q·c_t plus the orthogonal part P_t (``_complement``), drawn from
-    the replicate's COMPLEMENT_SUBSTREAM. The lifted chain has the law of the
+    ``spans`` holds each replicate's (Q, projected data) from ``_span_basis``,
+    Q an orthonormal basis of its rows. Each replicate runs ``run_multi_pass``
+    on the projected data: the same index draws, noise in k = min(n, d)
+    dimensions. Each logged k-vector c_t is lifted to Q·c_t plus the
+    orthogonal part P_t (``_complement``), drawn from the replicate's
+    COMPLEMENT_SUBSTREAM. The lifted chain has the law of the
     d-dimensional one at every logged step, jointly over the logged steps.
     Returns (times, iterates) as ``run_multi_pass`` does, in d dimensions.
     """
-    bases, projected = zip(*(_span_basis(data) for data in datasets))
+    bases, projected = zip(*spans)
     times, C = run_multi_pass(projected, loss, schedule, reps, log_interval=log_interval)
     return times, np.stack([
         c @ Q.T + _complement(Q, schedule, times, rep.substream(COMPLEMENT_SUBSTREAM))
@@ -605,7 +595,9 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
     """Multi-pass risk across an epsilon grid, time-averaged over the run.
 
     The chains run in the span of their data (``_span_runs``), so a step
-    costs O(min(n, d)) rather than O(d).
+    costs O(min(n, d)) rather than O(d). Each replicate's data and its basis
+    are built once and shared by every ε. Every ε's chains run before any is
+    scored, so the bases are freed before scoring, which is the memory peak.
     """
     loss = _loss(config)
     bounds = loss_bounds(loss)
@@ -613,18 +605,25 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
     d = config.d_grid[0]
     model = _model(config, d)
     _, delta = _resolved(config, n)
-    rows = []
+    reps = _replicates(config)
+    spans = [_span_basis(draw_dataset(model, n, rep.substream(DATA_SUBSTREAM))) for rep in reps]
+    runs = {}
     for eps in config.eps_grid:
         try:
             schedule = multi_pass_schedule(
                 n, config.pass_exponent, eps, delta, config.eta0, bounds.G
             )
         except InvalidParameterError as err:
-            rows.append(_error_row(config, n, d, eps, delta, err))
+            runs[eps] = err
+        else:
+            runs[eps] = schedule, _span_runs(spans, loss, schedule, reps, max(1, schedule.T // 16))[1]
+    del spans
+    rows = []
+    for eps, run in runs.items():
+        if isinstance(run, InvalidParameterError):
+            rows.append(_error_row(config, n, d, eps, delta, run))
             continue
-        reps = _replicates(config)
-        datasets = (draw_dataset(model, n, rep.substream(DATA_SUBSTREAM)) for rep in reps)
-        _, W = _span_runs(datasets, loss, schedule, reps, max(1, schedule.T // 16))
+        schedule, W = run
         excess = _excess_risks(config, loss, model, W.reshape(-1, d))
         # every replicate logs the same steps; its value is its run's time average
         per_rep = excess.reshape(config.replicates, -1).mean(axis=1)

@@ -99,9 +99,7 @@ class TestRunCommand:
         assert "closed_form_epsilon = " in account
 
     def test_runs_on_an_imported_dataset(self, capsys, tmp_path):
-        w = np.zeros(3)
-        w[0] = 1.0
-        model = PopulationModel("logistic", 3, w)
+        model = PopulationModel("logistic", 3, 1.0)
         data = draw_dataset(model, 20, seeded_rng(5, 0))
         data_path = tmp_path / "data.csv"
         export_dataset(data, data_path, "logistic")
@@ -121,9 +119,7 @@ class TestRunCommand:
         [("quadratic", "logistic"), ("quadratic", "smoothed-hinge"), ("logistic", "quadratic")],
     )
     def test_imported_kind_must_match_the_loss(self, capsys, tmp_path, kind, family):
-        w = np.zeros(3)
-        w[0] = 0.5
-        data = draw_dataset(PopulationModel(kind, 3, w), 20, seeded_rng(5, 0))
+        data = draw_dataset(PopulationModel(kind, 3, 0.5), 20, seeded_rng(5, 0))
         data_path = tmp_path / "data.csv"
         export_dataset(data, data_path, kind)
         out_dir = tmp_path / "out"
@@ -168,7 +164,7 @@ RUN_DIGESTS = {
         ["--set", "schedule.T=64", "--set", "data.d=8", "--set", "run.log_interval=5"],
         {
             "stdout": "9fbf32c207be1f083625702c9ccb77f1eb95ac22cfc1bf18becb81d64c9aa340",
-            "run_record.csv": "c9b315cc7609783a6cf185297df234640da18f2eee6d0d5bcd56bbd0d8928e63",
+            "run_record.csv": "345ceea51e523311aa0112db3bdf3f3b9b0322a0219e4655a3c166404f222e5e",
             "account.txt": "1466faefe8f8d17a7f0a49cca2bd021cb4397d5566b561cbbe958fd72972d492",
         },
     ),
@@ -180,7 +176,7 @@ RUN_DIGESTS = {
         ],
         {
             "stdout": "424007c13938f78feaa93b7c7eb184ad22502a5b00a2193c7d084348124f062a",
-            "run_record.csv": "06a87eb934fba79b0f00f04a58acb4615cb00e806a9b3e4effaf2381c29ed789",
+            "run_record.csv": "ce3f3aeaf985b0b89b63799828c2dafecaccc400d7feaf12cd3aa91f5c3fb00a",
             "account.txt": "39b2e3def1f27ffc0d4373d9805373ab1723cf68a373f51bf3529d13d025b4ac",
         },
     ),
@@ -456,6 +452,32 @@ class TestErrorPaths:
         assert err == f"error: {message}\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (["data.d=0"], "d must be >= 1, got 0"),
+            (
+                ["experiment.name=dimension-independence", "experiment.d_grid=512,0"],
+                "every d must be >= 1, got (512, 0)",
+            ),
+            (
+                ["experiment.name=excess-risk-vs-n", "experiment.n_grid=16,16,16"],
+                "the n grid repeats a value, got (16, 16, 16)",
+            ),
+        ],
+        ids=["run-d=0", "experiment-d_grid-0", "experiment-repeated-n"],
+    )
+    def test_bad_dimensions_and_grids_are_refused(self, capsys, tmp_path, settings, message):
+        command = "experiment" if settings[0].startswith("experiment.") else "run"
+        argv = [command, "--out", str(tmp_path / "out")]
+        for setting in settings:
+            argv += ["--set", setting]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_mode(self, capsys):
         code, _, err = run_main(capsys, ["account", "--set", "mode=batch"])
         assert code == 2
@@ -652,7 +674,7 @@ class TestErrorPaths:
     ],
 )
 def test_inapplicable_flags_and_keys_are_refused(capsys, tmp_path, argv, message):
-    data = draw_dataset(PopulationModel("logistic", 3, np.eye(3)[0]), 20, seeded_rng(5, 0))
+    data = draw_dataset(PopulationModel("logistic", 3, 1.0), 20, seeded_rng(5, 0))
     data_path = tmp_path / "data.csv"
     export_dataset(data, data_path, "logistic")
     out_dir = tmp_path / "out"

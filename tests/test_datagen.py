@@ -21,26 +21,30 @@ from dpsgld.losses import GlmLoss, loss_bounds
 
 
 def model_for(kind="logistic", d=8, law="ball", noise=0.1, w_scale=1.0):
-    w = np.zeros(d)
-    w[0] = w_scale
-    return PopulationModel(kind=kind, d=d, w_star=w, feature_law=law, label_noise=noise)
+    return PopulationModel(kind=kind, d=d, wstar_norm=w_scale, feature_law=law, label_noise=noise)
 
 
 class TestPopulationModel:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            PopulationModel(kind="poisson", d=2, w_star=np.zeros(2))
+            PopulationModel(kind="poisson", d=2, wstar_norm=0.0)
         with pytest.raises(InvalidParameterError):
-            PopulationModel(kind="logistic", d=2, w_star=np.zeros(3))
+            PopulationModel(kind="logistic", d=0, wstar_norm=1.0)
         with pytest.raises(InvalidParameterError):
-            PopulationModel(kind="logistic", d=2, w_star=np.zeros(2), feature_law="cube")
+            PopulationModel(kind="logistic", d=2, wstar_norm=0.0, feature_law="cube")
         with pytest.raises(InvalidParameterError):
-            PopulationModel(kind="quadratic", d=2, w_star=np.zeros(2), label_noise=-0.1)
+            PopulationModel(kind="quadratic", d=2, wstar_norm=0.0, label_noise=-0.1)
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -math.inf])
     def test_label_noise_must_be_finite(self, noise):
         with pytest.raises(InvalidParameterError, match="label noise must be >= 0 and finite"):
-            PopulationModel(kind="quadratic", d=2, w_star=np.zeros(2), label_noise=noise)
+            PopulationModel(kind="quadratic", d=2, wstar_norm=0.0, label_noise=noise)
+
+    @pytest.mark.parametrize("value, shown", [(-1.0, "-1.0"), (math.nan, "nan")])
+    def test_negative_or_nan_wstar_norm_is_refused(self, value, shown):
+        # the words the CLI prints for data.wstar_norm and experiment.wstar_norm
+        with pytest.raises(InvalidParameterError, match=f"^wstar_norm must be >= 0, got {shown}$"):
+            PopulationModel(kind="logistic", d=2, wstar_norm=value)
 
 
 class TestFeatureLaws:

@@ -650,11 +650,11 @@ def test_scipy_linalg_is_imported_only_by_a_multi_pass_block():
         "    epsilon=0.5, delta=1e-3, checkpoints=(1, 5)))",
         "assert 'scipy.linalg' not in sys.modules, 'after account and stability'",
         "from dpsgld.core import seeded_rng",
-        "from dpsgld.datagen import draw_dataset",
+        "from dpsgld.datagen import PopulationModel, draw_dataset",
         "from dpsgld.engine import run_multi_pass",
         "from dpsgld.losses import GlmLoss",
         "from dpsgld.schedules import multi_pass_schedule",
-        "model = harness.population_model('logistic', 3, 1.0, 'ball', 0.1)",
+        "model = PopulationModel('logistic', 3, 1.0, 'ball', 0.1)",
         "data = draw_dataset(model, 20, seeded_rng(1, 0))",
         "schedule = multi_pass_schedule(20, 1.5, 1.0, 1e-3, 1.0, 1.0)",
         "run_multi_pass([data], GlmLoss('logistic'), schedule, [seeded_rng(1, 1)])",

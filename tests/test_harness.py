@@ -1,13 +1,14 @@
 import hashlib
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dpsgld import datagen, engine, harness
 from dpsgld.core import Dataset, InvalidParameterError, seeded_rng
-from dpsgld.datagen import draw_dataset
+from dpsgld.datagen import PopulationModel, draw_dataset
 from dpsgld.harness import (
     COMPLEMENT_SUBSTREAM,
     DATA_SUBSTREAM,
@@ -28,7 +29,6 @@ from dpsgld.harness import (
     data_kind,
     default_config,
     loglog_slope_fit,
-    population_model,
     rows_to_csv,
     run_experiment,
     summarize,
@@ -102,6 +102,23 @@ class TestExperimentConfig:
             ExperimentConfig(
                 experiment=STABILITY, d_grid=(8, 16), n_grid=(100,)
             )
+
+    @pytest.mark.parametrize(
+        "experiment, field, value, message",
+        [
+            (DIMENSION_INDEPENDENCE, "d_grid", (512, 0), "every d must be >= 1, got (512, 0)"),
+            (STABILITY, "d_grid", (-4,), "every d must be >= 1, got (-4,)"),
+            (EXCESS_RISK_VS_N, "n_grid", (16, 16, 16), "the n grid repeats a value, got (16, 16, 16)"),
+            (DIMENSION_INDEPENDENCE, "d_grid", (8, 16, 8), "the d grid repeats a value, got (8, 16, 8)"),
+            (PRIVACY_UTILITY, "eps_grid", (0.3, 0.3), "the epsilon grid repeats a value, got (0.3, 0.3)"),
+        ],
+        ids=["d=0", "d<0", "repeated-n", "repeated-d", "repeated-eps"],
+    )
+    def test_bad_grid_entries_are_refused(self, experiment, field, value, message):
+        # rows are keyed by their grid values, so a repeat is refused before any cell runs
+        with pytest.raises(InvalidParameterError) as info:
+            small_config(experiment, **{field: value})
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("experiment", [DIMENSION_INDEPENDENCE, STABILITY, PRIVACY_UTILITY])
     def test_one_n_experiments_refuse_a_longer_n_grid(self, experiment):
@@ -203,7 +220,7 @@ class TestCheckpointLadder:
     [("logistic", "logistic"), ("smoothed-hinge", "logistic"), ("quadratic", "quadratic")],
 )
 def test_population_model_kind_and_wstar(family, kind):
-    model = population_model(family, 4, 1.5, "sphere", 0.2)
+    model = PopulationModel(data_kind(family), 4, 1.5, "sphere", 0.2)
     assert model.kind == data_kind(family) == kind
     np.testing.assert_array_equal(model.w_star, [1.5, 0.0, 0.0, 0.0])
     assert (model.d, model.feature_law, model.label_noise) == (4, "sphere", 0.2)
@@ -410,7 +427,7 @@ class TestCsvAndSidecar:
         with open(sidecar_path) as fh:
             sidecar = fh.read()
         assert (
-            "\nsimulator = the exact-in-law chain of (u1'w, |w - (u1'w)u1|) on the sphere and "
+            "\nsimulator = the exact-in-law chain of (w1, |w - w1 e1|) on the sphere and "
             "ball laws with d >= 3; engine.run_single_pass on d-dimensional data for the "
             "low-rank law and d < 3\n"
         ) in sidecar
@@ -450,7 +467,7 @@ class TestSpanRuns:
         schedule = multi_pass_schedule(n, 2.0, 2.0, 0.3, 1.0, 1.0)
         assert schedule.T == 144
         span_times, W_span = _span_runs(
-            [data] * chains, self.LOSS, schedule, [seeded_rng(1, r) for r in range(chains)], 40
+            [_span_basis(data)] * chains, self.LOSS, schedule, [seeded_rng(1, r) for r in range(chains)], 40
         )
         full_times, W_full = engine.run_multi_pass(
             [data] * chains, self.LOSS, schedule, [seeded_rng(2, r) for r in range(chains)],
@@ -498,7 +515,7 @@ class TestSpanRuns:
         np.testing.assert_allclose(projected.X, data.X @ Q, rtol=0, atol=1e-12)
         assert not projected.X.flags.writeable and not projected.y.flags.writeable
         rep = seeded_rng(4, 0)
-        times, [lifted] = _span_runs([data], self.LOSS, schedule, [rep], 10)
+        times, [lifted] = _span_runs([(Q, projected)], self.LOSS, schedule, [rep], 10)
         C_times, [C] = engine.run_multi_pass([projected], self.LOSS, schedule, [rep], log_interval=10)
         assert times == C_times and times[-1] == schedule.T
         P = _complement(Q, schedule, times, rep.substream(COMPLEMENT_SUBSTREAM))
@@ -528,6 +545,24 @@ class TestSpanRuns:
         rows, _ = run_experiment(config)
         assert rows[0].d == 4096 and rows[0].note == ""
         assert seen == [16, 16]
+
+    def test_experiment_draws_each_replicate_once_for_every_epsilon(self, monkeypatch):
+        drawn, factored = [], []
+
+        def drawing(*args):
+            drawn.append(args[1])
+            return draw_dataset(*args)
+
+        def factoring(data):
+            factored.append(data.n)
+            return _span_basis(data)
+
+        monkeypatch.setattr(harness, "draw_dataset", drawing)
+        monkeypatch.setattr(harness, "_span_basis", factoring)
+        config = small_config(PRIVACY_UTILITY, eps_grid=(0.01, 0.3, 0.5), replicates=3)
+        rows, _ = run_experiment(config)
+        assert [row.note == "" for row in rows] == [False, True, True]
+        assert drawn == factored == [config.n_grid[0]] * 3
 
 
 def _z(a, b):
@@ -564,7 +599,7 @@ class TestReducedSinglePass:
         loss = GlmLoss(family)
         eps = eps if eps is not None else n**-0.25
         schedule = single_pass_schedule(n, loss_bounds(loss).G, eta0, eps, 1.0 / n**2)
-        model = population_model(family, d, 2.0, law, 0.1)
+        model = PopulationModel(data_kind(family), d, 2.0, law, 0.1)
         reduced = _reduced_single_pass(
             model, loss, schedule, [seeded_rng(1, r) for r in range(chains)]
         )
@@ -582,11 +617,39 @@ class TestReducedSinglePass:
             worst[f"{name} var"] = _z((a - a.mean()) ** 2, (b - b.mean()) ** 2)
         assert max(abs(z) for z in worst.values()) <= 4.5, worst
 
+    @pytest.mark.parametrize("d", [3, 512])
+    def test_lifted_iterates_have_held_out_coordinates_alpha_beta(self, d):
+        # Fed the unit rows e₁ and e₂ as its 2-D sample (and zero chi-square),
+        # the held-out sampler returns each iterate's coordinates as its
+        # margins. The reduced chain writes α and β into columns 0 and 1, so
+        # the evaluator must read back exactly (α, β), bit for bit.
+        class UnitRows:
+            def standard_normal(self, size):
+                return np.eye(2)
+
+            def chisquare(self, df, size):
+                return np.zeros(size)
+
+            def uniform(self, low=0.0, high=1.0, size=None):
+                return np.full(size, 0.5)
+
+        loss = GlmLoss("logistic")
+        schedule = single_pass_schedule(40, 1.0, 1.0, 0.5, 1e-3)
+        model = PopulationModel("logistic", d, 2.0, "sphere", 0.1)
+        finals = _reduced_single_pass(model, loss, schedule, [seeded_rng(9, r) for r in range(64)])
+        alpha, beta = finals[:, 0], finals[:, 1]
+        assert np.any(alpha < 0) and np.any(alpha > 0) and np.all(beta > 0)
+        np.testing.assert_array_equal(finals[:, 2:], 0.0)
+        [(margins, _, _)] = datagen._held_out_margins(
+            model, finals, 2, SimpleNamespace(generator=UnitRows())
+        )
+        assert margins.tobytes() == np.stack([alpha, beta]).tobytes()
+
     def test_replicate_output_does_not_depend_on_its_neighbours(self):
         loss = GlmLoss("logistic")
         schedule = single_pass_schedule(40, 1.0, 1.0, 0.5, 1e-3)
         for law, d in (("ball", 30), ("sphere", 4)):
-            model = population_model("logistic", d, 2.0, law, 0.1)
+            model = PopulationModel("logistic", d, 2.0, law, 0.1)
             reps = [seeded_rng(6, r) for r in range(3)]
             together = _reduced_single_pass(model, loss, schedule, reps)
             for r, rep in enumerate(reps):
@@ -601,7 +664,7 @@ class TestReducedSinglePass:
         # but keeps every replicate independent of its neighbours
         loss = GlmLoss("logistic")
         schedule = single_pass_schedule(40, 1.0, 1.0, 0.5, 1e-3)
-        model = population_model("logistic", 12, 2.0, "ball", 0.1)
+        model = PopulationModel("logistic", 12, 2.0, "ball", 0.1)
         monkeypatch.setattr(harness, "_REDUCED_BLOCK_FLOATS", 8)
         reps = [seeded_rng(6, r) for r in range(2)]
         together = _reduced_single_pass(model, loss, schedule, reps)
