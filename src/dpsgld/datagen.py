@@ -89,6 +89,8 @@ class PopulationModel:
 def _require_wstar_norm(value) -> None:
     if not value >= 0:
         raise InvalidParameterError(f"wstar_norm must be >= 0, got {value}")
+    if value == math.inf:
+        raise InvalidParameterError(f"wstar_norm must be finite, got {value}")
 
 
 def _require_feature_law(law: str) -> None:

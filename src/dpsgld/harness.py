@@ -595,9 +595,10 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
     """Multi-pass risk across an epsilon grid, time-averaged over the run.
 
     The chains run in the span of their data (``_span_runs``), so a step
-    costs O(min(n, d)) rather than O(d). Each replicate's data and its basis
-    are built once and shared by every ε. Every ε's chains run before any is
-    scored, so the bases are freed before scoring, which is the memory peak.
+    costs O(min(n, d)) rather than O(d). Each replicate's data and basis are
+    built once, at the first feasible ε. Every ε's chains run before any is
+    scored, so the bases are freed before scoring, the memory peak; each ε's
+    lifted iterates are held until then, so that peak grows with the ε grid.
     """
     loss = _loss(config)
     bounds = loss_bounds(loss)
@@ -606,24 +607,24 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
     model = _model(config, d)
     _, delta = _resolved(config, n)
     reps = _replicates(config)
-    spans = [_span_basis(draw_dataset(model, n, rep.substream(DATA_SUBSTREAM))) for rep in reps]
-    runs = {}
+    rows, runs, spans = [], [], None
     for eps in config.eps_grid:
         try:
             schedule = multi_pass_schedule(
                 n, config.pass_exponent, eps, delta, config.eta0, bounds.G
             )
         except InvalidParameterError as err:
-            runs[eps] = err
-        else:
-            runs[eps] = schedule, _span_runs(spans, loss, schedule, reps, max(1, schedule.T // 16))[1]
-    del spans
-    rows = []
-    for eps, run in runs.items():
-        if isinstance(run, InvalidParameterError):
-            rows.append(_error_row(config, n, d, eps, delta, run))
+            rows.append(_error_row(config, n, d, eps, delta, err))
             continue
-        schedule, W = run
+        if spans is None:
+            spans = [
+                _span_basis(draw_dataset(model, n, rep.substream(DATA_SUBSTREAM))) for rep in reps
+            ]
+        W = _span_runs(spans, loss, schedule, reps, max(1, schedule.T // 16))[1]
+        runs.append((len(rows), schedule, W))
+        rows.append(None)
+    del spans
+    for i, schedule, W in runs:
         excess = _excess_risks(config, loss, model, W.reshape(-1, d))
         # every replicate logs the same steps; its value is its run's time average
         per_rep = excess.reshape(config.replicates, -1).mean(axis=1)
@@ -633,11 +634,11 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
             config.pass_exponent,
             bounds.G,
             config.eta0,
-            eps,
+            schedule.epsilon,
             delta,
             bounds.hessian_trace_bound,
         )
-        rows.append(_row(config, n, d, schedule, *_mean_se(per_rep), bound))
+        rows[i] = _row(config, n, d, schedule, *_mean_se(per_rep), bound)
     return rows
 
 

@@ -593,6 +593,36 @@ class TestErrorPaths:
         assert err == f"error: wstar_norm must be >= 0, got {shown}\n"
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("family", ["logistic", "quadratic"])
+    def test_infinite_wstar_norm_is_refused_by_run(self, capsys, tmp_path, family):
+        code, out, err = run_main(
+            capsys,
+            [
+                "run", "--out", str(tmp_path / "out"), "--set", f"loss.family={family}",
+                "--set", "data.wstar_norm=inf",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: wstar_norm must be finite, got inf\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name", ["stability", "privacy-utility", "excess-risk-vs-n", "dimension-independence"]
+    )
+    def test_infinite_wstar_norm_is_refused_by_experiment(self, capsys, tmp_path, name):
+        code, out, err = run_main(
+            capsys,
+            [
+                "experiment", "--out", str(tmp_path), "--set", f"experiment.name={name}",
+                "--set", "experiment.wstar_norm=inf",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: wstar_norm must be finite, got inf\n"
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -46,6 +46,10 @@ class TestPopulationModel:
         with pytest.raises(InvalidParameterError, match=f"^wstar_norm must be >= 0, got {shown}$"):
             PopulationModel(kind="logistic", d=2, wstar_norm=value)
 
+    def test_infinite_wstar_norm_is_refused(self):
+        with pytest.raises(InvalidParameterError, match="^wstar_norm must be finite, got inf$"):
+            PopulationModel(kind="logistic", d=2, wstar_norm=math.inf)
+
 
 class TestFeatureLaws:
     def test_sphere_norms_are_one(self):

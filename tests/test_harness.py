@@ -564,6 +564,24 @@ class TestSpanRuns:
         assert [row.note == "" for row in rows] == [False, True, True]
         assert drawn == factored == [config.n_grid[0]] * 3
 
+    def test_rows_keep_epsilon_order_and_no_feasible_epsilon_draws_no_data(self, monkeypatch):
+        drawn = []
+
+        def drawing(*args):
+            drawn.append(args[1])
+            return draw_dataset(*args)
+
+        monkeypatch.setattr(harness, "draw_dataset", drawing)
+        config = small_config(PRIVACY_UTILITY, eps_grid=(0.3, 0.01, 0.5), replicates=2)
+        rows, _ = run_experiment(config)
+        assert [row.eps_target for row in rows] == [0.3, 0.01, 0.5]
+        assert [row.note == "" for row in rows] == [True, False, True]
+        assert len(drawn) == 2
+        drawn.clear()
+        rows, _ = run_experiment(replace(config, eps_grid=(0.01, 0.02)))
+        assert [row.note.startswith("error:") for row in rows] == [True, True]
+        assert drawn == []
+
 
 def _z(a, b):
     se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
