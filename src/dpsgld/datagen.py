@@ -69,10 +69,16 @@ class PopulationModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidParameterError(f"unknown kind {self.kind!r}; expected {KINDS}")
-        _require_feature_law(self.feature_law)
+        if self.feature_law not in FEATURE_LAWS:
+            raise InvalidParameterError(
+                f"unknown feature law {self.feature_law!r}; expected {FEATURE_LAWS}"
+            )
         if not self.d >= 1:
             raise InvalidParameterError(f"d must be >= 1, got {self.d}")
-        _require_wstar_norm(self.wstar_norm)
+        if not self.wstar_norm >= 0:
+            raise InvalidParameterError(f"wstar_norm must be >= 0, got {self.wstar_norm}")
+        if self.wstar_norm == math.inf:
+            raise InvalidParameterError(f"wstar_norm must be finite, got {self.wstar_norm}")
         if not 0 <= self.label_noise < math.inf:
             raise InvalidParameterError(
                 f"label noise must be >= 0 and finite, got {self.label_noise}"
@@ -84,18 +90,6 @@ class PopulationModel:
         w = np.zeros(self.d)
         w[0] = self.wstar_norm
         return w
-
-
-def _require_wstar_norm(value) -> None:
-    if not value >= 0:
-        raise InvalidParameterError(f"wstar_norm must be >= 0, got {value}")
-    if value == math.inf:
-        raise InvalidParameterError(f"wstar_norm must be finite, got {value}")
-
-
-def _require_feature_law(law: str) -> None:
-    if law not in FEATURE_LAWS:
-        raise InvalidParameterError(f"unknown feature law {law!r}; expected {FEATURE_LAWS}")
 
 
 def _draw_features(model: PopulationModel, n: int, gen: np.random.Generator) -> np.ndarray:

@@ -5,6 +5,11 @@ dimension-independence (fixed n, growing d), stability (coupled chains on
 neighboring datasets against the closed-form bound), and privacy-utility
 (multi pass, risk across an epsilon grid).
 
+An experiment is its cells (``_cells``): the loss and, for each row group,
+the data law and schedule. Building an ``ExperimentConfig`` builds them, so
+what they refuse is refused before anything runs, and the runners iterate
+the same cells.
+
 Determinism contract: every row is a pure function of (config, seed).
 Replicate r draws everything from stream id r of the base seed; the held-out
 evaluation sample lives on its own stream shared by all evaluations, so risks
@@ -52,18 +57,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import losses
-from .core import (
-    Dataset, InvalidParameterError, RngStream, _fmt, _require_count, _require_positive,
-    _require_unit_interval, seeded_rng,
-)
+from .core import Dataset, InvalidParameterError, RngStream, _fmt, _require_count, seeded_rng
 from .datagen import (
     LOGISTIC_KIND,
     QUADRATIC_KIND,
     PopulationModel,
     _draw_labels,
     _planar,
-    _require_feature_law,
-    _require_wstar_norm,
     draw_dataset,
     population_risk_many,
 )
@@ -71,7 +71,7 @@ from .engine import _steps, coupled_stability_run, run_multi_pass, run_single_pa
 from .losses import GlmLoss, loss_bounds
 from .oracles import stability_bound, theorem1_excess_bound, theorem2_excess_bound
 from .privacy import certify_theorem1, certify_theorem2
-from .schedules import SINGLE_PASS, _require_pass_exponent, multi_pass_schedule, single_pass_schedule
+from .schedules import SINGLE_PASS, multi_pass_schedule, single_pass_schedule
 
 EXCESS_RISK_VS_N = "excess-risk-vs-n"
 DIMENSION_INDEPENDENCE = "dimension-independence"
@@ -117,10 +117,12 @@ class ExperimentConfig:
     point. d_grid drives dimension-independence, stability and
     privacy-utility; excess-risk-vs-n ignores it and uses d = dim_factor·n,
     and it alone reads more than one n. Rows are keyed by their grid values,
-    so no grid may repeat one. Inputs a schedule or the data law would refuse
-    are refused here. Only privacy-utility writes error rows: one
-    per ε whose schedule is infeasible (T = round(n^α·ε²) < 1, or n·δ >= 2.5).
-    Stability refuses such a schedule.
+    so no grid may repeat one. Building a config builds its cells
+    (``_cells``): the loss, data law and schedule refuse what they cannot
+    run, in their own words, so an infeasible schedule (T = round(n^α·ε²)
+    < 1, or n·δ >= 2.5) is refused here by every experiment. The cells
+    check only the fields their experiment reads; the CLI refuses the rest
+    as keys.
     """
 
     experiment: str
@@ -152,18 +154,12 @@ class ExperimentConfig:
             raise InvalidParameterError("n grid must be nonempty")
         if any(not n >= 2 for n in self.n_grid):
             raise InvalidParameterError(f"every n must be >= 2, got {self.n_grid}")
-        if any(not d >= 1 for d in self.d_grid):
-            raise InvalidParameterError(f"every d must be >= 1, got {self.d_grid}")
         if self.replicates < 2:
             raise InvalidParameterError(f"replicates must be >= 2, got {self.replicates}")
         if self.n_test < 100:
             raise InvalidParameterError(f"n_test must be >= 100, got {self.n_test}")
         # checked here too, so a bad seed is refused before any cell runs
         _require_count("seed", self.seed, 0)
-        if self.loss_family not in losses.FAMILIES:
-            raise InvalidParameterError(
-                f"unknown loss family {self.loss_family!r}; expected {losses.FAMILIES}"
-            )
         if self.experiment == DIMENSION_INDEPENDENCE and len(self.d_grid) == 0:
             raise InvalidParameterError("dimension-independence needs a d grid")
         if self.experiment == PRIVACY_UTILITY and len(self.eps_grid) == 0:
@@ -179,19 +175,13 @@ class ExperimentConfig:
                 raise InvalidParameterError(
                     f"{name} must be >= 0 (0 means the per-n default), got {value}"
                 )
-        if self.epsilon:
-            _require_positive(epsilon=self.epsilon)
-        if self.delta:
-            _require_unit_interval(delta=self.delta)
-        for epsilon in self.eps_grid:
-            _require_positive(epsilon=epsilon)
-        for name, grid in (("n", self.n_grid), ("d", self.d_grid), ("epsilon", self.eps_grid)):
+        for name, grid in (
+            ("n", self.n_grid), ("d", self.d_grid), ("epsilon", self.eps_grid),
+            ("checkpoint", self.checkpoints),
+        ):
             if len(set(grid)) != len(grid):
                 raise InvalidParameterError(f"the {name} grid repeats a value, got {grid}")
-        _require_positive(eta0=self.eta0)
-        _require_pass_exponent(self.pass_exponent)
-        _require_feature_law(self.feature_law)
-        _require_wstar_norm(self.wstar_norm)
+        _cells(self)
 
 
 # The ExperimentConfig fields each experiment never reads; the CLI refuses them.
@@ -278,19 +268,48 @@ class ResultRow:
 RESULT_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-def _loss(config: ExperimentConfig) -> GlmLoss:
-    return GlmLoss(config.loss_family, h=config.hinge_half_width)
-
-
 def data_kind(loss_family: str) -> str:
     """The label law a loss family trains on: real labels for quadratic, ±1 otherwise."""
     return QUADRATIC_KIND if loss_family == losses.QUADRATIC else LOGISTIC_KIND
 
 
-def _model(config: ExperimentConfig, d: int) -> PopulationModel:
-    return PopulationModel(
-        data_kind(config.loss_family), d, config.wstar_norm, config.feature_law, config.label_noise
-    )
+def _cells(config: ExperimentConfig) -> tuple[GlmLoss, list]:
+    """The experiment's loss and its cells, one (n, data law, schedule) per row group.
+
+    Excess-risk-vs-n has a cell per n, with d = dim_factor·n;
+    dimension-independence a cell per d; stability one cell; privacy-utility
+    a cell per ε of its grid, each taken as it is. Elsewhere ε = 0 resolves
+    to n^(-1/4), and δ = 0 to 1/n² everywhere. The loss, law and schedules
+    refuse what they cannot run; no schedule's per-step arrays are built.
+    """
+    loss = GlmLoss(config.loss_family, h=config.hinge_half_width)
+    G = loss_bounds(loss).G
+    n = config.n_grid[0]
+
+    def default_eps(n):
+        return config.epsilon if config.epsilon > 0 else float(n) ** -0.25
+
+    if config.experiment == EXCESS_RISK_VS_N:
+        grid = [(n, config.dim_factor * n, default_eps(n)) for n in config.n_grid]
+    elif config.experiment == DIMENSION_INDEPENDENCE:
+        grid = [(n, d, default_eps(n)) for d in config.d_grid]
+    elif config.experiment == STABILITY:
+        grid = [(n, config.d_grid[0], default_eps(n))]
+    else:
+        grid = [(n, config.d_grid[0], eps) for eps in config.eps_grid]
+    cells = []
+    for n, d, eps in grid:
+        delta = config.delta if config.delta > 0 else 1.0 / (float(n) * float(n))
+        if config.experiment in (STABILITY, PRIVACY_UTILITY):
+            schedule = multi_pass_schedule(n, config.pass_exponent, eps, delta, config.eta0, G)
+        else:
+            schedule = single_pass_schedule(n, G, config.eta0, eps, delta)
+        model = PopulationModel(
+            data_kind(config.loss_family), d, config.wstar_norm, config.feature_law,
+            config.label_noise,
+        )
+        cells.append((n, model, schedule))
+    return loss, cells
 
 
 def _replicates(config: ExperimentConfig) -> list:
@@ -307,38 +326,13 @@ def _excess_risks(config: ExperimentConfig, loss, model: PopulationModel, iterat
     return est[:-1] - est[-1]
 
 
-def _resolved(config: ExperimentConfig, n: int) -> tuple[float, float]:
-    eps = config.epsilon if config.epsilon > 0 else float(n) ** -0.25
-    delta = config.delta if config.delta > 0 else 1.0 / (float(n) * float(n))
-    return eps, delta
-
-
-def _error_row(config, n, d, eps, delta, err) -> ResultRow:
-    nan = float("nan")
-    return ResultRow(
-        experiment=config.experiment,
-        n=n,
-        d=d,
-        eps_target=eps,
-        eps_accounted=nan,
-        eps_claimed=nan,
-        delta=delta,
-        T=0,
-        checkpoint_t=0,
-        mean_value=nan,
-        standard_error=nan,
-        bound_value=nan,
-        samples_consumed=0,
-        note=f"error: {err}",
-    )
-
-
-def _row(config, n, d, schedule, mean, se, bound, checkpoint_t=None, note="") -> ResultRow:
-    """A measured row whose account columns come from the schedule and its certificate.
+def _row(config, cell, mean, se, bound, checkpoint_t=None, note="") -> ResultRow:
+    """A measured row of ``cell`` whose account columns come from its schedule's certificate.
 
     Theorem 1 certifies a single-pass schedule and claims (2ε, δ); Theorem 2
     certifies a multi-pass one next to its own claimed ε.
     """
+    n, model, schedule = cell
     if schedule.mode == SINGLE_PASS:
         accounted, claimed = certify_theorem1(schedule), 2.0 * schedule.epsilon
     else:
@@ -347,7 +341,7 @@ def _row(config, n, d, schedule, mean, se, bound, checkpoint_t=None, note="") ->
     return ResultRow(
         experiment=config.experiment,
         n=n,
-        d=d,
+        d=model.d,
         eps_target=schedule.epsilon,
         eps_accounted=accounted.epsilon,
         eps_claimed=claimed,
@@ -435,47 +429,40 @@ def _reduced_single_pass(model: PopulationModel, loss, schedule, reps) -> np.nda
     return finals
 
 
-def _single_pass_point(config, loss, n: int, d: int) -> ResultRow:
-    """Run one (n, d) cell of a single-pass experiment and aggregate it."""
-    eps, delta = _resolved(config, n)
-    bounds = loss_bounds(loss)
-    schedule = single_pass_schedule(n, bounds.G, config.eta0, eps, delta)
-    model = _model(config, d)
-    reps = _replicates(config)
-    if _planar(model):
-        finals = _reduced_single_pass(model, loss, schedule, reps)
-    else:
-        finals = [
-            run_single_pass(
-                draw_dataset(model, schedule.sample_budget, rep.substream(DATA_SUBSTREAM)),
-                loss, schedule, rep, log_interval=schedule.T,
-            )[1][-1]
-            for rep in reps
-        ]
-    bound = theorem1_excess_bound(
-        config.wstar_norm,
-        n,
-        bounds.G,
-        config.eta0,
-        eps,
-        delta,
-        bounds.hessian_trace_bound,
-    )
-    excess = _excess_risks(config, loss, model, finals)
-    return _row(config, n, d, schedule, *_mean_se(excess), bound)
+def experiment_single_pass(config: ExperimentConfig) -> list:
+    """Excess-risk-vs-n and dimension-independence: one single-pass row per cell.
 
-
-def experiment_excess_risk_vs_n(config: ExperimentConfig) -> list:
-    """Single-pass rate check: one row per n, d = dim_factor·n."""
-    loss = _loss(config)
-    return [_single_pass_point(config, loss, n, config.dim_factor * n) for n in config.n_grid]
-
-
-def experiment_dimension_independence(config: ExperimentConfig) -> list:
-    """Fixed n, growing d; the schedule and accountant never see d."""
-    loss = _loss(config)
-    n = config.n_grid[0]
-    return [_single_pass_point(config, loss, n, d) for d in config.d_grid]
+    The schedule and accountant never see d, so dimension-independence's
+    cells hold equal schedules and differ only in the data law.
+    """
+    loss, cells = _cells(config)
+    trace_bound = loss_bounds(loss).hessian_trace_bound
+    rows = []
+    for cell in cells:
+        n, model, schedule = cell
+        reps = _replicates(config)
+        if _planar(model):
+            finals = _reduced_single_pass(model, loss, schedule, reps)
+        else:
+            finals = [
+                run_single_pass(
+                    draw_dataset(model, schedule.sample_budget, rep.substream(DATA_SUBSTREAM)),
+                    loss, schedule, rep, log_interval=schedule.T,
+                )[1][-1]
+                for rep in reps
+            ]
+        bound = theorem1_excess_bound(
+            model.wstar_norm,
+            n,
+            schedule.G,
+            schedule.eta0,
+            schedule.epsilon,
+            schedule.delta,
+            trace_bound,
+        )
+        excess = _excess_risks(config, loss, model, finals)
+        rows.append(_row(config, cell, *_mean_se(excess), bound))
+    return rows
 
 
 def _checkpoint_ladder(T: int) -> tuple:
@@ -501,14 +488,9 @@ def experiment_stability(config: ExperimentConfig) -> list:
     stays below the closed-form bound plus three standard errors at every
     checkpoint.
     """
-    loss = _loss(config)
-    bounds = loss_bounds(loss)
-    n = config.n_grid[0]
-    d = config.d_grid[0]
-    eps, delta = _resolved(config, n)
-    schedule = multi_pass_schedule(n, config.pass_exponent, eps, delta, config.eta0, bounds.G)
+    loss, [cell] = _cells(config)
+    n, model, schedule = cell
     checkpoints = config.checkpoints if config.checkpoints else _checkpoint_ladder(schedule.T)
-    model = _model(config, d)
     pairs, seeds = [], []
     for r, rep in enumerate(_replicates(config)):
         both = draw_dataset(model, n + 1, rep.substream(DATA_SUBSTREAM))
@@ -523,10 +505,10 @@ def experiment_stability(config: ExperimentConfig) -> list:
     rows = []
     for j, t in enumerate(checkpoints):
         mean, se = _mean_se(distances[:, j])
-        bound = stability_bound(int(t), n, bounds.G, schedule.etas)
+        bound = stability_bound(int(t), n, schedule.G, schedule.etas)
         holds = mean <= bound + 3.0 * se
         note = "" if holds else "bound_violated"
-        rows.append(_row(config, n, d, schedule, mean, se, bound, int(t), note))
+        rows.append(_row(config, cell, mean, se, bound, int(t), note))
         assert holds, (
             f"stability bound violated at t={t}: mean {mean:.6g} > "
             f"bound {bound:.6g} + 3*SE {se:.6g}"
@@ -596,49 +578,37 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
 
     The chains run in the span of their data (``_span_runs``), so a step
     costs O(min(n, d)) rather than O(d). Each replicate's data and basis are
-    built once, at the first feasible ε. Every ε's chains run before any is
+    built once and serve every ε. Every ε's chains run before any is
     scored, so the bases are freed before scoring, the memory peak; each ε's
     lifted iterates are held until then, so that peak grows with the ε grid.
     """
-    loss = _loss(config)
-    bounds = loss_bounds(loss)
-    n = config.n_grid[0]
-    d = config.d_grid[0]
-    model = _model(config, d)
-    _, delta = _resolved(config, n)
+    loss, cells = _cells(config)
+    trace_bound = loss_bounds(loss).hessian_trace_bound
+    n, model, _ = cells[0]
     reps = _replicates(config)
-    rows, runs, spans = [], [], None
-    for eps in config.eps_grid:
-        try:
-            schedule = multi_pass_schedule(
-                n, config.pass_exponent, eps, delta, config.eta0, bounds.G
-            )
-        except InvalidParameterError as err:
-            rows.append(_error_row(config, n, d, eps, delta, err))
-            continue
-        if spans is None:
-            spans = [
-                _span_basis(draw_dataset(model, n, rep.substream(DATA_SUBSTREAM))) for rep in reps
-            ]
-        W = _span_runs(spans, loss, schedule, reps, max(1, schedule.T // 16))[1]
-        runs.append((len(rows), schedule, W))
-        rows.append(None)
+    spans = [_span_basis(draw_dataset(model, n, rep.substream(DATA_SUBSTREAM))) for rep in reps]
+    runs = [
+        _span_runs(spans, loss, schedule, reps, max(1, schedule.T // 16))[1]
+        for _, _, schedule in cells
+    ]
     del spans
-    for i, schedule, W in runs:
-        excess = _excess_risks(config, loss, model, W.reshape(-1, d))
+    rows = []
+    for cell, W in zip(cells, runs):
+        _, _, schedule = cell
+        excess = _excess_risks(config, loss, model, W.reshape(-1, model.d))
         # every replicate logs the same steps; its value is its run's time average
         per_rep = excess.reshape(config.replicates, -1).mean(axis=1)
         bound = theorem2_excess_bound(
-            config.wstar_norm,
+            model.wstar_norm,
             n,
-            config.pass_exponent,
-            bounds.G,
-            config.eta0,
+            schedule.pass_exponent,
+            schedule.G,
+            schedule.eta0,
             schedule.epsilon,
-            delta,
-            bounds.hessian_trace_bound,
+            schedule.delta,
+            trace_bound,
         )
-        rows[i] = _row(config, n, d, schedule, *_mean_se(per_rep), bound)
+        rows.append(_row(config, cell, *_mean_se(per_rep), bound))
     return rows
 
 
@@ -671,19 +641,9 @@ def loglog_slope_fit(points) -> tuple[float, float, float]:
     return slope, intercept, r2
 
 
-def _clean_rows(rows) -> list:
-    return [row for row in rows if not row.note.startswith("error:")]
-
-
 def summarize(config: ExperimentConfig, rows) -> dict:
     """Headline numbers for the sidecar; everything here is also derivable from the rows."""
     summary: dict = {"rows": len(rows)}
-    errors = len(rows) - len(_clean_rows(rows))
-    if errors:
-        summary["error_rows"] = errors
-    rows = _clean_rows(rows)
-    if not rows:
-        return summary
     if config.experiment in (EXCESS_RISK_VS_N, DIMENSION_INDEPENDENCE):
         if config.experiment == EXCESS_RISK_VS_N and len(rows) >= 3:
             points = [(row.n, max(row.mean_value, LOGLOG_FLOOR)) for row in rows]
@@ -721,8 +681,8 @@ def summarize(config: ExperimentConfig, rows) -> dict:
 def run_experiment(config: ExperimentConfig) -> tuple[list, dict]:
     """Dispatch on the experiment name; returns (rows, summary)."""
     runner = {
-        EXCESS_RISK_VS_N: experiment_excess_risk_vs_n,
-        DIMENSION_INDEPENDENCE: experiment_dimension_independence,
+        EXCESS_RISK_VS_N: experiment_single_pass,
+        DIMENSION_INDEPENDENCE: experiment_single_pass,
         STABILITY: experiment_stability,
         PRIVACY_UTILITY: experiment_privacy_utility,
     }[config.experiment]

@@ -9,6 +9,7 @@ bound; all hold under ‖x‖₂ ≤ 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,8 +41,10 @@ class GlmLoss:
             raise InvalidParameterError(
                 f"unknown loss family {self.family!r}; expected one of {FAMILIES}"
             )
-        if self.family == SMOOTHED_HINGE and not self.h > 0:
-            raise InvalidParameterError(f"smoothing half-width must be > 0, got {self.h}")
+        if self.family == SMOOTHED_HINGE and not 0 < self.h < math.inf:
+            raise InvalidParameterError(
+                f"smoothing half-width must be > 0 and finite, got {self.h}"
+            )
 
     # φ, φ′, φ″ as functions of the activation a = wᵀx, for float64 arrays or
     # Python floats a and y (no coercion: φ′ runs once per engine step).

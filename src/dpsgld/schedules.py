@@ -170,7 +170,8 @@ def multi_pass_schedule(
 ) -> MultiPassSchedule:
     """Schedule with T = round(n^α·ε²), β₀ = η₀²·n/T, decreasing η_t."""
     _require_count("n", n, 2)
-    _require_pass_exponent(pass_exponent)
+    if not 1.0 <= pass_exponent <= 2.0:
+        raise InvalidParameterError(f"pass exponent must be in [1, 2], got {pass_exponent}")
     _require_positive(epsilon=epsilon, eta0=eta0, G=G)
     _require_unit_interval(delta=delta)
     T = round(float(n) ** pass_exponent * epsilon * epsilon)
@@ -189,11 +190,6 @@ def multi_pass_schedule(
         T=int(T),
         beta0=beta0,
     )
-
-
-def _require_pass_exponent(value) -> None:
-    if not 1.0 <= value <= 2.0:
-        raise InvalidParameterError(f"pass exponent must be in [1, 2], got {value}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -458,14 +458,18 @@ class TestErrorPaths:
             (["data.d=0"], "d must be >= 1, got 0"),
             (
                 ["experiment.name=dimension-independence", "experiment.d_grid=512,0"],
-                "every d must be >= 1, got (512, 0)",
+                "d must be >= 1, got 0",
             ),
             (
                 ["experiment.name=excess-risk-vs-n", "experiment.n_grid=16,16,16"],
                 "the n grid repeats a value, got (16, 16, 16)",
             ),
+            (
+                ["experiment.name=stability", "experiment.checkpoints=5,5"],
+                "the checkpoint grid repeats a value, got (5, 5)",
+            ),
         ],
-        ids=["run-d=0", "experiment-d_grid-0", "experiment-repeated-n"],
+        ids=["run-d=0", "experiment-d_grid-0", "experiment-repeated-n", "experiment-repeated-checkpoint"],
     )
     def test_bad_dimensions_and_grids_are_refused(self, capsys, tmp_path, settings, message):
         command = "experiment" if settings[0].startswith("experiment.") else "run"
@@ -528,6 +532,18 @@ class TestErrorPaths:
             ("privacy-utility", "pass_exponent=3", "pass exponent must be in [1, 2], got 3.0"),
             ("privacy-utility", "eps_grid=0.3,-0.1", "epsilon must be > 0 and finite, got -0.1"),
             ("privacy-utility", "eps_grid=inf", "epsilon must be > 0 and finite, got inf"),
+            (
+                "privacy-utility", "eps_grid=0.001,0.3",
+                "T = round(n^α·ε²) = 0 < 1: epsilon too small for n=256, α=2.0",
+            ),
+            (
+                "privacy-utility", "delta=0.5",
+                "need 2.5/(n·δ) > 1 for a real step size at t=1, got n·δ = 128",
+            ),
+            (
+                "stability", "delta=0.5",
+                "need 2.5/(n·δ) > 1 for a real step size at t=1, got n·δ = 50",
+            ),
         ],
     )
     def test_inputs_a_schedule_refuses_write_no_error_rows(self, capsys, tmp_path, name, setting, message):
@@ -628,11 +644,11 @@ class TestErrorPaths:
         [
             ["run"],
             ["experiment", "--set", "experiment.name=stability"],
-            # every schedule infeasible: only error rows, no random draw
+            # every schedule infeasible too: the seed is refused first
             ["experiment", "--set", "experiment.name=privacy-utility",
              "--set", "experiment.eps_grid=0.001"],
         ],
-        ids=["run", "experiment", "experiment-error-rows-only"],
+        ids=["run", "experiment", "experiment-infeasible-eps"],
     )
     def test_negative_seed_is_refused(self, capsys, tmp_path, argv):
         code, out, err = run_main(capsys, argv + ["--out", str(tmp_path / "out"), "--seed", "-1"])
@@ -659,6 +675,27 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err == f"error: label noise must be >= 0 and finite, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            ["loss.family=smoothed-hinge", "loss.h=inf", "schedule.T=16"],
+            ["experiment.name=stability", "experiment.loss_family=smoothed-hinge",
+             "experiment.hinge_half_width=inf"],
+        ],
+        ids=["run", "experiment"],
+    )
+    def test_infinite_hinge_half_width_is_refused(self, capsys, tmp_path, settings):
+        # φ′ would be inf/inf = NaN on the quadratic segment
+        command = "experiment" if settings[0].startswith("experiment.") else "run"
+        argv = [command, "--out", str(tmp_path / "out")]
+        for setting in settings:
+            argv += ["--set", setting]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: smoothing half-width must be > 0 and finite, got inf\n"
         assert not (tmp_path / "out").exists()
 
 

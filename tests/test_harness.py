@@ -32,6 +32,7 @@ from dpsgld.harness import (
     rows_to_csv,
     run_experiment,
     summarize,
+    unread_fields,
     write_results,
 )
 from dpsgld.losses import GlmLoss, loss_bounds
@@ -106,13 +107,14 @@ class TestExperimentConfig:
     @pytest.mark.parametrize(
         "experiment, field, value, message",
         [
-            (DIMENSION_INDEPENDENCE, "d_grid", (512, 0), "every d must be >= 1, got (512, 0)"),
-            (STABILITY, "d_grid", (-4,), "every d must be >= 1, got (-4,)"),
+            (DIMENSION_INDEPENDENCE, "d_grid", (512, 0), "d must be >= 1, got 0"),
+            (STABILITY, "d_grid", (-4,), "d must be >= 1, got -4"),
             (EXCESS_RISK_VS_N, "n_grid", (16, 16, 16), "the n grid repeats a value, got (16, 16, 16)"),
             (DIMENSION_INDEPENDENCE, "d_grid", (8, 16, 8), "the d grid repeats a value, got (8, 16, 8)"),
             (PRIVACY_UTILITY, "eps_grid", (0.3, 0.3), "the epsilon grid repeats a value, got (0.3, 0.3)"),
+            (STABILITY, "checkpoints", (5, 5), "the checkpoint grid repeats a value, got (5, 5)"),
         ],
-        ids=["d=0", "d<0", "repeated-n", "repeated-d", "repeated-eps"],
+        ids=["d=0", "d<0", "repeated-n", "repeated-d", "repeated-eps", "repeated-checkpoint"],
     )
     def test_bad_grid_entries_are_refused(self, experiment, field, value, message):
         # rows are keyed by their grid values, so a repeat is refused before any cell runs
@@ -128,37 +130,81 @@ class TestExperimentConfig:
         assert str(info.value) == f"{experiment} needs exactly one n"
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "field, value, message, experiments",
         [
-            ("delta", 1.0, "delta must be in (0, 1), got 1.0"),
-            ("delta", 2.0, "delta must be in (0, 1), got 2.0"),
-            ("delta", math.inf, "delta must be in (0, 1), got inf"),
-            ("eta0", 0.0, "eta0 must be > 0 and finite, got 0.0"),
-            ("eta0", -1.0, "eta0 must be > 0 and finite, got -1.0"),
-            ("eta0", math.nan, "eta0 must be > 0 and finite, got nan"),
-            ("eta0", math.inf, "eta0 must be > 0 and finite, got inf"),
-            ("pass_exponent", 3.0, "pass exponent must be in [1, 2], got 3.0"),
-            ("pass_exponent", 0.5, "pass exponent must be in [1, 2], got 0.5"),
-            ("pass_exponent", math.nan, "pass exponent must be in [1, 2], got nan"),
-            ("feature_law", "foo", "unknown feature law 'foo'; expected ('ball', 'sphere', 'low-rank')"),
-            ("epsilon", math.inf, "epsilon must be > 0 and finite, got inf"),
-            ("eps_grid", (0.3, 0.0), "epsilon must be > 0 and finite, got 0.0"),
-            ("eps_grid", (-0.1,), "epsilon must be > 0 and finite, got -0.1"),
-            ("eps_grid", (math.nan,), "epsilon must be > 0 and finite, got nan"),
-            ("eps_grid", (0.3, math.inf), "epsilon must be > 0 and finite, got inf"),
+            ("delta", 1.0, "delta must be in (0, 1), got 1.0", None),
+            ("delta", 2.0, "delta must be in (0, 1), got 2.0", None),
+            ("delta", math.inf, "delta must be in (0, 1), got inf", None),
+            ("eta0", 0.0, "eta0 must be > 0 and finite, got 0.0", None),
+            ("eta0", -1.0, "eta0 must be > 0 and finite, got -1.0", None),
+            ("eta0", math.nan, "eta0 must be > 0 and finite, got nan", None),
+            ("eta0", math.inf, "eta0 must be > 0 and finite, got inf", None),
+            ("pass_exponent", 3.0, "pass exponent must be in [1, 2], got 3.0", None),
+            ("pass_exponent", 0.5, "pass exponent must be in [1, 2], got 0.5", None),
+            ("pass_exponent", math.nan, "pass exponent must be in [1, 2], got nan", None),
+            ("feature_law", "foo", "unknown feature law 'foo'; expected ('ball', 'sphere', 'low-rank')", None),
+            ("epsilon", math.inf, "epsilon must be > 0 and finite, got inf", None),
+            ("eps_grid", (0.3, 0.0), "epsilon must be > 0 and finite, got 0.0", None),
+            ("eps_grid", (-0.1,), "epsilon must be > 0 and finite, got -0.1", None),
+            ("eps_grid", (math.nan,), "epsilon must be > 0 and finite, got nan", None),
+            ("eps_grid", (0.3, math.inf), "epsilon must be > 0 and finite, got inf", None),
+            (
+                "eps_grid", (0.01,),
+                "T = round(n^α·ε²) = 0 < 1: epsilon too small for n=24, α=2.0", None,
+            ),
+            (
+                "epsilon", 0.001,
+                "T = round(n^α·ε²) = 0 < 1: epsilon too small for n=20, α=2.0", (STABILITY,),
+            ),
+            (
+                "delta", 0.5,
+                "need 2.5/(n·δ) > 1 for a real step size at t=1, got n·δ = 12", (PRIVACY_UTILITY,),
+            ),
+            (
+                "delta", 0.5,
+                "need 2.5/(n·δ) > 1 for a real step size at t=1, got n·δ = 10", (STABILITY,),
+            ),
+            ("label_noise", math.nan, "label noise must be >= 0 and finite, got nan", None),
+            ("label_noise", math.inf, "label noise must be >= 0 and finite, got inf", None),
+            (
+                "hinge_half_width", math.inf,
+                "smoothing half-width must be > 0 and finite, got inf", None,
+            ),
+            ("wstar_norm", -1.0, "wstar_norm must be >= 0, got -1.0", None),
+            ("wstar_norm", math.inf, "wstar_norm must be finite, got inf", None),
         ],
         ids=[
             "delta=1", "delta=2", "delta=inf", "eta0=0", "eta0=-1", "eta0=nan", "eta0=inf",
             "pass_exponent=3", "pass_exponent=0.5", "pass_exponent=nan", "feature_law=foo",
             "epsilon=inf", "eps_grid=0.3,0", "eps_grid=-0.1", "eps_grid=nan", "eps_grid=0.3,inf",
+            "eps_grid=0.01", "stability-epsilon=0.001", "privacy-utility-delta=0.5",
+            "stability-delta=0.5", "label_noise=nan", "label_noise=inf", "hinge_half_width=inf",
+            "wstar_norm=-1", "wstar_norm=inf",
         ],
     )
-    def test_inputs_a_schedule_or_law_refuses_are_refused_here(self, field, value, message):
-        # refused at the boundary in the schedules' words, not turned into error rows
-        config = small_config(PRIVACY_UTILITY)
-        with pytest.raises(InvalidParameterError) as info:
-            replace(config, **{field: value})
-        assert str(info.value) == message
+    def test_inputs_a_schedule_or_law_refuses_are_refused_here(self, field, value, message, experiments):
+        # Refused when the config is built, in the loss's, law's or schedule's
+        # own words, by each experiment that reads the field (``None``: every one).
+        family = {"label_noise": "quadratic", "hinge_half_width": "smoothed-hinge"}.get(field, "logistic")
+        readers = tuple(name for name in EXPERIMENTS if field not in unread_fields(name, family))
+        assert set(experiments or readers) <= set(readers)
+        for experiment in experiments or readers:
+            config = small_config(experiment, loss_family=family)
+            with pytest.raises(InvalidParameterError) as info:
+                replace(config, **{field: value})
+            assert str(info.value) == message, experiment
+
+    @pytest.mark.parametrize(
+        "experiment, epsilon",
+        [(STABILITY, dict(epsilon=10.0)), (PRIVACY_UTILITY, dict(eps_grid=(10.0,)))],
+        ids=[STABILITY, PRIVACY_UTILITY],
+    )
+    def test_building_a_config_evaluates_no_per_step_array(self, experiment, epsilon):
+        # T = round(n^α·ε²) = 10^14, so a T-long array would not fit in memory
+        config = ExperimentConfig(experiment=experiment, n_grid=(10**6,), d_grid=(4,), **epsilon)
+        _, [(_, _, schedule)] = harness._cells(config)
+        assert schedule.T == 10**14
+        assert not {"etas", "lambda_etas", "batch_sizes"} & set(vars(schedule))
 
     def test_result_row_rejects_negative_se(self):
         with pytest.raises(InvalidParameterError):
@@ -326,19 +372,16 @@ class TestPrivacyUtilityExperiment:
         assert "worst_monotonicity_violation_se" in summary
         assert summary["claimed_to_exact_min"] > 0
 
-    def test_infeasible_epsilon_becomes_error_row(self):
-        config = small_config(PRIVACY_UTILITY, eps_grid=(0.01, 0.5))
-        rows, summary = run_experiment(config)
-        assert rows[0].note.startswith("error:")
-        assert math.isnan(rows[0].mean_value)
-        assert rows[0].samples_consumed == 0
-        assert rows[1].note == ""
-        assert summary["error_rows"] == 1
+    def test_infeasible_epsilon_is_refused(self):
+        # an ε whose schedule has no certificate never becomes a row
+        with pytest.raises(InvalidParameterError) as info:
+            small_config(PRIVACY_UTILITY, eps_grid=(0.5, 0.01))
+        assert str(info.value) == "T = round(n^α·ε²) = 0 < 1: epsilon too small for n=24, α=2.0"
 
 
 # sha256 of the CSV of small configs, one per way a row is built: the reduced
 # single-pass chain (ball law), the engine's single pass (low-rank law),
-# stability at chosen checkpoints, and privacy-utility with an error row.
+# stability at chosen checkpoints, and privacy-utility at one ε.
 # Every cell is pinned to its printed digits, so a change in how a row's
 # columns are derived shows here; re-record only for an intended change.
 CSV_DIGESTS = {
@@ -354,9 +397,9 @@ CSV_DIGESTS = {
         small_config(STABILITY, checkpoints=(2, 30, 89)),
         "f500ef5e421df8b2b030c8681ad08a564e9b3ce63265ea12bd86ca1e7cf639e7",
     ),
-    "privacy-utility-infeasible-eps": (
-        small_config(PRIVACY_UTILITY, eps_grid=(0.01, 0.5)),
-        "6af67caf2564e60425bbded7e617d4220439aa55d57d26d2cf2b67c68c08d3ca",
+    "privacy-utility": (
+        small_config(PRIVACY_UTILITY, eps_grid=(0.5,)),
+        "e4996618d01319481261c7b0b2ad430e8e26c91e0ecdfa6b41395f4e8c5ea20f",
     ),
 }
 
@@ -433,12 +476,13 @@ class TestCsvAndSidecar:
         ) in sidecar
         assert harness.SIMULATORS[EXCESS_RISK_VS_N] == harness.SIMULATORS[DIMENSION_INDEPENDENCE]
 
-    def test_summarize_empty_after_errors(self):
-        config = small_config(PRIVACY_UTILITY, eps_grid=(0.01,))
-        rows, summary = run_experiment(config)
-        assert summary["rows"] == 1
-        assert summary["error_rows"] == 1
-        assert "claimed_to_exact_min" not in summary
+    def test_grid_with_no_feasible_epsilon_is_refused(self):
+        # there are no error rows to count, so the summary holds only headline numbers
+        with pytest.raises(InvalidParameterError) as info:
+            small_config(PRIVACY_UTILITY, eps_grid=(0.01,))
+        assert str(info.value) == "T = round(n^α·ε²) = 0 < 1: epsilon too small for n=24, α=2.0"
+        _, summary = run_experiment(small_config(PRIVACY_UTILITY, eps_grid=(0.5,)))
+        assert set(summary) == {"rows", "worst_monotonicity_violation_se", "claimed_to_exact_min"}
 
 
 def _leaning_dataset(n, d, seed):
@@ -559,12 +603,12 @@ class TestSpanRuns:
 
         monkeypatch.setattr(harness, "draw_dataset", drawing)
         monkeypatch.setattr(harness, "_span_basis", factoring)
-        config = small_config(PRIVACY_UTILITY, eps_grid=(0.01, 0.3, 0.5), replicates=3)
+        config = small_config(PRIVACY_UTILITY, eps_grid=(0.3, 0.5, 0.8), replicates=3)
         rows, _ = run_experiment(config)
-        assert [row.note == "" for row in rows] == [False, True, True]
+        assert [row.note for row in rows] == ["", "", ""]
         assert drawn == factored == [config.n_grid[0]] * 3
 
-    def test_rows_keep_epsilon_order_and_no_feasible_epsilon_draws_no_data(self, monkeypatch):
+    def test_rows_keep_epsilon_order_and_an_infeasible_epsilon_draws_no_data(self, monkeypatch):
         drawn = []
 
         def drawing(*args):
@@ -572,14 +616,15 @@ class TestSpanRuns:
             return draw_dataset(*args)
 
         monkeypatch.setattr(harness, "draw_dataset", drawing)
-        config = small_config(PRIVACY_UTILITY, eps_grid=(0.3, 0.01, 0.5), replicates=2)
+        config = small_config(PRIVACY_UTILITY, eps_grid=(0.3, 0.8, 0.5), replicates=2)
         rows, _ = run_experiment(config)
-        assert [row.eps_target for row in rows] == [0.3, 0.01, 0.5]
-        assert [row.note == "" for row in rows] == [True, False, True]
+        assert [row.eps_target for row in rows] == [0.3, 0.8, 0.5]
+        assert [row.note for row in rows] == ["", "", ""]
         assert len(drawn) == 2
         drawn.clear()
-        rows, _ = run_experiment(replace(config, eps_grid=(0.01, 0.02)))
-        assert [row.note.startswith("error:") for row in rows] == [True, True]
+        # refused when the config is built, before any replicate draws
+        with pytest.raises(InvalidParameterError):
+            replace(config, eps_grid=(0.3, 0.01))
         assert drawn == []
 
 

@@ -82,10 +82,10 @@ class TestSmoothedHinge:
         )
 
     def test_invalid_width_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            GlmLoss(SMOOTHED_HINGE, h=0.0)
-        with pytest.raises(InvalidParameterError):
-            GlmLoss(SMOOTHED_HINGE, h=-1.0)
+        for h in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError) as info:
+                GlmLoss(SMOOTHED_HINGE, h=h)
+            assert str(info.value) == f"smoothing half-width must be > 0 and finite, got {h}"
 
 
 class TestQuadratic:
