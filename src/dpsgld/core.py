@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy loads numpy.random on first use; every run uses it, so load it with the library
+from numpy.random import PCG64, Generator, SeedSequence
 
 # Dense model coordinates w ∈ R^d; 1-d float64 arrays throughout.
 Vector = np.ndarray
@@ -80,15 +82,15 @@ class RngStream:
         self.stream = int(stream)
         _require_count("seed", self.seed, 0)
         self._path = tuple(int(k) for k in _path)
-        self._generator: np.random.Generator | None = None
+        self._generator: Generator | None = None
 
     @property
-    def generator(self) -> np.random.Generator:
+    def generator(self) -> Generator:
         if self._generator is None:
-            seq = np.random.SeedSequence(
+            seq = SeedSequence(
                 entropy=self.seed, spawn_key=(self.stream, *self._path)
             )
-            self._generator = np.random.Generator(np.random.PCG64(seq))
+            self._generator = Generator(PCG64(seq))
         return self._generator
 
     def substream(self, k: int) -> "RngStream":

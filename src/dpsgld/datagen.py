@@ -34,10 +34,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .core import Dataset, InvalidParameterError, RngStream, as_vector
-from .losses import GlmLoss, loss_bounds
+from .losses import GlmLoss, logistic, loss_bounds
 
 LOGISTIC_KIND = "logistic"
 QUADRATIC_KIND = "quadratic"
@@ -108,7 +107,7 @@ def _draw_labels(
     """Labels given the true margins wStarᵀx = wstar_norm·x₁ of the rows."""
     if model.kind == LOGISTIC_KIND:
         u = gen.uniform(size=margins.shape[0])
-        return np.where(u < expit(margins), 1.0, -1.0)
+        return np.where(u < logistic(margins), 1.0, -1.0)
     half_width = math.sqrt(3.0) * model.label_noise
     return margins + gen.uniform(-half_width, half_width, size=margins.shape[0])
 

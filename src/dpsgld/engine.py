@@ -57,18 +57,39 @@ column s is row A_(e_s) on [e_(s−1), e_s), normalised (0 if that part
 vanishes). Split Z along Ĉ: Ξ = ĈᵀZ is E×d standard normal, ζ_e = A_eĈ·Ξ,
 and ζ_j = Ξᵀ·M_jᵀ plus a part independent of Ξ, with M = A·Ĉ. So
 n_j = x_jᵀΞᵀM_jᵀ + r_j, where the r_j are jointly Gaussian with
-Cov(r_j, r_j′) = K_jj′·Σ_jj′ and Σ = A(I − ĈĈᵀ)Aᵀ = AAᵀ − MMᵀ. K∘Σ is a Schur
-product of two positive semidefinite matrices; its pivoted Cholesky factor F
-(LAPACK ``dpstrf``) gives r = F·u with u ~ N(0, I_L). The pivoted factor needs
-no positive definiteness, so repeated rows, d < L, and σ_l = 0 or
-λ_lη_l ∈ {0, 1, 2} inside a block need no special case. Each group reads E·d
-normals for Ξ, then L for u, whatever the rank: d + L per block at the usual
-E = 1, against L·d for the z_l. A block whose σ are all 0 reads none. The draw
-is exact for one chain per group, which is why ``_advance_blocks`` takes
-k = 1: chains that shared noise would need the joint law of all their
-margins. scipy.linalg, home of ``dpstrf``, takes 45-75 ms to import, so
-``_block_noise`` imports it inside the function: runs that never advance a
-multi-pass block (single pass, coupled pairs, the accountant) never load it.
+Cov(r_j, r_j′) = K_jj′·Σ_jj′ and Σ = BBᵀ, B = A(I − ĈĈᵀ).
+
+K∘Σ is singular by structure. B_j = 0 for row 0 (A_0 = 0) and for each inner
+end (A_e lies in Ĉ's span). A noiseless step j (σ_j = 0, so λ_jη_j ∈ {0, 2}
+and a_j = ±1 when β₀ > 0) joins rows j and j+1: A_(j+1) = a_j·A_j. So every
+row joined to row 0 or to an end has B_j = 0 too. ``_block_cov`` finds these
+rows from the σ_j on A's subdiagonal and the ends, the same for every group
+and never by a rounding test, and zeroes them in B, so that their rows of Σ
+are exactly 0. The other rows are kept. r is drawn as W·F·u with
+u ~ N(0, I_L), W = diag(w), w_j = √(K_jj·Σ_jj) = ‖x_j‖·‖B_j‖, and F the
+Cholesky factor of W⁻¹(K∘Σ)W⁻¹ with unit rows where w_j = 0: one batched
+``np.linalg.cholesky`` over the g groups. That matrix is K̂∘Σ′, where K̂ is the
+correlation matrix of the x_j and Σ′ that of the kept B_j, each with unit rows
+where the row is zero. K̂ is positive semidefinite with a unit diagonal, so by
+Schur's bounds λ_min(Σ′) <= λ(K̂∘Σ′) <= λ_max(Σ′): the factor is as well
+conditioned as Σ′, a property of the schedule whatever the data, and of
+neither β₀ nor the step. Repeated, zero or tiny rows and d < L need no
+special case.
+
+Σ′ is positive definite when no two kept rows are joined. Row j+1 of A has
+σ_j in column j and nothing after it, so the rows after noisy steps are
+independent, and a row after a noiseless step is a multiple of the one before.
+Kept rows then lie in distinct chains of joined rows that hold no end, and
+projecting out the span of the ends' rows leaves them independent. Two joined
+kept rows would be parallel, and K̂∘Σ′ singular whenever their data rows are
+parallel too. So ``_advance_blocks`` ends a block after every noiseless step
+that follows a noisy one: noiseless steps then come only first in a block
+(joined to row 0) or last (joined to its end). A ``MultiPassSchedule`` has
+σ_t > 0 at every step, so its blocks are always _BLOCK_STEPS long. Each group reads E·d normals for Ξ, then L for u, whatever
+the rank: d + L per block at the usual E = 1, against L·d for the z_l. A block
+whose σ are all 0 reads none. The draw is exact for one chain per group, which
+is why ``_advance_blocks`` takes k = 1: chains that shared noise would need
+the joint law of all their margins.
 
 The two kernels therefore agree in law, not bit for bit. With a full draw of
 the z_l in ``_advance``'s order put in place of ``_block_noise``, they see the
@@ -121,8 +142,9 @@ _BLOCK_STEPS = 32
 # and that product has the factor a_(j−1) where l < j − 1.
 _BEFORE = np.tri(_BLOCK_STEPS + 1, _BLOCK_STEPS, k=-1)
 _BEFORE_LAST = np.tri(_BLOCK_STEPS + 1, _BLOCK_STEPS, k=-2, dtype=bool)
-# Mask of the lower triangle of a block's L×L matrices
-_LOWER = np.tri(_BLOCK_STEPS)
+# The smallest scale whose square is a normal float64. A row of K∘Σ with a
+# smaller scale is normalised as if it had this one, which keeps 1/w² finite.
+_MIN_SCALE = np.sqrt(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -225,6 +247,37 @@ def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, l
     return W, logged
 
 
+def _block_cov(A, ends) -> tuple:
+    """(M, Σ) of a block with ``A`` = N·diag(σ), (L+1)×L, and ``ends`` ascending to L.
+
+    M = A·Ĉ is (L+1)×E, and Σ = BBᵀ with B = A(I − ĈĈᵀ), its rows zeroed
+    where B_j is zero by structure: row 0, the ends, and the rows joined to
+    them by noiseless steps. The module docstring gives the reasons.
+    """
+    L = A.shape[1]
+    # Ĉ: row A_(e_s) on [e_(s−1), e_s), normalised (0 where it vanishes). The
+    # ends are nested, so these disjoint pieces span every row A_e.
+    C = np.zeros((L, len(ends)))
+    lo = 0
+    for s, e in enumerate(ends):
+        piece = A[e, lo:e]
+        norm = np.sqrt(piece @ piece)
+        if norm > 0.0:
+            C[lo:e, s] = piece / norm
+        lo = e
+    M = A @ C
+    # a noiseless step j (A_(j+1)j = σ_j = 0) joins rows j and j+1; chain[j]
+    # counts the noisy steps before row j, so joined rows share a chain
+    chain = np.zeros(L + 1, dtype=np.intp)
+    np.cumsum(A.diagonal(-1) > 0.0, out=chain[1:])
+    structural = np.zeros(L + 1, dtype=bool)
+    structural[chain[[0, *ends]]] = True
+    # Σ formed as BBᵀ: no difference to round below 0
+    B = A[:L] - M[:L] @ C.T
+    B *= ~structural[chain[:L], None]
+    return M, B @ B.T
+
+
 def _block_noise(X, K, A, ends, noise_gens) -> tuple:
     """(n, S) of one block, exact in law: the margin noise n_j = x_jᵀζ_j and the end sums ζ_e.
 
@@ -238,42 +291,23 @@ def _block_noise(X, K, A, ends, noise_gens) -> tuple:
     E = len(ends)
     if not A.any():
         return np.zeros((g, L)), np.zeros((g, E, d))
-    # scipy.linalg costs 45-75 ms to import; only multi-pass blocks need it,
-    # so single-pass, coupled and accountant runs never pay for it
-    from scipy.linalg.lapack import dpstrf
-
-    # Ĉ: row A_(e_s) on [e_(s−1), e_s), normalised (0 where it vanishes). The
-    # ends are nested, so these disjoint pieces span every row A_e.
-    C = np.zeros((L, E))
-    lo = 0
-    for s, e in enumerate(ends):
-        piece = A[e, lo:e]
-        norm = np.sqrt(piece @ piece)
-        if norm > 0.0:
-            C[lo:e, s] = piece / norm
-        lo = e
-    M = A[:L] @ C
-    # Σ = AAᵀ − MMᵀ, formed as BBᵀ with B = A(I − ĈĈᵀ): no difference to round below 0
-    B = A[:L] - M @ C.T
-    Sigma = B @ B.T
-    # dpstrf reads and writes only the lower triangle; a zero upper one keeps the factor triangular
-    Sigma *= _LOWER[:L, :L]
+    M, Sigma = _block_cov(A, ends)
     draws = np.empty((g, E * d + L))
     for gen, row in zip(noise_gens, draws):
         gen.standard_normal(out=row)
     Xi = draws[:, : E * d].reshape(g, E, d)
-    n = ((X @ Xi.mT) * M).sum(axis=-1)
-    # the rest of each ζ_j is independent of Ξ; its margins have covariance K∘Σ
+    n = ((X @ Xi.mT) * M[:L]).sum(axis=-1)
+    # the rest of each ζ_j is independent of Ξ, with covariance K∘Σ: drawn as
+    # W·F·u, F the Cholesky factor of K̂∘Σ′ = W⁻¹(K∘Σ)W⁻¹ with unit rows where
+    # w_j = √(K_jj·Σ_jj) = ‖x_j‖·‖B_j‖ is 0
     KS = K * Sigma
-    pivots = np.empty((g, L), dtype=np.intp)
-    rest = np.empty((g, L))
-    for j in range(g):
-        factor, piv, rank, _ = dpstrf(KS[j], lower=1)
-        pivots[j] = piv
-        np.matmul(factor[:, :rank], draws[j, E * d : E * d + rank], out=rest[j])
-    pivots -= 1  # LAPACK counts from 1
-    n[np.arange(g)[:, None], pivots] += rest
-    return n, (A[ends] @ C) @ Xi
+    scales = np.sqrt(KS.diagonal(axis1=1, axis2=2))
+    # a row with w_j = 0 is zero, so any finite 1/w_j zeroes it
+    inverse = 1.0 / np.maximum(scales, _MIN_SCALE)
+    KS *= inverse[:, :, None] * inverse[:, None, :]
+    KS.reshape(g, L * L)[:, :: L + 1] = 1.0
+    n += (np.linalg.cholesky(KS) @ draws[:, E * d :, None])[..., 0] * scales
+    return n, M[ends] @ Xi
 
 
 def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, log_times) -> tuple:
@@ -292,9 +326,18 @@ def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_
     shrinks = 1.0 - lambda_etas
     grad_coefs = (lambda_etas - 1.0) * etas  # g_l = −a_l·η_l·φ′_l
     logged = np.empty((g, k, len(log_times), d))
+    quiet = sigmas == 0.0
+    some_quiet = quiet.any()
     done = 0  # iterates logged so far
-    for start in range(0, T, _BLOCK_STEPS):
+    start = 0
+    while start < T:
         stop = min(T, start + _BLOCK_STEPS)
+        if some_quiet and not quiet[start:stop].all():
+            # a noiseless step after a noisy one ends the block (see the module docstring)
+            first_noisy = quiet[start:stop].argmin()
+            later = quiet[start + first_noisy : stop]
+            if later.any():
+                stop = start + first_noisy + later.argmax() + 1
         L = stop - start
         # row j holds a_(j−1): P is its running product, N_jl its product over rows l+2..j
         shifted = np.concatenate(([1.0], shrinks[start:stop]))
@@ -335,6 +378,7 @@ def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_
         logged[:, :, done : done + len(block_logs)] = out[:, :, : len(block_logs)]
         done += len(block_logs)
         W = out[:, :, -1]
+        start = stop
     return W, logged
 
 

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -661,7 +662,8 @@ def summarize(config: ExperimentConfig, rows) -> dict:
         ]
         if ratios:
             summary["bound_to_empirical_min"] = min(ratios)
-            summary["bound_to_empirical_median"] = float(np.median(ratios))
+            # statistics.median, not np.median, which loads numpy.ma (about 10 ms) on first use
+            summary["bound_to_empirical_median"] = statistics.median(ratios)
         summary["bound_holds_everywhere"] = all(row.note == "" for row in rows)
     elif config.experiment == PRIVACY_UTILITY:
         ordered = sorted(rows, key=lambda row: row.eps_target)

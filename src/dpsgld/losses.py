@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .core import Dataset, Example, InvalidParameterError, Vector, as_vector
 
@@ -27,6 +26,16 @@ FAMILIES = (LOGISTIC, SMOOTHED_HINGE, QUADRATIC)
 # |wᵀx| <= 1, |y| <= 1 (it has no global gradient bound).
 _QUAD_A_MAX = 1.0
 _QUAD_Y_MAX = 1.0
+
+
+def logistic(x):
+    """σ(x) = 1/(1 + e^(−x)) for float64 arrays or Python floats, ±inf included.
+
+    It is e^(min(x, 0))/(1 + e^(−|x|)): 1/(1 + e^(−x)) for x >= 0 and
+    e^x/(1 + e^x) below, so no exponent is positive, nothing overflows or
+    cancels, and every value is within a few ulp of the exact one.
+    """
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,8 @@ class GlmLoss:
 
     def phi_prime(self, a, y):
         if self.family == LOGISTIC:
-            return -y * expit(-y * a)
+            minus_y = -y
+            return minus_y * logistic(minus_y * a)
         if self.family == SMOOTHED_HINGE:
             m = y * a
             h = self.h
@@ -92,7 +102,7 @@ class GlmLoss:
 
     def phi_double_prime(self, a, y):
         if self.family == LOGISTIC:
-            p = expit(y * a)
+            p = logistic(y * a)
             return p * (1.0 - p)
         if self.family == SMOOTHED_HINGE:
             m = y * a

@@ -175,8 +175,8 @@ RUN_DIGESTS = {
             "--set", "schedule.delta=1e-4", "--set", "run.log_interval=7",
         ],
         {
-            "stdout": "424007c13938f78feaa93b7c7eb184ad22502a5b00a2193c7d084348124f062a",
-            "run_record.csv": "ce3f3aeaf985b0b89b63799828c2dafecaccc400d7feaf12cd3aa91f5c3fb00a",
+            "stdout": "5badc3a9851c1e8f763c4e9783f2b6e26b2de949ff49c64b96c6b81ea8e645aa",
+            "run_record.csv": "8f5bbe07be47bda251df6a49e429aaca925b803356c2e03a4d13a489eeea68e0",
             "account.txt": "39b2e3def1f27ffc0d4373d9805373ab1723cf68a373f51bf3529d13d025b4ac",
         },
     ),

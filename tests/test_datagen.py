@@ -101,6 +101,16 @@ class TestLabels:
         assert strong.sum() > 500
         assert data.y[strong].mean() > 0.6
 
+    def test_logistic_labels_at_a_huge_wstar_norm(self):
+        # margins of order 10⁶ draw no overflow warning; where σ rounds to 0
+        # or 1 the label is the margin's sign
+        model = model_for(kind="logistic", d=3, w_scale=1e6)
+        data = draw_dataset(model, 500, seeded_rng(10, 0))
+        margins = data.X @ model.w_star
+        sure = np.abs(margins) > 40.0
+        assert sure.sum() > 490
+        np.testing.assert_array_equal(data.y[sure], np.sign(margins[sure]))
+
     def test_quadratic_labels_center_on_margin(self):
         model = model_for(kind="quadratic", d=4, noise=0.05)
         data = draw_dataset(model, 30_000, seeded_rng(7, 0))

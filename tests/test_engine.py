@@ -601,6 +601,53 @@ class TestBlockNoise:
         assert not n.any() and not S.any() and S.shape == (1, len(self.ENDS), self.D)
         assert gen.random() == np.random.default_rng(5).random()
 
+    def test_zero_tiny_and_repeated_rows_factor_and_keep_the_law(self):
+        # kept rows with x = 0 (row 1), a 10⁻⁹-norm row (row 3) and three
+        # parallel rows (2, 5 and 6), a full shrink at step 2 and an inner
+        # end at 4: every mean and second moment of (n, S) within 4.5
+        # standard errors of the full draw, 20 000 draws a side (fixed before
+        # the first run)
+        draws, L, d, ends = 20_000, 7, 3, [4, 7]
+        gen = np.random.default_rng(32)
+        X = gen.standard_normal((L, d))
+        X[1] = 0.0
+        X[3] *= 1e-9 / np.linalg.norm(X[3])
+        X[5] = X[2]
+        X[6] = -0.5 * X[2]
+        lambda_etas = 0.2 + 0.6 * gen.random(L)
+        lambda_etas[2] = 1.0
+        sigmas = engine._steps(np.ones(L), lambda_etas, 0.7, np.ones(L))[2]
+        a = 1.0 - lambda_etas
+        N = np.array([[np.prod(a[l + 1 : j]) if l < j else 0.0 for l in range(L)] for j in range(L + 1)])
+        A = N * sigmas
+        kept = engine._block_cov(A, ends)[1].diagonal() > 0.0
+        np.testing.assert_array_equal(kept, [False, True, True, True, False, True, True])
+        samples = []
+        for draw, seed in ((engine._block_noise, 3), (_full_draw, 4)):
+            rng = np.random.default_rng(seed)
+            n, S = draw(
+                np.broadcast_to(X, (draws, L, d)), np.broadcast_to(X @ X.T, (draws, L, L)), A, ends,
+                [rng] * draws,
+            )
+            samples.append(_moments(np.concatenate([n, S.reshape(draws, -1)], axis=1)))
+        worst = max(_z_scores(*samples))
+        assert worst <= 4.5, worst
+
+    def test_structural_rows_are_decoupled(self):
+        # row 0, the inner ends 2 and 5, and row 6, joined to end 5 by the
+        # noiseless step 5, have B_j = 0 up to rounding and exactly 0 rows of
+        # Σ; the other rows keep Σ = BBᵀ
+        X, K, A = self.block()
+        M, Sigma = engine._block_cov(A, self.ENDS)
+        kept = Sigma.diagonal() > 0.0
+        np.testing.assert_array_equal(kept, [False, True, False, True, True, False, False])
+        # BBᵀ = AAᵀ − MMᵀ, since Ĉ has orthonormal columns
+        BB = A[: self.L] @ A[: self.L].T - M[: self.L] @ M[: self.L].T
+        tolerance = 1e-14 * np.abs(A).max() ** 2
+        assert np.abs(BB[~kept]).max() <= tolerance
+        assert not Sigma[~kept].any() and not Sigma[:, ~kept].any()
+        np.testing.assert_allclose(Sigma[kept][:, kept], BB[kept][:, kept], atol=tolerance)
+
     def test_block_kernel_has_the_law_of_the_per_step_kernel(self):
         # 4 000 chains a side on one quadratic dataset (n = 5, d = 3 < L, row 4
         # repeating row 1), T = 80 with η in [0.5, 2] so that the margin noise
@@ -636,31 +683,100 @@ class TestBlockNoise:
         assert worst <= 4.5, worst
 
 
-def test_scipy_linalg_is_imported_only_by_a_multi_pass_block():
-    # importing scipy.linalg costs tens of ms, which every CLI start would pay
+# The largest condition number of Σ′, the correlation matrix of a block's
+# kept residuals, that any block of a multi-pass schedule may have; fixed
+# before any run. K̂∘Σ′, the matrix the block draw factors, is no worse.
+MAX_SIGMA_CONDITION = 1e6
+
+
+def _residual_correlation_condition(Sigma):
+    """cond(Σ′), Σ′ the correlation matrix of the rows of Σ that are not zero."""
+    kept = Sigma.diagonal() > 0.0
+    scales = np.sqrt(Sigma.diagonal()[kept])
+    return np.linalg.cond(Sigma[kept][:, kept] / np.outer(scales, scales)) if kept.any() else 1.0
+
+
+@pytest.mark.parametrize("log_interval", [7, 50])
+@pytest.mark.parametrize(
+    ("n", "alpha", "epsilon", "n_delta"),
+    [
+        (4, 1.0, 1.0, 2.4),
+        (20, 2.0, 1.0, 1e-3),
+        (20, 2.0, 1.0, 2.4999),
+        (100, 2.0, 0.1**0.5, 1e-2),
+        (256, 2.0, 0.3, 1 / 256),
+        (256, 2.0, 0.3, 2.4999),
+        (1000, 1.5, 0.5, 1e-2),
+        (1000, 1.0, 1.0, 2.49),
+    ],
+)
+def test_every_block_of_a_multi_pass_schedule_is_well_conditioned(
+    monkeypatch, n, alpha, epsilon, n_delta, log_interval
+):
+    # cond(Σ′) depends only on the schedule and the log steps, never on the data
+    sched = multi_pass_schedule(n, alpha, epsilon, n_delta / n, 1.0, 1.0)
+    conditions = []
+    block_noise = engine._block_noise
+
+    def record(X, K, A, ends, noise_gens):
+        conditions.append(_residual_correlation_condition(engine._block_cov(A, ends)[1]))
+        return block_noise(X, K, A, ends, noise_gens)
+
+    monkeypatch.setattr(engine, "_block_noise", record)
+    run_multi_pass([toy_dataset(n, 3)], LOGISTIC, sched, [seeded_rng(1, 0)], log_interval=log_interval)
+    assert len(conditions) == -(-sched.T // engine._BLOCK_STEPS)
+    assert max(conditions) < MAX_SIGMA_CONDITION
+
+
+def test_a_noiseless_step_after_a_noisy_one_ends_the_block(monkeypatch):
+    # noiseless steps (0-based) 0-2, 11 and 64-65 lead their blocks; 10, 40
+    # and 63 follow noisy steps, so a block ends after each of them
+    T = 100
+    lambda_etas = np.full(T, 0.3)
+    lambda_etas[[0, 1, 11, 40, 64, 65]] = 0.0
+    lambda_etas[[2, 10, 63]] = 2.0
+    steps = engine._steps(np.full(T, 0.2), lambda_etas, 0.5, np.ones(T, dtype=np.int64))
+    lengths = []
+    block_noise = engine._block_noise
+
+    def record(X, K, A, ends, noise_gens):
+        lengths.append(A.shape[1])
+        return block_noise(X, K, A, ends, noise_gens)
+
+    monkeypatch.setattr(engine, "_block_noise", record)
+    data = toy_dataset(5, 3)
+    engine._advance_blocks(
+        np.zeros((1, 1, 3)), (data.X, data.y, np.zeros((1, 1), dtype=np.int64)), LOGISTIC,
+        np.zeros((1, T), dtype=np.int64), steps, [np.random.default_rng(0)], [T],
+    )
+    assert np.cumsum(lengths).tolist() == [11, 41, 64, 96, 100]
+
+
+def test_the_library_runs_without_scipy(tmp_path):
+    # with scipy unimportable: account and run in both modes, then a small
+    # stability, privacy-utility and excess-risk-vs-n experiment
     script = "\n".join([
         "import io, sys, contextlib",
+        "sys.modules['scipy'] = None",
         "from dpsgld import cli, harness",
         "from dpsgld.harness import ExperimentConfig",
-        "assert 'scipy.linalg' not in sys.modules, 'on import'",
+        "multi = ['--set', 'mode=multi-pass']",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    assert cli.main(['account']) == 0",
-        "harness.run_experiment(ExperimentConfig(",
-        "    experiment='stability', n_grid=(20,), d_grid=(3,), replicates=2,",
-        "    epsilon=0.5, delta=1e-3, checkpoints=(1, 5)))",
-        "assert 'scipy.linalg' not in sys.modules, 'after account and stability'",
-        "from dpsgld.core import seeded_rng",
-        "from dpsgld.datagen import PopulationModel, draw_dataset",
-        "from dpsgld.engine import run_multi_pass",
-        "from dpsgld.losses import GlmLoss",
-        "from dpsgld.schedules import multi_pass_schedule",
-        "model = PopulationModel('logistic', 3, 1.0, 'ball', 0.1)",
-        "data = draw_dataset(model, 20, seeded_rng(1, 0))",
-        "schedule = multi_pass_schedule(20, 1.5, 1.0, 1e-3, 1.0, 1.0)",
-        "run_multi_pass([data], GlmLoss('logistic'), schedule, [seeded_rng(1, 1)])",
-        "assert 'scipy.linalg' in sys.modules, 'after a multi-pass run'",
+        "    assert cli.main(['account', *multi]) == 0",
+        "    assert cli.main(['run', '--out', sys.argv[1], '--set', 'schedule.T=16']) == 0",
+        "    assert cli.main(['run', '--out', sys.argv[2], *multi, '--set', 'data.n=40']) == 0",
+        "for experiment, grid in [('stability', {}), ('privacy-utility', {'eps_grid': (0.5,)}),",
+        "                         ('excess-risk-vs-n', {'n_grid': (16, 32)})]:",
+        "    rows, _ = harness.run_experiment(ExperimentConfig(",
+        "        experiment=experiment, **{'n_grid': (20,), 'd_grid': (3,), **grid},",
+        "        replicates=2, n_test=500, epsilon=0.5, delta=1e-3, checkpoints=(1, 5)))",
+        "    assert rows, experiment",
     ])
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, str(tmp_path / "single"), str(tmp_path / "multi")],
+        capture_output=True, text=True, timeout=120,
+    )
     assert proc.returncode == 0, proc.stderr
 
 
@@ -755,7 +871,7 @@ def _golden_sgld_step():
 GOLDEN = {
     "single-pass-logistic": (
         _golden_single_logistic,
-        "12801866cd9821563f64fe1ef92e50dc24a6c212046096cffeb4262dd0564276",
+        "bca34c0ec49472f115b75139c8a0b57de05839723574001e9b2397d3073adf67",
     ),
     "single-pass-hinge-d64": (
         _golden_single_hinge_d64,
@@ -763,7 +879,7 @@ GOLDEN = {
     ),
     "multi-pass-logistic": (
         _golden_multi_logistic,
-        "65651fcbafb84778b329ae9e48a3f8e919deb6b68fa9b53f78e291530a2bff06",
+        "2a667e70edaa20ee53d22ea28b0bcf0fdeed15cc273b811396e9e899a1c3dd48",
     ),
     "multi-pass-quadratic-d33": (
         _golden_multi_quadratic_d33,

@@ -399,7 +399,7 @@ CSV_DIGESTS = {
     ),
     "privacy-utility": (
         small_config(PRIVACY_UTILITY, eps_grid=(0.5,)),
-        "e4996618d01319481261c7b0b2ad430e8e26c91e0ecdfa6b41395f4e8c5ea20f",
+        "8c450bb5337afb8fb8b738deb88c61bc105be32e4b41011f778ab066943245c1",
     ),
 }
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from dpsgld.core import Dataset, Example, InvalidParameterError
 from dpsgld.losses import (
@@ -14,6 +15,7 @@ from dpsgld.losses import (
     GlmLoss,
     LossBounds,
     empirical_risk,
+    logistic,
     loss_bounds,
     loss_gradient,
     loss_value,
@@ -41,6 +43,32 @@ class TestLogistic:
         assert np.isfinite(loss.phi(-800.0, 1.0))
         np.testing.assert_allclose(loss.phi(-800.0, 1.0), 800.0, rtol=1e-12)
         assert loss.phi(800.0, 1.0) == 0.0
+
+    def test_logistic_agrees_with_scipy_expit(self):
+        # within 4 ulp wherever expit's own e^(−x) is finite; below −709.78
+        # expit returns 0 and the logistic returns the correctly rounded e^x,
+        # a subnormal at most 5.6e-309 away
+        x = np.concatenate([
+            [0.0, -0.0, 709.8, -709.8, 1e3, -1e3, 1e308, -1e308, np.inf, -np.inf],
+            np.linspace(-800.0, 800.0, 160_001),
+            np.geomspace(1e-300, 1e308, 2_000),
+            -np.geomspace(1e-300, 1e308, 2_000),
+        ])
+        got = logistic(x)
+        inside = x >= -709.78
+        np.testing.assert_array_max_ulp(got[inside], expit(x[inside]), maxulp=4)
+        below = x[~inside]
+        assert below.size > 100
+        np.testing.assert_array_equal(got[~inside], np.exp(below))
+        assert np.abs(got[~inside] - expit(below)).max() <= 5.6e-309
+
+    def test_huge_margins_raise_no_warning(self):
+        # tier-1 treats warnings as errors
+        loss = GlmLoss(LOGISTIC)
+        a = np.array([-1e4, 1e4, -1e308, 1e308])
+        np.testing.assert_array_equal(loss.phi_prime(a, 1.0), [-1.0, 0.0, -1.0, 0.0])
+        np.testing.assert_array_equal(loss.phi_prime(a, -1.0), [0.0, 1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(loss.phi_double_prime(a, 1.0), 0.0)
 
     def test_curvature_peaks_at_zero_margin(self):
         loss = GlmLoss(LOGISTIC)
