@@ -9,13 +9,12 @@ privacy-utility checks.
 
 from .core import (
     Dataset,
-    Example,
     InfinitePrivacyLossError,
     InvalidParameterError,
     RngStream,
     seeded_rng,
 )
-from .engine import SgldState, run_multi_pass, run_single_pass, sgld_step
+from .engine import run_multi_pass, run_single_pass
 from .losses import GlmLoss, LossBounds, loss_bounds
 from .privacy import (
     DpBudget,
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset",
     "DpBudget",
-    "Example",
     "GlmLoss",
     "InfinitePrivacyLossError",
     "InvalidParameterError",
@@ -45,7 +43,6 @@ __all__ = [
     "MultiPassSchedule",
     "RdpBudget",
     "RngStream",
-    "SgldState",
     "SinglePassSchedule",
     "account_report",
     "certify_theorem1",
@@ -56,7 +53,6 @@ __all__ = [
     "run_multi_pass",
     "run_single_pass",
     "seeded_rng",
-    "sgld_step",
     "single_pass_schedule",
     "__version__",
 ]

@@ -1,5 +1,5 @@
-"""Seeded randomness, dense vectors, examples/datasets, and the argument checks
-and number format shared by every module.
+"""Seeded randomness, dense vectors, the dataset container, and the argument
+checks and number format shared by every module.
 
 All numerics are float64. Randomness is addressed by (seed, stream id) so that
 any replicate, and any substream inside a replicate, can be replayed exactly.
@@ -11,7 +11,6 @@ rule, and ``_fmt`` prints every reported number (integers exactly, floats to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 # numpy loads numpy.random on first use; every run uses it, so load it with the library
@@ -105,26 +104,6 @@ def seeded_rng(seed: int, stream: int = 0) -> RngStream:
     return RngStream(seed, stream)
 
 
-@dataclass(frozen=True)
-class Example:
-    """One labeled record z = (x, y) with ‖x‖₂ ≤ 1."""
-
-    x: Vector
-    y: float
-
-    def __post_init__(self):
-        x = as_vector(self.x)
-        if float(np.linalg.norm(x)) > 1.0 + _NORM_TOL:
-            raise InvalidParameterError(
-                f"feature norm {np.linalg.norm(x):.6g} exceeds 1"
-            )
-        y = float(self.y)
-        if not np.isfinite(y):
-            raise InvalidParameterError(f"label must be finite, got {y}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-
 class Dataset:
     """Ordered immutable sample, stored densely as (X: n×d, y: n).
 
@@ -145,6 +124,8 @@ class Dataset:
             )
         if X.shape[0] < 1:
             raise InvalidParameterError("dataset needs at least one example")
+        if X.shape[1] < 1:
+            raise InvalidParameterError(f"d must be >= 1, got {X.shape[1]}")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise InvalidParameterError("dataset entries must be finite")
         norms = np.linalg.norm(X, axis=1)

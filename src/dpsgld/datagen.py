@@ -26,6 +26,11 @@ of these 2-D rows and scores every iterate w on it through its coordinates
 d-dimensional rows, and iterates scored together share the draws, so their
 differences keep common random numbers. The low-rank law and d < 3 draw
 full d-dimensional rows.
+
+``export_dataset`` writes a sample as text under a ``# d= n= kind=`` header,
+and ``import_dataset`` reads it back for ``dpsgld run``, refusing a malformed
+header or cell, a wrong shape or a non-sign logistic label with an
+InvalidParameterError that names the file.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset, InvalidParameterError, RngStream, as_vector
-from .losses import GlmLoss, logistic, loss_bounds
+from .losses import GlmLoss, logistic
 
 LOGISTIC_KIND = "logistic"
 QUADRATIC_KIND = "quadratic"
@@ -137,17 +142,15 @@ def _held_out_chunks(model: PopulationModel, n_test: int, rng: RngStream):
 
 
 def _held_out_margins(model: PopulationModel, W: np.ndarray, n_test: int, rng: RngStream):
-    """Yield (margins, y, rows) chunks of an n_test-row held-out sample.
+    """Yield (margins, y) chunks of an n_test-row held-out sample.
 
     margins[i, j] is W[j]ᵀx_i for the chunk's rows x_i and y their labels.
-    Row i of ``rows`` has the norm of x_i: it is x_i itself, or on the 2-D
-    path a single column holding the ball radius (1 on the sphere). See the
-    module docstring for the 2-D law used on the sphere and ball laws when
-    d >= 3.
+    See the module docstring for the 2-D law used on the sphere and ball laws
+    when d >= 3.
     """
     if not _planar(model):
         for X, y in _held_out_chunks(model, n_test, rng):
-            yield X @ W.T, y, X
+            yield X @ W.T, y
         return
     gen = rng.generator
     # an iterate parallel to wStar gets a second coordinate of exactly 0
@@ -158,11 +161,9 @@ def _held_out_margins(model: PopulationModel, W: np.ndarray, n_test: int, rng: R
         c = min(_MARGIN_CHUNK_ROWS, n_test - done)
         P = gen.standard_normal((c, 2))
         P /= np.sqrt(np.sum(P * P, axis=1) + gen.chisquare(model.d - 2, c))[:, None]
-        radii = np.ones((c, 1))
         if model.feature_law == "ball":
-            radii = gen.uniform(0.5, 1.0, size=(c, 1))
-            P *= radii
-        yield P @ coords, _draw_labels(model, model.wstar_norm * P[:, 0], gen), radii
+            P *= gen.uniform(0.5, 1.0, size=(c, 1))
+        yield P @ coords, _draw_labels(model, model.wstar_norm * P[:, 0], gen)
 
 
 def population_risk_many(
@@ -193,7 +194,7 @@ def population_risk_many(
         )
     total = np.zeros(W.shape[0])
     total_sq = np.zeros(W.shape[0])
-    for margins, y, _ in _held_out_margins(model, W, n_test, rng):
+    for margins, y in _held_out_margins(model, W, n_test, rng):
         values = loss.phi(margins, y[:, None])
         total += values.sum(axis=0)
         total_sq += (values * values).sum(axis=0)
@@ -201,29 +202,6 @@ def population_risk_many(
     var = np.maximum(total_sq / n_test - mean * mean, 0.0)
     se = np.sqrt(var / n_test)
     return mean, se
-
-
-def hessian_trace_estimate(
-    loss: GlmLoss, model: PopulationModel, w, n_test: int, rng: RngStream
-) -> float:
-    """Monte-Carlo mean of φ″(wᵀx, y)·‖x‖₂², the per-example Hessian trace.
-
-    Never exceeds the family's γ₂ because φ″ ≤ γ₂ and ‖x‖₂ ≤ 1 pointwise.
-    """
-    if n_test < 100:
-        raise InvalidParameterError(f"n_test must be >= 100, got {n_test}")
-    w = as_vector(w)
-    if w.shape[0] != model.d:
-        raise InvalidParameterError(
-            f"w has {w.shape[0]} coordinates, model says d={model.d}"
-        )
-    total = 0.0
-    for margins, y, rows in _held_out_margins(model, w[None, :], n_test, rng):
-        curv = loss.phi_double_prime(margins[:, 0], y)
-        total += float(np.sum(curv * np.sum(rows * rows, axis=1)))
-    estimate = total / n_test
-    assert estimate <= loss_bounds(loss).gamma2 + 1e-12
-    return estimate
 
 
 def feature_second_moment(feature_law: str) -> float:
@@ -282,7 +260,12 @@ def import_dataset(path) -> tuple[Dataset, str]:
             kind = fields["kind"]
         except KeyError as missing:
             raise InvalidParameterError(f"header lacks {missing} in {path}") from None
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as bad:
+            raise InvalidParameterError(f"{path}: header {header!r}: {bad}") from None
+        try:
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as bad:
+            raise InvalidParameterError(f"{path}: {bad}") from None
     if rows.shape != (n, d + 1):
         raise InvalidParameterError(
             f"{path}: expected {n} rows of {d + 1} columns, got {rows.shape}"

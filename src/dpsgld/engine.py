@@ -21,12 +21,11 @@ returns the final iterates and the (g, k, len(log_times), d) iterates after
 the ascending steps ``log_times``.
 
 ``_advance`` runs one step at a time, on any batch sizes. Single-pass runs
-read disjoint blocks of a pre-shuffled dataset (g = k = 1), coupled runs are
-pairs of chains on neighbouring datasets (g pairs, k = 2), and ``sgld_step``
-is one step with g = k = 1. The steps run in blocks of
-``_NOISE_BLOCK_FLOATS // (g·k·d)``: each block gathers its rows (about 1 MB
-for unit batches) and draws each group's noise rows into a buffer that every
-block reuses.
+read disjoint blocks of a pre-shuffled dataset (g = k = 1), and coupled runs
+are pairs of chains on neighbouring datasets (g pairs, k = 2). The steps run
+in blocks of ``_NOISE_BLOCK_FLOATS // (g·k·d)``: each block gathers its rows
+(about 1 MB for unit batches) and draws each group's noise rows into a buffer
+that every block reuses.
 
 Multi-pass runs (unit batches, k = 1, one index per step drawn with
 replacement) go through ``_advance_blocks``, which advances _BLOCK_STEPS
@@ -114,19 +113,10 @@ outside [−1, 1], on which their gradient bound G rests.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    InvalidParameterError,
-    RngStream,
-    Vector,
-    _require_count,
-    as_vector,
-    seeded_rng,
-)
+from .core import Dataset, InvalidParameterError, RngStream, _require_count, seeded_rng
 from .losses import QUADRATIC, GlmLoss, loss_bounds
 from .schedules import MultiPassSchedule, SinglePassSchedule
 
@@ -145,16 +135,6 @@ _BEFORE_LAST = np.tri(_BLOCK_STEPS + 1, _BLOCK_STEPS, k=-2, dtype=bool)
 # The smallest scale whose square is a normal float64. A row of K∘Σ with a
 # smaller scale is normalised as if it had this one, which keeps 1/w² finite.
 _MIN_SCALE = np.sqrt(np.finfo(np.float64).tiny)
-
-
-@dataclass
-class SgldState:
-    """Chain state after t steps; the rng is the chain's noise stream."""
-
-    t: int
-    w: Vector
-    samples_consumed: int
-    rng: RngStream
 
 
 def _steps(etas, lambda_etas, beta0: float, batch_sizes) -> tuple:
@@ -408,46 +388,6 @@ def _require_batch(datasets: list, streams: list) -> None:
         raise InvalidParameterError("need at least one replicate")
     if any(data.d != datasets[0].d for data in datasets):
         raise InvalidParameterError("replicates run together must share d")
-
-
-def sgld_step(
-    state: SgldState,
-    minibatch: list,
-    eta_t: float,
-    lambda_t: float,
-    beta0: float,
-    loss: GlmLoss,
-) -> SgldState:
-    """One update: w̃ = w − η·ḡ, then the shrink-and-noise resample.
-
-    Args:
-        state: current chain state; its rng supplies the noise draw.
-        minibatch: nonempty list of Example; ḡ averages their gradients.
-        eta_t: step size.
-        lambda_t: regularization weight; λ_tη_t must lie in [0, 2].
-        beta0: prior variance scale.
-        loss: the loss family.
-
-    Returns:
-        The advanced state (t+1, new iterate, updated consumption count).
-    """
-    if not minibatch:
-        raise InvalidParameterError("minibatch must be nonempty")
-    w = as_vector(state.w)
-    Xb = np.stack([z.x for z in minibatch])
-    if Xb.shape[1] != w.shape[0]:
-        raise InvalidParameterError(
-            f"dimension mismatch: w has {w.shape[0]} coordinates, x has {Xb.shape[1]}"
-        )
-    yb = np.array([z.y for z in minibatch])
-    b = len(minibatch)
-    lambda_eta = np.array([lambda_t * eta_t], dtype=np.float64)
-    steps = _steps(np.array([eta_t], dtype=np.float64), lambda_eta, beta0, np.array([b]))
-    W, _ = _advance(
-        w[None, None], (Xb, yb, np.zeros((1, 1), dtype=np.int64)), loss, np.arange(b)[None],
-        steps, [state.rng.generator], (),
-    )
-    return SgldState(t=state.t + 1, w=W[0, 0], samples_consumed=state.samples_consumed + b, rng=state.rng)
 
 
 def _logged_runs(datasets, loss, schedule, orders, rngs, log_interval):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Dataset, Example, InvalidParameterError, Vector, as_vector
+from .core import Dataset, InvalidParameterError, as_vector
 
 LOGISTIC = "logistic"
 SMOOTHED_HINGE = "smoothed-hinge"
@@ -144,27 +144,6 @@ def loss_bounds(loss: GlmLoss) -> LossBounds:
         return LossBounds(G=1.0, L=c, gamma1=1.0, gamma2=c, hessian_trace_bound=c)
     g = _QUAD_A_MAX + _QUAD_Y_MAX
     return LossBounds(G=g, L=1.0, gamma1=g, gamma2=1.0, hessian_trace_bound=1.0)
-
-
-def _check_dim(w: Vector, z: Example) -> None:
-    if w.shape[0] != z.x.shape[0]:
-        raise InvalidParameterError(
-            f"dimension mismatch: w has {w.shape[0]} coordinates, x has {z.x.shape[0]}"
-        )
-
-
-def loss_value(loss: GlmLoss, w, z: Example) -> float:
-    """φ(wᵀx, y) for one example."""
-    w = as_vector(w)
-    _check_dim(w, z)
-    return float(loss.phi(float(w @ z.x), z.y))
-
-
-def loss_gradient(loss: GlmLoss, w, z: Example) -> Vector:
-    """∇_w ℓ(w, z) = φ′(wᵀx, y)·x."""
-    w = as_vector(w)
-    _check_dim(w, z)
-    return float(loss.phi_prime(float(w @ z.x), z.y)) * z.x
 
 
 def empirical_risk(loss: GlmLoss, w, dataset: Dataset) -> float:

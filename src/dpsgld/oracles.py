@@ -1,7 +1,6 @@
 """Independent oracles the test suite and the harness check everything else against.
 
-Finite-difference gradients, the Rényi divergence between Gaussians, the
-coupled-run stability bound and the excess-risk bounds, kept deliberately
+The coupled-run stability bound and the excess-risk bounds, kept deliberately
 separate from the code they audit: nothing here is imported by the engine or
 the accountant, and ``theorem2_excess_bound`` keeps its own copy of the
 T = round(n^α·ε²) rule. Only the argument checks come from ``core``.
@@ -13,42 +12,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    Example,
-    InvalidParameterError,
-    Vector,
-    _require_positive,
-    _require_unit_interval,
-    as_vector,
-)
-from .losses import GlmLoss, loss_value
-
-
-def finite_diff_gradient(loss: GlmLoss, w, z: Example, h: float) -> Vector:
-    """Central-difference gradient, (ℓ(w+heᵢ) − ℓ(w−heᵢ))/(2h) per coordinate."""
-    if not h > 0:
-        raise InvalidParameterError(f"step h must be > 0, got {h}")
-    w = as_vector(w)
-    g = np.empty_like(w)
-    for i in range(w.shape[0]):
-        wp = w.copy()
-        wm = w.copy()
-        wp[i] += h
-        wm[i] -= h
-        g[i] = (loss_value(loss, wp, z) - loss_value(loss, wm, z)) / (2.0 * h)
-    return g
-
-
-def renyi_gaussian(alpha: float, mu1, mu2, sigma2: float) -> float:
-    """Order-α Rényi divergence between N(μ1, σ²I) and N(μ2, σ²I): α‖μ1−μ2‖²/(2σ²)."""
-    if not alpha > 1:
-        raise InvalidParameterError(f"order must be > 1, got {alpha}")
-    if sigma2 < 0:
-        raise InvalidParameterError(f"variance must be >= 0, got {sigma2}")
-    gap2 = float(np.sum((as_vector(mu1) - as_vector(mu2)) ** 2))
-    if sigma2 == 0.0:
-        return 0.0 if gap2 == 0.0 else math.inf
-    return alpha * gap2 / (2.0 * sigma2)
+from .core import InvalidParameterError, _require_positive, _require_unit_interval
 
 
 def stability_bound(t: int, n: int, G: float, etas) -> float:

@@ -1,0 +1,61 @@
+"""Test-side oracles and a one-step driver for the per-step kernel.
+
+The oracles stay apart from the library code they check: a central-difference
+gradient of a loss's φ, and the Rényi divergence between two isotropic
+Gaussians. ``advance_one_step`` runs one update of ``engine._advance``, the
+kernel that single-pass and coupled runs step through.
+"""
+
+import math
+
+import numpy as np
+
+from dpsgld import engine
+from dpsgld.core import InvalidParameterError, as_vector
+
+
+def finite_diff_gradient(loss, w, x, y, h: float) -> np.ndarray:
+    """Central differences of w ↦ φ(wᵀx, y): (φ((w+heᵢ)ᵀx, y) − φ((w−heᵢ)ᵀx, y))/(2h) per coordinate."""
+    if not h > 0:
+        raise InvalidParameterError(f"step h must be > 0, got {h}")
+    w = as_vector(w)
+    x = as_vector(x)
+    g = np.empty_like(w)
+    for i in range(w.shape[0]):
+        wp = w.copy()
+        wm = w.copy()
+        wp[i] += h
+        wm[i] -= h
+        g[i] = (float(loss.phi(float(wp @ x), y)) - float(loss.phi(float(wm @ x), y))) / (2.0 * h)
+    return g
+
+
+def renyi_gaussian(alpha: float, mu1, mu2, sigma2: float) -> float:
+    """Order-α Rényi divergence between N(μ1, σ²I) and N(μ2, σ²I): α‖μ1−μ2‖²/(2σ²)."""
+    if not alpha > 1:
+        raise InvalidParameterError(f"order must be > 1, got {alpha}")
+    if sigma2 < 0:
+        raise InvalidParameterError(f"variance must be >= 0, got {sigma2}")
+    gap2 = float(np.sum((as_vector(mu1) - as_vector(mu2)) ** 2))
+    if sigma2 == 0.0:
+        return 0.0 if gap2 == 0.0 else math.inf
+    return alpha * gap2 / (2.0 * sigma2)
+
+
+def advance_one_step(W0, X, y, loss, eta, lambda_eta, beta0, noise_gens) -> np.ndarray:
+    """The (g, k, d) iterates after one ``engine._advance`` step from ``W0``.
+
+    Every chain reads the whole mini-batch of rows ``X`` (b, d) and labels
+    ``y``; group j draws its noise from ``noise_gens[j]``, shared by its k
+    chains. The step's (η, λη, β₀) go through ``engine._steps``, so its
+    refusals apply.
+    """
+    W0 = np.asarray(W0, dtype=np.float64)
+    g, k, _ = W0.shape
+    b = len(y)
+    steps = engine._steps(np.array([eta]), np.array([lambda_eta]), beta0, np.array([b]))
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    data = (X, y, np.zeros((g, k), dtype=np.int64))
+    orders = np.tile(np.arange(b), (g, 1))
+    W, _ = engine._advance(W0, data, loss, orders, steps, noise_gens, ())
+    return W

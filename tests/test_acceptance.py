@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dpsgld.core import Dataset, Example, seeded_rng
-from dpsgld.engine import SgldState, sgld_step
+from dpsgld.core import seeded_rng
 from dpsgld.harness import (
     DIMENSION_INDEPENDENCE,
     EXCESS_RISK_VS_N,
@@ -23,8 +22,7 @@ from dpsgld.harness import (
     rows_to_csv,
     run_experiment,
 )
-from dpsgld.losses import GlmLoss, loss_bounds, loss_gradient
-from dpsgld.oracles import finite_diff_gradient, renyi_gaussian
+from dpsgld.losses import GlmLoss, loss_bounds
 from dpsgld.privacy import (
     RdpBudget,
     certify_theorem1,
@@ -39,6 +37,8 @@ from dpsgld.schedules import (
     multi_pass_schedule,
     single_pass_schedule,
 )
+
+from helpers import advance_one_step, finite_diff_gradient, renyi_gaussian
 
 FAMILIES = ("logistic", "smoothed-hinge", "quadratic")
 
@@ -103,9 +103,10 @@ def test_criterion_03_one_step_renyi_never_exceeds_accounted_bound():
 
 
 def test_criterion_04_gradients_match_finite_differences():
-    # 1000 random (family, w, example) triples: analytic gradient within
-    # 1e-5 of central differences (relative to max(1, ||grad||)) and norm
-    # within the certified bound G.
+    # 1000 random (family, w, example) triples: the gradient the samplers
+    # take, clipped phi'(w'x, y)*x, within 1e-5 of central differences of
+    # phi (relative to max(1, ||grad||)) and norm within the certified bound
+    # G. The clip never fires on this domain.
     rng = np.random.default_rng(52)
     for i in range(1000):
         family = FAMILIES[i % 3]
@@ -122,9 +123,8 @@ def test_criterion_04_gradients_match_finite_differences():
         else:
             w = rng.normal(size=d) * 2.0
             y = float(rng.choice([-1.0, 1.0]))
-        z = Example(x, y)
-        grad = loss_gradient(loss, w, z)
-        fd = finite_diff_gradient(loss, w, z, 1e-6)
+        grad = float(loss.clipped_phi_prime(float(w @ x), y)) * x
+        fd = finite_diff_gradient(loss, w, x, y, 1e-6)
         scale = max(1.0, float(np.linalg.norm(grad)))
         err = float(np.linalg.norm(fd - grad)) / scale
         assert err < 1e-5, f"gradient mismatch {err} for {family} at i={i}"
@@ -175,28 +175,26 @@ def test_criterion_05_schedule_budgets_and_identities():
 
 def test_criterion_06_first_step_noise_law():
     # At t=1 the schedules pin lambda*eta = 1, so the first iterate is an
-    # exact N(0, beta0*I) draw no matter what the data say. Checked two
-    # ways: bitwise data-independence, and a Kolmogorov-Smirnov test per
-    # coordinate over 10^4 replicates (each must give p > 1e-3).
+    # exact N(0, beta0*I) draw no matter what the data say. Checked on the
+    # per-step kernel two ways: bitwise data-independence, and a
+    # Kolmogorov-Smirnov test per coordinate over 10^4 replicates, one group
+    # each (each must give p > 1e-3).
     schedule = single_pass_schedule(64, 1.0, 1.0, 0.5, 1e-4)
     np.testing.assert_allclose(schedule.beta0, 0.30344813662425571050, rtol=1e-12)
     d = 3
-    batch_a = [Example(np.array([0.9, 0.0, 0.0]), 1.0)]
-    batch_b = [Example(np.array([0.0, -0.8, 0.1]), -1.0)]
+    loss = GlmLoss("logistic")
+    step = (schedule.etas[0], schedule.lambda_etas[0], schedule.beta0)
+    x_a, y_a = [[0.9, 0.0, 0.0]], [1.0]
+    x_b, y_b = [[0.0, -0.8, 0.1]], [-1.0]
     w0 = np.array([5.0, -3.0, 2.0])
 
-    state_a = SgldState(t=1, w=w0, samples_consumed=0, rng=seeded_rng(31, 0))
-    state_b = SgldState(t=1, w=-w0, samples_consumed=0, rng=seeded_rng(31, 0))
-    out_a = sgld_step(state_a, batch_a, schedule.eta, 1.0 / schedule.eta, schedule.beta0, GlmLoss("logistic"))
-    out_b = sgld_step(state_b, batch_b, schedule.eta, 1.0 / schedule.eta, schedule.beta0, GlmLoss("logistic"))
-    np.testing.assert_array_equal(out_a.w, out_b.w)
+    out_a = advance_one_step(w0[None, None], x_a, y_a, loss, *step, [seeded_rng(31, 0).generator])
+    out_b = advance_one_step(-w0[None, None], x_b, y_b, loss, *step, [seeded_rng(31, 0).generator])
+    np.testing.assert_array_equal(out_a, out_b)
 
     reps = 10_000
-    draws = np.empty((reps, d))
-    lam = 1.0 / schedule.eta
-    for r in range(reps):
-        state = SgldState(t=1, w=w0, samples_consumed=0, rng=seeded_rng(606, r))
-        draws[r] = sgld_step(state, batch_a, schedule.eta, lam, schedule.beta0, GlmLoss("logistic")).w
+    gens = [seeded_rng(606, r).generator for r in range(reps)]
+    draws = advance_one_step(np.tile(w0, (reps, 1, 1)), x_a, y_a, loss, *step, gens)[:, 0]
     scale = math.sqrt(schedule.beta0)
     for j in range(d):
         p = stats.kstest(draws[:, j], "norm", args=(0.0, scale)).pvalue
@@ -204,9 +202,10 @@ def test_criterion_06_first_step_noise_law():
 
 
 def test_criterion_07_contraction_under_shared_noise():
-    # 1000 random coupled steps with a shared minibatch and shared noise:
-    # for eta <= 2/L the distance between the chains never grows beyond
-    # |1 - lambda*eta| times the previous distance.
+    # 1000 random coupled steps with a shared minibatch and shared noise,
+    # each one group of two chains on the per-step kernel: for eta <= 2/L the
+    # distance between the chains never grows beyond |1 - lambda*eta| times
+    # the previous distance.
     rng = np.random.default_rng(77)
     for i in range(1000):
         family = FAMILIES[i % 3]
@@ -226,18 +225,15 @@ def test_criterion_07_contraction_under_shared_noise():
             ys = rng.choice([-1.0, 1.0], size=m)
             w1 = rng.normal(size=d) * 2.0
             w2 = rng.normal(size=d) * 2.0
-        batch = [Example(X[k], float(ys[k])) for k in range(m)]
         eta = float(rng.uniform(0.0, 2.0 / bounds.L))
         lam_eta = float(rng.uniform(0.0, 1.0))
-        lam = lam_eta / eta if eta > 0 else 0.0
         beta0 = float(rng.uniform(0.0, 1.0))
         seed = int(rng.integers(0, 2**31))
-        state1 = SgldState(t=1, w=w1, samples_consumed=0, rng=seeded_rng(seed, 0))
-        state2 = SgldState(t=1, w=w2, samples_consumed=0, rng=seeded_rng(seed, 0))
         before = float(np.linalg.norm(w1 - w2))
-        out1 = sgld_step(state1, batch, eta, lam, beta0, loss)
-        out2 = sgld_step(state2, batch, eta, lam, beta0, loss)
-        after = float(np.linalg.norm(out1.w - out2.w))
+        [[out1, out2]] = advance_one_step(
+            np.stack([w1, w2])[None], X, ys, loss, eta, lam_eta, beta0, [seeded_rng(seed, 0).generator]
+        )
+        after = float(np.linalg.norm(out1 - out2))
         allowed = abs(1.0 - lam_eta) * before
         assert after <= allowed * (1.0 + 1e-9) + 1e-12, (
             f"expansion at i={i}: after={after}, allowed={allowed}, "

@@ -133,6 +133,34 @@ class TestRunCommand:
         code, out, err = run_main(capsys, base + ["--set", f"loss.family={kind}"])
         assert code == 0, err
 
+    @pytest.mark.parametrize("mode", ["single-pass", "multi-pass"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# d=0 n=2 kind=quadratic\n0.5\n-0.5\n", "d must be >= 1, got 0"),
+            ("# d=x n=2 kind=quadratic\n0.5,1\n0.1,-1\n", "data.csv: header '# d=x"),
+            ("# d=1 n=2 kind=quadratic\n0.5,abc\n0.1,-1\n", "data.csv: "),
+            ("# d=1 n=2 kind=quadratic\n0.5,nan\n0.1,-1\n", "dataset entries must be finite"),
+            ("# d=2 n=2 kind=quadratic\n0.9,0.9,1\n0.1,0.1,-1\n", "feature norm 1.27279 > 1"),
+        ],
+        ids=["no-features", "header-value", "cell", "label-nan", "outside-unit-ball"],
+    )
+    def test_a_malformed_file_is_a_config_error(self, capsys, tmp_path, text, message, mode):
+        data_path = tmp_path / "data.csv"
+        data_path.write_text(text)
+        out_dir = tmp_path / "out"
+        code, out, err = run_main(
+            capsys,
+            [
+                "run", "--out", str(out_dir), "--set", f"data.file={data_path}",
+                "--set", "loss.family=quadratic", "--set", f"mode={mode}",
+            ],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert not out_dir.exists()
+
     def test_quiet_suppresses_stdout_but_writes_files(self, capsys, tmp_path):
         code, out, err = run_main(
             capsys,

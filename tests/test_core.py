@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dpsgld.core import (
     Dataset,
-    Example,
     InvalidParameterError,
     RngStream,
     as_vector,
@@ -81,17 +80,6 @@ class TestRngStream:
             seeded_rng(-1, 0)
 
 
-class TestExample:
-    def test_unit_ball_enforced(self):
-        Example(np.array([0.6, 0.8]), 1.0)
-        with pytest.raises(InvalidParameterError):
-            Example(np.array([1.1, 0.0]), 1.0)
-
-    def test_label_must_be_finite(self):
-        with pytest.raises(InvalidParameterError):
-            Example(np.array([0.5]), float("nan"))
-
-
 class TestDataset:
     def test_shape_accessors(self):
         data = Dataset(np.zeros((5, 3)), np.ones(5))
@@ -101,15 +89,18 @@ class TestDataset:
         with pytest.raises(InvalidParameterError):
             Dataset(np.zeros((5, 3)), np.ones(4))
 
-    def test_example_round_trip(self):
+    def test_needs_a_feature(self):
+        # the per-step kernel sizes its blocks by dividing by g·k·d
+        with pytest.raises(InvalidParameterError, match="d must be >= 1, got 0"):
+            Dataset(np.zeros((2, 0)), np.ones(2))
+        with pytest.raises(InvalidParameterError, match="d must be >= 1, got 0"):
+            Dataset(np.zeros((2, 0)), np.ones(2), copy=False)
+
+    def test_row_list_round_trip(self):
         X = np.array([[0.1, 0.2], [0.3, 0.4]])
         y = np.array([1.0, -1.0])
         data = Dataset(X, y)
-        examples = [Example(x, label) for x, label in zip(data.X, data.y)]
-        z = examples[1]
-        np.testing.assert_array_equal(z.x, X[1])
-        assert z.y == -1.0
-        rebuilt = Dataset([z.x for z in examples], [z.y for z in examples])
+        rebuilt = Dataset([list(x) for x in data.X], list(data.y))
         np.testing.assert_array_equal(rebuilt.X, X)
         np.testing.assert_array_equal(rebuilt.y, y)
 
@@ -127,6 +118,8 @@ class TestDataset:
             Dataset(np.array([[2.0, 0.0]]), np.array([1.0]), copy=False)
         with pytest.raises(InvalidParameterError):
             Dataset(np.array([[np.nan, 0.0]]), np.array([1.0]), copy=False)
+        with pytest.raises(InvalidParameterError):
+            Dataset(np.array([[0.5, 0.0]]), np.array([np.nan]))
 
     def test_caller_arrays_are_copied(self):
         X, y = np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([1.0, -1.0])

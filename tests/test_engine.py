@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from dpsgld import engine
-from dpsgld.core import Dataset, Example, InvalidParameterError, seeded_rng
-from dpsgld.engine import (
-    SgldState,
-    coupled_stability_run,
-    run_multi_pass,
-    run_single_pass,
-    sgld_step,
-)
+from dpsgld.core import Dataset, InvalidParameterError, seeded_rng
+from dpsgld.engine import coupled_stability_run, run_multi_pass, run_single_pass
 from dpsgld.losses import GlmLoss, loss_bounds
 from dpsgld.schedules import MultiPassSchedule, multi_pass_schedule, single_pass_schedule
+
+from helpers import advance_one_step
 
 LOGISTIC = GlmLoss("logistic")
 QUADRATIC = GlmLoss("quadratic")
@@ -29,71 +25,62 @@ def toy_dataset(n, d, seed=0):
     return Dataset(X, y)
 
 
-class TestSgldStep:
+class TestOneStep:
+    """One update of the per-step kernel ``_advance``, as single-pass and coupled runs make it."""
+
     def test_pure_gradient_step_when_lambda_zero(self):
-        z = Example(np.array([0.0, 1.0]), 1.0)
-        state = SgldState(t=0, w=np.zeros(2), samples_consumed=0, rng=seeded_rng(1, 0))
-        out = sgld_step(state, [z], eta_t=0.5, lambda_t=0.0, beta0=1.0, loss=LOGISTIC)
-        np.testing.assert_allclose(out.w, [0.0, 0.25], rtol=1e-14)
-        assert out.t == 1 and out.samples_consumed == 1
+        gens = [seeded_rng(1, 0).generator]
+        W = advance_one_step(np.zeros((1, 1, 2)), [[0.0, 1.0]], [1.0], LOGISTIC, 0.5, 0.0, 1.0, gens)
+        np.testing.assert_allclose(W[0, 0], [0.0, 0.25], rtol=1e-14)
 
     def test_full_shrink_is_data_independent(self):
         beta0 = 0.7
-        eta = 0.2
-        za = Example(np.array([0.9, 0.0]), 1.0)
-        zb = Example(np.array([0.0, -0.9]), -1.0)
-        wa = sgld_step(
-            SgldState(0, np.array([5.0, -3.0]), 0, seeded_rng(42, 1)),
-            [za], eta, 1.0 / eta, beta0, LOGISTIC,
-        ).w
-        wb = sgld_step(
-            SgldState(0, np.array([-8.0, 2.0]), 0, seeded_rng(42, 1)),
-            [zb], eta, 1.0 / eta, beta0, LOGISTIC,
-        ).w
+        wa = advance_one_step(
+            [[[5.0, -3.0]]], [[0.9, 0.0]], [1.0], LOGISTIC, 0.2, 1.0, beta0,
+            [seeded_rng(42, 1).generator],
+        )
+        wb = advance_one_step(
+            [[[-8.0, 2.0]]], [[0.0, -0.9]], [-1.0], LOGISTIC, 0.2, 1.0, beta0,
+            [seeded_rng(42, 1).generator],
+        )
         np.testing.assert_array_equal(wa, wb)
         z = seeded_rng(42, 1).generator.standard_normal(2)
-        np.testing.assert_allclose(wa, np.sqrt(beta0) * z, rtol=1e-15)
+        np.testing.assert_allclose(wa[0, 0], np.sqrt(beta0) * z, rtol=1e-15)
 
     def test_lambda_eta_two_flips_sign_without_noise(self):
-        z = Example(np.array([0.5, 0.5]), 1.0)
+        x = np.array([0.5, 0.5])
         w0 = np.array([1.0, 2.0])
-        state = SgldState(0, w0, 0, seeded_rng(3, 0))
-        out = sgld_step(state, [z], eta_t=0.1, lambda_t=20.0, beta0=0.5, loss=QUADRATIC)
-        g = float(QUADRATIC.phi_prime(w0 @ z.x, z.y)) * z.x
-        np.testing.assert_allclose(out.w, -(w0 - 0.1 * g), rtol=1e-14)
+        gens = [seeded_rng(3, 0).generator]
+        W = advance_one_step(w0[None, None], x[None], [1.0], QUADRATIC, 0.1, 2.0, 0.5, gens)
+        g = float(QUADRATIC.phi_prime(w0 @ x, 1.0)) * x
+        np.testing.assert_allclose(W[0, 0], -(w0 - 0.1 * g), rtol=1e-14)
 
     def test_minibatch_mean_gradient(self):
-        zs = [Example(np.array([0.4, 0.0]), 1.0), Example(np.array([0.0, 0.8]), -1.0)]
-        state = SgldState(0, np.zeros(2), 0, seeded_rng(0, 0))
-        out = sgld_step(state, zs, eta_t=1.0, lambda_t=0.0, beta0=0.0, loss=QUADRATIC)
-        g = (float(QUADRATIC.phi_prime(0.0, 1.0)) * zs[0].x
-             + float(QUADRATIC.phi_prime(0.0, -1.0)) * zs[1].x) / 2.0
-        np.testing.assert_allclose(out.w, -g, rtol=1e-14)
-        assert out.samples_consumed == 2
+        X = np.array([[0.4, 0.0], [0.0, 0.8]])
+        gens = [seeded_rng(0, 0).generator]
+        W = advance_one_step(np.zeros((1, 1, 2)), X, [1.0, -1.0], QUADRATIC, 1.0, 0.0, 0.0, gens)
+        g = (float(QUADRATIC.phi_prime(0.0, 1.0)) * X[0]
+             + float(QUADRATIC.phi_prime(0.0, -1.0)) * X[1]) / 2.0
+        np.testing.assert_allclose(W[0, 0], -g, rtol=1e-14)
 
     def test_gradient_is_clipped_to_the_certified_bound(self):
         # quadratic G = 2 holds only on |wᵀx| <= 1, |y| <= 1; the clip enforces it for any label
-        z = Example(np.array([1.0, 0.0]), -1e6)
-        state = SgldState(0, np.zeros(2), 0, seeded_rng(0, 0))
         eta = 0.3
-        out = sgld_step(state, [z], eta_t=eta, lambda_t=0.0, beta0=0.0, loss=QUADRATIC)
-        assert np.linalg.norm(out.w - state.w) <= eta * loss_bounds(QUADRATIC).G
-        np.testing.assert_array_equal(out.w, [-eta * 2.0, 0.0])
+        gens = [seeded_rng(0, 0).generator]
+        W = advance_one_step(np.zeros((1, 1, 2)), [[1.0, 0.0]], [-1e6], QUADRATIC, eta, 0.0, 0.0, gens)
+        assert np.linalg.norm(W[0, 0]) <= eta * loss_bounds(QUADRATIC).G
+        np.testing.assert_array_equal(W[0, 0], [-eta * 2.0, 0.0])
 
-    def test_rejects_bad_inputs(self):
-        state = SgldState(0, np.zeros(2), 0, seeded_rng(0, 0))
-        with pytest.raises(InvalidParameterError):
-            sgld_step(state, [], 0.1, 1.0, 1.0, LOGISTIC)
-        z3 = Example(np.array([0.1, 0.1, 0.1]), 1.0)
-        with pytest.raises(InvalidParameterError):
-            sgld_step(state, [z3], 0.1, 1.0, 1.0, LOGISTIC)
-        z = Example(np.array([0.1, 0.1]), 1.0)
-        with pytest.raises(InvalidParameterError):
-            sgld_step(state, [z], 0.1, 30.0, 1.0, LOGISTIC)  # lambda*eta = 3 > 2
-        with pytest.raises(InvalidParameterError):
-            sgld_step(state, [z], 0.1, 1.0, -1.0, LOGISTIC)
+    def test_steps_refuse_a_negative_noise_variance(self):
+        one = np.ones(1)
+        with pytest.raises(InvalidParameterError, match="outside"):
+            engine._steps(0.1 * one, 3.0 * one, 1.0, one)  # lambda*eta = 3 > 2
+        with pytest.raises(InvalidParameterError, match="outside"):
+            engine._steps(0.1 * one, -0.5 * one, 1.0, one)
+        with pytest.raises(InvalidParameterError, match="beta0"):
+            engine._steps(0.1 * one, 0.1 * one, -1.0, one)
         with pytest.raises(InvalidParameterError, match="not a number"):
-            sgld_step(state, [z], float("nan"), 1.0, 1.0, LOGISTIC)
+            engine._steps(0.1 * one, np.full(1, np.nan), 1.0, one)
 
 
 class TestRunSinglePass:
@@ -854,13 +841,16 @@ def _golden_coupled_d16():
     return _digest([(t, float(v)) for t, v in enumerate(sq, 1)])
 
 
-def _golden_sgld_step():
+def _golden_one_step():
+    # two steps of one chain from t = 3 after 7 rows, the second on a smaller batch
     gen = np.random.default_rng(8)
-    batch = [Example(0.15 * gen.standard_normal(5), float(y)) for y in (0.5, -0.2, 0.9)]
-    state = SgldState(t=3, w=gen.standard_normal(5), samples_consumed=7, rng=seeded_rng(26, 0))
-    out = sgld_step(state, batch, eta_t=0.3, lambda_t=2.0, beta0=0.4, loss=QUADRATIC)
-    out = sgld_step(out, batch[:2], eta_t=0.2, lambda_t=1.5, beta0=0.4, loss=LOGISTIC)
-    return _digest(out.t, out.samples_consumed, out.w)
+    X = np.stack([0.15 * gen.standard_normal(5) for _ in range(3)])
+    y = [0.5, -0.2, 0.9]
+    w = gen.standard_normal(5)[None, None]
+    noise = [seeded_rng(26, 0).generator]
+    w = advance_one_step(w, X, y, QUADRATIC, 0.3, 2.0 * 0.3, 0.4, noise)
+    w = advance_one_step(w, X[:2], y[:2], LOGISTIC, 0.2, 1.5 * 0.2, 0.4, noise)
+    return _digest(5, 12, w[0, 0])
 
 
 # sha256 of each run's full output. They pin every bit of every iterate, so a
@@ -889,8 +879,8 @@ GOLDEN = {
         _golden_coupled_d16,
         "4ef3faf46232ccb9280c084a829f9703960f1eeb8f8768d66a03c06f9c23d675",
     ),
-    "sgld-step": (
-        _golden_sgld_step,
+    "one-step": (
+        _golden_one_step,
         "d6ada47c725bba68dd2d8597e0802ab7fc6996a15851d73534ad0723daa29e05",
     ),
 }

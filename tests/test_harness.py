@@ -703,7 +703,7 @@ class TestReducedSinglePass:
         alpha, beta = finals[:, 0], finals[:, 1]
         assert np.any(alpha < 0) and np.any(alpha > 0) and np.all(beta > 0)
         np.testing.assert_array_equal(finals[:, 2:], 0.0)
-        [(margins, _, _)] = datagen._held_out_margins(
+        [(margins, _)] = datagen._held_out_margins(
             model, finals, 2, SimpleNamespace(generator=UnitRows())
         )
         assert margins.tobytes() == np.stack([alpha, beta]).tobytes()

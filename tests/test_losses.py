@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from dpsgld.core import Dataset, Example, InvalidParameterError
+from dpsgld.core import Dataset, InvalidParameterError
 from dpsgld.losses import (
     FAMILIES,
     LOGISTIC,
@@ -17,8 +17,6 @@ from dpsgld.losses import (
     empirical_risk,
     logistic,
     loss_bounds,
-    loss_gradient,
-    loss_value,
 )
 
 LN2 = 0.69314718055994530942
@@ -214,22 +212,16 @@ def test_gradient_norm_within_g(data, family_index):
     else:
         w = np.array(data.draw(st.lists(st.floats(-40, 40), min_size=d, max_size=d)))
         y = data.draw(st.sampled_from([-1.0, 1.0]))
-    g = loss_gradient(loss, w, Example(x, y))
+    g = float(loss.phi_prime(w @ x, y)) * x
     assert np.linalg.norm(g) <= b.G + 1e-9
 
 
-class TestPointwiseHelpers:
+class TestEmpiricalRisk:
     def test_gradient_direction(self):
-        z = Example(np.array([0.0, 1.0]), 1.0)
-        g = loss_gradient(GlmLoss(LOGISTIC), np.zeros(2), z)
+        # the gradient the samplers take, φ′(wᵀx, y)·x, points against a positive label
+        x = np.array([0.0, 1.0])
+        g = float(GlmLoss(LOGISTIC).clipped_phi_prime(float(np.zeros(2) @ x), 1.0)) * x
         np.testing.assert_allclose(g, [0.0, -0.5], rtol=1e-12)
-
-    def test_dimension_mismatch(self):
-        z = Example(np.array([1.0]), 1.0)
-        with pytest.raises(InvalidParameterError):
-            loss_value(GlmLoss(LOGISTIC), np.zeros(2), z)
-        with pytest.raises(InvalidParameterError):
-            loss_gradient(GlmLoss(LOGISTIC), np.zeros(2), z)
 
     def test_empirical_risk_is_mean_of_pointwise_losses(self):
         rng = np.random.default_rng(7)
@@ -239,7 +231,7 @@ class TestPointwiseHelpers:
         data = Dataset(X, y)
         w = rng.standard_normal(4)
         for loss in all_losses():
-            direct = np.mean([loss_value(loss, w, Example(X[i], y[i])) for i in range(20)])
+            direct = np.mean([float(loss.phi(float(w @ X[i]), y[i])) for i in range(20)])
             np.testing.assert_allclose(empirical_risk(loss, w, data), direct, rtol=1e-12)
 
     def test_empirical_risk_dimension_check(self):
@@ -253,9 +245,7 @@ def test_families_tuple_is_exported():
     assert len(set(FAMILIES)) == 3
 
 
-def test_loss_value_matches_math_formula():
-    loss = GlmLoss(LOGISTIC)
-    z = Example(np.array([0.5, 0.5]), -1.0)
+def test_logistic_phi_matches_math_formula():
     w = np.array([1.0, 1.0])
     expected = math.log1p(math.exp(1.0))
-    np.testing.assert_allclose(loss_value(loss, w, z), expected, rtol=1e-14)
+    np.testing.assert_allclose(GlmLoss(LOGISTIC).phi(w @ np.array([0.5, 0.5]), -1.0), expected, rtol=1e-14)
