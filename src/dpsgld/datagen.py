@@ -262,6 +262,11 @@ def import_dataset(path) -> tuple[Dataset, str]:
             raise InvalidParameterError(f"header lacks {missing} in {path}") from None
         except ValueError as bad:
             raise InvalidParameterError(f"{path}: header {header!r}: {bad}") from None
+        for name, value in (("n", n), ("d", d)):
+            if value < 1:
+                raise InvalidParameterError(
+                    f"{path}: header {header!r}: {name} must be >= 1, got {value}"
+                )
         try:
             rows = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as bad:

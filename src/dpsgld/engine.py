@@ -16,9 +16,13 @@ indices and noise row at every step. Chain (j, i) reads rows
 firsts[j, i] + orders[j, s] of ``data = (X, y, firsts)``, every chain's rows
 concatenated once per run (``_stacked``, no copy for one chain), so a block
 of steps gathers with one ``np.take`` for X and one for y. ``steps`` holds the
-(η_t, λ_tη_t, σ_t, |M_t|) arrays; a step with σ_t = 0 draws nothing. A kernel
-returns the final iterates and the (g, k, len(log_times), d) iterates after
-the ascending steps ``log_times``.
+(η_t, λ_tη_t, σ_t, |M_t|) arrays. A kernel returns the final iterates and the
+(g, k, len(log_times), d) iterates after the ascending steps ``log_times``.
+
+Every step is noisy. A step's account rests on its Gaussian noise and is
+infinite where σ_t = 0 (σ_t² underflows to 0 when β₀ is tiny), so a run
+builds its steps through ``_schedule_steps``, which refuses such a schedule
+before anything runs, and both kernels draw noise at every step.
 
 ``_advance`` runs one step at a time, on any batch sizes. Single-pass runs
 read disjoint blocks of a pre-shuffled dataset (g = k = 1), and coupled runs
@@ -59,15 +63,12 @@ n_j = x_jᵀΞᵀM_jᵀ + r_j, where the r_j are jointly Gaussian with
 Cov(r_j, r_j′) = K_jj′·Σ_jj′ and Σ = BBᵀ, B = A(I − ĈĈᵀ).
 
 K∘Σ is singular by structure. B_j = 0 for row 0 (A_0 = 0) and for each inner
-end (A_e lies in Ĉ's span). A noiseless step j (σ_j = 0, so λ_jη_j ∈ {0, 2}
-and a_j = ±1 when β₀ > 0) joins rows j and j+1: A_(j+1) = a_j·A_j. So every
-row joined to row 0 or to an end has B_j = 0 too. ``_block_cov`` finds these
-rows from the σ_j on A's subdiagonal and the ends, the same for every group
-and never by a rounding test, and zeroes them in B, so that their rows of Σ
-are exactly 0. The other rows are kept. r is drawn as W·F·u with
-u ~ N(0, I_L), W = diag(w), w_j = √(K_jj·Σ_jj) = ‖x_j‖·‖B_j‖, and F the
-Cholesky factor of W⁻¹(K∘Σ)W⁻¹ with unit rows where w_j = 0: one batched
-``np.linalg.cholesky`` over the g groups. That matrix is K̂∘Σ′, where K̂ is the
+end (A_e lies in Ĉ's span). ``_block_cov`` zeroes these rows in B, never by a
+rounding test, so that their rows of Σ are exactly 0. The other rows are
+kept. r is drawn as W·F·u with u ~ N(0, I_L), W = diag(w),
+w_j = √(K_jj·Σ_jj) = ‖x_j‖·‖B_j‖, and F the Cholesky factor of W⁻¹(K∘Σ)W⁻¹
+with unit rows where w_j = 0: one batched ``np.linalg.cholesky`` over the g
+groups. That matrix is K̂∘Σ′, where K̂ is the
 correlation matrix of the x_j and Σ′ that of the kept B_j, each with unit rows
 where the row is zero. K̂ is positive semidefinite with a unit diagonal, so by
 Schur's bounds λ_min(Σ′) <= λ(K̂∘Σ′) <= λ_max(Σ′): the factor is as well
@@ -75,20 +76,13 @@ conditioned as Σ′, a property of the schedule whatever the data, and of
 neither β₀ nor the step. Repeated, zero or tiny rows and d < L need no
 special case.
 
-Σ′ is positive definite when no two kept rows are joined. Row j+1 of A has
-σ_j in column j and nothing after it, so the rows after noisy steps are
-independent, and a row after a noiseless step is a multiple of the one before.
-Kept rows then lie in distinct chains of joined rows that hold no end, and
-projecting out the span of the ends' rows leaves them independent. Two joined
-kept rows would be parallel, and K̂∘Σ′ singular whenever their data rows are
-parallel too. So ``_advance_blocks`` ends a block after every noiseless step
-that follows a noisy one: noiseless steps then come only first in a block
-(joined to row 0) or last (joined to its end). A ``MultiPassSchedule`` has
-σ_t > 0 at every step, so its blocks are always _BLOCK_STEPS long. Each group reads E·d normals for Ξ, then L for u, whatever
-the rank: d + L per block at the usual E = 1, against L·d for the z_l. A block
-whose σ are all 0 reads none. The draw is exact for one chain per group, which
-is why ``_advance_blocks`` takes k = 1: chains that shared noise would need
-the joint law of all their margins.
+Σ′ is positive definite. Row j+1 of A has σ_j > 0 in column j and nothing
+after it, so the rows A_1..A_L are independent, and projecting out the span
+of the ends' rows leaves the kept rows independent. Each group reads E·d
+normals for Ξ, then L for u, whatever the rank: d + L per block at the usual
+E = 1, against L·d for the z_l. The draw is exact for one chain per group,
+which is why ``_advance_blocks`` takes k = 1: chains that shared noise would
+need the joint law of all their margins.
 
 The two kernels therefore agree in law, not bit for bit. With a full draw of
 the z_l in ``_advance``'s order put in place of ``_block_noise``, they see the
@@ -116,7 +110,9 @@ import bisect
 
 import numpy as np
 
-from .core import Dataset, InvalidParameterError, RngStream, _require_count, seeded_rng
+from .core import (
+    Dataset, InfinitePrivacyLossError, InvalidParameterError, RngStream, _require_count, seeded_rng,
+)
 from .losses import QUADRATIC, GlmLoss, loss_bounds
 from .schedules import MultiPassSchedule, SinglePassSchedule
 
@@ -152,6 +148,19 @@ def _steps(etas, lambda_etas, beta0: float, batch_sizes) -> tuple:
     return etas, lambda_etas, np.sqrt(lambda_etas * (2.0 - lambda_etas) * beta0), batch_sizes
 
 
+def _schedule_steps(schedule) -> tuple:
+    """``_steps`` of a schedule's arrays; refuses a schedule with σ_t = 0 at any
+    step, naming the first (the module docstring says why)."""
+    steps = _steps(schedule.etas, schedule.lambda_etas, schedule.beta0, schedule.batch_sizes)
+    sigmas = steps[2]
+    if not sigmas.all():
+        raise InfinitePrivacyLossError(
+            f"sigma_t = 0 at step t = {int(sigmas.argmin()) + 1} of {len(sigmas)}: a step "
+            f"without noise has unbounded privacy loss (beta0 = {schedule.beta0:.6g})"
+        )
+    return steps
+
+
 def _stacked(Xs, ys) -> tuple:
     """(X, y, firsts): the rows of every (Xs[i], ys[i]) in one array each, and
     the index of each one's first row there.
@@ -169,8 +178,8 @@ def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, l
     """The per-step kernel: the module docstring gives its contract.
 
     Step t reads the next |M_t| entries of group j's index row ``orders[j]``
-    and, when σ_t > 0, one noise row from ``noise_gens[j]``, the same for the
-    group's k chains.
+    and one noise row from ``noise_gens[j]``, the same for the group's k
+    chains.
     """
     etas, lambda_etas, sigmas, batch_sizes = steps
     X_all, y_all, firsts = data
@@ -194,17 +203,15 @@ def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, l
         X_block, y_block = np.take(X_all, rows, axis=0), np.take(y_all, rows)
         pos += m
         sig = sigmas[start:stop]
-        scales = sig[sig > 0.0]
-        draws = len(scales)
-        for gen, group_noise in zip(noise_gens, noise_block):
-            gen.standard_normal(out=group_noise[:draws])
-        # σ_t·z_t for the block's noisy steps at once: the same products as step by step
-        noise_block[:, :draws] *= scales[:, None, None]
-        noise = iter(noise_block[:, :draws].swapaxes(0, 1))
+        noise = noise_block[:, : len(sig)]
+        for gen, group_noise in zip(noise_gens, noise):
+            gen.standard_normal(out=group_noise)
+        # σ_t·z_t for the whole block at once: the same products as step by step
+        noise *= sig[:, None, None]
         q = 0
-        for t, b, eta, le, s in zip(
+        for t, b, eta, le, z in zip(
             range(start + 1, stop + 1), sizes.tolist(),
-            etas[start:stop].tolist(), lambda_etas[start:stop].tolist(), sig.tolist(),
+            etas[start:stop].tolist(), lambda_etas[start:stop].tolist(), noise.swapaxes(0, 1),
         ):
             Xb = X_block[:, :, q : q + b]
             # matmul, not vecdot or einsum: those sum in another order once b > 1
@@ -220,8 +227,7 @@ def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, l
             grad *= eta
             W -= grad
             W *= 1.0 - le
-            if s > 0.0:
-                W += next(noise)
+            W += z
             if t in slots:
                 logged[:, :, slots[t]] = W
     return W, logged
@@ -231,8 +237,8 @@ def _block_cov(A, ends) -> tuple:
     """(M, Σ) of a block with ``A`` = N·diag(σ), (L+1)×L, and ``ends`` ascending to L.
 
     M = A·Ĉ is (L+1)×E, and Σ = BBᵀ with B = A(I − ĈĈᵀ), its rows zeroed
-    where B_j is zero by structure: row 0, the ends, and the rows joined to
-    them by noiseless steps. The module docstring gives the reasons.
+    where B_j is zero by structure: row 0 and the inner ends. The module
+    docstring gives the reasons.
     """
     L = A.shape[1]
     # Ĉ: row A_(e_s) on [e_(s−1), e_s), normalised (0 where it vanishes). The
@@ -246,15 +252,9 @@ def _block_cov(A, ends) -> tuple:
             C[lo:e, s] = piece / norm
         lo = e
     M = A @ C
-    # a noiseless step j (A_(j+1)j = σ_j = 0) joins rows j and j+1; chain[j]
-    # counts the noisy steps before row j, so joined rows share a chain
-    chain = np.zeros(L + 1, dtype=np.intp)
-    np.cumsum(A.diagonal(-1) > 0.0, out=chain[1:])
-    structural = np.zeros(L + 1, dtype=bool)
-    structural[chain[[0, *ends]]] = True
     # Σ formed as BBᵀ: no difference to round below 0
     B = A[:L] - M[:L] @ C.T
-    B *= ~structural[chain[:L], None]
+    B[[0, *ends[:-1]]] = 0.0
     return M, B @ B.T
 
 
@@ -263,14 +263,12 @@ def _block_noise(X, K, A, ends, noise_gens) -> tuple:
 
     ``X`` holds each group's (L, d) rows and ``K`` their (L, L) Gram;
     ζ_j = Σ_l A_jl·z_l with ``A`` = N·diag(σ), (L+1)×L; ``ends`` ascend to L.
-    Returns n, (g, L), and S, (g, len(ends), d). A block with any σ_l > 0
-    reads E·d + L normals from each group's generator (E = len(ends)), one
-    with none reads nothing. The module docstring gives the draw.
+    Returns n, (g, L), and S, (g, len(ends), d). Each group's generator
+    gives E·d + L normals (E = len(ends)). The module docstring gives the
+    draw.
     """
     g, L, d = X.shape
     E = len(ends)
-    if not A.any():
-        return np.zeros((g, L)), np.zeros((g, E, d))
     M, Sigma = _block_cov(A, ends)
     draws = np.empty((g, E * d + L))
     for gen, row in zip(noise_gens, draws):
@@ -306,18 +304,9 @@ def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_
     shrinks = 1.0 - lambda_etas
     grad_coefs = (lambda_etas - 1.0) * etas  # g_l = −a_l·η_l·φ′_l
     logged = np.empty((g, k, len(log_times), d))
-    quiet = sigmas == 0.0
-    some_quiet = quiet.any()
     done = 0  # iterates logged so far
-    start = 0
-    while start < T:
+    for start in range(0, T, _BLOCK_STEPS):
         stop = min(T, start + _BLOCK_STEPS)
-        if some_quiet and not quiet[start:stop].all():
-            # a noiseless step after a noisy one ends the block (see the module docstring)
-            first_noisy = quiet[start:stop].argmin()
-            later = quiet[start + first_noisy : stop]
-            if later.any():
-                stop = start + first_noisy + later.argmax() + 1
         L = stop - start
         # row j holds a_(j−1): P is its running product, N_jl its product over rows l+2..j
         shifted = np.concatenate(([1.0], shrinks[start:stop]))
@@ -358,7 +347,6 @@ def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_
         logged[:, :, done : done + len(block_logs)] = out[:, :, : len(block_logs)]
         done += len(block_logs)
         W = out[:, :, -1]
-        start = stop
     return W, logged
 
 
@@ -404,7 +392,7 @@ def _logged_runs(datasets, loss, schedule, orders, rngs, log_interval):
     times = list(range(log_interval, T + 1, log_interval))
     if T % log_interval:
         times.append(T)
-    steps = _steps(schedule.etas, schedule.lambda_etas, schedule.beta0, schedule.batch_sizes)
+    steps = _schedule_steps(schedule)
     X, y, firsts = _stacked([data.X for data in datasets], [data.y for data in datasets])
     gens = [rng.substream(1).generator for rng in rngs]
     kernel = _advance_blocks if isinstance(schedule, MultiPassSchedule) else _advance
@@ -507,7 +495,7 @@ def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, see
     if marks.ndim != 1 or not in_range:
         raise InvalidParameterError(f"times must be steps in 1..{schedule.T}, got {times}")
     log_times, slots = np.unique(marks, return_inverse=True)
-    steps = _steps(schedule.etas, schedule.lambda_etas, schedule.beta0, schedule.batch_sizes)
+    steps = _schedule_steps(schedule)
     indices = np.stack([
         seeded_rng(seed, 0).generator.integers(0, a.n, size=schedule.T)
         for (a, _), seed in zip(pairs, seeds)

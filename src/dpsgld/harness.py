@@ -8,7 +8,8 @@ neighboring datasets against the closed-form bound), and privacy-utility
 An experiment is its cells (``_cells``): the loss and, for each row group,
 the data law and schedule. Building an ``ExperimentConfig`` builds them, so
 what they refuse is refused before anything runs, and the runners iterate
-the same cells.
+the same cells. A schedule with σ_t = 0 at some step is refused by the
+engine when its cell's runs start, before any file is written.
 
 Determinism contract: every row is a pure function of (config, seed).
 Replicate r draws everything from stream id r of the base seed; the held-out
@@ -68,7 +69,7 @@ from .datagen import (
     draw_dataset,
     population_risk_many,
 )
-from .engine import _steps, coupled_stability_run, run_multi_pass, run_single_pass
+from .engine import _schedule_steps, coupled_stability_run, run_multi_pass, run_single_pass
 from .losses import GlmLoss, loss_bounds
 from .oracles import stability_bound, theorem1_excess_bound, theorem2_excess_bound
 from .privacy import certify_theorem1, certify_theorem2
@@ -397,9 +398,7 @@ def _reduced_single_pass(model: PopulationModel, loss, schedule, reps) -> np.nda
     gens = [rep.substream(DATA_SUBSTREAM).generator for rep in reps]
     alpha = np.zeros(len(gens))
     beta = np.zeros(len(gens))
-    etas, lambda_etas, sigmas, sizes = _steps(
-        schedule.etas, schedule.lambda_etas, schedule.beta0, schedule.batch_sizes
-    )
+    etas, lambda_etas, sigmas, sizes = _schedule_steps(schedule)
     shrinks, etas, sigmas = (1.0 - lambda_etas).tolist(), etas.tolist(), sigmas.tolist()
     runs = np.flatnonzero(np.diff(sizes, prepend=0, append=0))
     for lo, hi in zip(runs[:-1], runs[1:]):

@@ -238,8 +238,8 @@ def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
     own steps and the one before, so memory does not grow with T. The chunks
     call the unchecked formulas: the schedule has checked n, G, β₀ and δ (so
     every δ_t lies in (0, 1)), and the one value a chunk could still get
-    wrong, a zero σ_t from two equal step sizes, makes its ε infinite, which
-    is checked once at the end.
+    wrong, a zero σ_t (two equal step sizes, or σ_t² underflowed), is refused
+    before it is divided by.
     """
     n, T, delta = schedule.n, schedule.T, schedule.delta
     step_max = amplified_max = sum_sq = sum_excess = sum_delta = 0.0
@@ -252,6 +252,8 @@ def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
         ratio = eta_t / etas[:-1]
         eta_eff = eta_t * ratio
         sigma_eff = np.sqrt((1.0 - ratio**2) * schedule.beta0)
+        if not sigma_eff.all():
+            raise InfinitePrivacyLossError(_ZERO_NOISE)
         # amplification divides δ by n, so the Gaussian step gets n·δ_t
         delta_gauss = _delta_allotment(t, n * delta)
         step_eps = _gaussian_epsilon(eta_eff, schedule.G, sigma_eff, delta_gauss)
@@ -261,8 +263,6 @@ def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
         sum_sq += float(np.sum(amplified * amplified))
         sum_excess += float(np.sum(amplified * np.expm1(amplified)))
         sum_delta += float(np.sum(delta_gauss / n))
-    if not math.isfinite(step_max):
-        raise InfinitePrivacyLossError(_ZERO_NOISE)
     return step_max, amplified_max, _composed(sum_sq, sum_excess, sum_delta, delta / 2.0)
 
 

@@ -138,12 +138,13 @@ class TestRunCommand:
         "text, message",
         [
             ("# d=0 n=2 kind=quadratic\n0.5\n-0.5\n", "d must be >= 1, got 0"),
+            ("# d=1 n=0 kind=quadratic\n", "data.csv: header '# d=1 n=0 kind=quadratic': n must be >= 1"),
             ("# d=x n=2 kind=quadratic\n0.5,1\n0.1,-1\n", "data.csv: header '# d=x"),
             ("# d=1 n=2 kind=quadratic\n0.5,abc\n0.1,-1\n", "data.csv: "),
             ("# d=1 n=2 kind=quadratic\n0.5,nan\n0.1,-1\n", "dataset entries must be finite"),
             ("# d=2 n=2 kind=quadratic\n0.9,0.9,1\n0.1,0.1,-1\n", "feature norm 1.27279 > 1"),
         ],
-        ids=["no-features", "header-value", "cell", "label-nan", "outside-unit-ball"],
+        ids=["no-features", "no-rows", "header-value", "cell", "label-nan", "outside-unit-ball"],
     )
     def test_a_malformed_file_is_a_config_error(self, capsys, tmp_path, text, message, mode):
         data_path = tmp_path / "data.csv"
@@ -724,6 +725,58 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err == "error: smoothing half-width must be > 0 and finite, got inf\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestZeroNoiseIsRefused:
+    """A schedule whose σ_t underflows to 0 at some step has an infinite account:
+    every command refuses it with exit 2, warns of nothing and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "settings, step",
+        [
+            (["schedule.eta0=1e-161"], "step t = 8 of 256"),
+            (["mode=multi-pass", "schedule.epsilon=0.3", "schedule.eta0=1e-160"], "step t = 197 of 5898"),
+        ],
+        ids=["single-pass", "multi-pass"],
+    )
+    def test_run(self, capsys, tmp_path, settings, step):
+        argv = ["run", "--out", str(tmp_path)]
+        for setting in settings:
+            argv += ["--set", setting]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: sigma_t = 0 at {step}: ")
+        assert not (tmp_path / "run_record.csv").exists()
+        assert not (tmp_path / "account.txt").exists()
+
+    def test_account(self, capsys):
+        # the report's enumeration refuses σ_t = 0 before dividing by it
+        argv = ["account", "--set", "mode=multi-pass", "--set", "schedule.n=256"]
+        argv += ["--set", "schedule.epsilon=0.3", "--set", "schedule.eta0=1e-160"]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: zero noise with nonzero sensitivity\n"
+
+    @pytest.mark.parametrize(
+        "name, eta0, step",
+        [
+            ("excess-risk-vs-n", "1e-161", "step t = 36 of 128"),
+            ("dimension-independence", "1e-161", "step t = 24 of 512"),
+            ("stability", "1e-161", "step t = 5 of 1000"),
+            # at 1e-161, β₀ of the ε = 0.1 cell is 0, which the schedule refuses
+            ("privacy-utility", "3e-161", "step t = 160 of 655"),
+        ],
+    )
+    def test_experiment(self, capsys, tmp_path, name, eta0, step):
+        argv = ["experiment", "--out", str(tmp_path / "out"), "--set", f"experiment.name={name}"]
+        argv += ["--set", f"experiment.eta0={eta0}", "--set", "experiment.replicates=2"]
+        code, out, err = run_main(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: sigma_t = 0 at {step}: ")
         assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dpsgld import engine
-from dpsgld.core import Dataset, InvalidParameterError, seeded_rng
+from dpsgld.core import Dataset, InfinitePrivacyLossError, InvalidParameterError, seeded_rng
 from dpsgld.engine import coupled_stability_run, run_multi_pass, run_single_pass
 from dpsgld.losses import GlmLoss, loss_bounds
 from dpsgld.schedules import MultiPassSchedule, multi_pass_schedule, single_pass_schedule
@@ -81,6 +81,34 @@ class TestOneStep:
             engine._steps(0.1 * one, 0.1 * one, -1.0, one)
         with pytest.raises(InvalidParameterError, match="not a number"):
             engine._steps(0.1 * one, np.full(1, np.nan), 1.0, one)
+
+
+class TestNoiselessStepsAreRefused:
+    """A schedule whose σ_t² underflows to 0 at some step runs nowhere: its account is infinite."""
+
+    def test_single_pass(self):
+        # β₀ = 1e-323: σ_t = √(λη(2 − λη)β₀) is 0 from step 8 on
+        sched = single_pass_schedule(256, 1.0, 1e-161, 0.5, 1e-5)
+        assert sched.beta0 > 0.0
+        with pytest.raises(InfinitePrivacyLossError, match=r"sigma_t = 0 at step t = 8 of 256"):
+            run_single_pass(toy_dataset(sched.sample_budget, 3), LOGISTIC, sched, seeded_rng(0, 0))
+
+    def test_multi_pass(self, monkeypatch):
+        sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1e-161, 1.0)
+        assert sched.beta0 > 0.0
+
+        def kernel(*args):
+            raise AssertionError("a noiseless schedule reached a kernel")
+
+        monkeypatch.setattr(engine, "_advance_blocks", kernel)
+        with pytest.raises(InfinitePrivacyLossError, match=f"step t = 10 of {sched.T}"):
+            run_multi_pass([toy_dataset(40, 3)], LOGISTIC, sched, [seeded_rng(0, 0)])
+
+    def test_coupled_stability_run(self):
+        sched = multi_pass_schedule(20, 1.5, 0.9, 1e-4, 1e-161, 1.0)
+        data = toy_dataset(20, 3)
+        with pytest.raises(InfinitePrivacyLossError, match=f"step t = 14 of {sched.T}"):
+            coupled_stability_run([(data, data)], LOGISTIC, sched, [3], [1, sched.T])
 
 
 class TestRunSinglePass:
@@ -362,12 +390,9 @@ class TestReplicateBatches:
 
 
 def _full_draw(X, K, A, ends, noise_gens):
-    """``engine._block_noise`` from a full draw: z_l for the noisy steps only, in ``_advance``'s order."""
+    """``engine._block_noise`` from a full draw: z_l for every step, in ``_advance``'s order."""
     g, L, d = X.shape
-    noisy = np.diagonal(A, offset=-1) > 0.0  # A_(l+1)l = σ_l
-    Z = np.zeros((g, L, d))
-    for gen, z in zip(noise_gens, Z):
-        z[noisy] = gen.standard_normal((int(noisy.sum()), d))
+    Z = np.stack([gen.standard_normal((L, d)) for gen in noise_gens])
     return ((X @ Z.mT) * A[:L]).sum(axis=-1), A[ends] @ Z
 
 
@@ -432,59 +457,17 @@ class TestBlockKernel:
         self.assert_close(W_ref, W)
         np.testing.assert_array_equal(got[:, :, -1], W)
 
-    def test_hand_built_schedule_without_noise_draws_nothing(self):
-        T = 100
-        gen = np.random.default_rng(3)
-        etas = 0.5 * gen.random(T)
-        lambda_etas = 2.0 * gen.random(T)
-        lambda_etas[[0, 40]] = 1.0    # these steps forget w
-        lambda_etas[50:60] = 0.0      # no shrink
-        steps = engine._steps(etas, lambda_etas, 0.0, np.ones(T, dtype=np.int64))
-        assert not steps[2].any()
-        datasets, orders = self.inputs("logistic", 3, T, seed=5)
-        gens = [np.random.default_rng(60 + r) for r in range(3)]
-        X, y, firsts = engine._stacked([data.X for data in datasets], [data.y for data in datasets])
-        engine._advance_blocks(
-            np.zeros((3, 1, self.D)), (X, y, firsts[:, None]), LOGISTIC, orders, steps, gens,
-            list(range(1, T + 1)),
-        )
-        # no noise was drawn: each stream is where it started
-        for r, gen in enumerate(gens):
-            assert gen.random() == np.random.default_rng(60 + r).random()
-        reference, got, _, _ = self.both(LOGISTIC, datasets, orders, steps, 60, list(range(1, T + 1)))
-        self.assert_close(reference, got)
-        # λη = 1 with no noise sends w to zero at step 41, whatever came before
-        assert not got[:, :, 40].any()
-
-    def test_mixed_noisy_and_noiseless_steps(self):
-        # λη = 0 (no shrink) and λη = 2 steps have σ = 0 inside a block of noisy steps
-        T = 90
-        gen = np.random.default_rng(4)
-        etas = 0.4 * gen.random(T)
-        lambda_etas = 0.5 * gen.random(T)
-        lambda_etas[0] = 1.0
-        lambda_etas[[5, 17, 18, 70]] = 0.0
-        lambda_etas[33] = 2.0
-        steps = engine._steps(etas, lambda_etas, 0.8, np.ones(T, dtype=np.int64))
-        datasets, orders = self.inputs("smoothed-hinge", 2, T, seed=9)
-        log_times = list(range(3, T + 1, 3))
-        reference, got, W_ref, W = self.both(
-            GlmLoss("smoothed-hinge"), datasets, orders, steps, 70, log_times
-        )
-        self.assert_close(reference, got)
-        self.assert_close(W_ref, W)
-
     def test_noisy_schedule_with_full_and_reversing_shrinks_mid_block(self):
-        # λη = 1 (a = 0: w forgotten, fresh noise) and λη = 2 (a = −1, σ = 0)
+        # λη = 1 (a = 0: w forgotten, fresh noise) and λη = 1.9 (a = −0.9)
         # inside blocks of noisy steps
         T = 100
         gen = np.random.default_rng(6)
         etas = 0.5 * gen.random(T)
-        lambda_etas = 0.6 * gen.random(T)
+        lambda_etas = 0.05 + 0.55 * gen.random(T)
         lambda_etas[[0, 10, 40, 41, 63]] = 1.0
-        lambda_etas[[20, 45, 46, 95]] = 2.0
+        lambda_etas[[20, 45, 46, 95]] = 1.9
         steps = engine._steps(etas, lambda_etas, 0.8, np.ones(T, dtype=np.int64))
-        assert steps[2][1] > 0.0 and steps[2][20] == 0.0
+        assert steps[2].all()
         datasets, orders = self.inputs("quadratic", 2, T, seed=12)
         log_times = [5, 10, 11, 32, 33, 41, 64, 77, 100]
         reference, got, W_ref, W = self.both(QUADRATIC, datasets, orders, steps, 80, log_times)
@@ -534,7 +517,7 @@ class TestBlockNoise:
     """engine._block_noise: the law of (n, S) and the count of normals it reads."""
 
     # a block of L = 7 steps in d = 3 < L, row 4 repeating row 1, a full shrink
-    # (a = 0) at step 3, a noiseless step 5 (λη = 2), and logs after steps 2 and 5
+    # (a = 0) at step 3, a reversing step 5 (λη = 1.8), and logs after steps 2 and 5
     L, D = 7, 3
     ENDS = [2, 5, 7]
 
@@ -544,7 +527,7 @@ class TestBlockNoise:
         X = gen.standard_normal((self.L, d))
         X[4] = X[1]
         lambda_etas = 0.2 + 0.6 * gen.random(self.L)
-        lambda_etas[[3, 5]] = [1.0, 2.0]
+        lambda_etas[[3, 5]] = [1.0, 1.8]
         sigmas = engine._steps(np.ones(self.L), lambda_etas, 0.7, np.ones(self.L))[2]
         a = 1.0 - lambda_etas
         N = np.array([
@@ -581,13 +564,6 @@ class TestBlockNoise:
         fresh.standard_normal(len(ends) * d + self.L)
         assert gen.random() == fresh.random()
 
-    def test_a_noiseless_block_reads_nothing(self):
-        X, K, A = self.block()
-        gen = np.random.default_rng(5)
-        n, S = engine._block_noise(X[None], K[None], 0.0 * A, self.ENDS, [gen])
-        assert not n.any() and not S.any() and S.shape == (1, len(self.ENDS), self.D)
-        assert gen.random() == np.random.default_rng(5).random()
-
     def test_zero_tiny_and_repeated_rows_factor_and_keep_the_law(self):
         # kept rows with x = 0 (row 1), a 10⁻⁹-norm row (row 3) and three
         # parallel rows (2, 5 and 6), a full shrink at step 2 and an inner
@@ -621,13 +597,12 @@ class TestBlockNoise:
         assert worst <= 4.5, worst
 
     def test_structural_rows_are_decoupled(self):
-        # row 0, the inner ends 2 and 5, and row 6, joined to end 5 by the
-        # noiseless step 5, have B_j = 0 up to rounding and exactly 0 rows of
-        # Σ; the other rows keep Σ = BBᵀ
+        # row 0 and the inner ends 2 and 5 have B_j = 0 up to rounding and
+        # exactly 0 rows of Σ; the other rows keep Σ = BBᵀ
         X, K, A = self.block()
         M, Sigma = engine._block_cov(A, self.ENDS)
         kept = Sigma.diagonal() > 0.0
-        np.testing.assert_array_equal(kept, [False, True, False, True, True, False, False])
+        np.testing.assert_array_equal(kept, [False, True, False, True, True, False, True])
         # BBᵀ = AAᵀ − MMᵀ, since Ĉ has orthonormal columns
         BB = A[: self.L] @ A[: self.L].T - M[: self.L] @ M[: self.L].T
         tolerance = 1e-14 * np.abs(A).max() ** 2
@@ -638,8 +613,8 @@ class TestBlockNoise:
     def test_block_kernel_has_the_law_of_the_per_step_kernel(self):
         # 4 000 chains a side on one quadratic dataset (n = 5, d = 3 < L, row 4
         # repeating row 1), T = 80 with η in [0.5, 2] so that the margin noise
-        # moves the iterate, a full shrink at step 40, noiseless steps 20
-        # (λη = 0) and 50 (λη = 2), and logs inside blocks and at their ends.
+        # moves the iterate, a full shrink at step 40, a reversing step 50
+        # (λη = 1.9), and logs inside blocks and at their ends.
         # At each logged step every mean and second moment of the coordinates
         # must agree within 4.5 standard errors; fixed before the first run.
         chains, T, d = 4000, 80, 3
@@ -650,7 +625,7 @@ class TestBlockNoise:
         y = np.array([0.8, -0.5, 0.3, -0.9, 0.6])
         etas = 0.5 + 1.5 * gen.random(T)
         lambda_etas = 0.05 + 0.25 * gen.random(T)
-        lambda_etas[[0, 39, 19, 49]] = [1.0, 1.0, 0.0, 2.0]
+        lambda_etas[[0, 39, 49]] = [1.0, 1.0, 1.9]
         steps = engine._steps(etas, lambda_etas, 1.0, np.ones(T, dtype=np.int64))
         log_times = [10, 32, 45, 50, 64, 71, 80]
         samples = []
@@ -713,30 +688,6 @@ def test_every_block_of_a_multi_pass_schedule_is_well_conditioned(
     run_multi_pass([toy_dataset(n, 3)], LOGISTIC, sched, [seeded_rng(1, 0)], log_interval=log_interval)
     assert len(conditions) == -(-sched.T // engine._BLOCK_STEPS)
     assert max(conditions) < MAX_SIGMA_CONDITION
-
-
-def test_a_noiseless_step_after_a_noisy_one_ends_the_block(monkeypatch):
-    # noiseless steps (0-based) 0-2, 11 and 64-65 lead their blocks; 10, 40
-    # and 63 follow noisy steps, so a block ends after each of them
-    T = 100
-    lambda_etas = np.full(T, 0.3)
-    lambda_etas[[0, 1, 11, 40, 64, 65]] = 0.0
-    lambda_etas[[2, 10, 63]] = 2.0
-    steps = engine._steps(np.full(T, 0.2), lambda_etas, 0.5, np.ones(T, dtype=np.int64))
-    lengths = []
-    block_noise = engine._block_noise
-
-    def record(X, K, A, ends, noise_gens):
-        lengths.append(A.shape[1])
-        return block_noise(X, K, A, ends, noise_gens)
-
-    monkeypatch.setattr(engine, "_block_noise", record)
-    data = toy_dataset(5, 3)
-    engine._advance_blocks(
-        np.zeros((1, 1, 3)), (data.X, data.y, np.zeros((1, 1), dtype=np.int64)), LOGISTIC,
-        np.zeros((1, T), dtype=np.int64), steps, [np.random.default_rng(0)], [T],
-    )
-    assert np.cumsum(lengths).tolist() == [11, 41, 64, 96, 100]
 
 
 def test_the_library_runs_without_scipy(tmp_path):
