@@ -2,7 +2,7 @@
 
 Each experiment goes through ``dpsgld experiment``, which writes one CSV plus
 one config/summary sidecar into --out and prints its summary. The full set
-takes 14 s on a 2-core Xeon VM, nearly all of it privacy-utility; pass
+took 11-12 s in four runs on a 2-core Xeon VM, 9.5-10.5 s of it privacy-utility; pass
 --only to run a subset, e.g. --only stability --only excess-risk-vs-n. Exits
 nonzero if any run fails.
 """

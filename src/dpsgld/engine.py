@@ -68,7 +68,7 @@ rounding test, so that their rows of Σ are exactly 0. The other rows are
 kept. r is drawn as W·F·u with u ~ N(0, I_L), W = diag(w),
 w_j = √(K_jj·Σ_jj) = ‖x_j‖·‖B_j‖, and F the Cholesky factor of W⁻¹(K∘Σ)W⁻¹
 with unit rows where w_j = 0: one batched ``np.linalg.cholesky`` over the g
-groups. That matrix is K̂∘Σ′, where K̂ is the
+groups and the blocks of a chunk. That matrix is K̂∘Σ′, where K̂ is the
 correlation matrix of the x_j and Σ′ that of the kept B_j, each with unit rows
 where the row is zero. K̂ is positive semidefinite with a unit diagonal, so by
 Schur's bounds λ_min(Σ′) <= λ(K̂∘Σ′) <= λ_max(Σ′): the factor is as well
@@ -89,6 +89,19 @@ the z_l in ``_advance``'s order put in place of ``_block_noise``, they see the
 same indices and noise and do the same arithmetic in another order, so they
 differ only by rounding: tests/test_engine.py holds them within
 1e-12·max(1, max|w|) that way, and tests the law of the draw on its own.
+
+``_advance_blocks`` works a chunk at a time: a run of consecutive blocks
+with the same length and the same logged steps inside them (``_chunks``),
+capped so that its rows (g·L·d floats a block) and its K (g·L²) each fit in
+``_NOISE_BLOCK_FLOATS``, the per-step kernel's bound. It first prepares the
+chunk, one NumPy call for all its blocks wherever the iterate is not read:
+the rows, K = XXᵀ, P and N, ``_block_cov``, the normals, X·Ξᵀ, K̂∘Σ′ and its
+Cholesky factors. Then it solves the blocks one by one, doing only what reads
+W: the base margins P·XW + n, the sweeps and the end iterates. Each group's
+normals for the chunk come from one ``standard_normal`` call on its generator,
+block after block, and one draw of m normals gives the numbers of successive
+draws that add up to m; no other operation changes its order within a block
+either, so every chunking gives the same bits.
 
 A run stacks its replicates' index rows and makes one kernel call. Every
 replicate draws from its own generators, so its output does not depend on
@@ -114,11 +127,12 @@ from .core import (
     Dataset, InfinitePrivacyLossError, InvalidParameterError, RngStream, _require_count, seeded_rng,
 )
 from .losses import QUADRATIC, GlmLoss, loss_bounds
-from .schedules import MultiPassSchedule, SinglePassSchedule
+from .schedules import MultiPassSchedule, SinglePassSchedule, _noise_scales
 
 # A block of steps gathers about 1 MB of rows (unit batches) across all
 # chains and draws its noise rows at once: one (m, d) draw gives the same
-# numbers as m successive draws of d.
+# numbers as m successive draws of d. A chunk of _advance_blocks keeps its
+# rows, and its K, within the same bound.
 _NOISE_BLOCK_FLOATS = 1 << 17
 # Unit-batch steps per block of _advance_blocks. With k = 256 on a 2-core Xeon
 # VM, 64 ran best at 2 replicates and 16 at 30 (the Gram matmuls grow with
@@ -145,7 +159,7 @@ def _steps(etas, lambda_etas, beta0: float, batch_sizes) -> tuple:
         )
     if beta0 < 0:
         raise InvalidParameterError(f"beta0 must be >= 0, got {beta0}")
-    return etas, lambda_etas, np.sqrt(lambda_etas * (2.0 - lambda_etas) * beta0), batch_sizes
+    return etas, lambda_etas, _noise_scales(lambda_etas, beta0), batch_sizes
 
 
 def _schedule_steps(schedule) -> tuple:
@@ -234,119 +248,151 @@ def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, l
 
 
 def _block_cov(A, ends) -> tuple:
-    """(M, Σ) of a block with ``A`` = N·diag(σ), (L+1)×L, and ``ends`` ascending to L.
+    """(M, Σ) of a stack of blocks: ``A`` holds each one's N·diag(σ), (L+1)×L,
+    and ``ends`` ascend to L, the same for every block.
 
-    M = A·Ĉ is (L+1)×E, and Σ = BBᵀ with B = A(I − ĈĈᵀ), its rows zeroed
-    where B_j is zero by structure: row 0 and the inner ends. The module
-    docstring gives the reasons.
+    M = A·Ĉ is (B, L+1, E), and Σ = BBᵀ, (B, L, L), with B = A(I − ĈĈᵀ), its
+    rows zeroed where B_j is zero by structure: row 0 and the inner ends. The
+    module docstring gives the reasons.
     """
-    L = A.shape[1]
+    L = A.shape[-1]
     # Ĉ: row A_(e_s) on [e_(s−1), e_s), normalised (0 where it vanishes). The
     # ends are nested, so these disjoint pieces span every row A_e.
-    C = np.zeros((L, len(ends)))
+    C = np.zeros((len(A), L, len(ends)))
     lo = 0
     for s, e in enumerate(ends):
-        piece = A[e, lo:e]
-        norm = np.sqrt(piece @ piece)
-        if norm > 0.0:
-            C[lo:e, s] = piece / norm
+        piece = A[:, e, lo:e]
+        # vecdot: each block's dot product piece·piece, as ``piece @ piece`` forms it
+        norm = np.sqrt(np.vecdot(piece, piece))[:, None]
+        np.divide(piece, norm, out=C[:, lo:e, s], where=norm > 0.0)
         lo = e
     M = A @ C
     # Σ formed as BBᵀ: no difference to round below 0
-    B = A[:L] - M[:L] @ C.T
-    B[[0, *ends[:-1]]] = 0.0
-    return M, B @ B.T
+    B = A[:, :L] - M[:, :L] @ C.mT
+    B[:, [0, *ends[:-1]]] = 0.0
+    return M, B @ B.mT
 
 
 def _block_noise(X, K, A, ends, noise_gens) -> tuple:
-    """(n, S) of one block, exact in law: the margin noise n_j = x_jᵀζ_j and the end sums ζ_e.
+    """(n, S) of a stack of B blocks, exact in law: the margin noise n_j = x_jᵀζ_j and the end sums ζ_e.
 
-    ``X`` holds each group's (L, d) rows and ``K`` their (L, L) Gram;
-    ζ_j = Σ_l A_jl·z_l with ``A`` = N·diag(σ), (L+1)×L; ``ends`` ascend to L.
-    Returns n, (g, L), and S, (g, len(ends), d). Each group's generator
-    gives E·d + L normals (E = len(ends)). The module docstring gives the
-    draw.
+    ``X`` holds each block's (g, L, d) rows and ``K`` their (g, L, L) Grams;
+    ζ_j = Σ_l A_jl·z_l with ``A`` = N·diag(σ), (B, L+1, L); ``ends`` ascend to
+    L. Returns n, (B, g, L), and S, (B, g, len(ends), d). Each group's
+    generator gives E·d + L normals a block (E = len(ends)), the B blocks'
+    in one draw. The module docstring gives the draw.
     """
-    g, L, d = X.shape
+    blocks, g, L, d = X.shape
     E = len(ends)
     M, Sigma = _block_cov(A, ends)
-    draws = np.empty((g, E * d + L))
+    draws = np.empty((g, blocks, E * d + L))
     for gen, row in zip(noise_gens, draws):
         gen.standard_normal(out=row)
-    Xi = draws[:, : E * d].reshape(g, E, d)
-    n = ((X @ Xi.mT) * M[:L]).sum(axis=-1)
+    draws = draws.swapaxes(0, 1)
+    Xi = draws[..., : E * d].reshape(blocks, g, E, d)
+    n = ((X @ Xi.mT) * M[:, None, :L]).sum(axis=-1)
     # the rest of each ζ_j is independent of Ξ, with covariance K∘Σ: drawn as
     # W·F·u, F the Cholesky factor of K̂∘Σ′ = W⁻¹(K∘Σ)W⁻¹ with unit rows where
     # w_j = √(K_jj·Σ_jj) = ‖x_j‖·‖B_j‖ is 0
-    KS = K * Sigma
-    scales = np.sqrt(KS.diagonal(axis1=1, axis2=2))
+    KS = K * Sigma[:, None]
+    scales = np.sqrt(KS.diagonal(axis1=-2, axis2=-1))
     # a row with w_j = 0 is zero, so any finite 1/w_j zeroes it
     inverse = 1.0 / np.maximum(scales, _MIN_SCALE)
-    KS *= inverse[:, :, None] * inverse[:, None, :]
-    KS.reshape(g, L * L)[:, :: L + 1] = 1.0
-    n += (np.linalg.cholesky(KS) @ draws[:, E * d :, None])[..., 0] * scales
-    return n, M[ends] @ Xi
+    KS *= inverse[..., :, None] * inverse[..., None, :]
+    KS.reshape(-1, L * L)[:, :: L + 1] = 1.0
+    n += (np.linalg.cholesky(KS) @ draws[..., E * d :, None])[..., 0] * scales
+    return n, M[:, None, ends] @ Xi
+
+
+def _chunks(T: int, log_times, most: int):
+    """Runs of at most ``most`` consecutive blocks alike in length and in the steps they log.
+
+    Yields (start, count, L, logs): the run's first step, its number of
+    blocks, their length L and the steps each logs, counted from its own
+    start.
+    """
+    chunk = None
+    done = 0  # log steps passed
+    for start in range(0, T, _BLOCK_STEPS):
+        stop = min(T, start + _BLOCK_STEPS)
+        end = bisect.bisect_right(log_times, stop, lo=done)
+        key = [stop - start, [t - start for t in log_times[done:end]]]
+        done = end
+        if chunk and chunk[1] < most and chunk[2:] == key:
+            chunk[1] += 1
+            continue
+        if chunk:
+            yield tuple(chunk)
+        chunk = [start, 1, *key]
+    if chunk:
+        yield tuple(chunk)
 
 
 def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, log_times) -> tuple:
     """The block kernel for unit batches and one chain per group (k = 1).
 
-    The module docstring gives its contract, its solve and its noise draw.
-    Group j reads its rows in the order ``_advance`` reads them, and its
-    noise from ``noise_gens[j]`` through ``_block_noise``.
+    The module docstring gives its contract, its solve, its noise draw and
+    its chunks. Group j reads its rows in the order ``_advance`` reads them,
+    and its noise from ``noise_gens[j]`` through ``_block_noise``.
     """
     etas, lambda_etas, sigmas, _ = steps
     X_all, y_all, firsts = data
-    firsts = firsts[..., None]
     W = np.array(W0, dtype=np.float64)
     g, k, d = W.shape
     T = len(etas)
     shrinks = 1.0 - lambda_etas
     grad_coefs = (lambda_etas - 1.0) * etas  # g_l = −a_l·η_l·φ′_l
     logged = np.empty((g, k, len(log_times), d))
+    # a chunk's rows, and its K, fit in _NOISE_BLOCK_FLOATS
+    most = max(1, _NOISE_BLOCK_FLOATS // (g * _BLOCK_STEPS * max(d, _BLOCK_STEPS)))
     done = 0  # iterates logged so far
-    for start in range(0, T, _BLOCK_STEPS):
-        stop = min(T, start + _BLOCK_STEPS)
-        L = stop - start
+    for start, count, L, logs in _chunks(T, log_times, most):
+        stop = start + count * L
+        # the logged iterates and each block's last one
+        ends = logs if logs and logs[-1] == L else [*logs, L]
+        # prepare the chunk: all that does not read W
         # row j holds a_(j−1): P is its running product, N_jl its product over rows l+2..j
-        shifted = np.concatenate(([1.0], shrinks[start:stop]))
-        P = shifted.cumprod()
-        N = np.where(_BEFORE_LAST[: L + 1, :L], shifted[:, None], 1.0).cumprod(axis=0)
+        shifted = np.ones((count, L + 1))
+        shifted[:, 1:] = shrinks[start:stop].reshape(count, L)
+        P = shifted.cumprod(axis=1)
+        N = np.where(_BEFORE_LAST[: L + 1, :L], shifted[..., None], 1.0).cumprod(axis=1)
         N *= _BEFORE[: L + 1, :L]
-        rows = orders[:, None, start:stop] + firsts
+        local = orders[:, start:stop].reshape(g, count, L).swapaxes(0, 1)
+        rows = (local + firsts)[:, :, None]
         X = np.take(X_all, rows, axis=0)
         y = np.take(y_all, rows)
-        # the logged iterates and the block's last one
-        block_logs = log_times[done : bisect.bisect_right(log_times, stop, lo=done)]
-        ends = [t - start for t in block_logs]
-        if not ends or ends[-1] != L:
-            ends.append(L)
         K = X @ X.mT
-        noise, ends_noise = _block_noise(X[:, 0], K[:, 0], N * sigmas[start:stop], ends, noise_gens)
-        K *= N[:L]
-        phi_scale = grad_coefs[start:stop]
-        # margins = base + (N∘K)·g, base_j = P_j·x_jᵀw₀ + n_j
-        base = P[:L] * (X @ W[..., None])[..., 0]
-        base += noise[:, None]
-        # row j of the sweep reads only rows before it, so it is final after
-        # j + 1 sweeps; the fixed point is the forward-substitution answer
-        coefs = np.zeros((g, k, L))
-        for _ in range(L + 1):
-            margins = (K @ coefs[..., None])[..., 0]
-            margins += base
-            swept = loss.clipped_phi_prime(margins, y)
-            swept *= phi_scale
-            if (swept == coefs).all():
-                break
-            coefs = swept
-        # the ends' iterates from their rows of N
-        N_ends = N[ends]
-        out = (coefs[..., None, :] * N_ends) @ X
-        out += ends_noise[:, None]
-        out += P[ends, None] * W[..., None, :]
-        logged[:, :, done : done + len(block_logs)] = out[:, :, : len(block_logs)]
-        done += len(block_logs)
-        W = out[:, :, -1]
+        noise, ends_noise = _block_noise(
+            X[:, :, 0], K[:, :, 0], N * sigmas[start:stop].reshape(count, 1, L), ends, noise_gens
+        )
+        K *= N[:, None, None, :L]
+        # solve block by block: margins = base + (N∘K)·g, base_j = P_j·x_jᵀw₀ + n_j
+        for X_b, y_b, K_b, P_b, P_ends, N_b, phi_scale, noise_b, ends_noise_b in zip(
+            X, y, K, P[:, :L], P[:, ends, None], N[:, ends], grad_coefs[start:stop].reshape(count, L),
+            noise, ends_noise,
+        ):
+            base = P_b * (X_b @ W[..., None])[..., 0]
+            base += noise_b[:, None]
+            # row j of the sweep reads only rows before it, so it is final after
+            # j + 1 sweeps; the fixed point is the forward-substitution answer.
+            # The first sweep, from g = 0, reads the base margins alone.
+            coefs = np.zeros((g, k, L))
+            margins = base
+            for _ in range(L + 1):
+                swept = loss.clipped_phi_prime(margins, y_b)
+                swept *= phi_scale
+                if (swept == coefs).all():
+                    break
+                coefs = swept
+                margins = (K_b @ coefs[..., None])[..., 0]
+                margins += base
+            # the ends' iterates from their rows of N
+            out = (coefs[..., None, :] * N_b) @ X_b
+            out += ends_noise_b[:, None]
+            out += P_ends * W[..., None, :]
+            logged[:, :, done : done + len(logs)] = out[:, :, : len(logs)]
+            done += len(logs)
+            W = out[:, :, -1]
     return W, logged
 
 

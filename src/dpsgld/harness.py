@@ -8,8 +8,9 @@ neighboring datasets against the closed-form bound), and privacy-utility
 An experiment is its cells (``_cells``): the loss and, for each row group,
 the data law and schedule. Building an ``ExperimentConfig`` builds them, so
 what they refuse is refused before anything runs, and the runners iterate
-the same cells. A schedule with σ_t = 0 at some step is refused by the
-engine when its cell's runs start, before any file is written.
+the same cells. ``run_experiment`` passes every cell's schedule through the
+engine's ``_schedule_steps`` before any data is drawn, so a schedule with
+σ_t = 0 at some step is refused before any cell runs or any file is written.
 
 Determinism contract: every row is a pure function of (config, seed).
 Replicate r draws everything from stream id r of the base seed; the held-out
@@ -680,7 +681,13 @@ def summarize(config: ExperimentConfig, rows) -> dict:
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[list, dict]:
-    """Dispatch on the experiment name; returns (rows, summary)."""
+    """Dispatch on the experiment name; returns (rows, summary).
+
+    Every cell's schedule first goes through ``_schedule_steps``, so a
+    schedule with σ_t = 0 at some step is refused before any cell runs.
+    """
+    for _, _, schedule in _cells(config)[1]:
+        _schedule_steps(schedule)
     runner = {
         EXCESS_RISK_VS_N: experiment_single_pass,
         DIMENSION_INDEPENDENCE: experiment_single_pass,

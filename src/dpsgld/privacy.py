@@ -30,7 +30,7 @@ from .core import (
     _require_count,
     _require_unit_interval,
 )
-from .schedules import MultiPassSchedule, SinglePassSchedule, _multi_pass_etas
+from .schedules import MultiPassSchedule, SinglePassSchedule, _multi_pass_etas, _noise_scales
 
 # Per-step enumeration in the account report is vectorized over chunks of
 # _REPORT_CHUNK steps; past _REPORT_STEP_CAP steps only the closed form is
@@ -288,6 +288,10 @@ def account_report(schedule) -> str:
         f"sample_budget = {schedule.sample_budget}",
     ]
     if isinstance(schedule, SinglePassSchedule):
+        # σ_t with λ_tη = 1/t falls with t, so the last step has the
+        # smallest: σ_T = 0 (underflow) iff some σ_t = 0
+        if not _noise_scales(1.0 / schedule.T, schedule.beta0):
+            raise InfinitePrivacyLossError(_ZERO_NOISE)
         rdp = single_pass_rdp(schedule.renyi_order, schedule.eta, schedule.G, schedule.beta0)
         dp = rdp_to_dp(rdp, schedule.delta)
         lines += [

@@ -192,6 +192,11 @@ def multi_pass_schedule(
     )
 
 
+def _noise_scales(lambda_etas, beta0: float):
+    """σ_t = √(λ_tη_t(2 − λ_tη_t)β₀), for one λ_tη_t or an array of them."""
+    return np.sqrt(lambda_etas * (2.0 - lambda_etas) * beta0)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a

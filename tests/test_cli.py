@@ -751,10 +751,20 @@ class TestZeroNoiseIsRefused:
         assert not (tmp_path / "run_record.csv").exists()
         assert not (tmp_path / "account.txt").exists()
 
-    def test_account(self, capsys):
-        # the report's enumeration refuses σ_t = 0 before dividing by it
-        argv = ["account", "--set", "mode=multi-pass", "--set", "schedule.n=256"]
-        argv += ["--set", "schedule.epsilon=0.3", "--set", "schedule.eta0=1e-160"]
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            # σ_t = 0 from step 8: the report checks σ_T, the smallest
+            ["schedule.T=256", "schedule.eta0=1e-161"],
+            # the enumeration refuses σ_t = 0 before dividing by it
+            ["mode=multi-pass", "schedule.n=256", "schedule.epsilon=0.3", "schedule.eta0=1e-160"],
+        ],
+        ids=["single-pass", "multi-pass"],
+    )
+    def test_account(self, capsys, settings):
+        argv = ["account"]
+        for setting in settings:
+            argv += ["--set", setting]
         code, out, err = run_main(capsys, argv)
         assert code == 2
         assert out == ""

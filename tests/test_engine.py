@@ -391,9 +391,9 @@ class TestReplicateBatches:
 
 def _full_draw(X, K, A, ends, noise_gens):
     """``engine._block_noise`` from a full draw: z_l for every step, in ``_advance``'s order."""
-    g, L, d = X.shape
-    Z = np.stack([gen.standard_normal((L, d)) for gen in noise_gens])
-    return ((X @ Z.mT) * A[:L]).sum(axis=-1), A[ends] @ Z
+    blocks, g, L, d = X.shape
+    Z = np.stack([gen.standard_normal((blocks, L, d)) for gen in noise_gens], axis=1)
+    return ((X @ Z.mT) * A[:, None, :L]).sum(axis=-1), A[:, None, ends] @ Z
 
 
 class TestBlockKernel:
@@ -474,6 +474,47 @@ class TestBlockKernel:
         self.assert_close(reference, got)
         self.assert_close(W_ref, W)
 
+    def stacked(self, datasets):
+        X, y, firsts = engine._stacked([data.X for data in datasets], [data.y for data in datasets])
+        return X, y, firsts[:, None]
+
+    def blocks(self, datasets, orders, steps, log_times):
+        """(final, logged, blocks per _block_noise call) of the block kernel."""
+        g = len(orders)
+        counts = []
+        block_noise = engine._block_noise
+
+        def spy(X, *rest):
+            counts.append(len(X))
+            return block_noise(X, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_block_noise", spy)
+            W, logged = engine._advance_blocks(
+                np.zeros((g, 1, self.D)), self.stacked(datasets), LOGISTIC, orders, steps,
+                [np.random.default_rng(70 + r) for r in range(g)], log_times,
+            )
+        return W, logged, counts
+
+    @pytest.mark.parametrize("interval", [1, 100, None])
+    def test_chunks_of_one_block_or_many_give_the_same_bits(self, monkeypatch, interval):
+        # a chunk only shares NumPy calls between blocks: the same draws, the
+        # same arithmetic, the same bits
+        T, g = 300, 2
+        interval = T if interval is None else interval
+        sched = multi_pass_schedule(60, 1.5, 0.9, 1e-4, 1.0, 1.0)
+        steps = engine._steps(sched.etas[:T], sched.lambda_etas[:T], sched.beta0, np.ones(T, dtype=np.int64))
+        log_times = [t for t in range(1, T + 1) if t % interval == 0 or t == T]
+        datasets, orders = self.inputs("logistic", g, T)
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", 1)
+        W_one, one, counts_one = self.blocks(datasets, orders, steps, log_times)
+        monkeypatch.setattr(engine, "_NOISE_BLOCK_FLOATS", 1 << 30)
+        W_many, many, counts_many = self.blocks(datasets, orders, steps, log_times)
+        assert sum(counts_one) == sum(counts_many) == -(-T // engine._BLOCK_STEPS)
+        assert set(counts_one) == {1} and max(counts_many) > 1
+        assert one.tobytes() == many.tobytes()
+        assert W_one.tobytes() == W_many.tobytes()
+
     def test_multi_pass_runs_use_the_block_kernel(self, monkeypatch):
         sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
         assert sched.T > engine._BLOCK_STEPS + 1
@@ -545,9 +586,9 @@ class TestBlockNoise:
         samples = []
         for draw, seed in ((engine._block_noise, 1), (_full_draw, 2)):
             gen = np.random.default_rng(seed)
-            n, S = draw(
-                np.broadcast_to(X, (draws, *X.shape)), np.broadcast_to(K, (draws, *K.shape)), A,
-                self.ENDS, [gen] * draws,
+            [n], [S] = draw(
+                np.broadcast_to(X, (1, draws, *X.shape)), np.broadcast_to(K, (1, draws, *K.shape)),
+                A[None], self.ENDS, [gen] * draws,
             )
             samples.append(_moments(np.concatenate([n, S.reshape(draws, -1)], axis=1)))
         worst = max(_z_scores(*samples))
@@ -559,7 +600,7 @@ class TestBlockNoise:
         # whatever the rank of K∘Σ: 3 when d = 3, full when d = 12
         X, K, A = self.block(d)
         gen = np.random.default_rng(5)
-        engine._block_noise(X[None], K[None], A, ends, [gen])
+        engine._block_noise(X[None, None], K[None, None], A[None], ends, [gen])
         fresh = np.random.default_rng(5)
         fresh.standard_normal(len(ends) * d + self.L)
         assert gen.random() == fresh.random()
@@ -583,24 +624,50 @@ class TestBlockNoise:
         a = 1.0 - lambda_etas
         N = np.array([[np.prod(a[l + 1 : j]) if l < j else 0.0 for l in range(L)] for j in range(L + 1)])
         A = N * sigmas
-        kept = engine._block_cov(A, ends)[1].diagonal() > 0.0
+        kept = engine._block_cov(A[None], ends)[1][0].diagonal() > 0.0
         np.testing.assert_array_equal(kept, [False, True, True, True, False, True, True])
         samples = []
         for draw, seed in ((engine._block_noise, 3), (_full_draw, 4)):
             rng = np.random.default_rng(seed)
-            n, S = draw(
-                np.broadcast_to(X, (draws, L, d)), np.broadcast_to(X @ X.T, (draws, L, L)), A, ends,
-                [rng] * draws,
+            [n], [S] = draw(
+                np.broadcast_to(X, (1, draws, L, d)), np.broadcast_to(X @ X.T, (1, draws, L, L)),
+                A[None], ends, [rng] * draws,
             )
             samples.append(_moments(np.concatenate([n, S.reshape(draws, -1)], axis=1)))
         worst = max(_z_scores(*samples))
         assert worst <= 4.5, worst
 
+    def test_a_stack_of_blocks_is_its_blocks_one_by_one(self):
+        # three blocks of one shape, each with its own steps and rows, for two
+        # groups: one call on the stack gives every bit that a call per block
+        # gives, and leaves each generator where those calls leave it
+        blocks, g, L, d = 3, 2, self.L, self.D
+        gen = np.random.default_rng(34)
+        a = 1.0 - (0.2 + 0.6 * gen.random((blocks, L)))
+        a[1, 3] = 0.0  # a full shrink inside the second block
+        N = np.array([
+            [[np.prod(a[b, l + 1 : j]) if l < j else 0.0 for l in range(L)] for j in range(L + 1)]
+            for b in range(blocks)
+        ])
+        A = N * engine._steps(np.ones(blocks * L), 1.0 - a.ravel(), 0.7, np.ones(blocks * L))[2].reshape(blocks, 1, L)
+        X = gen.standard_normal((blocks, g, L, d))
+        K = X @ X.mT
+        M, Sigma = engine._block_cov(A, self.ENDS)
+        stacked = [np.random.default_rng(60 + j) for j in range(g)]
+        n, S = engine._block_noise(X, K, A, self.ENDS, stacked)
+        one_by_one = [np.random.default_rng(60 + j) for j in range(g)]
+        for b in range(blocks):
+            [M_b], [Sigma_b] = engine._block_cov(A[b : b + 1], self.ENDS)
+            assert M[b].tobytes() == M_b.tobytes() and Sigma[b].tobytes() == Sigma_b.tobytes()
+            [n_b], [S_b] = engine._block_noise(X[b : b + 1], K[b : b + 1], A[b : b + 1], self.ENDS, one_by_one)
+            assert n[b].tobytes() == n_b.tobytes() and S[b].tobytes() == S_b.tobytes()
+        assert [r.bit_generator.state for r in stacked] == [r.bit_generator.state for r in one_by_one]
+
     def test_structural_rows_are_decoupled(self):
         # row 0 and the inner ends 2 and 5 have B_j = 0 up to rounding and
         # exactly 0 rows of Σ; the other rows keep Σ = BBᵀ
         X, K, A = self.block()
-        M, Sigma = engine._block_cov(A, self.ENDS)
+        [M], [Sigma] = engine._block_cov(A[None], self.ENDS)
         kept = Sigma.diagonal() > 0.0
         np.testing.assert_array_equal(kept, [False, True, False, True, True, False, True])
         # BBᵀ = AAᵀ − MMᵀ, since Ĉ has orthonormal columns
@@ -681,7 +748,8 @@ def test_every_block_of_a_multi_pass_schedule_is_well_conditioned(
     block_noise = engine._block_noise
 
     def record(X, K, A, ends, noise_gens):
-        conditions.append(_residual_correlation_condition(engine._block_cov(A, ends)[1]))
+        # one condition number per block of the stack
+        conditions.extend(map(_residual_correlation_condition, engine._block_cov(A, ends)[1]))
         return block_noise(X, K, A, ends, noise_gens)
 
     monkeypatch.setattr(engine, "_block_noise", record)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dpsgld import datagen, engine, harness
-from dpsgld.core import Dataset, InvalidParameterError, seeded_rng
+from dpsgld.core import Dataset, InfinitePrivacyLossError, InvalidParameterError, seeded_rng
 from dpsgld.datagen import PopulationModel, draw_dataset
 from dpsgld.harness import (
     COMPLEMENT_SUBSTREAM,
@@ -283,6 +283,27 @@ def small_config(experiment, **overrides):
     }[experiment]
     base.update(overrides)
     return ExperimentConfig(experiment=experiment, seed=99, **base)
+
+
+@pytest.mark.parametrize(
+    ("name", "eta0", "step"),
+    [
+        (EXCESS_RISK_VS_N, 1e-161, "36 of 128"),
+        (DIMENSION_INDEPENDENCE, 1e-161, "24 of 512"),
+        (STABILITY, 1e-161, "5 of 1000"),
+        # the ε = 0.1 cell could run; the ε = 0.3 cell after it could not
+        (PRIVACY_UTILITY, 1e-160, "197 of 5898"),
+    ],
+)
+def test_a_noiseless_cell_is_refused_before_any_data_is_drawn(monkeypatch, name, eta0, step):
+    def drawn(*args, **kwargs):
+        raise AssertionError("data drawn before every cell's schedule was checked")
+
+    monkeypatch.setattr(harness, "draw_dataset", drawn)
+    monkeypatch.setattr(harness, "_reduced_draws", drawn)
+    config = replace(default_config(name), eta0=eta0, replicates=2)
+    with pytest.raises(InfinitePrivacyLossError, match=f"^sigma_t = 0 at step t = {step}: "):
+        run_experiment(config)
 
 
 class TestExcessRiskExperiment:

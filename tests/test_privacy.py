@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsgld import privacy
+from dpsgld import engine, privacy
 from dpsgld.core import InfinitePrivacyLossError, InvalidParameterError, _fmt
 from dpsgld.privacy import (
     DpBudget,
@@ -401,6 +401,25 @@ class TestAccountReport:
         assert chunked[:2] == whole[:2]
         np.testing.assert_allclose(chunked[2].epsilon, whole[2].epsilon, rtol=1e-12)
         np.testing.assert_allclose(chunked[2].delta, whole[2].delta, rtol=1e-12)
+
+    def test_refuses_the_single_pass_schedules_the_engine_refuses(self):
+        # σ_t falls with t, so the report checks σ_T alone: across the eta0 at
+        # which σ_t² underflows to 0 at some step of T = 256 (eta0 < 6e-161,
+        # from step 8 at 1e-161 to step 240 at 5.6e-161) it refuses exactly
+        # the schedules that _schedule_steps refuses
+        outcomes = set()
+        for eta0 in np.geomspace(1e-161, 1e-160, 200):
+            sched = single_pass_schedule(256, 1.0, float(eta0), 0.5, 1e-5)
+            try:
+                engine._schedule_steps(sched)
+            except InfinitePrivacyLossError:
+                with pytest.raises(InfinitePrivacyLossError, match="zero noise"):
+                    account_report(sched)
+                outcomes.add("refused")
+            else:
+                assert float(parse_report(account_report(sched))["dp_epsilon"]) > 0.0
+                outcomes.add("reported")
+        assert outcomes == {"refused", "reported"}
 
     def test_multi_pass_single_step_is_free(self):
         sched = multi_pass_schedule(10, 1.0, 0.32, 1e-3, 1.0, 1.0)
