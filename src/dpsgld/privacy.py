@@ -10,10 +10,27 @@ report says so next to the numbers.
 The certificates take the schedule that runs: ``certify_theorem1`` a
 single-pass one, ``certify_theorem2`` a multi-pass one. The per-step
 functions (``step_delta_allotment``, ``gaussian_step_epsilon``,
-``subsample_amplify``) take the scalars of one step; each checks its
-arguments and then calls a private core that holds its formula. The account
-report enumerates the multi-pass steps through those cores on arrays of
-steps, so a long schedule is validated once rather than once per step.
+``subsample_amplify``) check the scalars of one step and apply its formula.
+
+The account report enumerates the multi-pass steps in closed form rather
+than through those functions. Step t releases r_t·(w − η_t·ḡ) plus
+N(0, (1 − r_t²)·β₀), r_t = η_t/η_{t−1}, a Gaussian mechanism at δ = n·δ_t
+that subsampling over n amplifies. With c = ln(2.5/(nδ)), ℓ_u = c + 2·ln u
+and m_u = ℓ_u·u, the schedule's step size is η_u² = β₀/(8G²m_u), so
+r_t² = m_{t−1}/m_t, G and β₀ cancel (the noise is calibrated to the step),
+and with q_t = ln(t/(t−1)) = log1p(1/(t−1)):
+
+    ε_t = √(Λ_t·m_{t−1} / (m_t·D_t)),  Λ_t = ln(1.25/(n·δ_t)) = ℓ_t − q_t,
+    D_t = m_t − m_{t−1} = ℓ_t + 2(t−1)·q_t.
+
+D_t is a sum of positive terms, so it keeps every digit where 1 − r_t² =
+D_t/m_t, formed from the step sizes, loses about log₁₀ t of them; a chunk of
+steps costs one ``np.log`` of u = t−1..t and one ``np.log1p``. The δ_t
+telescope: Σ_(t=2..T) δ_t = δ/2·(1 − 1/T). A step without noise has an
+infinite ε that the m-form never shows, so the report checks the noise
+first, once: σ_t falls with t in both modes, so σ_T = 0 (underflow) iff
+some σ_t = 0, and the report refuses the schedules that
+``engine._schedule_steps`` refuses, also past the enumeration's step cap.
 """
 
 from __future__ import annotations
@@ -90,12 +107,7 @@ def gaussian_step_epsilon(eta: float, G: float, sigma: float, delta: float) -> f
         if eta * G > 0.0:
             raise InfinitePrivacyLossError(_ZERO_NOISE)
         sigma = math.inf
-    return float(_gaussian_epsilon(eta, G, sigma, delta))
-
-
-def _gaussian_epsilon(eta, G, sigma, delta):
-    """gaussian_step_epsilon's formula without its checks."""
-    return np.sqrt(8.0 * np.log(1.25 / delta)) * eta * G / sigma
+    return math.sqrt(8.0 * math.log(1.25 / delta)) * eta * G / sigma
 
 
 def subsample_amplify(step_epsilon: float, m: int, delta: float) -> DpBudget:
@@ -120,11 +132,6 @@ def step_delta_allotment(t: int, delta: float) -> float:
     """Per-step δ_t = 0.5·δ/(t(t−1)) for t ≥ 2; telescopes to δ/2 in total."""
     if t < 2:
         raise InvalidParameterError(f"allotment starts at t=2, got t={t}")
-    return _delta_allotment(t, delta)
-
-
-def _delta_allotment(t, delta: float):
-    """step_delta_allotment's δ_t without its check."""
     return 0.5 * delta / (t * (t - 1))
 
 
@@ -230,39 +237,39 @@ def _claimed_budget(epsilon: float, delta: float) -> DpBudget:
     return DpBudget(3.0 * epsilon * math.sqrt(math.log(2.0 / delta)) + 3.0 * epsilon**2, delta)
 
 
+def _step_epsilons(schedule: MultiPassSchedule, lo: int, hi: int) -> np.ndarray:
+    """Gaussian ε_t of multi-pass steps t = lo..hi (2 <= lo <= hi), in the
+    m-form the module docstring derives. Each ε_t depends on its own t alone,
+    so any range gives the same bits for a step."""
+    c = math.log(2.5 / (schedule.n * schedule.delta))
+    u = np.arange(lo - 1, hi + 1, dtype=np.float64)
+    ell = c + 2.0 * np.log(u)
+    m = ell * u
+    before = u[:-1]
+    q = np.log1p(1.0 / before)
+    lam = ell[1:] - q
+    D = ell[1:] + 2.0 * before * q
+    return np.sqrt(lam * m[:-1] / (m[1:] * D))
+
+
 def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
     """(max step ε, max amplified ε, strong composition) over steps 2..T.
 
     Steps are enumerated _REPORT_CHUNK at a time, keeping only the running
-    maxima and the sums the composition needs. Each chunk evaluates η on its
-    own steps and the one before, so memory does not grow with T. The chunks
-    call the unchecked formulas: the schedule has checked n, G, β₀ and δ (so
-    every δ_t lies in (0, 1)), and the one value a chunk could still get
-    wrong, a zero σ_t (two equal step sizes, or σ_t² underflowed), is refused
-    before it is divided by.
+    maxima and the sums the composition needs, so memory does not grow with
+    T. The δ_t need no enumeration: they telescope to δ/2·(1 − 1/T). The
+    caller has refused a schedule with a zero σ_t.
     """
     n, T, delta = schedule.n, schedule.T, schedule.delta
-    step_max = amplified_max = sum_sq = sum_excess = sum_delta = 0.0
+    step_max = amplified_max = sum_sq = sum_excess = 0.0
     for lo in range(2, T + 1, _REPORT_CHUNK):
-        hi = min(lo + _REPORT_CHUNK - 1, T)
-        t = np.arange(lo, hi + 1, dtype=np.float64)
-        # step t releases (η_t/η_{t−1})·(w − η_t·ḡ) + N(0, (1−(η_t/η_{t−1})²)β₀)
-        etas = _multi_pass_etas(schedule, lo - 1, hi)
-        eta_t = etas[1:]
-        ratio = eta_t / etas[:-1]
-        eta_eff = eta_t * ratio
-        sigma_eff = np.sqrt((1.0 - ratio**2) * schedule.beta0)
-        if not sigma_eff.all():
-            raise InfinitePrivacyLossError(_ZERO_NOISE)
-        # amplification divides δ by n, so the Gaussian step gets n·δ_t
-        delta_gauss = _delta_allotment(t, n * delta)
-        step_eps = _gaussian_epsilon(eta_eff, schedule.G, sigma_eff, delta_gauss)
+        step_eps = _step_epsilons(schedule, lo, min(lo + _REPORT_CHUNK - 1, T))
         amplified = _amplified_epsilon(step_eps, n)
         step_max = max(step_max, float(np.max(step_eps)))
         amplified_max = max(amplified_max, float(np.max(amplified)))
         sum_sq += float(np.sum(amplified * amplified))
         sum_excess += float(np.sum(amplified * np.expm1(amplified)))
-        sum_delta += float(np.sum(delta_gauss / n))
+    sum_delta = 0.5 * delta * (1.0 - 1.0 / T)
     return step_max, amplified_max, _composed(sum_sq, sum_excess, sum_delta, delta / 2.0)
 
 
@@ -277,6 +284,18 @@ def account_report(schedule) -> str:
     """
     if not isinstance(schedule, (SinglePassSchedule, MultiPassSchedule)):
         raise InvalidParameterError(f"unknown schedule type {type(schedule).__name__}")
+    # σ_t falls with t in both modes, so the last step has the smallest: σ_T
+    # = 0 (underflow) iff some σ_t = 0. λ_1η_1 = 1, so a one-step schedule is noisy.
+    T = schedule.T
+    if T == 1:
+        last_lambda_eta = 1.0
+    elif isinstance(schedule, SinglePassSchedule):
+        last_lambda_eta = 1.0 / T
+    else:
+        eta_before, eta_last = _multi_pass_etas(schedule, T - 1, T)
+        last_lambda_eta = 1.0 - eta_last / eta_before
+    if not _noise_scales(last_lambda_eta, schedule.beta0):
+        raise InfinitePrivacyLossError(_ZERO_NOISE)
     lines = [
         f"mode = {schedule.mode}",
         f"T = {schedule.T}",
@@ -288,10 +307,6 @@ def account_report(schedule) -> str:
         f"sample_budget = {schedule.sample_budget}",
     ]
     if isinstance(schedule, SinglePassSchedule):
-        # σ_t with λ_tη = 1/t falls with t, so the last step has the
-        # smallest: σ_T = 0 (underflow) iff some σ_t = 0
-        if not _noise_scales(1.0 / schedule.T, schedule.beta0):
-            raise InfinitePrivacyLossError(_ZERO_NOISE)
         rdp = single_pass_rdp(schedule.renyi_order, schedule.eta, schedule.G, schedule.beta0)
         dp = rdp_to_dp(rdp, schedule.delta)
         lines += [
@@ -305,7 +320,6 @@ def account_report(schedule) -> str:
         ]
         return "\n".join(lines) + "\n"
 
-    T, delta = schedule.T, schedule.delta
     closed, claimed = certify_theorem2(schedule)
     lines += [
         f"eta1 = {_fmt(_multi_pass_etas(schedule, 1, 1)[0])}",
@@ -326,7 +340,7 @@ def account_report(schedule) -> str:
                 "step_epsilon_max = 0",
                 "amplified_epsilon_max = 0",
                 "composed_epsilon = 0",
-                f"composed_delta = {_fmt(delta)}",
+                f"composed_delta = {_fmt(schedule.delta)}",
             ]
     else:
         lines.append(f"note = per-step enumeration skipped for T > {_REPORT_STEP_CAP}")

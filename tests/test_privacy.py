@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import math
 
@@ -482,6 +483,38 @@ class TestAccountReport:
             "note = amplification uses ln(1 + exp(eps)/m) with the whole exp(eps) kept inside the log",
         ]
 
+    def test_report_past_the_step_cap_refuses_zero_noise(self, monkeypatch):
+        # β₀ = 9.9e-324: σ_t² underflows to 0 from step 5 of 8, so the
+        # account is infinite whether or not the steps are enumerated
+        sched = multi_pass_schedule(10, 1.0, 0.9, 1e-3, 3e-162, 1.0)
+        assert sched.T == 8
+        with pytest.raises(InfinitePrivacyLossError, match="step t = 5 of 8"):
+            engine._schedule_steps(sched)
+        monkeypatch.setattr(privacy, "_REPORT_STEP_CAP", 5)
+        with pytest.raises(InfinitePrivacyLossError, match="zero noise"):
+            account_report(sched)
+
+    @pytest.mark.parametrize("cap", [10**7, 5], ids=["below-cap", "past-cap"])
+    def test_refuses_the_multi_pass_schedules_the_engine_refuses(self, monkeypatch, cap):
+        # σ_t falls with t, so the report checks σ_T alone: across the eta0 at
+        # which σ_t² underflows to 0 at some step of T = 2291 (from step 5 at
+        # 1e-161 to step 2250 at 2.4e-160) it refuses exactly the schedules
+        # that _schedule_steps refuses, with or without the enumeration
+        monkeypatch.setattr(privacy, "_REPORT_STEP_CAP", cap)
+        outcomes = set()
+        for eta0 in np.geomspace(1e-161, 3e-160, 200):
+            sched = multi_pass_schedule(200, 1.5, 0.9, 1e-5, float(eta0), 1.0)
+            try:
+                engine._schedule_steps(sched)
+            except InfinitePrivacyLossError:
+                with pytest.raises(InfinitePrivacyLossError, match="zero noise"):
+                    account_report(sched)
+                outcomes.add("refused")
+            else:
+                assert float(parse_report(account_report(sched))["closed_form_epsilon"]) > 0.0
+                outcomes.add("reported")
+        assert sched.T == 2291 and outcomes == {"refused", "reported"}
+
     @pytest.mark.parametrize("cap", [10**7, 5], ids=["below-cap", "past-cap"])
     @pytest.mark.parametrize(
         "make, refused",
@@ -588,6 +621,47 @@ class TestReportCrossChecks:
                     assert float(report["composed_delta"]) < delta
                     checked += 1
         assert checked >= 10
+
+
+def decimal_step_epsilon(sched, t: int) -> float:
+    """Gaussian ε of multi-pass step t along the textbook chain, in 50-digit
+    decimal arithmetic: η_t, the ratio r = η_t/η_{t−1}, σ = √((1 − r²)β₀),
+    the Gaussian δ = n·δ_t, then √(8·ln(1.25/δ))·η_t·r·G/σ."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D = decimal.Decimal
+        n, delta, G, beta0 = D(sched.n), D(sched.delta), D(sched.G), D(sched.beta0)
+
+        def eta(s):
+            return beta0.sqrt() / (G * (8 * (D("2.5") * s * s / (n * delta)).ln() * s).sqrt())
+
+        ratio = eta(D(t)) / eta(D(t - 1))
+        sigma = ((1 - ratio * ratio) * beta0).sqrt()
+        delta_gauss = n * (D("0.5") * delta / (t * (t - 1)))
+        return float((8 * (D("1.25") / delta_gauss).ln()).sqrt() * eta(D(t)) * ratio * G / sigma)
+
+
+class TestStepEpsilonAccuracy:
+    # (n, α, ε, δ) = (10000, 2, 0.316, 1e-5) has T = 9 985 600. Forming
+    # 1 − r² from the step sizes cancels about log₁₀ t digits (1.85e-9 at
+    # t = T); the report's m-form cancels none
+    SHAPE = (10_000, 2.0, 0.316, 1e-5)
+
+    def test_step_epsilons_match_a_decimal_reference(self):
+        sched = multi_pass_schedule(*self.SHAPE, 1.0, 1.0)
+        assert sched.T == 9_985_600
+        ts = sorted({int(t) for t in np.geomspace(2, sched.T, 200)} | {2, 3, sched.T})
+        got = np.array([privacy._step_epsilons(sched, t, t)[0] for t in ts])
+        want = np.array([decimal_step_epsilon(sched, t) for t in ts])
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+        # a range gives each step the bits it gets alone
+        tail = privacy._step_epsilons(sched, sched.T - 9, sched.T)
+        assert tail[-1] == got[-1]
+
+    def test_report_prints_the_exact_step_epsilon_max(self):
+        # ε_t rises with t, so the maximum is step T's: 0.972932924758
+        report = parse_report(account_report(multi_pass_schedule(*self.SHAPE, 1.0, 1.0)))
+        assert report["step_epsilon_max"] == "0.972932925"
 
 
 # sha256 of account_report text for (G, η₀) = (1, 1), recorded before the
