@@ -13,9 +13,11 @@ Each advances a copy of the (g, k, d) iterates ``W0``: g independent groups
 (replicates), each with its own index row ``orders[j]`` and its own noise
 generator, and k chains per group, one per dataset, that share the group's
 indices and noise row at every step. Chain (j, i) reads rows
-firsts[j, i] + orders[j, s] of ``data = (X, y, firsts)``, every chain's rows
-concatenated once per run (``_stacked``, no copy for one chain), so a block
-of steps gathers with one ``np.take`` for X and one for y. ``steps`` holds the
+firsts[j, i] + orders[j, s] of ``data = (X, y, firsts, counts)``, every
+chain's rows concatenated once per run (``_stacked``, no copy for one chain),
+so a block of steps gathers with one ``np.take`` for X and one for y; its
+dataset has counts[j, i] rows, which only ``_advance_blocks`` reads (to choose
+how it forms K, below). ``steps`` holds the
 (η_t, λ_tη_t, σ_t, |M_t|) arrays. A kernel returns the final iterates and the
 (g, k, len(log_times), d) iterates after the ascending steps ``log_times``.
 
@@ -43,8 +45,8 @@ g_l = −a_l·η_l·φ′_l, so
 and the margin of step j is P_j·x_jᵀw₀ + Σ_(l<j) N_jl·g_l·K_jl + n_j with
 K = XXᵀ, n_j = x_jᵀζ_j and ζ_j = Σ_l A_jl·z_l, the noise carried into w_j,
 A = N·diag(σ). Nothing is divided, so a step with a_l = 0 (step one) needs no
-care. N, (L+1)×L for a block of L steps, is one masked ``cumprod``; one
-batched matmul gives the Gram. The coefficients g are found by sweeps
+care. N, (L+1)×L for a block of L steps, is one masked ``cumprod``. The
+coefficients g are found by sweeps
 g ← F(g) from g = 0 until a sweep returns g unchanged. Row j of F reads only
 rows before j, so row j is final after j + 1 sweeps, at most L + 1 sweeps
 run, and the fixed point they stop at is the unique one: the
@@ -90,18 +92,32 @@ same indices and noise and do the same arithmetic in another order, so they
 differ only by rounding: tests/test_engine.py holds them within
 1e-12·max(1, max|w|) that way, and tests the law of the draw on its own.
 
+K has two routes, chosen per group from its own row count n, the run's d
+and its T (``_gram_route``). Every entry of K is an entry of the group's
+n×n data Gram, whose n²·d multiply-adds are paid once per run (``_grams``),
+against L·d per step for the blocks' own Grams. So a group gathers K from
+its data Gram iff n <= d, where the Gram holds no more floats than the rows,
+and n² <= _BLOCK_STEPS·T, where it costs no more multiply-adds; any other
+group multiplies its rows, K = XXᵀ, with one batched matmul a chunk. The
+Grams are built afresh in each kernel call, one per distinct dataset from
+its own rows alone, so a group's bits do not depend on what runs beside it.
+The two routes sum the same products in a different BLAS tiling, so they
+agree up to rounding, not bit for bit; tests/test_engine.py holds both to
+``_advance`` within the same 1e-12.
+
 ``_advance_blocks`` works a chunk at a time: a run of consecutive blocks
 with the same length and the same logged steps inside them (``_chunks``),
 capped so that its rows (g·L·d floats a block) and its K (g·L²) each fit in
 ``_NOISE_BLOCK_FLOATS``, the per-step kernel's bound. It first prepares the
 chunk, one NumPy call for all its blocks wherever the iterate is not read:
-the rows, K = XXᵀ, P and N, ``_block_cov``, the normals, X·Ξᵀ, K̂∘Σ′ and its
-Cholesky factors. Then it solves the blocks one by one, doing only what reads
-W: the base margins P·XW + n, the sweeps and the end iterates. Each group's
-normals for the chunk come from one ``standard_normal`` call on its generator,
-block after block, and one draw of m normals gives the numbers of successive
-draws that add up to m; no other operation changes its order within a block
-either, so every chunking gives the same bits.
+the rows, K (one call per route), P and N, ``_block_cov``, the normals, X·Ξᵀ,
+K̂∘Σ′ and its Cholesky factors. Then it solves the blocks one by one, doing
+only what reads W: the base margins P·XW + n, the sweeps and the end
+iterates. Each group's normals for the chunk come from one
+``standard_normal`` call on its generator, block after block, and one draw
+of m normals gives the numbers of successive draws that add up to m; no
+other operation changes its order within a block either, so every chunking
+gives the same bits.
 
 A run stacks its replicates' index rows and makes one kernel call. Every
 replicate draws from its own generators, so its output does not depend on
@@ -176,16 +192,17 @@ def _schedule_steps(schedule) -> tuple:
 
 
 def _stacked(Xs, ys) -> tuple:
-    """(X, y, firsts): the rows of every (Xs[i], ys[i]) in one array each, and
-    the index of each one's first row there.
+    """(X, y, firsts, counts): the rows of every (Xs[i], ys[i]) in one array
+    each, the index of each one's first row there, and its number of rows.
 
     The arrays are copied unless there is one, so that a block of steps
     gathers the rows of all its chains with one ``np.take``.
     """
-    firsts = np.cumsum([0] + [len(y) for y in ys[:-1]])
+    counts = np.array([len(y) for y in ys])
+    firsts = np.cumsum(counts) - counts
     if len(ys) == 1:
-        return Xs[0], ys[0], firsts
-    return np.concatenate(Xs), np.concatenate(ys), firsts
+        return Xs[0], ys[0], firsts, counts
+    return np.concatenate(Xs), np.concatenate(ys), firsts, counts
 
 
 def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, log_times) -> tuple:
@@ -196,7 +213,7 @@ def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, l
     chains.
     """
     etas, lambda_etas, sigmas, batch_sizes = steps
-    X_all, y_all, firsts = data
+    X_all, y_all, firsts, _ = data
     firsts = firsts[..., None]
     W = np.array(W0, dtype=np.float64)
     W_col = W[..., None]
@@ -299,7 +316,8 @@ def _block_noise(X, K, A, ends, noise_gens) -> tuple:
     # a row with w_j = 0 is zero, so any finite 1/w_j zeroes it
     inverse = 1.0 / np.maximum(scales, _MIN_SCALE)
     KS *= inverse[..., :, None] * inverse[..., None, :]
-    KS.reshape(-1, L * L)[:, :: L + 1] = 1.0
+    diagonal = np.arange(L)
+    KS[..., diagonal, diagonal] = 1.0
     n += (np.linalg.cholesky(KS) @ draws[..., E * d :, None])[..., 0] * scales
     return n, M[:, None, ends] @ Xi
 
@@ -328,18 +346,53 @@ def _chunks(T: int, log_times, most: int):
         yield tuple(chunk)
 
 
+def _gram_route(counts, d: int, T: int):
+    """Which groups take their blocks' K from their data Gram: those with n <= d
+    and n² <= _BLOCK_STEPS·T, n the group's row count (``counts``)."""
+    return (counts <= d) & (counts * counts <= _BLOCK_STEPS * T)
+
+
+def _grams(X_all, firsts, counts) -> tuple:
+    """(grams, at): the Gram of each distinct dataset's rows, all in one flat
+    array, and where each group's Gram starts in it.
+
+    Groups are given by their first row ``firsts`` and row count ``counts``;
+    groups that share a dataset share its Gram. Each Gram is built in place
+    from that dataset's rows alone, so a group's Gram has the same bits
+    whatever runs beside it.
+    """
+    distinct, index, inverse = np.unique(firsts, return_index=True, return_inverse=True)
+    sizes = counts[index]
+    areas = sizes * sizes
+    starts = np.cumsum(areas) - areas
+    grams = np.empty(int(areas.sum()))
+    for first, n, start in zip(distinct.tolist(), sizes.tolist(), starts.tolist()):
+        # C order, as in a batch's concatenated rows, whatever the dataset's layout
+        rows = np.ascontiguousarray(X_all[first : first + n])
+        np.matmul(rows, rows.T, out=grams[start : start + n * n].reshape(n, n))
+    return grams, starts[inverse]
+
+
 def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, log_times) -> tuple:
     """The block kernel for unit batches and one chain per group (k = 1).
 
-    The module docstring gives its contract, its solve, its noise draw and
-    its chunks. Group j reads its rows in the order ``_advance`` reads them,
-    and its noise from ``noise_gens[j]`` through ``_block_noise``.
+    The module docstring gives its contract, its solve, its noise draw, its
+    chunks and the two routes of K. Group j reads its rows in the order
+    ``_advance`` reads them, its K from its data Gram where ``_gram_route``
+    says so, and its noise from ``noise_gens[j]`` through ``_block_noise``.
     """
     etas, lambda_etas, sigmas, _ = steps
-    X_all, y_all, firsts = data
+    X_all, y_all, firsts, counts = data
     W = np.array(W0, dtype=np.float64)
     g, k, d = W.shape
     T = len(etas)
+    # K from the data Grams where they are cheaper, else from each block's rows
+    # (the two routes agree up to rounding)
+    route = _gram_route(counts[:, 0], d, T)
+    gathered, multiplied = np.flatnonzero(route), np.flatnonzero(~route)
+    if gathered.size:
+        grams, at = _grams(X_all, firsts[gathered, 0], counts[gathered, 0])
+        sizes, at = counts[gathered], at[:, None]
     shrinks = 1.0 - lambda_etas
     grad_coefs = (lambda_etas - 1.0) * etas  # g_l = −a_l·η_l·φ′_l
     logged = np.empty((g, k, len(log_times), d))
@@ -361,7 +414,17 @@ def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_
         rows = (local + firsts)[:, :, None]
         X = np.take(X_all, rows, axis=0)
         y = np.take(y_all, rows)
-        K = X @ X.mT
+        if not gathered.size:
+            K = X @ X.mT
+        else:
+            # K_jl of a gathered group is entry (i_j, i_l) of its n×n Gram
+            picked = local[:, gathered]
+            K = np.take(grams, (picked * sizes + at)[..., None] + picked[..., None, :])[:, :, None]
+            if multiplied.size:  # a batch over both routes
+                mixed = np.empty((count, g, k, L, L))
+                mixed[:, gathered] = K
+                mixed[:, multiplied] = X[:, multiplied] @ X[:, multiplied].mT
+                K = mixed
         noise, ends_noise = _block_noise(
             X[:, :, 0], K[:, :, 0], N * sigmas[start:stop].reshape(count, 1, L), ends, noise_gens
         )
@@ -439,12 +502,12 @@ def _logged_runs(datasets, loss, schedule, orders, rngs, log_interval):
     if T % log_interval:
         times.append(T)
     steps = _schedule_steps(schedule)
-    X, y, firsts = _stacked([data.X for data in datasets], [data.y for data in datasets])
+    X, y, firsts, counts = _stacked([data.X for data in datasets], [data.y for data in datasets])
     gens = [rng.substream(1).generator for rng in rngs]
     kernel = _advance_blocks if isinstance(schedule, MultiPassSchedule) else _advance
     _, logged = kernel(
-        np.zeros((len(datasets), 1, datasets[0].d)), (X, y, firsts[:, None]), loss, orders,
-        steps, gens, times,
+        np.zeros((len(datasets), 1, datasets[0].d)), (X, y, firsts[:, None], counts[:, None]), loss,
+        orders, steps, gens, times,
     )
     return times, logged[:, 0]
 
@@ -546,12 +609,12 @@ def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, see
         seeded_rng(seed, 0).generator.integers(0, a.n, size=schedule.T)
         for (a, _), seed in zip(pairs, seeds)
     ])
-    X, y, firsts = _stacked(
+    X, y, firsts, counts = _stacked(
         [data.X for pair in pairs for data in pair], [data.y for pair in pairs for data in pair]
     )
     _, logged = _advance(
-        np.zeros((len(pairs), 2, pairs[0][0].d)), (X, y, firsts.reshape(-1, 2)), loss,
-        indices, steps, [seeded_rng(seed, 1).generator for seed in seeds], log_times.tolist(),
+        np.zeros((len(pairs), 2, pairs[0][0].d)), (X, y, firsts.reshape(-1, 2), counts.reshape(-1, 2)),
+        loss, indices, steps, [seeded_rng(seed, 1).generator for seed in seeds], log_times.tolist(),
     )
     diff = logged[:, 0] - logged[:, 1]
     # batched matmul, not einsum: einsum sums in another order

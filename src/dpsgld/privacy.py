@@ -8,17 +8,18 @@ nonstandard ln(1 + m⁻¹·e^ε) form (not ln(1 + m⁻¹(e^ε − 1))); the acco
 report says so next to the numbers.
 
 The certificates take the schedule that runs: ``certify_theorem1`` a
-single-pass one, ``certify_theorem2`` a multi-pass one. The per-step
-functions (``step_delta_allotment``, ``gaussian_step_epsilon``,
-``subsample_amplify``) check the scalars of one step and apply its formula.
+single-pass one, ``certify_theorem2`` a multi-pass one.
 
 The account report enumerates the multi-pass steps in closed form rather
-than through those functions. Step t releases r_t·(w − η_t·ḡ) plus
-N(0, (1 − r_t²)·β₀), r_t = η_t/η_{t−1}, a Gaussian mechanism at δ = n·δ_t
-that subsampling over n amplifies. With c = ln(2.5/(nδ)), ℓ_u = c + 2·ln u
-and m_u = ℓ_u·u, the schedule's step size is η_u² = β₀/(8G²m_u), so
-r_t² = m_{t−1}/m_t, G and β₀ cancel (the noise is calibrated to the step),
-and with q_t = ln(t/(t−1)) = log1p(1/(t−1)):
+than step by step through the textbook chain (the per-step δ_t, the
+Gaussian mechanism's ε, then amplification; tests/helpers.py keeps that
+chain as the reference the closed form is checked against). Step t
+releases r_t·(w − η_t·ḡ) plus N(0, (1 − r_t²)·β₀), r_t = η_t/η_{t−1}, a
+Gaussian mechanism at δ = n·δ_t that subsampling over n amplifies. With
+c = ln(2.5/(nδ)), ℓ_u = c + 2·ln u and m_u = ℓ_u·u, the schedule's step
+size is η_u² = β₀/(8G²m_u), so r_t² = m_{t−1}/m_t, G and β₀ cancel (the
+noise is calibrated to the step), and with q_t = ln(t/(t−1)) =
+log1p(1/(t−1)):
 
     ε_t = √(Λ_t·m_{t−1} / (m_t·D_t)),  Λ_t = ln(1.25/(n·δ_t)) = ℓ_t − q_t,
     D_t = m_t − m_{t−1} = ℓ_t + 2(t−1)·q_t.
@@ -86,53 +87,11 @@ class RdpBudget:
             raise InvalidParameterError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
-def gaussian_step_epsilon(eta: float, G: float, sigma: float, delta: float) -> float:
-    """ε(δ) of one noisy gradient step, √(8·ln(1.25/δ))·ηG/σ.
-
-    Args:
-        eta: effective step size multiplying the released gradient.
-        G: gradient-norm bound (the 2ηG sensitivity is absorbed by the √8).
-        sigma: noise standard deviation, in the same units as ηG.
-        delta: Gaussian-mechanism failure probability.
-
-    Returns:
-        The per-step ε; 0 when the step has zero sensitivity.
-    """
-    if eta < 0 or G < 0:
-        raise InvalidParameterError("eta and G must be >= 0")
-    _require_unit_interval(delta=delta)
-    if sigma < 0:
-        raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        if eta * G > 0.0:
-            raise InfinitePrivacyLossError(_ZERO_NOISE)
-        sigma = math.inf
-    return math.sqrt(8.0 * math.log(1.25 / delta)) * eta * G / sigma
-
-
-def subsample_amplify(step_epsilon: float, m: int, delta: float) -> DpBudget:
-    """Amplification by uniform subsampling of one element among m.
-
-    Returns (ln(1 + m⁻¹·e^ε), δ/m), the lemma's form verbatim: the +1 inside
-    the log keeps the whole e^ε rather than e^ε − 1.
-    """
-    if step_epsilon < 0:
-        raise InvalidParameterError(f"step epsilon must be >= 0, got {step_epsilon}")
-    _require_count("m", m, 1)
-    _require_unit_interval(delta=delta)
-    return DpBudget(float(_amplified_epsilon(step_epsilon, m)), delta / m)
-
-
 def _amplified_epsilon(step_epsilon, m: int):
-    """subsample_amplify's ε without its checks."""
+    """ε of amplification by uniform subsampling of one element among m:
+    ln(1 + m⁻¹·e^ε), the lemma's form verbatim (the +1 inside the log keeps
+    the whole e^ε rather than e^ε − 1)."""
     return np.log1p(np.exp(step_epsilon) / m)
-
-
-def step_delta_allotment(t: int, delta: float) -> float:
-    """Per-step δ_t = 0.5·δ/(t(t−1)) for t ≥ 2; telescopes to δ/2 in total."""
-    if t < 2:
-        raise InvalidParameterError(f"allotment starts at t=2, got t={t}")
-    return 0.5 * delta / (t * (t - 1))
 
 
 def _composed(sum_sq: float, sum_excess: float, sum_delta: float, delta_prime: float) -> DpBudget:

@@ -28,7 +28,6 @@ from dpsgld.privacy import (
     certify_theorem1,
     certify_theorem2,
     feldman_rdp_bound,
-    gaussian_step_epsilon,
     multi_pass_privacy,
     rdp_to_dp,
     single_pass_rdp,
@@ -38,7 +37,7 @@ from dpsgld.schedules import (
     single_pass_schedule,
 )
 
-from helpers import advance_one_step, finite_diff_gradient, renyi_gaussian
+from helpers import advance_one_step, finite_diff_gradient, gaussian_step_epsilon, renyi_gaussian
 
 FAMILIES = ("logistic", "smoothed-hinge", "quadratic")
 

@@ -365,6 +365,19 @@ class TestReplicateBatches:
             alone_times, [alone] = run_multi_pass([data], LOGISTIC, sched, [rng], log_interval=50)
             assert _record_digest(sched, times, iterates) == _record_digest(sched, alone_times, alone)
 
+    def test_a_batch_over_both_kernel_routes_matches_single_runs(self):
+        # n = 600 > D builds K from each block's rows, n = 60 and 61 gather it
+        # from their data Grams; each replicate still gets its bits alone
+        sched = self.schedule()
+        datasets = [toy_dataset(n, self.D, seed=40 + r) for r, n in enumerate([60, 600, 61])]
+        route = engine._gram_route(np.array([data.n for data in datasets]), self.D, sched.T)
+        np.testing.assert_array_equal(route, [True, False, True])
+        rngs = [seeded_rng(32, r) for r in range(3)]
+        times, batch = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=50)
+        for data, rng, iterates in zip(datasets, rngs, batch):
+            alone_times, [alone] = run_multi_pass([data], LOGISTIC, sched, [rng], log_interval=50)
+            assert _record_digest(sched, times, iterates) == _record_digest(sched, alone_times, alone)
+
     @pytest.mark.parametrize("replicates", [1, 3])
     def test_coupled_rows_match_single_pairs(self, replicates):
         sched = self.schedule()
@@ -396,17 +409,29 @@ def _full_draw(X, K, A, ends, noise_gens):
     return ((X @ Z.mT) * A[:, None, :L]).sum(axis=-1), A[:, None, ends] @ Z
 
 
+def _kernel_cases(test):
+    """TestBlockKernel's (family, g, interval, T) grid."""
+    for mark in (
+        pytest.mark.parametrize("family", ["logistic", "smoothed-hinge", "quadratic"]),
+        pytest.mark.parametrize("g", [1, 3]),
+        pytest.mark.parametrize("interval", [1, 7, None]),
+        pytest.mark.parametrize("T", [1, 2, 33, 200]),
+    ):
+        test = mark(test)
+    return test
+
+
 class TestBlockKernel:
     """_advance_blocks against the per-step _advance on the same index rows and noise streams."""
 
-    D = 12
+    D = 12  # below every n of ``inputs``: K from each block's rows
     # the kernels differ only in rounding order; a block's products are O(1)
     # and the chain contracts, so about 4 500 ulps at unit scale is ample
     RTOL = 1e-12
 
-    def inputs(self, family, g, T, seed=0):
-        """g datasets, and an index row valid in each."""
-        datasets = [toy_dataset(40 + 7 * r, self.D, seed=seed + r) for r in range(g)]
+    def inputs(self, family, g, T, seed=0, d=D):
+        """g datasets in d dimensions, and an index row valid in each."""
+        datasets = [toy_dataset(40 + 7 * r, d, seed=seed + r) for r in range(g)]
         if family == "quadratic":
             # a canary label far outside [-1, 1] makes the clip fire
             datasets = [Dataset(data.X, np.append(data.y[:-1], -1e6)) for data in datasets]
@@ -414,34 +439,42 @@ class TestBlockKernel:
         orders = np.stack([gen.integers(0, data.n, size=T) for data in datasets])
         return datasets, orders
 
-    def both(self, loss, datasets, orders, steps, noise_seed, log_times):
-        """(reference log, block log, reference final, block final) of both kernels.
+    def both(self, loss, datasets, orders, steps, noise_seed, log_times, data=None):
+        """(reference log, block log, reference final, block final, Gram floats
+        built) of both kernels.
 
         The block kernel draws its noise through ``_full_draw``, so both
-        kernels read the same z_t and differ only by rounding.
+        kernels read the same z_t and differ only by rounding. ``data`` is
+        the kernels' data tuple, by default the datasets stacked.
         """
         g = len(orders)
-        X, y, firsts = engine._stacked([data.X for data in datasets], [data.y for data in datasets])
-        args = (np.zeros((g, 1, self.D)), (X, y, firsts[:, None]), loss, orders, steps)
+        data = self.stacked(datasets) if data is None else data
+        args = (np.zeros((g, 1, data[0].shape[1])), data, loss, orders, steps)
         W_ref, reference = engine._advance(
             *args, [np.random.default_rng(noise_seed + r) for r in range(g)], log_times
         )
+        built = []
+        grams = engine._grams
+
+        def spy(*rest):
+            out = grams(*rest)
+            built.append(len(out[0]))
+            return out
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_block_noise", _full_draw)
+            patch.setattr(engine, "_grams", spy)
             W, got = engine._advance_blocks(
                 *args, [np.random.default_rng(noise_seed + r) for r in range(g)], log_times
             )
-        return reference, got, W_ref, W
+        return reference, got, W_ref, W, sum(built)
 
     def assert_close(self, reference, got):
         assert reference.shape == got.shape
         assert np.all(np.abs(got - reference) <= self.RTOL * max(1.0, np.abs(reference).max()))
 
-    @pytest.mark.parametrize("T", [1, 2, 33, 200])
-    @pytest.mark.parametrize("interval", [1, 7, None])
-    @pytest.mark.parametrize("g", [1, 3])
-    @pytest.mark.parametrize("family", ["logistic", "smoothed-hinge", "quadratic"])
-    def test_matches_the_per_step_kernel(self, family, g, interval, T):
+    def check_against_per_step(self, family, g, interval, T, d):
+        """Both kernels on ``inputs`` in d dimensions; returns the Gram floats the block kernel built."""
         interval = T if interval is None else interval
         sched = multi_pass_schedule(60, 1.5, 0.9, 1e-4, 1.0, 1.0)
         steps = engine._steps(
@@ -449,13 +482,25 @@ class TestBlockKernel:
             np.ones(T, dtype=np.int64),
         )
         log_times = [t for t in range(1, T + 1) if t % interval == 0 or t == T]
-        datasets, orders = self.inputs(family, g, T)
-        reference, got, W_ref, W = self.both(
+        datasets, orders = self.inputs(family, g, T, d=d)
+        reference, got, W_ref, W, built = self.both(
             GlmLoss(family, h=0.3), datasets, orders, steps, 50, log_times
         )
         self.assert_close(reference, got)
         self.assert_close(W_ref, W)
         np.testing.assert_array_equal(got[:, :, -1], W)
+        return built
+
+    @_kernel_cases
+    def test_matches_the_per_step_kernel(self, family, g, interval, T):
+        assert self.check_against_per_step(family, g, interval, T, self.D) == 0
+
+    @_kernel_cases
+    def test_matches_the_per_step_kernel_from_data_grams(self, family, g, interval, T):
+        # at d = 64 every n of ``inputs`` (40, 47, 54) is at most d, so K comes
+        # from the data Grams once n² <= 32·T: at T = 200, not at T = 33
+        built = self.check_against_per_step(family, g, interval, T, 64)
+        assert built == (sum((40 + 7 * r) ** 2 for r in range(g)) if T == 200 else 0)
 
     def test_noisy_schedule_with_full_and_reversing_shrinks_mid_block(self):
         # λη = 1 (a = 0: w forgotten, fresh noise) and λη = 1.9 (a = −0.9)
@@ -470,13 +515,50 @@ class TestBlockKernel:
         assert steps[2].all()
         datasets, orders = self.inputs("quadratic", 2, T, seed=12)
         log_times = [5, 10, 11, 32, 33, 41, 64, 77, 100]
-        reference, got, W_ref, W = self.both(QUADRATIC, datasets, orders, steps, 80, log_times)
+        reference, got, W_ref, W, _ = self.both(QUADRATIC, datasets, orders, steps, 80, log_times)
         self.assert_close(reference, got)
         self.assert_close(W_ref, W)
 
+    def test_groups_that_share_a_dataset_share_its_gram(self):
+        # four groups on one dataset (all firsts 0) with n = 40 <= d = 64 and
+        # n² <= 32·T: one 40×40 Gram serves them all, and the kernel still
+        # matches the per-step one
+        T, g = 100, 4
+        [data], _ = self.inputs("logistic", 1, T, d=64)
+        orders = np.random.default_rng(9).integers(0, data.n, size=(g, T))
+        zeros = np.zeros((g, 1), dtype=np.int64)
+        sched = multi_pass_schedule(60, 1.5, 0.9, 1e-4, 1.0, 1.0)
+        steps = engine._steps(sched.etas[:T], sched.lambda_etas[:T], sched.beta0, np.ones(T, dtype=np.int64))
+        reference, got, W_ref, W, built = self.both(
+            LOGISTIC, None, orders, steps, 60, [50, T], data=(data.X, data.y, zeros, zeros + data.n)
+        )
+        assert built == data.n**2
+        self.assert_close(reference, got)
+        self.assert_close(W_ref, W)
+
+    def test_the_gram_route_rule(self):
+        # a group gathers K iff n <= d and n² <= 32·T; at T = 200, 32·T = 80²
+        counts = np.array([1, 70, 71, 80, 81])
+        np.testing.assert_array_equal(engine._gram_route(counts, 70, 200), [True, True, False, False, False])
+        np.testing.assert_array_equal(engine._gram_route(counts, 100, 200), [True, True, True, True, False])
+        np.testing.assert_array_equal(engine._gram_route(counts, 100, 199), [True, True, True, False, False])
+
+    def test_one_gram_per_dataset_from_its_own_rows(self):
+        # groups 0 and 2 share the first dataset, 1 and 3 the second; each Gram
+        # has the bits of its dataset's rows alone
+        X, _, firsts, counts = engine._stacked(
+            [toy_dataset(5, 8, seed=1).X, toy_dataset(7, 8, seed=2).X], [np.zeros(5), np.zeros(7)]
+        )
+        grams, at = engine._grams(X, firsts[[0, 1, 0, 1]], counts[[0, 1, 0, 1]])
+        assert len(grams) == 5 * 5 + 7 * 7
+        np.testing.assert_array_equal(at, [0, 25, 0, 25])
+        for first, n, start in zip(firsts, counts, at[:2]):
+            rows = X[first : first + n]
+            assert grams[start : start + n * n].tobytes() == (rows @ rows.T).tobytes()
+
     def stacked(self, datasets):
-        X, y, firsts = engine._stacked([data.X for data in datasets], [data.y for data in datasets])
-        return X, y, firsts[:, None]
+        X, y, firsts, counts = engine._stacked([data.X for data in datasets], [data.y for data in datasets])
+        return X, y, firsts[:, None], counts[:, None]
 
     def blocks(self, datasets, orders, steps, log_times):
         """(final, logged, blocks per _block_noise call) of the block kernel."""
@@ -663,6 +745,24 @@ class TestBlockNoise:
             assert n[b].tobytes() == n_b.tobytes() and S[b].tobytes() == S_b.tobytes()
         assert [r.bit_generator.state for r in stacked] == [r.bit_generator.state for r in one_by_one]
 
+    def test_the_layout_of_K_does_not_matter(self):
+        # a K with the same entries in another memory layout (a K gathered by
+        # fancy indexing need not be C-contiguous) gives the same bits and
+        # leaves each generator in the same state
+        blocks, g, L, d = 3, 2, self.L, self.D
+        gen = np.random.default_rng(35)
+        X, _, A = self.block()
+        X = X + 0.1 * gen.standard_normal((blocks, g, L, d))
+        A = np.broadcast_to(A, (blocks, *A.shape))
+        K = X @ X.mT
+        out = []
+        for layout in (K, np.asfortranarray(K), K.mT.copy().mT):
+            assert np.array_equal(layout, K)
+            gens = [np.random.default_rng(70 + j) for j in range(g)]
+            n, S = engine._block_noise(X, layout, A, self.ENDS, gens)
+            out.append((n.tobytes(), S.tobytes(), [r.bit_generator.state for r in gens]))
+        assert out[1] == out[0] and out[2] == out[0]
+
     def test_structural_rows_are_decoupled(self):
         # row 0 and the inner ends 2 and 5 have B_j = 0 up to rounding and
         # exactly 0 rows of Σ; the other rows keep Σ = BBᵀ
@@ -701,8 +801,9 @@ class TestBlockNoise:
             logs = []
             for _ in range(4):  # 1 000 chains at a time keeps the block Grams small
                 orders = rng.integers(0, 5, size=(chains // 4, T))
+                firsts = np.zeros((chains // 4, 1), dtype=np.int64)
                 _, logged = kernel(
-                    np.zeros((chains // 4, 1, d)), (X, y, np.zeros((chains // 4, 1), dtype=np.int64)),
+                    np.zeros((chains // 4, 1, d)), (X, y, firsts, firsts + len(y)),
                     QUADRATIC, orders, steps, [rng] * (chains // 4), log_times,
                 )
                 logs.append(logged[:, 0])
@@ -849,6 +950,15 @@ def _golden_multi_quadratic_d33():
     return _record_digest(sched, times, iterates)
 
 
+def _golden_multi_logistic_gram():
+    # n = 40 <= d = 64 and n² <= 32·T: K gathered from the data Gram
+    sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
+    data = toy_dataset(40, 64, seed=9)
+    assert engine._gram_route(np.array([data.n]), data.d, sched.T).all()
+    times, [iterates] = run_multi_pass([data], LOGISTIC, sched, [seeded_rng(27, 0)], log_interval=1)
+    return _record_digest(sched, times, iterates, risk_interval=1)
+
+
 def _golden_coupled_d16():
     data = toy_dataset(24, 16, seed=7)
     yp = data.y.copy()
@@ -874,9 +984,10 @@ def _golden_one_step():
 
 # sha256 of each run's full output. They pin every bit of every iterate, so a
 # change to the update arithmetic (operation order, the shape of a BLAS call)
-# shows here; re-record them only for an intended change of output. The two
+# shows here; re-record them only for an intended change of output. The three
 # multi-pass digests come from the block kernel, which TestBlockKernel holds to
-# the per-step kernel and TestBlockNoise to its law.
+# the per-step kernel and TestBlockNoise to its law; multi-pass-logistic-gram
+# gathers K from the data Gram, the other two (n > d) build it from each block.
 GOLDEN = {
     "single-pass-logistic": (
         _golden_single_logistic,
@@ -893,6 +1004,10 @@ GOLDEN = {
     "multi-pass-quadratic-d33": (
         _golden_multi_quadratic_d33,
         "a563e8ee10793264f14d28d334acc45696b1b050034ea041b5e9e84e65ad7c36",
+    ),
+    "multi-pass-logistic-gram": (
+        _golden_multi_logistic_gram,
+        "76c10890690e0726c138ab78c505dae67c7c9f0c4e4b282ddf9a7369f281fc2c",
     ),
     "coupled-d16": (
         _golden_coupled_d16,

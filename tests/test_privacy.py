@@ -16,12 +16,9 @@ from dpsgld.privacy import (
     certify_theorem1,
     certify_theorem2,
     feldman_rdp_bound,
-    gaussian_step_epsilon,
     multi_pass_privacy,
     rdp_to_dp,
     single_pass_rdp,
-    step_delta_allotment,
-    subsample_amplify,
 )
 from dpsgld.schedules import (
     MultiPassSchedule,
@@ -29,6 +26,8 @@ from dpsgld.schedules import (
     multi_pass_schedule,
     single_pass_schedule,
 )
+
+from helpers import gaussian_step_epsilon, step_delta_allotment, subsample_amplify
 
 # Reference values below were computed once with 40-digit arithmetic and frozen.
 
