@@ -7,8 +7,8 @@ neighboring datasets against the closed-form bound), and privacy-utility
 
 An experiment is its cells (``_cells``): the loss and, for each row group,
 the data law and schedule. Building an ``ExperimentConfig`` builds them, so
-what they refuse is refused before anything runs, and the runners iterate
-the same cells. ``run_experiment`` passes every cell's schedule through the
+what they refuse is refused before anything runs, and the runners run the
+same cells. ``run_experiment`` passes every cell's schedule through the
 engine's ``_schedule_steps`` before any data is drawn, so a schedule with
 σ_t = 0 at some step is refused before any cell runs or any file is written.
 
@@ -37,7 +37,13 @@ it, no columns past d − 2), so a step costs O(b²) whatever d is and no
 n × d data is drawn. The final (α, β) is lifted to
 α·e₁ + β·e₂ and scored by the 2-D evaluator, which sees exactly (α, β). The
 low-rank law and d < 3 run the engine on drawn data, which is also the
-reference the reduced chain is tested against.
+reference the reduced chain is tested against. Cells that share a schedule
+(all of dimension-independence's, since the schedule never sees d) run as one
+batch of chains, one per (cell, replicate), when their draws stack: batch size
+b's Bartlett factor has min(b + 1, d − 2) columns, so cells stack when
+min(d − 2, b_max + 1) agree (``_stack_key``). Each chain draws from its own
+stream in blocks whose length depends only on b, so a batched cell's finals
+have the bits of the cell run alone.
 
 Privacy-utility runs each multi-pass chain in the span of its data. A
 gradient φ′·x lies in span{x₁…x_n}, so the iterate's part orthogonal to that
@@ -387,63 +393,99 @@ def _reduced_draws(model: PopulationModel, b: int, steps: int, gen):
     return x, scale, y, gen.standard_normal((steps, 2)), L
 
 
-def _reduced_single_pass(model: PopulationModel, loss, schedule, reps) -> np.ndarray:
-    """Final iterates of single-pass chains run as the (α, β) chain, lifted to d dimensions.
+def _stack_key(model: PopulationModel, schedule) -> int:
+    """min(d − 2, b_max + 1): cells of one schedule whose draws stack have equal keys.
 
-    Replicate r's chain draws from its own DATA_SUBSTREAM generator, a block
-    of steps of one batch size at a time, so its output does not depend on
-    which replicates run beside it. The final (α, β) is lifted to α·e₁ + β·e₂,
-    which the 2-D evaluator scores exactly. See the module docstring for why
-    the chain is exact.
+    Batch size b's Bartlett factor has min(b + 1, d − 2) columns, so two cells'
+    factors have equal shapes at every b of the schedule exactly when both
+    have d − 2 >= b_max + 1 or both have the same d.
     """
-    gens = [rep.substream(DATA_SUBSTREAM).generator for rep in reps]
-    alpha = np.zeros(len(gens))
-    beta = np.zeros(len(gens))
+    return min(model.d - 2, int(schedule.batch_sizes[-1]) + 1)
+
+
+def _reduced_single_pass(models, loss, schedule, reps):
+    """Final iterates of the single-pass chains of cells that share ``schedule``,
+    run as one batch of (α, β) chains and lifted to each cell's d dimensions.
+
+    Chain (cell, r) draws with its cell's model from replicate r's own
+    DATA_SUBSTREAM generator, a block of steps of one batch size at a time;
+    a block's length depends only on b, so a chain's output does not depend on
+    which cells or replicates run beside it. The models' draws must stack:
+    equal ``_stack_key``. Yields each cell's (replicates, d) finals in turn,
+    α·e₁ + β·e₂ per replicate, which the 2-D evaluator scores exactly, so only
+    one cell's lift is held at a time. See the module docstring for why the
+    chain is exact.
+    """
+    chains = [(model, rep.substream(DATA_SUBSTREAM).generator) for model in models for rep in reps]
+    # (α, β) of every chain, updated in place
+    state = np.zeros((len(chains), 2))
+    beta = state[:, 1]
     etas, lambda_etas, sigmas, sizes = _schedule_steps(schedule)
-    shrinks, etas, sigmas = (1.0 - lambda_etas).tolist(), etas.tolist(), sigmas.tolist()
+    shrinks, etas = (1.0 - lambda_etas).tolist(), etas.tolist()
     runs = np.flatnonzero(np.diff(sizes, prepend=0, append=0))
     for lo, hi in zip(runs[:-1], runs[1:]):
         b = int(sizes[lo])
-        c = np.empty((len(gens), b + 1))
+        c = np.empty((len(chains), b + 1))
         block = max(1, _REDUCED_BLOCK_FLOATS // ((b + 1) * (b + 1)))
         for start in range(lo, hi, block):
             stop = min(hi, start + block)
-            draws = [_reduced_draws(model, b, stop - start, gen) for gen in gens]
-            x, scale, y, z, L = (np.stack(part) for part in zip(*draws))
-            for k, t in enumerate(range(start, stop)):
-                a, s = shrinks[t], sigmas[t]
+            draws = [_reduced_draws(model, b, stop - start, gen) for model, gen in chains]
+            x, scale, y, sz, L = (np.stack(part) for part in zip(*draws))
+            sig = sigmas[start:stop]
+            # σ_t·z_t for the whole block at once: the same products as step by step
+            sz *= sig[:, None]
+            for k, a, eta, s in zip(
+                range(stop - start), shrinks[start:stop], etas[start:stop], sig.tolist()
+            ):
                 xk = x[:, k]
-                margins = alpha[:, None] * xk[..., 0] + beta[:, None] * xk[..., 1]
+                margins = state[:, :1] * xk[..., 0] + state[:, 1:] * xk[..., 1]
                 # u_i = −a(η/b)φ′_i: the drift is Σu_i·x_i and c_i = u_i·r_i/‖g_i‖
-                u = loss.clipped_phi_prime(margins, y[:, k]) * (-a * etas[t] / b)
-                drift = (u[..., None] * xk).sum(axis=1)
-                alpha = a * alpha + drift[:, 0] + s * z[:, k, 0]
-                beta_v = a * beta + drift[:, 1] + s * z[:, k, 1]
+                u = loss.clipped_phi_prime(margins, y[:, k]) * (-a * eta / b)
+                # a(α, β) + drift + σz, with β the in-span part β₂ until the root below
+                state *= a
+                state += (u[..., None] * xk).sum(axis=1)
+                state += sz[:, k]
                 np.multiply(u, scale[:, k], out=c[:, :b])
                 c[:, b] = s
                 # cᵀSc = ‖Lᵀc‖²
                 outside = (c[..., None] * L[:, k]).sum(axis=1)
-                beta = np.sqrt(beta_v * beta_v + (outside * outside).sum(axis=1))
-    finals = np.zeros((len(gens), model.d))
-    finals[:, 0] = alpha
-    finals[:, 1] = beta
-    return finals
+                beta *= beta
+                beta += (outside * outside).sum(axis=1)
+                np.sqrt(beta, out=beta)
+    for model, cell in zip(models, state.reshape(len(models), len(reps), 2)):
+        finals = np.zeros((len(reps), model.d))
+        finals[:, :2] = cell
+        yield finals
 
 
 def experiment_single_pass(config: ExperimentConfig) -> list:
     """Excess-risk-vs-n and dimension-independence: one single-pass row per cell.
 
     The schedule and accountant never see d, so dimension-independence's
-    cells hold equal schedules and differ only in the data law.
+    cells hold equal schedules and differ only in the data law. Planar cells
+    that share a schedule and whose draws stack (``_stack_key``) run as one
+    batch of reduced chains; each cell is then scored on its own.
     """
     loss, cells = _cells(config)
     trace_bound = loss_bounds(loss).hessian_trace_bound
+    reps = _replicates(config)
+    keys = [
+        (schedule, _stack_key(model, schedule)) if _planar(model) else None
+        for _, model, schedule in cells
+    ]
+    groups: dict = {}
+    for key, (_, model, _) in zip(keys, cells):
+        if key is not None:
+            groups.setdefault(key, []).append(model)
+    # each batch yields its cells' finals in cell order
+    batches = {
+        key: _reduced_single_pass(models, loss, key[0], reps) for key, models in groups.items()
+    }
     rows = []
-    for cell in cells:
+    for key, cell in zip(keys, cells):
         n, model, schedule = cell
-        reps = _replicates(config)
-        if _planar(model):
-            finals = _reduced_single_pass(model, loss, schedule, reps)
+        if key is not None:
+            finals = next(batches[key])
         else:
             finals = [
                 run_single_pass(

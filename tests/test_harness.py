@@ -25,6 +25,7 @@ from dpsgld.harness import (
     _reduced_single_pass,
     _span_basis,
     _span_runs,
+    _stack_key,
     config_echo,
     data_kind,
     default_config,
@@ -684,8 +685,8 @@ class TestReducedSinglePass:
         eps = eps if eps is not None else n**-0.25
         schedule = single_pass_schedule(n, loss_bounds(loss).G, eta0, eps, 1.0 / n**2)
         model = PopulationModel(data_kind(family), d, 2.0, law, 0.1)
-        reduced = _reduced_single_pass(
-            model, loss, schedule, [seeded_rng(1, r) for r in range(chains)]
+        [reduced] = _reduced_single_pass(
+            [model], loss, schedule, [seeded_rng(1, r) for r in range(chains)]
         )
         full = []
         for r in range(chains):
@@ -720,7 +721,7 @@ class TestReducedSinglePass:
         loss = GlmLoss("logistic")
         schedule = single_pass_schedule(40, 1.0, 1.0, 0.5, 1e-3)
         model = PopulationModel("logistic", d, 2.0, "sphere", 0.1)
-        finals = _reduced_single_pass(model, loss, schedule, [seeded_rng(9, r) for r in range(64)])
+        [finals] = _reduced_single_pass([model], loss, schedule, [seeded_rng(9, r) for r in range(64)])
         alpha, beta = finals[:, 0], finals[:, 1]
         assert np.any(alpha < 0) and np.any(alpha > 0) and np.all(beta > 0)
         np.testing.assert_array_equal(finals[:, 2:], 0.0)
@@ -735,9 +736,9 @@ class TestReducedSinglePass:
         for law, d in (("ball", 30), ("sphere", 4)):
             model = PopulationModel("logistic", d, 2.0, law, 0.1)
             reps = [seeded_rng(6, r) for r in range(3)]
-            together = _reduced_single_pass(model, loss, schedule, reps)
+            [together] = _reduced_single_pass([model], loss, schedule, reps)
             for r, rep in enumerate(reps):
-                alone = _reduced_single_pass(model, loss, schedule, [seeded_rng(6, r)])
+                [alone] = _reduced_single_pass([model], loss, schedule, [seeded_rng(6, r)])
                 np.testing.assert_array_equal(together[r], alone[0])
             assert together.shape == (3, d)
             np.testing.assert_array_equal(together[:, 2:], 0.0)
@@ -751,9 +752,65 @@ class TestReducedSinglePass:
         model = PopulationModel("logistic", 12, 2.0, "ball", 0.1)
         monkeypatch.setattr(harness, "_REDUCED_BLOCK_FLOATS", 8)
         reps = [seeded_rng(6, r) for r in range(2)]
-        together = _reduced_single_pass(model, loss, schedule, reps)
-        alone = _reduced_single_pass(model, loss, schedule, [seeded_rng(6, 1)])
+        [together] = _reduced_single_pass([model], loss, schedule, reps)
+        [alone] = _reduced_single_pass([model], loss, schedule, [seeded_rng(6, 1)])
         np.testing.assert_array_equal(together[1], alone[0])
+
+    @pytest.mark.parametrize("family", ["logistic", "smoothed-hinge", "quadratic"])
+    @pytest.mark.parametrize("law", ["sphere", "ball"])
+    def test_a_batched_cell_has_the_bits_of_the_cell_run_alone(self, monkeypatch, law, family):
+        # small blocks split the runs of equal batch sizes, so a block length
+        # that depended on the number of chains would redraw the numbers
+        monkeypatch.setattr(harness, "_REDUCED_BLOCK_FLOATS", 64)
+        loss = GlmLoss(family)
+        schedule = single_pass_schedule(40, loss_bounds(loss).G, 1.0, 0.5, 1e-3)
+        models = [PopulationModel(data_kind(family), d, 2.0, law, 0.1) for d in (9, 40, 300)]
+        reps = [seeded_rng(6, r) for r in range(3)]
+        assert len({_stack_key(model, schedule) for model in models}) == 1
+        together = list(_reduced_single_pass(models, loss, schedule, reps))
+        assert [finals.shape for finals in together] == [(3, 9), (3, 40), (3, 300)]
+        for model, finals in zip(models, together):
+            [alone] = _reduced_single_pass([model], loss, schedule, reps)
+            assert finals.tobytes() == alone.tobytes()
+
+    @staticmethod
+    def _spy(monkeypatch):
+        groups = []
+
+        def recording(models, *args):
+            groups.append([model.d for model in models])
+            return _reduced_single_pass(models, *args)
+
+        monkeypatch.setattr(harness, "_reduced_single_pass", recording)
+        return groups
+
+    def test_a_shared_schedule_runs_its_cells_as_one_batch(self, monkeypatch):
+        groups = self._spy(monkeypatch)
+        run_experiment(small_config(DIMENSION_INDEPENDENCE, d_grid=(8, 16, 64, 512)))
+        assert groups == [[8, 16, 64, 512]]
+        groups.clear()
+        run_experiment(small_config(EXCESS_RISK_VS_N))
+        assert groups == [[16], [32], [64]]
+
+    @pytest.mark.parametrize(
+        "d_grid, batches",
+        [
+            # n = 32 takes batch sizes 1 to 4: d = 4 has a 2-column Bartlett factor from b = 1 on
+            ((4, 512, 5, 64), [[4], [512, 64], [5]]),
+            # d = 2 runs the engine, between two batched cells
+            ((16, 2, 32), [[16, 32]]),
+        ],
+    )
+    def test_every_cell_of_a_grid_keeps_its_row_alone(self, monkeypatch, d_grid, batches):
+        groups = self._spy(monkeypatch)
+        config = small_config(DIMENSION_INDEPENDENCE, d_grid=d_grid)
+        rows, _ = run_experiment(config)
+        assert groups == batches
+        assert [row.d for row in rows] == list(d_grid)
+        assert [row.note for row in rows] == [""] * len(d_grid)
+        for row, d in zip(rows, d_grid):
+            [alone], _ = run_experiment(replace(config, d_grid=(d,)))
+            assert row == alone
 
     @pytest.mark.parametrize(
         "law, d_grid", [("low-rank", (8,)), ("sphere", (2,)), ("ball", (1,))]
