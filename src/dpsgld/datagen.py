@@ -13,19 +13,9 @@ form ‖w − wStar‖²·E‖x‖²/(2d) + s²/2 on the isotropic laws.
 Population risk is estimated by streaming a held-out Monte-Carlo sample in
 chunks regenerated from the caller's stream: memory stays flat and reusing
 one stream across evaluations gives common random numbers. On the sphere and
-ball laws with d >= 3 the sample is drawn in two dimensions, so its cost does
-not grow with d. The model's wStar is wstar_norm·e₁, so the loss of w at x
-depends on x only through wᵀx and x₁, that is through the projection of x
-onto the orthonormal frame (e₁, u₂) of span{e₁, w}. A uniform sphere point
-is g/‖g‖ with g standard Gaussian; rotating the frame onto the first two
-axes leaves g's law unchanged, so the projection is exactly
-(g₁, g₂)/√(g₁² + g₂² + χ²_{d−2}) with the chi-square independent of
-(g₁, g₂), and the ball law scales it by its radius. Each chunk draws one set
-of these 2-D rows and scores every iterate w on it through its coordinates
-(w₁, ‖w − w₁e₁‖). Each iterate's estimate has exactly the law it has on
-d-dimensional rows, and iterates scored together share the draws, so their
-differences keep common random numbers. The low-rank law and d < 3 draw
-full d-dimensional rows.
+ball laws with d >= 3 the sample is drawn in two dimensions by ``planar``, so
+its cost does not grow with d; the low-rank law and d < 3 draw full
+d-dimensional rows.
 
 ``export_dataset`` writes a sample as text under a ``# d= n= kind=`` header,
 and ``import_dataset`` reads it back for ``dpsgld run``, refusing a malformed
@@ -40,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import planar
 from .core import Dataset, InvalidParameterError, RngStream, as_vector
 from .losses import GlmLoss, logistic
 
@@ -52,12 +43,6 @@ FEATURE_LAWS = ("ball", "sphere", "low-rank")
 def _chunk_rows(d: int) -> int:
     # keep a feature chunk near 32 MB regardless of dimension
     return max(128, min(16384, (1 << 22) // max(1, d)))
-
-
-# Rows per chunk of the 2-D held-out sampler. It depends on neither d nor the
-# number of iterates, so an iterate scored alone sees the same draws as when
-# scored beside others.
-_MARGIN_CHUNK_ROWS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -95,6 +80,14 @@ class PopulationModel:
         w[0] = self.wstar_norm
         return w
 
+    def labels(self, margins: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """Labels given the true margins wStarᵀx = wstar_norm·x₁ of the rows."""
+        if self.kind == LOGISTIC_KIND:
+            u = gen.uniform(size=margins.shape[0])
+            return np.where(u < logistic(margins), 1.0, -1.0)
+        half_width = math.sqrt(3.0) * self.label_noise
+        return margins + gen.uniform(-half_width, half_width, size=margins.shape[0])
+
 
 def _draw_features(model: PopulationModel, n: int, gen: np.random.Generator) -> np.ndarray:
     g = gen.standard_normal((n, model.d))
@@ -106,30 +99,14 @@ def _draw_features(model: PopulationModel, n: int, gen: np.random.Generator) -> 
     return g
 
 
-def _draw_labels(
-    model: PopulationModel, margins: np.ndarray, gen: np.random.Generator
-) -> np.ndarray:
-    """Labels given the true margins wStarᵀx = wstar_norm·x₁ of the rows."""
-    if model.kind == LOGISTIC_KIND:
-        u = gen.uniform(size=margins.shape[0])
-        return np.where(u < logistic(margins), 1.0, -1.0)
-    half_width = math.sqrt(3.0) * model.label_noise
-    return margins + gen.uniform(-half_width, half_width, size=margins.shape[0])
-
-
 def draw_dataset(model: PopulationModel, n: int, rng: RngStream) -> Dataset:
     """n i.i.d. examples from the model; deterministic given the stream."""
     if not n >= 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     gen = rng.generator
     X = _draw_features(model, n, gen)
-    y = _draw_labels(model, model.wstar_norm * X[:, 0], gen)
+    y = model.labels(model.wstar_norm * X[:, 0], gen)
     return Dataset(X, y, copy=False)
-
-
-def _planar(model: PopulationModel) -> bool:
-    """Whether the law is the sphere or ball law with d >= 3, so 2-D projections are exact."""
-    return model.feature_law != "low-rank" and model.d >= 3
 
 
 def _held_out_chunks(model: PopulationModel, n_test: int, rng: RngStream):
@@ -138,32 +115,7 @@ def _held_out_chunks(model: PopulationModel, n_test: int, rng: RngStream):
     chunk = _chunk_rows(model.d)
     for done in range(0, n_test, chunk):
         X = _draw_features(model, min(chunk, n_test - done), gen)
-        yield X, _draw_labels(model, model.wstar_norm * X[:, 0], gen)
-
-
-def _held_out_margins(model: PopulationModel, W: np.ndarray, n_test: int, rng: RngStream):
-    """Yield (margins, y) chunks of an n_test-row held-out sample.
-
-    margins[i, j] is W[j]ᵀx_i for the chunk's rows x_i and y their labels.
-    See the module docstring for the 2-D law used on the sphere and ball laws
-    when d >= 3.
-    """
-    if not _planar(model):
-        for X, y in _held_out_chunks(model, n_test, rng):
-            yield X @ W.T, y
-        return
-    gen = rng.generator
-    # an iterate parallel to wStar gets a second coordinate of exactly 0
-    across = W.copy()
-    across[:, 0] = 0.0
-    coords = np.stack([W[:, 0], np.linalg.norm(across, axis=1)])
-    for done in range(0, n_test, _MARGIN_CHUNK_ROWS):
-        c = min(_MARGIN_CHUNK_ROWS, n_test - done)
-        P = gen.standard_normal((c, 2))
-        P /= np.sqrt(np.sum(P * P, axis=1) + gen.chisquare(model.d - 2, c))[:, None]
-        if model.feature_law == "ball":
-            P *= gen.uniform(0.5, 1.0, size=(c, 1))
-        yield P @ coords, _draw_labels(model, model.wstar_norm * P[:, 0], gen)
+        yield X, model.labels(model.wstar_norm * X[:, 0], gen)
 
 
 def population_risk_many(
@@ -173,8 +125,8 @@ def population_risk_many(
 
     Streams the held-out sample in chunks regenerated from ``rng``, scoring
     every iterate against the same draws (common random numbers). On the
-    sphere and ball laws with d >= 3 the draws are 2-D projections, so the
-    cost per iterate does not grow with d (module docstring).
+    sphere and ball laws with d >= 3 it scores each iterate's ``planar.pairs``
+    on 2-D draws, so the cost per iterate does not grow with d.
 
     Args:
         ws: sequence of iterates, all of the model's dimension.
@@ -192,16 +144,10 @@ def population_risk_many(
         raise InvalidParameterError(
             f"iterates have {W.shape[1]} coordinates, model says d={model.d}"
         )
-    total = np.zeros(W.shape[0])
-    total_sq = np.zeros(W.shape[0])
-    for margins, y in _held_out_margins(model, W, n_test, rng):
-        values = loss.phi(margins, y[:, None])
-        total += values.sum(axis=0)
-        total_sq += (values * values).sum(axis=0)
-    mean = total / n_test
-    var = np.maximum(total_sq / n_test - mean * mean, 0.0)
-    se = np.sqrt(var / n_test)
-    return mean, se
+    if planar.applies(model):
+        return planar.population_risk(loss, planar.pairs(W), model, n_test, rng.generator)
+    chunks = ((X @ W.T, y) for X, y in _held_out_chunks(model, n_test, rng))
+    return planar.mean_and_se(loss, chunks, n_test)
 
 
 def feature_second_moment(feature_law: str) -> float:

@@ -18,32 +18,10 @@ evaluation sample lives on its own stream shared by all evaluations, so risks
 are compared under common random numbers. Wall-clock time goes to the sidecar
 text file, never into the CSV, so reruns are byte-identical.
 
-The single-pass experiments run, on the sphere and ball laws with d >= 3,
-the exact-in-law chain of (α, β) = (w₁, ‖w − w₁e₁‖), from (0, 0); the data
-law puts w* on e₁. A single pass reads each i.i.d. row once, and the law of
-the rows and of the noise is invariant under the rotations that fix e₁, so
-step t may use fresh rows written in a frame (e₁, v), v the direction of w's
-part orthogonal to e₁. Each of the b rows is r·g/‖g‖ with g ~ N(0, I_d) and
-r the ball radius (1 on the sphere); its (e₁, v) coordinates come from
-(g₁, g₂), and its part outside span{e₁, v}, like the noise's, is a
-standard Gaussian vector in R^(d−2). Only the Gram
-matrix S of those b + 1 vectors enters the step, through the rows' norms
-‖g‖² = g₁² + g₂² + S_ii and the new orthogonal length: with a = 1 − λ_tη,
-α ← a(α − (η/b)Σφ′_i x_i1) + σ_t z₁ and β ← √(β₂² + cᵀSc), where
-β₂ = a(β − (η/b)Σφ′_i x_i2) + σ_t z₂, c_i = −a(η/b)φ′_i r_i/‖g_i‖ and
-c_(b+1) = σ_t, with φ′ clipped to [−γ₁, γ₁] as in the engine. S is drawn
-as LLᵀ from its Bartlett factor (χ_(d−2−j) on the diagonal, N(0, 1) below
-it, no columns past d − 2), so a step costs O(b²) whatever d is and no
-n × d data is drawn. The final (α, β) is lifted to
-α·e₁ + β·e₂ and scored by the 2-D evaluator, which sees exactly (α, β). The
-low-rank law and d < 3 run the engine on drawn data, which is also the
-reference the reduced chain is tested against. Cells that share a schedule
-(all of dimension-independence's, since the schedule never sees d) run as one
-batch of chains, one per (cell, replicate), when their draws stack: batch size
-b's Bartlett factor has min(b + 1, d − 2) columns, so cells stack when
-min(d − 2, b_max + 1) agree (``_stack_key``). Each chain draws from its own
-stream in blocks whose length depends only on b, so a batched cell's finals
-have the bits of the cell run alone.
+The single-pass experiments run ``planar``'s exact-in-law chain of
+(α, β) = (w₁, ‖w − w₁e₁‖) on the sphere and ball laws with d >= 3 and score
+its pairs directly. The low-rank law and d < 3 run the engine on drawn data,
+which is also the reference the reduced chain is tested against.
 
 Privacy-utility runs each multi-pass chain in the span of its data. A
 gradient φ′·x lies in span{x₁…x_n}, so the iterate's part orthogonal to that
@@ -65,14 +43,12 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import losses
+from . import losses, planar
 from .core import Dataset, InvalidParameterError, RngStream, _fmt, _require_count, seeded_rng
 from .datagen import (
     LOGISTIC_KIND,
     QUADRATIC_KIND,
     PopulationModel,
-    _draw_labels,
-    _planar,
     draw_dataset,
     population_risk_many,
 )
@@ -113,9 +89,6 @@ SIMULATORS = {
 }
 
 LOGLOG_FLOOR = 1e-6
-
-# Floats per replicate in one block of the reduced chain's bulk draws.
-_REDUCED_BLOCK_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -326,12 +299,18 @@ def _replicates(config: ExperimentConfig) -> list:
     return [seeded_rng(config.seed, r) for r in range(config.replicates)]
 
 
-def _excess_risks(config: ExperimentConfig, loss, model: PopulationModel, iterates) -> np.ndarray:
-    """Each iterate's population risk minus w*'s, all scored on the shared held-out sample."""
+def _excess_risks(
+    config: ExperimentConfig, loss, model: PopulationModel, iterates, as_pairs=False
+) -> np.ndarray:
+    """Each iterate's population risk minus w*'s, all scored on the shared held-out
+    sample; ``as_pairs`` iterates are (R, 2) pairs, scored beside w*'s (wstar_norm, 0)."""
     # a fresh evaluation stream replays the same sample on every call
-    est, _ = population_risk_many(
-        loss, [*iterates, model.w_star], model, config.n_test, seeded_rng(config.seed, EVAL_STREAM)
-    )
+    rng = seeded_rng(config.seed, EVAL_STREAM)
+    if as_pairs:
+        scored = np.vstack([iterates, (model.wstar_norm, 0.0)])
+        est, _ = planar.population_risk(loss, scored, model, config.n_test, rng.generator)
+    else:
+        est, _ = population_risk_many(loss, [*iterates, model.w_star], model, config.n_test, rng)
     return est[:-1] - est[-1]
 
 
@@ -370,116 +349,33 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(r))
 
 
-def _reduced_draws(model: PopulationModel, b: int, steps: int, gen):
-    """The state-free draws of ``steps`` reduced-chain steps of batch size b.
-
-    Returns (x, scale, y, z, L): the rows' (e₁, v) coordinates x (steps, b, 2),
-    their r/‖g‖ (steps, b), labels (steps, b), the noise's (e₁, v) part
-    (steps, 2), and the Bartlett factor L (steps, b + 1, min(b + 1, d − 2)) of
-    the Gram matrix of the b + 1 parts outside span{e₁, v}.
-    """
-    p = model.d - 2
-    m = b + 1
-    q = min(m, p)
-    L = np.tril(gen.standard_normal((steps, m, q)), -1)
-    diag = np.arange(q)
-    L[:, diag, diag] = np.sqrt(gen.chisquare(p - diag, size=(steps, q)))
-    g = gen.standard_normal((steps, b, 2))
-    scale = 1.0 / np.sqrt((g * g).sum(axis=2) + (L[:, :b] ** 2).sum(axis=2))
-    if model.feature_law == "ball":
-        scale *= gen.uniform(0.5, 1.0, size=(steps, b))
-    x = g * scale[..., None]
-    y = _draw_labels(model, model.wstar_norm * x[..., 0].reshape(-1), gen).reshape(steps, b)
-    return x, scale, y, gen.standard_normal((steps, 2)), L
-
-
-def _stack_key(model: PopulationModel, schedule) -> int:
-    """min(d − 2, b_max + 1): cells of one schedule whose draws stack have equal keys.
-
-    Batch size b's Bartlett factor has min(b + 1, d − 2) columns, so two cells'
-    factors have equal shapes at every b of the schedule exactly when both
-    have d − 2 >= b_max + 1 or both have the same d.
-    """
-    return min(model.d - 2, int(schedule.batch_sizes[-1]) + 1)
-
-
-def _reduced_single_pass(models, loss, schedule, reps):
-    """Final iterates of the single-pass chains of cells that share ``schedule``,
-    run as one batch of (α, β) chains and lifted to each cell's d dimensions.
-
-    Chain (cell, r) draws with its cell's model from replicate r's own
-    DATA_SUBSTREAM generator, a block of steps of one batch size at a time;
-    a block's length depends only on b, so a chain's output does not depend on
-    which cells or replicates run beside it. The models' draws must stack:
-    equal ``_stack_key``. Yields each cell's (replicates, d) finals in turn,
-    α·e₁ + β·e₂ per replicate, which the 2-D evaluator scores exactly, so only
-    one cell's lift is held at a time. See the module docstring for why the
-    chain is exact.
-    """
-    chains = [(model, rep.substream(DATA_SUBSTREAM).generator) for model in models for rep in reps]
-    # (α, β) of every chain, updated in place
-    state = np.zeros((len(chains), 2))
-    beta = state[:, 1]
-    etas, lambda_etas, sigmas, sizes = _schedule_steps(schedule)
-    shrinks, etas = (1.0 - lambda_etas).tolist(), etas.tolist()
-    runs = np.flatnonzero(np.diff(sizes, prepend=0, append=0))
-    for lo, hi in zip(runs[:-1], runs[1:]):
-        b = int(sizes[lo])
-        c = np.empty((len(chains), b + 1))
-        block = max(1, _REDUCED_BLOCK_FLOATS // ((b + 1) * (b + 1)))
-        for start in range(lo, hi, block):
-            stop = min(hi, start + block)
-            draws = [_reduced_draws(model, b, stop - start, gen) for model, gen in chains]
-            x, scale, y, sz, L = (np.stack(part) for part in zip(*draws))
-            sig = sigmas[start:stop]
-            # σ_t·z_t for the whole block at once: the same products as step by step
-            sz *= sig[:, None]
-            for k, a, eta, s in zip(
-                range(stop - start), shrinks[start:stop], etas[start:stop], sig.tolist()
-            ):
-                xk = x[:, k]
-                margins = state[:, :1] * xk[..., 0] + state[:, 1:] * xk[..., 1]
-                # u_i = −a(η/b)φ′_i: the drift is Σu_i·x_i and c_i = u_i·r_i/‖g_i‖
-                u = loss.clipped_phi_prime(margins, y[:, k]) * (-a * eta / b)
-                # a(α, β) + drift + σz, with β the in-span part β₂ until the root below
-                state *= a
-                state += (u[..., None] * xk).sum(axis=1)
-                state += sz[:, k]
-                np.multiply(u, scale[:, k], out=c[:, :b])
-                c[:, b] = s
-                # cᵀSc = ‖Lᵀc‖²
-                outside = (c[..., None] * L[:, k]).sum(axis=1)
-                beta *= beta
-                beta += (outside * outside).sum(axis=1)
-                np.sqrt(beta, out=beta)
-    for model, cell in zip(models, state.reshape(len(models), len(reps), 2)):
-        finals = np.zeros((len(reps), model.d))
-        finals[:, :2] = cell
-        yield finals
-
-
 def experiment_single_pass(config: ExperimentConfig) -> list:
     """Excess-risk-vs-n and dimension-independence: one single-pass row per cell.
 
     The schedule and accountant never see d, so dimension-independence's
     cells hold equal schedules and differ only in the data law. Planar cells
-    that share a schedule and whose draws stack (``_stack_key``) run as one
-    batch of reduced chains; each cell is then scored on its own.
+    that share a schedule and whose draws stack (``planar.stack_key``) run as
+    one batch of reduced chains; each cell's pairs are then scored on their own.
     """
     loss, cells = _cells(config)
     trace_bound = loss_bounds(loss).hessian_trace_bound
     reps = _replicates(config)
     keys = [
-        (schedule, _stack_key(model, schedule)) if _planar(model) else None
+        (schedule, planar.stack_key(model, schedule)) if planar.applies(model) else None
         for _, model, schedule in cells
     ]
     groups: dict = {}
     for key, (_, model, _) in zip(keys, cells):
         if key is not None:
             groups.setdefault(key, []).append(model)
-    # each batch yields its cells' finals in cell order
+    # each batch yields its cells' final pairs in cell order; each (cell, replicate)
+    # chain gets a fresh DATA_SUBSTREAM stream, since a stream caches its generator
     batches = {
-        key: _reduced_single_pass(models, loss, key[0], reps) for key, models in groups.items()
+        key: planar.single_pass(
+            models, loss, key[0],
+            [[rep.substream(DATA_SUBSTREAM).generator for rep in reps] for _ in models],
+        )
+        for key, models in groups.items()
     }
     rows = []
     for key, cell in zip(keys, cells):
@@ -503,7 +399,7 @@ def experiment_single_pass(config: ExperimentConfig) -> list:
             schedule.delta,
             trace_bound,
         )
-        excess = _excess_risks(config, loss, model, finals)
+        excess = _excess_risks(config, loss, model, finals, as_pairs=key is not None)
         rows.append(_row(config, cell, *_mean_se(excess), bound))
     return rows
 

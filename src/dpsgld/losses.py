@@ -55,7 +55,7 @@ class GlmLoss:
                 f"smoothing half-width must be > 0 and finite, got {self.h}"
             )
 
-    # φ, φ′, φ″ as functions of the activation a = wᵀx, for float64 arrays or
+    # φ and φ′ as functions of the activation a = wᵀx, for float64 arrays or
     # Python floats a and y (no coercion: φ′ runs once per engine step).
 
     def phi(self, a, y):
@@ -99,16 +99,6 @@ class GlmLoss:
     @cached_property
     def _gamma1(self) -> float:
         return loss_bounds(self).gamma1
-
-    def phi_double_prime(self, a, y):
-        if self.family == LOGISTIC:
-            p = logistic(y * a)
-            return p * (1.0 - p)
-        if self.family == SMOOTHED_HINGE:
-            m = y * a
-            inside = (m < 1.0 + self.h) & (m > 1.0 - self.h)
-            return np.where(inside, 1.0 / (2.0 * self.h), 0.0)
-        return np.ones(np.broadcast(a, y).shape)
 
 
 @dataclass(frozen=True)

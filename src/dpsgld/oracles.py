@@ -33,8 +33,11 @@ def theorem1_excess_bound(
     _require_unit_interval(delta=delta)
     if w_norm < 0 or trace < 0:
         raise InvalidParameterError("w_norm and trace must be >= 0")
-    opt = math.log(n) * (G * w_norm**2 + 1.5 * eta0**2 * G) / (eta0 * math.sqrt(n))
-    priv = eta0**2 * math.log(1.0 / delta) * trace / (epsilon**2 * n)
+    try:
+        opt = math.log(n) * (G * w_norm**2 + 1.5 * eta0**2 * G) / (eta0 * math.sqrt(n))
+        priv = eta0**2 * math.log(1.0 / delta) * trace / (epsilon**2 * n)
+    except OverflowError:  # a square past the float range: the bound is infinite
+        return math.inf
     return opt + priv
 
 
@@ -61,7 +64,10 @@ def theorem2_excess_bound(
     if w_norm < 0 or trace < 0:
         raise InvalidParameterError("w_norm and trace must be >= 0")
     T = max(1, round(n**pass_exponent * epsilon**2))
-    comp = G * w_norm**2 * math.sqrt(math.log(T / delta)) / (eta0 * math.sqrt(n))
-    opt = eta0 * G / math.sqrt(n * math.log(1.0 / delta))
-    priv = eta0**2 * trace / (epsilon**2 * n ** (pass_exponent - 1.0))
+    try:
+        comp = G * w_norm**2 * math.sqrt(math.log(T / delta)) / (eta0 * math.sqrt(n))
+        opt = eta0 * G / math.sqrt(n * math.log(1.0 / delta))
+        priv = eta0**2 * trace / (epsilon**2 * n ** (pass_exponent - 1.0))
+    except OverflowError:  # a square past the float range: the bound is infinite
+        return math.inf
     return comp + opt + priv

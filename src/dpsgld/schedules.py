@@ -96,7 +96,9 @@ def single_pass_schedule(
     _require_positive(G=G, eta0=eta0, epsilon=epsilon)
     _require_unit_interval(delta=delta)
     eta = eta0 * math.sqrt(1.0 / (4.0 * G * G * T))
-    beta0 = (epsilon + math.log(1.0 / delta)) * eta0**2 / (2.0 * epsilon**2 * T)
+    denominator = 2.0 * epsilon**2 * T
+    # ε² underflows to 0 below about 1e-162; β₀ is then infinite, which the schedule refuses
+    beta0 = (epsilon + math.log(1.0 / delta)) * eta0**2 / denominator if denominator else math.inf
     renyi_order = 1.0 + math.log(1.0 / delta) / epsilon
     return SinglePassSchedule(
         T=int(T),

@@ -1,7 +1,8 @@
 """Test-side oracles and a one-step driver for the per-step kernel.
 
 The oracles stay apart from the library code they check: a central-difference
-gradient of a loss's φ, the Rényi divergence between two isotropic
+gradient of a loss's φ, its φ″ (the curvature the certified γ₂ bounds), the
+Rényi divergence between two isotropic
 Gaussians, and the textbook per-step privacy chain (``step_delta_allotment``,
 ``gaussian_step_epsilon``, ``subsample_amplify``), which checks one step's
 scalars and which the account report's closed-form step ε is checked
@@ -17,6 +18,7 @@ from dpsgld import engine
 from dpsgld.core import (
     InfinitePrivacyLossError, InvalidParameterError, _require_count, _require_unit_interval, as_vector,
 )
+from dpsgld.losses import LOGISTIC, SMOOTHED_HINGE, logistic
 from dpsgld.privacy import _ZERO_NOISE, DpBudget, _amplified_epsilon
 
 
@@ -34,6 +36,18 @@ def finite_diff_gradient(loss, w, x, y, h: float) -> np.ndarray:
         wm[i] -= h
         g[i] = (float(loss.phi(float(wp @ x), y)) - float(loss.phi(float(wm @ x), y))) / (2.0 * h)
     return g
+
+
+def phi_double_prime(loss, a, y):
+    """φ″ of ``loss`` at activation a = wᵀx and label y, for float64 arrays or Python floats."""
+    if loss.family == LOGISTIC:
+        p = logistic(y * a)
+        return p * (1.0 - p)
+    if loss.family == SMOOTHED_HINGE:
+        m = y * a
+        inside = (m < 1.0 + loss.h) & (m > 1.0 - loss.h)
+        return np.where(inside, 1.0 / (2.0 * loss.h), 0.0)
+    return np.ones(np.broadcast(a, y).shape)
 
 
 def renyi_gaussian(alpha: float, mu1, mu2, sigma2: float) -> float:

@@ -600,6 +600,8 @@ class TestErrorPaths:
             (["schedule.eta0=inf"], "eta0 must be > 0 and finite, got inf"),
             (["schedule.epsilon=inf"], "epsilon must be > 0 and finite, got inf"),
             (["schedule.epsilon=-inf"], "epsilon must be > 0 and finite, got -inf"),
+            # ε² underflows to 0, so β₀ = (ε + ln(1/δ))η₀²/(2ε²T) is infinite
+            (["schedule.epsilon=1e-300"], "beta0 must be > 0 and finite, got inf"),
         ],
     )
     def test_infinite_schedule_inputs_are_refused(self, capsys, settings, message):

@@ -18,6 +18,8 @@ from dpsgld.datagen import (
 )
 from dpsgld.losses import GlmLoss
 
+from helpers import phi_double_prime
+
 
 def model_for(kind="logistic", d=8, law="ball", noise=0.1, w_scale=1.0):
     return PopulationModel(kind=kind, d=d, wstar_norm=w_scale, feature_law=law, label_noise=noise)
@@ -211,63 +213,6 @@ class TestPopulationRisk:
         assert se_big < se_small / 5.0
 
 
-def d_dimensional_risk(loss, ws, model, n_test, rng):
-    """Mean and standard error of the loss over full d-dimensional held-out rows."""
-    W = np.stack(ws)
-    values = np.concatenate(
-        [loss.phi(X @ W.T, y[:, None]) for X, y in datagen._held_out_chunks(model, n_test, rng)]
-    )
-    return values.mean(axis=0), values.std(axis=0) / math.sqrt(n_test)
-
-
-class TestProjectedEstimator:
-    """On the sphere and ball laws (d >= 3) the held-out rows are 2-D projections."""
-
-    @pytest.mark.parametrize("w_scale", [1.0, 0.0], ids=["wstar", "wstar0"])
-    @pytest.mark.parametrize("d", [3, 512])
-    @pytest.mark.parametrize("kind", ["logistic", "quadratic"])
-    @pytest.mark.parametrize("law", ["sphere", "ball"])
-    def test_matches_d_dimensional_rows(self, law, kind, d, w_scale):
-        # independent samples, so the two estimates differ by noise of
-        # standard error sqrt(se_a² + se_b²); the loss at w = 0 is constant
-        # for logistic labels, so allow rounding there
-        model = model_for(kind=kind, d=d, law=law, w_scale=w_scale)
-        loss = GlmLoss(kind)
-        along = np.zeros(d)
-        along[0] = 2.0  # parallel to wStar, or along u₁ = e₁ when wStar = 0
-        generic = np.random.default_rng(d).standard_normal(d)
-        generic *= 1.5 / np.linalg.norm(generic)
-        ws = [np.zeros(d), along, generic]
-        est, se = population_risk_many(loss, ws, model, 20_000, seeded_rng(21, 0))
-        ref, ref_se = d_dimensional_risk(loss, ws, model, 20_000, seeded_rng(21, 1))
-        tolerance = 4.0 * np.sqrt(se**2 + ref_se**2) + 1e-12
-        assert np.all(np.abs(est - ref) <= tolerance), (est, ref)
-
-    @pytest.mark.parametrize("d", [3, 512])
-    @pytest.mark.parametrize("law", ["sphere", "ball"])
-    def test_iterate_parallel_to_w_star_scores_exactly(self, law, d):
-        # noiseless quadratic labels are wStarᵀx, so wStar itself has zero
-        # loss on every row only if its second coordinate is exactly 0
-        model = model_for(kind="quadratic", d=d, law=law, noise=0.0, w_scale=0.7)
-        loss = GlmLoss("quadratic")
-        est, se = population_risk_many(loss, [model.w_star], model, 1000, seeded_rng(22, 0))
-        assert est[0] == 0.0 and se[0] == 0.0
-
-    def test_isotropic_laws_never_draw_d_dimensional_rows(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("drew d-dimensional held-out rows")
-
-        monkeypatch.setattr(datagen, "_draw_features", refuse)
-        d = 100_000
-        for law in ("sphere", "ball"):
-            model = model_for(d=d, law=law)
-            loss = GlmLoss("logistic")
-            est, _ = population_risk_many(
-                loss, [np.zeros(d), model.w_star], model, 10_000, seeded_rng(25, 0)
-            )
-            assert np.all(np.isfinite(est))
-
-
 # sha256 of (estimates, standard errors, Hessian trace) from the d-dimensional
 # sampler, recorded before the 2-D sampler was added: the low-rank law and
 # d < 3 must keep drawing exactly the same rows. At d = 600 the 20 000 rows
@@ -290,7 +235,7 @@ def test_d_dimensional_estimates_are_pinned(kind, law, d):
     est, se = population_risk_many(loss, ws, model, 20_000, seeded_rng(3, 0))
     h = 0.0
     for X, y in datagen._held_out_chunks(model, 5_000, seeded_rng(4, 0)):
-        curv = loss.phi_double_prime((X @ ws[2][None].T)[:, 0], y)
+        curv = phi_double_prime(loss, (X @ ws[2][None].T)[:, 0], y)
         h += float(np.sum(curv * np.sum(X * X, axis=1)))
     h /= 5_000
     payload = est.tobytes() + se.tobytes() + np.float64(h).tobytes()

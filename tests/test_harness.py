@@ -1,17 +1,15 @@
 import hashlib
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dpsgld import datagen, engine, harness
+from dpsgld import datagen, engine, harness, planar
 from dpsgld.core import Dataset, InfinitePrivacyLossError, InvalidParameterError, seeded_rng
 from dpsgld.datagen import PopulationModel, draw_dataset
 from dpsgld.harness import (
     COMPLEMENT_SUBSTREAM,
-    DATA_SUBSTREAM,
     DIMENSION_INDEPENDENCE,
     EXCESS_RISK_VS_N,
     EXPERIMENTS,
@@ -22,10 +20,8 @@ from dpsgld.harness import (
     ResultRow,
     _checkpoint_ladder,
     _complement,
-    _reduced_single_pass,
     _span_basis,
     _span_runs,
-    _stack_key,
     config_echo,
     data_kind,
     default_config,
@@ -36,8 +32,8 @@ from dpsgld.harness import (
     unread_fields,
     write_results,
 )
-from dpsgld.losses import GlmLoss, loss_bounds
-from dpsgld.schedules import multi_pass_schedule, single_pass_schedule
+from dpsgld.losses import GlmLoss
+from dpsgld.schedules import multi_pass_schedule
 
 
 class TestLoglogSlopeFit:
@@ -301,7 +297,7 @@ def test_a_noiseless_cell_is_refused_before_any_data_is_drawn(monkeypatch, name,
         raise AssertionError("data drawn before every cell's schedule was checked")
 
     monkeypatch.setattr(harness, "draw_dataset", drawn)
-    monkeypatch.setattr(harness, "_reduced_draws", drawn)
+    monkeypatch.setattr(planar, "_reduced_draws", drawn)
     config = replace(default_config(name), eta0=eta0, replicates=2)
     with pytest.raises(InfinitePrivacyLossError, match=f"^sigma_t = 0 at step t = {step}: "):
         run_experiment(config)
@@ -325,6 +321,17 @@ class TestExcessRiskExperiment:
         assert summary["rows"] == 3
         assert {"loglog_slope", "loglog_intercept", "loglog_r2"} <= set(summary)
         assert summary["eps_accounted_distinct"] == 3
+
+    def test_a_norm_whose_square_overflows_writes_an_infinite_bound(self, tmp_path):
+        # every chain runs and every row is written; only the bound overflows
+        config = small_config(EXCESS_RISK_VS_N, wstar_norm=1e200, out_dir=str(tmp_path))
+        rows, summary = run_experiment(config)
+        assert [row.bound_value for row in rows] == [math.inf] * 3
+        assert all(math.isfinite(row.mean_value) for row in rows)
+        write_results(config, rows, summary)
+        lines = (tmp_path / "excess-risk-vs-n.csv").read_text().splitlines()
+        column = RESULT_COLUMNS.index("bound_value")
+        assert [line.split(",")[column] for line in lines[1:]] == ["inf"] * 3
 
     def test_rerun_is_identical(self):
         config = small_config(EXCESS_RISK_VS_N)
@@ -650,128 +657,8 @@ class TestSpanRuns:
         assert drawn == []
 
 
-def _z(a, b):
-    se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
-    return (a.mean() - b.mean()) / se
-
-
-def _final_coordinates(W):
-    """(α, β) = (e₁ᵀw, ‖w − (e₁ᵀw)e₁‖) of each row; the harness puts wStar on e₁."""
-    return W[:, 0], np.linalg.norm(W[:, 1:], axis=1)
-
-
-class TestReducedSinglePass:
-    """Single-pass chains on the sphere and ball laws run as the (α, β) chain."""
-
-    @pytest.mark.parametrize(
-        "law, family, n, d, eps, eta0",
-        [
-            ("ball", "logistic", 64, 40, None, 1.0),
-            ("sphere", "logistic", 128, 100, 20.0, 4.0),
-            # d − 2 = 3 < b + 1 from b = 3 on: a rank-deficient Bartlett factor
-            ("sphere", "quadratic", 64, 5, None, 1.0),
-            ("ball", "quadratic", 64, 24, 20.0, 4.0),
-        ],
-    )
-    def test_reduced_chain_has_the_law_of_the_engine(self, law, family, n, d, eps, eta0):
-        # Two independent samples of 1 000 chains: the reduced chain against
-        # engine.run_single_pass on drawn d-dimensional data, each drawn from
-        # DATA_SUBSTREAM as the experiments draw it. The means and variances of
-        # α and β must agree within 4.5 standard errors. The tolerance was
-        # fixed before the first run. The harness default ε = n^(−1/4) leaves
-        # the chains noise-dominated; ε = 20, η₀ = 4 lets the data drive them.
-        chains = 1000
-        loss = GlmLoss(family)
-        eps = eps if eps is not None else n**-0.25
-        schedule = single_pass_schedule(n, loss_bounds(loss).G, eta0, eps, 1.0 / n**2)
-        model = PopulationModel(data_kind(family), d, 2.0, law, 0.1)
-        [reduced] = _reduced_single_pass(
-            [model], loss, schedule, [seeded_rng(1, r) for r in range(chains)]
-        )
-        full = []
-        for r in range(chains):
-            rep = seeded_rng(2, r)
-            data = draw_dataset(model, schedule.sample_budget, rep.substream(DATA_SUBSTREAM))
-            _, [final] = engine.run_single_pass(data, loss, schedule, rep, log_interval=schedule.T)
-            full.append(final)
-        worst = {}
-        for name, a, b in zip(
-            ("alpha", "beta"), _final_coordinates(reduced), _final_coordinates(np.stack(full))
-        ):
-            worst[f"{name} mean"] = _z(a, b)
-            worst[f"{name} var"] = _z((a - a.mean()) ** 2, (b - b.mean()) ** 2)
-        assert max(abs(z) for z in worst.values()) <= 4.5, worst
-
-    @pytest.mark.parametrize("d", [3, 512])
-    def test_lifted_iterates_have_held_out_coordinates_alpha_beta(self, d):
-        # Fed the unit rows e₁ and e₂ as its 2-D sample (and zero chi-square),
-        # the held-out sampler returns each iterate's coordinates as its
-        # margins. The reduced chain writes α and β into columns 0 and 1, so
-        # the evaluator must read back exactly (α, β), bit for bit.
-        class UnitRows:
-            def standard_normal(self, size):
-                return np.eye(2)
-
-            def chisquare(self, df, size):
-                return np.zeros(size)
-
-            def uniform(self, low=0.0, high=1.0, size=None):
-                return np.full(size, 0.5)
-
-        loss = GlmLoss("logistic")
-        schedule = single_pass_schedule(40, 1.0, 1.0, 0.5, 1e-3)
-        model = PopulationModel("logistic", d, 2.0, "sphere", 0.1)
-        [finals] = _reduced_single_pass([model], loss, schedule, [seeded_rng(9, r) for r in range(64)])
-        alpha, beta = finals[:, 0], finals[:, 1]
-        assert np.any(alpha < 0) and np.any(alpha > 0) and np.all(beta > 0)
-        np.testing.assert_array_equal(finals[:, 2:], 0.0)
-        [(margins, _)] = datagen._held_out_margins(
-            model, finals, 2, SimpleNamespace(generator=UnitRows())
-        )
-        assert margins.tobytes() == np.stack([alpha, beta]).tobytes()
-
-    def test_replicate_output_does_not_depend_on_its_neighbours(self):
-        loss = GlmLoss("logistic")
-        schedule = single_pass_schedule(40, 1.0, 1.0, 0.5, 1e-3)
-        for law, d in (("ball", 30), ("sphere", 4)):
-            model = PopulationModel("logistic", d, 2.0, law, 0.1)
-            reps = [seeded_rng(6, r) for r in range(3)]
-            [together] = _reduced_single_pass([model], loss, schedule, reps)
-            for r, rep in enumerate(reps):
-                [alone] = _reduced_single_pass([model], loss, schedule, [seeded_rng(6, r)])
-                np.testing.assert_array_equal(together[r], alone[0])
-            assert together.shape == (3, d)
-            np.testing.assert_array_equal(together[:, 2:], 0.0)
-            assert np.all(together[:, 1] > 0)
-
-    def test_small_blocks_keep_replicates_independent(self, monkeypatch):
-        # splitting a run of equal batch sizes into blocks redraws the numbers
-        # but keeps every replicate independent of its neighbours
-        loss = GlmLoss("logistic")
-        schedule = single_pass_schedule(40, 1.0, 1.0, 0.5, 1e-3)
-        model = PopulationModel("logistic", 12, 2.0, "ball", 0.1)
-        monkeypatch.setattr(harness, "_REDUCED_BLOCK_FLOATS", 8)
-        reps = [seeded_rng(6, r) for r in range(2)]
-        [together] = _reduced_single_pass([model], loss, schedule, reps)
-        [alone] = _reduced_single_pass([model], loss, schedule, [seeded_rng(6, 1)])
-        np.testing.assert_array_equal(together[1], alone[0])
-
-    @pytest.mark.parametrize("family", ["logistic", "smoothed-hinge", "quadratic"])
-    @pytest.mark.parametrize("law", ["sphere", "ball"])
-    def test_a_batched_cell_has_the_bits_of_the_cell_run_alone(self, monkeypatch, law, family):
-        # small blocks split the runs of equal batch sizes, so a block length
-        # that depended on the number of chains would redraw the numbers
-        monkeypatch.setattr(harness, "_REDUCED_BLOCK_FLOATS", 64)
-        loss = GlmLoss(family)
-        schedule = single_pass_schedule(40, loss_bounds(loss).G, 1.0, 0.5, 1e-3)
-        models = [PopulationModel(data_kind(family), d, 2.0, law, 0.1) for d in (9, 40, 300)]
-        reps = [seeded_rng(6, r) for r in range(3)]
-        assert len({_stack_key(model, schedule) for model in models}) == 1
-        together = list(_reduced_single_pass(models, loss, schedule, reps))
-        assert [finals.shape for finals in together] == [(3, 9), (3, 40), (3, 300)]
-        for model, finals in zip(models, together):
-            [alone] = _reduced_single_pass([model], loss, schedule, reps)
-            assert finals.tobytes() == alone.tobytes()
+class TestSinglePassBatches:
+    """The single-pass runner batches its planar cells' chains and runs the rest on the engine."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -779,9 +666,10 @@ class TestReducedSinglePass:
 
         def recording(models, *args):
             groups.append([model.d for model in models])
-            return _reduced_single_pass(models, *args)
+            return single_pass(models, *args)
 
-        monkeypatch.setattr(harness, "_reduced_single_pass", recording)
+        single_pass = planar.single_pass
+        monkeypatch.setattr(planar, "single_pass", recording)
         return groups
 
     def test_a_shared_schedule_runs_its_cells_as_one_batch(self, monkeypatch):
@@ -826,7 +714,7 @@ class TestReducedSinglePass:
             raise AssertionError("the reduced chain ran")
 
         monkeypatch.setattr(harness, "run_single_pass", recording)
-        monkeypatch.setattr(harness, "_reduced_single_pass", refuse)
+        monkeypatch.setattr(planar, "single_pass", refuse)
         config = small_config(DIMENSION_INDEPENDENCE, d_grid=d_grid, feature_law=law)
         rows, _ = run_experiment(config)
         assert [row.note for row in rows] == [""]
@@ -846,21 +734,22 @@ class TestReducedSinglePass:
 
 def test_dimension_independence_far_beyond_the_default_grid(monkeypatch):
     # Criterion 10's checks on n = 512 with the default replicates and n_test,
-    # sphere law, at d up to 131 072: max/min mean excess risk <= 1.5 and one
-    # distinct accounted epsilon. No d-dimensional data is drawn and the
-    # engine never runs, so d costs nothing but the final lift.
+    # sphere law, at d up to 2⁵⁰: max/min mean excess risk <= 1.5 and one
+    # distinct accounted epsilon. No d-dimensional data is drawn, the engine
+    # never runs and the chain's (α, β) pairs are scored as they are, so d
+    # costs nothing; a d-vector at d = 2⁵⁰ would not fit the address space.
     def refuse(*args, **kwargs):
         raise AssertionError("d-dimensional work ran")
 
     monkeypatch.setattr(datagen, "_draw_features", refuse)
     monkeypatch.setattr(engine, "run_single_pass", refuse)
     monkeypatch.setattr(harness, "run_single_pass", refuse)
-    config = replace(default_config(DIMENSION_INDEPENDENCE), d_grid=(512, 8192, 131072))
+    config = replace(default_config(DIMENSION_INDEPENDENCE), d_grid=(512, 8192, 131072, 2**50))
     assert (config.n_grid, config.feature_law, config.replicates, config.n_test) == (
         (512,), "sphere", 30, 100_000
     )
     rows, summary = run_experiment(config)
-    assert [row.d for row in rows] == [512, 8192, 131072]
+    assert [row.d for row in rows] == [512, 8192, 131072, 2**50]
     assert all(row.note == "" for row in rows)
     assert summary["eps_accounted_distinct"] == 1
     ratio = summary["excess_max_over_min"]

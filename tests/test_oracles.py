@@ -73,6 +73,15 @@ class TestExcessRiskBounds:
         got = theorem2_excess_bound(2.0, n, a, 1.0, 0.5, eps, delta, 0.3)
         np.testing.assert_allclose(got, comp + opt + priv, rtol=1e-14)
 
+    def test_a_norm_whose_square_overflows_gives_an_infinite_bound(self):
+        # ‖w‖² overflows above about 1.34e154; below that the bounds stay finite
+        args1 = (1000, 1.0, 1.0, 0.5, 1e-5, 0.25)
+        args2 = (1000, 2.0, 1.0, 1.0, 0.5, 1e-5, 0.25)
+        assert theorem1_excess_bound(1e200, *args1) == math.inf
+        assert theorem2_excess_bound(1e200, *args2) == math.inf
+        assert math.isfinite(theorem1_excess_bound(1e150, *args1))
+        assert math.isfinite(theorem2_excess_bound(1e150, *args2))
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             theorem1_excess_bound(1.0, 0, 1.0, 1.0, 0.5, 1e-5, 0.25)

@@ -117,6 +117,12 @@ class TestSinglePassSchedule:
         with pytest.raises(InvalidParameterError):
             single_pass_schedule(10, -1.0, 1.0, 0.5, 1e-5)
 
+    @pytest.mark.parametrize("epsilon", [1e-160, 1e-300, 5e-324])
+    def test_an_epsilon_whose_square_underflows_is_refused(self, epsilon):
+        # β₀ divides by ε²: near or at its underflow to 0, β₀ is infinite
+        with pytest.raises(InvalidParameterError, match="^beta0 must be > 0 and finite, got inf$"):
+            single_pass_schedule(256, 1.0, 1.0, epsilon, 1e-5)
+
     def test_step_bounds_enforced(self):
         # the per-step arrays hold steps 1..T only, and no caller can rewrite them
         s = single_pass_schedule(10, 1.0, 1.0, 0.5, 1e-5)
