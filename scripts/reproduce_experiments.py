@@ -2,8 +2,8 @@
 
 Each experiment goes through ``dpsgld experiment``, which writes one CSV plus
 one config/summary sidecar into --out and prints its summary. The full set
-took 11-12 s in four runs on a 2-core Xeon VM, 9.5-10.5 s of it privacy-utility; pass
---only to run a subset, e.g. --only stability --only excess-risk-vs-n. Exits
+took 8.5 s in one measured run on a 2-core Xeon VM, 7.2 s of it privacy-utility;
+pass --only to run a subset, e.g. --only stability --only excess-risk-vs-n. Exits
 nonzero if any run fails.
 """
 

@@ -49,6 +49,15 @@ def _require_count(name: str, value, minimum: int) -> None:
         raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value}")
 
 
+def _require_times(times, T: int) -> np.ndarray:
+    """``times`` as an array; refuses it unless it is one row of integer steps in 1..T."""
+    marks = np.asarray(times)
+    in_range = np.issubdtype(marks.dtype, np.integer) and ((1 <= marks) & (marks <= T)).all()
+    if marks.ndim != 1 or not in_range:
+        raise InvalidParameterError(f"times must be steps in 1..{T}, got {times}")
+    return marks
+
+
 def _fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))

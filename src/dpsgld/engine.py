@@ -12,14 +12,15 @@ Two kernels make the updates under one contract,
 Each advances a copy of the (g, k, d) iterates ``W0``: g independent groups
 (replicates), each with its own index row ``orders[j]`` and its own noise
 generator, and k chains per group, one per dataset, that share the group's
-indices and noise row at every step. Chain (j, i) reads rows
-firsts[j, i] + orders[j, s] of ``data = (X, y, firsts, counts)``, every
-chain's rows concatenated once per run (``_stacked``, no copy for one chain),
-so a block of steps gathers with one ``np.take`` for X and one for y; its
-dataset has counts[j, i] rows, which only ``_advance_blocks`` reads (to choose
-how it forms K, below). ``steps`` holds the
-(η_t, λ_tη_t, σ_t, |M_t|) arrays. A kernel returns the final iterates and the
-(g, k, len(log_times), d) iterates after the ascending steps ``log_times``.
+indices and noise row at every step. ``data = (X, y)`` holds every chain's
+dataset, X of shape (g, k, n, d) and y of shape (g, k, n): the chains share
+n as they share d, since replicates draw the same n rows and neighbouring
+datasets differ in one row, not in size. ``_stacked`` stacks them once per
+run (no copy for one dataset), and chain (j, i) reads flat row
+(j·k + i)·n + orders[j, s], so a block of steps gathers with one ``np.take``
+for X and one for y. ``steps`` holds the (η_t, λ_tη_t, σ_t, |M_t|) arrays. A
+kernel returns the final iterates and the (g, k, len(log_times), d) iterates
+after the ascending steps ``log_times``.
 
 Every step is noisy. A step's account rests on its Gaussian noise and is
 infinite where σ_t = 0 (σ_t² underflows to 0 when β₀ is tiny), so a run
@@ -92,25 +93,25 @@ same indices and noise and do the same arithmetic in another order, so they
 differ only by rounding: tests/test_engine.py holds them within
 1e-12·max(1, max|w|) that way, and tests the law of the draw on its own.
 
-K has two routes, chosen per group from its own row count n, the run's d
-and its T (``_gram_route``). Every entry of K is an entry of the group's
-n×n data Gram, whose n²·d multiply-adds are paid once per run (``_grams``),
-against L·d per step for the blocks' own Grams. So a group gathers K from
-its data Gram iff n <= d, where the Gram holds no more floats than the rows,
-and n² <= _BLOCK_STEPS·T, where it costs no more multiply-adds; any other
-group multiplies its rows, K = XXᵀ, with one batched matmul a chunk. The
-Grams are built afresh in each kernel call, one per distinct dataset from
-its own rows alone, so a group's bits do not depend on what runs beside it.
-The two routes sum the same products in a different BLAS tiling, so they
-agree up to rounding, not bit for bit; tests/test_engine.py holds both to
-``_advance`` within the same 1e-12.
+K has two routes, chosen once per call from the batch's n, d and T
+(``_gram_route``). Every entry of K is an entry of the group's n×n data Gram,
+whose n²·d multiply-adds are paid once per call, against L·d per step for the
+blocks' own Grams. So the groups gather K from their data Grams iff n <= d,
+where a Gram holds no more floats than the rows, and n² <= _BLOCK_STEPS·T,
+where it costs no more multiply-adds; else they multiply their rows, K = XXᵀ,
+with one batched matmul a chunk. The Grams are one batched product over C-ordered
+rows, each group's from its own rows alone, so a group's bits depend neither
+on its data's memory layout nor on what runs beside it. The two routes sum the
+same products in a different BLAS tiling, so they agree up to rounding, not
+bit for bit; tests/test_engine.py holds both to ``_advance`` within the same
+1e-12.
 
 ``_advance_blocks`` works a chunk at a time: a run of consecutive blocks
 with the same length and the same logged steps inside them (``_chunks``),
 capped so that its rows (g·L·d floats a block) and its K (g·L²) each fit in
 ``_NOISE_BLOCK_FLOATS``, the per-step kernel's bound. It first prepares the
 chunk, one NumPy call for all its blocks wherever the iterate is not read:
-the rows, K (one call per route), P and N, ``_block_cov``, the normals, X·Ξᵀ,
+the rows, K, P and N, ``_block_cov``, the normals, X·Ξᵀ,
 K̂∘Σ′ and its Cholesky factors. Then it solves the blocks one by one, doing
 only what reads W: the base margins P·XW + n, the sweeps and the end
 iterates. Each group's normals for the chunk come from one
@@ -119,9 +120,9 @@ of m normals gives the numbers of successive draws that add up to m; no
 other operation changes its order within a block either, so every chunking
 gives the same bits.
 
-A run stacks its replicates' index rows and makes one kernel call. Every
-replicate draws from its own generators, so its output does not depend on
-which replicates run beside it.
+A run stacks its replicates' data and index rows and makes one kernel call;
+it refuses replicates whose n or d differ. Every replicate draws from its own
+generators, so its output does not depend on which replicates run beside it.
 
 The engine runs whatever coordinates it is given: the privacy-utility
 experiment hands it each replicate's data in a basis of the rows' span, and
@@ -140,7 +141,8 @@ import bisect
 import numpy as np
 
 from .core import (
-    Dataset, InfinitePrivacyLossError, InvalidParameterError, RngStream, _require_count, seeded_rng,
+    Dataset, InfinitePrivacyLossError, InvalidParameterError, RngStream, _require_count, _require_times,
+    seeded_rng,
 )
 from .losses import QUADRATIC, GlmLoss, loss_bounds
 from .schedules import MultiPassSchedule, SinglePassSchedule, _noise_scales
@@ -191,18 +193,18 @@ def _schedule_steps(schedule) -> tuple:
     return steps
 
 
-def _stacked(Xs, ys) -> tuple:
-    """(X, y, firsts, counts): the rows of every (Xs[i], ys[i]) in one array
-    each, the index of each one's first row there, and its number of rows.
+def _stacked(datasets, k: int = 1) -> tuple:
+    """(X, y) of g·k datasets of one shape, in order: X of shape (g, k, n, d)
+    and y of shape (g, k, n).
 
-    The arrays are copied unless there is one, so that a block of steps
-    gathers the rows of all its chains with one ``np.take``.
+    The arrays are copied unless there is one dataset, so that a block of
+    steps gathers the rows of all its chains with one ``np.take``.
     """
-    counts = np.array([len(y) for y in ys])
-    firsts = np.cumsum(counts) - counts
-    if len(ys) == 1:
-        return Xs[0], ys[0], firsts, counts
-    return np.concatenate(Xs), np.concatenate(ys), firsts, counts
+    if len(datasets) == 1:
+        X, y = datasets[0].X[None], datasets[0].y[None]
+    else:
+        X, y = np.stack([data.X for data in datasets]), np.stack([data.y for data in datasets])
+    return X.reshape(-1, k, *X.shape[1:]), y.reshape(-1, k, y.shape[1])
 
 
 def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, log_times) -> tuple:
@@ -213,11 +215,12 @@ def _advance(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, l
     chains.
     """
     etas, lambda_etas, sigmas, batch_sizes = steps
-    X_all, y_all, firsts, _ = data
-    firsts = firsts[..., None]
     W = np.array(W0, dtype=np.float64)
     W_col = W[..., None]
     g, k, d = W.shape
+    X_all, y_all = data
+    firsts = X_all.shape[2] * np.arange(g * k).reshape(g, k, 1)
+    X_all, y_all = X_all.reshape(-1, d), y_all.reshape(-1)
     logged = np.empty((g, k, len(log_times), d))
     slots = {t: i for i, t in enumerate(log_times)}
     block = max(1, _NOISE_BLOCK_FLOATS // (g * k * d))
@@ -346,31 +349,10 @@ def _chunks(T: int, log_times, most: int):
         yield tuple(chunk)
 
 
-def _gram_route(counts, d: int, T: int):
-    """Which groups take their blocks' K from their data Gram: those with n <= d
-    and n² <= _BLOCK_STEPS·T, n the group's row count (``counts``)."""
-    return (counts <= d) & (counts * counts <= _BLOCK_STEPS * T)
-
-
-def _grams(X_all, firsts, counts) -> tuple:
-    """(grams, at): the Gram of each distinct dataset's rows, all in one flat
-    array, and where each group's Gram starts in it.
-
-    Groups are given by their first row ``firsts`` and row count ``counts``;
-    groups that share a dataset share its Gram. Each Gram is built in place
-    from that dataset's rows alone, so a group's Gram has the same bits
-    whatever runs beside it.
-    """
-    distinct, index, inverse = np.unique(firsts, return_index=True, return_inverse=True)
-    sizes = counts[index]
-    areas = sizes * sizes
-    starts = np.cumsum(areas) - areas
-    grams = np.empty(int(areas.sum()))
-    for first, n, start in zip(distinct.tolist(), sizes.tolist(), starts.tolist()):
-        # C order, as in a batch's concatenated rows, whatever the dataset's layout
-        rows = np.ascontiguousarray(X_all[first : first + n])
-        np.matmul(rows, rows.T, out=grams[start : start + n * n].reshape(n, n))
-    return grams, starts[inverse]
+def _gram_route(n: int, d: int, T: int) -> bool:
+    """Whether groups of n rows take their blocks' K from their data Grams:
+    iff n <= d and n² <= _BLOCK_STEPS·T."""
+    return n <= d and n * n <= _BLOCK_STEPS * T
 
 
 def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_gens, log_times) -> tuple:
@@ -382,17 +364,20 @@ def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_
     says so, and its noise from ``noise_gens[j]`` through ``_block_noise``.
     """
     etas, lambda_etas, sigmas, _ = steps
-    X_all, y_all, firsts, counts = data
     W = np.array(W0, dtype=np.float64)
     g, k, d = W.shape
     T = len(etas)
+    X_all, y_all = data
+    n = X_all.shape[2]
     # K from the data Grams where they are cheaper, else from each block's rows
     # (the two routes agree up to rounding)
-    route = _gram_route(counts[:, 0], d, T)
-    gathered, multiplied = np.flatnonzero(route), np.flatnonzero(~route)
-    if gathered.size:
-        grams, at = _grams(X_all, firsts[gathered, 0], counts[gathered, 0])
-        sizes, at = counts[gathered], at[:, None]
+    gathered = _gram_route(n, d, T)
+    if gathered:
+        # C order, whatever the data's layout: a group's Gram has the bits of its rows alone
+        X_c = np.ascontiguousarray(X_all)
+        grams = (X_c @ X_c.mT).reshape(-1)
+    firsts = n * np.arange(g)[:, None]
+    X_all, y_all = X_all.reshape(-1, d), y_all.reshape(-1)
     shrinks = 1.0 - lambda_etas
     grad_coefs = (lambda_etas - 1.0) * etas  # g_l = −a_l·η_l·φ′_l
     logged = np.empty((g, k, len(log_times), d))
@@ -414,17 +399,11 @@ def _advance_blocks(W0, data: tuple, loss: GlmLoss, orders, steps: tuple, noise_
         rows = (local + firsts)[:, :, None]
         X = np.take(X_all, rows, axis=0)
         y = np.take(y_all, rows)
-        if not gathered.size:
-            K = X @ X.mT
+        if gathered:
+            # K_jl is entry (i_j, i_l) of group j's n×n Gram, whose row i_j is flat row rows_j
+            K = np.take(grams, rows[..., None] * n + local[:, :, None, None])
         else:
-            # K_jl of a gathered group is entry (i_j, i_l) of its n×n Gram
-            picked = local[:, gathered]
-            K = np.take(grams, (picked * sizes + at)[..., None] + picked[..., None, :])[:, :, None]
-            if multiplied.size:  # a batch over both routes
-                mixed = np.empty((count, g, k, L, L))
-                mixed[:, gathered] = K
-                mixed[:, multiplied] = X[:, multiplied] @ X[:, multiplied].mT
-                K = mixed
+            K = X @ X.mT
         noise, ends_noise = _block_noise(
             X[:, :, 0], K[:, :, 0], N * sigmas[start:stop].reshape(count, 1, L), ends, noise_gens
         )
@@ -483,8 +462,9 @@ def _require_batch(datasets: list, streams: list) -> None:
         )
     if not datasets:
         raise InvalidParameterError("need at least one replicate")
-    if any(data.d != datasets[0].d for data in datasets):
-        raise InvalidParameterError("replicates run together must share d")
+    shapes = sorted({data.X.shape for data in datasets})
+    if len(shapes) > 1:
+        raise InvalidParameterError(f"replicates run together must share n and d, got (n, d) in {shapes}")
 
 
 def _logged_runs(datasets, loss, schedule, orders, rngs, log_interval):
@@ -502,12 +482,10 @@ def _logged_runs(datasets, loss, schedule, orders, rngs, log_interval):
     if T % log_interval:
         times.append(T)
     steps = _schedule_steps(schedule)
-    X, y, firsts, counts = _stacked([data.X for data in datasets], [data.y for data in datasets])
     gens = [rng.substream(1).generator for rng in rngs]
     kernel = _advance_blocks if isinstance(schedule, MultiPassSchedule) else _advance
     _, logged = kernel(
-        np.zeros((len(datasets), 1, datasets[0].d)), (X, y, firsts[:, None], counts[:, None]), loss,
-        orders, steps, gens, times,
+        np.zeros((len(datasets), 1, datasets[0].d)), _stacked(datasets), loss, orders, steps, gens, times
     )
     return times, logged[:, 0]
 
@@ -554,7 +532,7 @@ def run_multi_pass(
 
     Replicate r runs on ``datasets[r]`` with stream ``rngs[r]``, split into an
     index stream and a noise stream as in run_single_pass. The replicates must
-    share d; they advance together. Returns (times, iterates) as
+    share n and d; they advance together. Returns (times, iterates) as
     run_single_pass does, with iterates of shape (R, len(times), d): row r is
     bit for bit what a run of replicate r alone returns.
     """
@@ -575,23 +553,17 @@ def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, see
     possibly the last example. The pair's two chains share the index stream
     seeded_rng(seed, 0) and the noise stream seeded_rng(seed, 1), so their
     squared distance grows only when the differing index is sampled. Pairs
-    must share d; they advance together. ``times`` are steps in 1..T, in any
-    order and with repeats. Returns the (R, len(times)) array whose entry
+    must share n and d; they advance together. ``times`` are steps in 1..T,
+    in any order and with repeats. Returns the (R, len(times)) array whose entry
     (r, i) is ‖w_t − w_t′‖₂² of pair r at step t = times[i].
     """
     pairs, seeds = list(pairs), list(seeds)
-    for dataset, dataset_prime in pairs:
-        if dataset.n != dataset_prime.n or dataset.d != dataset_prime.d:
-            raise InvalidParameterError("neighboring datasets must share n and d")
-        n = dataset.n
-        same = np.all(dataset.X[: n - 1] == dataset_prime.X[: n - 1]) and np.all(
-            dataset.y[: n - 1] == dataset_prime.y[: n - 1]
-        )
-        if not same:
-            raise InvalidParameterError(
-                "neighboring datasets may differ only in the last example"
-            )
+    if any(dataset.X.shape != dataset_prime.X.shape for dataset, dataset_prime in pairs):
+        raise InvalidParameterError("neighboring datasets must share n and d")
     _require_batch([dataset for dataset, _ in pairs], seeds)
+    X, y = _stacked([data for pair in pairs for data in pair], 2)
+    if not ((X[:, 0, :-1] == X[:, 1, :-1]).all() and (y[:, 0, :-1] == y[:, 1, :-1]).all()):
+        raise InvalidParameterError("neighboring datasets may differ only in the last example")
     _require_labels(loss, [data for pair in pairs for data in pair])
     bounds = loss_bounds(loss)
     eta1 = schedule.etas[0]
@@ -599,22 +571,14 @@ def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, see
         raise InvalidParameterError(
             f"eta_1 = {eta1:.6g} exceeds 1/L = {1.0 / bounds.L:.6g}"
         )
-    marks = np.asarray(times)
-    in_range = np.issubdtype(marks.dtype, np.integer) and ((1 <= marks) & (marks <= schedule.T)).all()
-    if marks.ndim != 1 or not in_range:
-        raise InvalidParameterError(f"times must be steps in 1..{schedule.T}, got {times}")
-    log_times, slots = np.unique(marks, return_inverse=True)
+    log_times, slots = np.unique(_require_times(times, schedule.T), return_inverse=True)
     steps = _schedule_steps(schedule)
     indices = np.stack([
         seeded_rng(seed, 0).generator.integers(0, a.n, size=schedule.T)
         for (a, _), seed in zip(pairs, seeds)
     ])
-    X, y, firsts, counts = _stacked(
-        [data.X for pair in pairs for data in pair], [data.y for pair in pairs for data in pair]
-    )
     _, logged = _advance(
-        np.zeros((len(pairs), 2, pairs[0][0].d)), (X, y, firsts.reshape(-1, 2), counts.reshape(-1, 2)),
-        loss, indices, steps, [seeded_rng(seed, 1).generator for seed in seeds], log_times.tolist(),
+        np.zeros((len(pairs), 2, pairs[0][0].d)), (X, y), loss, indices, steps, [seeded_rng(seed, 1).generator for seed in seeds], log_times.tolist(),
     )
     diff = logged[:, 0] - logged[:, 1]
     # batched matmul, not einsum: einsum sums in another order

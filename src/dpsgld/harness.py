@@ -44,7 +44,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import losses, planar
-from .core import Dataset, InvalidParameterError, RngStream, _fmt, _require_count, seeded_rng
+from .core import Dataset, InvalidParameterError, RngStream, _fmt, _require_count, _require_times, seeded_rng
 from .datagen import (
     LOGISTIC_KIND,
     QUADRATIC_KIND,
@@ -102,9 +102,9 @@ class ExperimentConfig:
     so no grid may repeat one. Building a config builds its cells
     (``_cells``): the loss, data law and schedule refuse what they cannot
     run, in their own words, so an infeasible schedule (T = round(n^α·ε²)
-    < 1, or n·δ >= 2.5) is refused here by every experiment. The cells
-    check only the fields their experiment reads; the CLI refuses the rest
-    as keys.
+    < 1, or n·δ >= 2.5) is refused here by every experiment, as are stability
+    checkpoints outside 1..T. The cells check only the fields their
+    experiment reads; the CLI refuses the rest as keys.
     """
 
     experiment: str
@@ -163,7 +163,10 @@ class ExperimentConfig:
         ):
             if len(set(grid)) != len(grid):
                 raise InvalidParameterError(f"the {name} grid repeats a value, got {grid}")
-        _cells(self)
+        _, cells = _cells(self)
+        if self.experiment == STABILITY and self.checkpoints:
+            # refused here, not after every replicate's data is drawn
+            _require_times(self.checkpoints, cells[0][2].T)
 
 
 # The ExperimentConfig fields each experiment never reads; the CLI refuses them.
@@ -314,7 +317,7 @@ def _excess_risks(
     return est[:-1] - est[-1]
 
 
-def _row(config, cell, mean, se, bound, checkpoint_t=None, note="") -> ResultRow:
+def _row(config, cell, mean, se, bound, checkpoint_t=None) -> ResultRow:
     """A measured row of ``cell`` whose account columns come from its schedule's certificate.
 
     Theorem 1 certifies a single-pass schedule and claims (2ε, δ); Theorem 2
@@ -340,7 +343,6 @@ def _row(config, cell, mean, se, bound, checkpoint_t=None, note="") -> ResultRow
         standard_error=se,
         bound_value=bound,
         samples_consumed=schedule.sample_budget,
-        note=note,
     )
 
 
@@ -445,13 +447,13 @@ def experiment_stability(config: ExperimentConfig) -> list:
     for j, t in enumerate(checkpoints):
         mean, se = _mean_se(distances[:, j])
         bound = stability_bound(int(t), n, schedule.G, schedule.etas)
-        holds = mean <= bound + 3.0 * se
-        note = "" if holds else "bound_violated"
-        rows.append(_row(config, cell, mean, se, bound, int(t), note))
-        assert holds, (
-            f"stability bound violated at t={t}: mean {mean:.6g} > "
-            f"bound {bound:.6g} + 3*SE {se:.6g}"
-        )
+        # raised, not asserted: ``python -O`` strips asserts, and no row may be written
+        if not mean <= bound + 3.0 * se:
+            raise AssertionError(
+                f"stability bound violated at t={t}: mean {mean:.6g} > "
+                f"bound {bound:.6g} + 3*SE {se:.6g}"
+            )
+        rows.append(_row(config, cell, mean, se, bound, int(t)))
     return rows
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Dataset, InvalidParameterError, as_vector
+from .core import InvalidParameterError
 
 LOGISTIC = "logistic"
 SMOOTHED_HINGE = "smoothed-hinge"
@@ -134,13 +134,3 @@ def loss_bounds(loss: GlmLoss) -> LossBounds:
         return LossBounds(G=1.0, L=c, gamma1=1.0, gamma2=c, hessian_trace_bound=c)
     g = _QUAD_A_MAX + _QUAD_Y_MAX
     return LossBounds(G=g, L=1.0, gamma1=g, gamma2=1.0, hessian_trace_bound=1.0)
-
-
-def empirical_risk(loss: GlmLoss, w, dataset: Dataset) -> float:
-    """Mean loss over the sample, (1/n) Σᵢ φ(wᵀxᵢ, yᵢ)."""
-    w = as_vector(w)
-    if w.shape[0] != dataset.d:
-        raise InvalidParameterError(
-            f"dimension mismatch: w has {w.shape[0]} coordinates, data has {dataset.d}"
-        )
-    return float(np.mean(loss.phi(dataset.X @ w, dataset.y)))

@@ -119,7 +119,7 @@ def advance_one_step(W0, X, y, loss, eta, lambda_eta, beta0, noise_gens) -> np.n
     b = len(y)
     steps = engine._steps(np.array([eta]), np.array([lambda_eta]), beta0, np.array([b]))
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    data = (X, y, np.zeros((g, k), dtype=np.int64), np.full((g, k), b))
+    data = (np.broadcast_to(X, (g, k, *X.shape)), np.broadcast_to(y, (g, k, b)))
     orders = np.tile(np.arange(b), (g, 1))
     W, _ = engine._advance(W0, data, loss, orders, steps, noise_gens, ())
     return W

@@ -277,11 +277,14 @@ class TestCoupledStabilityRun:
                 with pytest.raises(InvalidParameterError, match="neighboring datasets"):
                     coupled_stability_run(pairs, LOGISTIC, sched, [1, 2, 3], [1])
 
-    def test_pairs_in_a_batch_must_share_d(self):
+    def test_pairs_in_a_batch_must_share_n_and_d(self):
         sched = multi_pass_schedule(20, 1.5, 0.9, 1e-4, 0.2, 1.0)
-        narrow, wide = toy_dataset(20, 3), toy_dataset(20, 4)
-        with pytest.raises(InvalidParameterError, match="share d"):
+        narrow, wide, longer = toy_dataset(20, 3), toy_dataset(20, 4), toy_dataset(21, 3)
+        message = r"replicates run together must share n and d, got \(n, d\) in "
+        with pytest.raises(InvalidParameterError, match=message + r"\[\(20, 3\), \(20, 4\)\]"):
             coupled_stability_run([(narrow, narrow), (wide, wide)], LOGISTIC, sched, [1, 2], [1])
+        with pytest.raises(InvalidParameterError, match=message + r"\[\(20, 3\), \(21, 3\)\]"):
+            coupled_stability_run([(narrow, narrow), (longer, longer)], LOGISTIC, sched, [1, 2], [1])
         with pytest.raises(InvalidParameterError, match="random streams"):
             coupled_stability_run([(narrow, narrow)], LOGISTIC, sched, [1, 2], [1])
 
@@ -343,8 +346,8 @@ class TestReplicateBatches:
         return sched
 
     def datasets(self, replicates):
-        # replicates may differ in n, not in d
-        return [toy_dataset(60 + r, self.D, seed=40 + r) for r in range(replicates)]
+        # replicates share n and d
+        return [toy_dataset(60, self.D, seed=40 + r) for r in range(replicates)]
 
     def pairs(self, replicates):
         pairs = []
@@ -361,19 +364,6 @@ class TestReplicateBatches:
         rngs = [seeded_rng(31, r) for r in range(replicates)]
         times, batch = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=50)
         assert batch.shape == (replicates, len(times), self.D)
-        for data, rng, iterates in zip(datasets, rngs, batch):
-            alone_times, [alone] = run_multi_pass([data], LOGISTIC, sched, [rng], log_interval=50)
-            assert _record_digest(sched, times, iterates) == _record_digest(sched, alone_times, alone)
-
-    def test_a_batch_over_both_kernel_routes_matches_single_runs(self):
-        # n = 600 > D builds K from each block's rows, n = 60 and 61 gather it
-        # from their data Grams; each replicate still gets its bits alone
-        sched = self.schedule()
-        datasets = [toy_dataset(n, self.D, seed=40 + r) for r, n in enumerate([60, 600, 61])]
-        route = engine._gram_route(np.array([data.n for data in datasets]), self.D, sched.T)
-        np.testing.assert_array_equal(route, [True, False, True])
-        rngs = [seeded_rng(32, r) for r in range(3)]
-        times, batch = run_multi_pass(datasets, LOGISTIC, sched, rngs, log_interval=50)
         for data, rng, iterates in zip(datasets, rngs, batch):
             alone_times, [alone] = run_multi_pass([data], LOGISTIC, sched, [rng], log_interval=50)
             assert _record_digest(sched, times, iterates) == _record_digest(sched, alone_times, alone)
@@ -398,8 +388,29 @@ class TestReplicateBatches:
             run_multi_pass([data, data], LOGISTIC, sched, [seeded_rng(1, 0)])
         with pytest.raises(InvalidParameterError, match="at least one replicate"):
             run_multi_pass([], LOGISTIC, sched, [])
-        with pytest.raises(InvalidParameterError, match="share d"):
+        message = r"replicates run together must share n and d, got \(n, d\) in "
+        with pytest.raises(InvalidParameterError, match=message + r"\[\(60, 3\), \(60, 4\)\]"):
             run_multi_pass([data, toy_dataset(60, 4)], LOGISTIC, sched, [seeded_rng(1, 0)] * 2)
+        with pytest.raises(InvalidParameterError, match=message + r"\[\(60, 3\), \(61, 3\)\]"):
+            run_multi_pass([data, data, toy_dataset(61, 3)], LOGISTIC, sched, [seeded_rng(1, 0)] * 3)
+
+    @pytest.mark.parametrize("d", [5, 64])
+    def test_the_bits_do_not_depend_on_memory_layout(self, d):
+        # n = 40 > d = 5 multiplies each block's rows for K, n <= d = 64 gathers
+        # it from the data Gram: on both routes one dataset gives the same bits
+        # Fortran-ordered alone, C-ordered alone and Fortran-ordered in a batch
+        sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
+        data = toy_dataset(40, d, seed=3)
+        assert engine._gram_route(data.n, d, sched.T) == (d == 64)
+        fortran = Dataset(np.asfortranarray(data.X), data.y)
+        assert fortran.X.flags.f_contiguous and not fortran.X.flags.c_contiguous
+        rngs = [seeded_rng(33, 0), seeded_rng(33, 1)]
+        _, [c_alone] = run_multi_pass([data], LOGISTIC, sched, rngs[:1], log_interval=7)
+        _, [f_alone] = run_multi_pass([fortran], LOGISTIC, sched, rngs[:1], log_interval=7)
+        _, [f_batch, _] = run_multi_pass(
+            [fortran, toy_dataset(40, d, seed=4)], LOGISTIC, sched, rngs, log_interval=7
+        )
+        assert f_alone.tobytes() == c_alone.tobytes() == f_batch.tobytes()
 
 
 def _full_draw(X, K, A, ends, noise_gens):
@@ -424,14 +435,14 @@ def _kernel_cases(test):
 class TestBlockKernel:
     """_advance_blocks against the per-step _advance on the same index rows and noise streams."""
 
-    D = 12  # below every n of ``inputs``: K from each block's rows
+    D = 12  # below the n of ``inputs``: K from each block's rows
     # the kernels differ only in rounding order; a block's products are O(1)
     # and the chain contracts, so about 4 500 ulps at unit scale is ample
     RTOL = 1e-12
 
     def inputs(self, family, g, T, seed=0, d=D):
-        """g datasets in d dimensions, and an index row valid in each."""
-        datasets = [toy_dataset(40 + 7 * r, d, seed=seed + r) for r in range(g)]
+        """g datasets of 40 rows in d dimensions, and an index row for each."""
+        datasets = [toy_dataset(40, d, seed=seed + r) for r in range(g)]
         if family == "quadratic":
             # a canary label far outside [-1, 1] makes the clip fire
             datasets = [Dataset(data.X, np.append(data.y[:-1], -1e6)) for data in datasets]
@@ -440,30 +451,31 @@ class TestBlockKernel:
         return datasets, orders
 
     def both(self, loss, datasets, orders, steps, noise_seed, log_times, data=None):
-        """(reference log, block log, reference final, block final, Gram floats
-        built) of both kernels.
+        """(reference log, block log, reference final, block final, data Gram
+        floats built) of both kernels.
 
         The block kernel draws its noise through ``_full_draw``, so both
         kernels read the same z_t and differ only by rounding. ``data`` is
         the kernels' data tuple, by default the datasets stacked.
         """
         g = len(orders)
-        data = self.stacked(datasets) if data is None else data
-        args = (np.zeros((g, 1, data[0].shape[1])), data, loss, orders, steps)
+        data = engine._stacked(datasets) if data is None else data
+        n, d = data[0].shape[2:]
+        args = (np.zeros((g, 1, d)), data, loss, orders, steps)
         W_ref, reference = engine._advance(
             *args, [np.random.default_rng(noise_seed + r) for r in range(g)], log_times
         )
         built = []
-        grams = engine._grams
+        gram_route = engine._gram_route
 
         def spy(*rest):
-            out = grams(*rest)
-            built.append(len(out[0]))
-            return out
+            gathered = gram_route(*rest)
+            built.append(g * n * n if gathered else 0)
+            return gathered
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_block_noise", _full_draw)
-            patch.setattr(engine, "_grams", spy)
+            patch.setattr(engine, "_gram_route", spy)
             W, got = engine._advance_blocks(
                 *args, [np.random.default_rng(noise_seed + r) for r in range(g)], log_times
             )
@@ -497,10 +509,10 @@ class TestBlockKernel:
 
     @_kernel_cases
     def test_matches_the_per_step_kernel_from_data_grams(self, family, g, interval, T):
-        # at d = 64 every n of ``inputs`` (40, 47, 54) is at most d, so K comes
-        # from the data Grams once n² <= 32·T: at T = 200, not at T = 33
+        # at d = 64 the n = 40 of ``inputs`` is at most d, so K comes from the
+        # data Grams once n² <= 32·T: at T = 200, not at T = 33
         built = self.check_against_per_step(family, g, interval, T, 64)
-        assert built == (sum((40 + 7 * r) ** 2 for r in range(g)) if T == 200 else 0)
+        assert built == (g * 40**2 if T == 200 else 0)
 
     def test_noisy_schedule_with_full_and_reversing_shrinks_mid_block(self):
         # λη = 1 (a = 0: w forgotten, fresh noise) and λη = 1.9 (a = −0.9)
@@ -519,46 +531,27 @@ class TestBlockKernel:
         self.assert_close(reference, got)
         self.assert_close(W_ref, W)
 
-    def test_groups_that_share_a_dataset_share_its_gram(self):
-        # four groups on one dataset (all firsts 0) with n = 40 <= d = 64 and
-        # n² <= 32·T: one 40×40 Gram serves them all, and the kernel still
-        # matches the per-step one
+    def test_groups_that_share_a_dataset_through_a_broadcast_view(self):
+        # four groups on one dataset, passed as a broadcast view, with
+        # n = 40 <= d = 64 and n² <= 32·T: K from the data Grams, and the
+        # kernel matches the per-step one
         T, g = 100, 4
         [data], _ = self.inputs("logistic", 1, T, d=64)
         orders = np.random.default_rng(9).integers(0, data.n, size=(g, T))
-        zeros = np.zeros((g, 1), dtype=np.int64)
         sched = multi_pass_schedule(60, 1.5, 0.9, 1e-4, 1.0, 1.0)
         steps = engine._steps(sched.etas[:T], sched.lambda_etas[:T], sched.beta0, np.ones(T, dtype=np.int64))
-        reference, got, W_ref, W, built = self.both(
-            LOGISTIC, None, orders, steps, 60, [50, T], data=(data.X, data.y, zeros, zeros + data.n)
-        )
-        assert built == data.n**2
+        shared = (np.broadcast_to(data.X, (g, 1, *data.X.shape)), np.broadcast_to(data.y, (g, 1, data.n)))
+        reference, got, W_ref, W, built = self.both(LOGISTIC, None, orders, steps, 60, [50, T], data=shared)
+        assert built > 0
         self.assert_close(reference, got)
         self.assert_close(W_ref, W)
 
     def test_the_gram_route_rule(self):
-        # a group gathers K iff n <= d and n² <= 32·T; at T = 200, 32·T = 80²
-        counts = np.array([1, 70, 71, 80, 81])
-        np.testing.assert_array_equal(engine._gram_route(counts, 70, 200), [True, True, False, False, False])
-        np.testing.assert_array_equal(engine._gram_route(counts, 100, 200), [True, True, True, True, False])
-        np.testing.assert_array_equal(engine._gram_route(counts, 100, 199), [True, True, True, False, False])
-
-    def test_one_gram_per_dataset_from_its_own_rows(self):
-        # groups 0 and 2 share the first dataset, 1 and 3 the second; each Gram
-        # has the bits of its dataset's rows alone
-        X, _, firsts, counts = engine._stacked(
-            [toy_dataset(5, 8, seed=1).X, toy_dataset(7, 8, seed=2).X], [np.zeros(5), np.zeros(7)]
-        )
-        grams, at = engine._grams(X, firsts[[0, 1, 0, 1]], counts[[0, 1, 0, 1]])
-        assert len(grams) == 5 * 5 + 7 * 7
-        np.testing.assert_array_equal(at, [0, 25, 0, 25])
-        for first, n, start in zip(firsts, counts, at[:2]):
-            rows = X[first : first + n]
-            assert grams[start : start + n * n].tobytes() == (rows @ rows.T).tobytes()
-
-    def stacked(self, datasets):
-        X, y, firsts, counts = engine._stacked([data.X for data in datasets], [data.y for data in datasets])
-        return X, y, firsts[:, None], counts[:, None]
+        # groups gather K iff n <= d and n² <= 32·T; at T = 200, 32·T = 80²
+        ns = [1, 70, 71, 80, 81]
+        assert [engine._gram_route(n, 70, 200) for n in ns] == [True, True, False, False, False]
+        assert [engine._gram_route(n, 100, 200) for n in ns] == [True, True, True, True, False]
+        assert [engine._gram_route(n, 100, 199) for n in ns] == [True, True, True, False, False]
 
     def blocks(self, datasets, orders, steps, log_times):
         """(final, logged, blocks per _block_noise call) of the block kernel."""
@@ -573,7 +566,7 @@ class TestBlockKernel:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(engine, "_block_noise", spy)
             W, logged = engine._advance_blocks(
-                np.zeros((g, 1, self.D)), self.stacked(datasets), LOGISTIC, orders, steps,
+                np.zeros((g, 1, self.D)), engine._stacked(datasets), LOGISTIC, orders, steps,
                 [np.random.default_rng(70 + r) for r in range(g)], log_times,
             )
         return W, logged, counts
@@ -801,10 +794,11 @@ class TestBlockNoise:
             logs = []
             for _ in range(4):  # 1 000 chains at a time keeps the block Grams small
                 orders = rng.integers(0, 5, size=(chains // 4, T))
-                firsts = np.zeros((chains // 4, 1), dtype=np.int64)
+                # every chain on the one dataset, as a broadcast view
+                shared = (np.broadcast_to(X, (chains // 4, 1, 5, d)), np.broadcast_to(y, (chains // 4, 1, 5)))
                 _, logged = kernel(
-                    np.zeros((chains // 4, 1, d)), (X, y, firsts, firsts + len(y)),
-                    QUADRATIC, orders, steps, [rng] * (chains // 4), log_times,
+                    np.zeros((chains // 4, 1, d)), shared, QUADRATIC, orders, steps,
+                    [rng] * (chains // 4), log_times,
                 )
                 logs.append(logged[:, 0])
             W = np.concatenate(logs)
@@ -954,7 +948,7 @@ def _golden_multi_logistic_gram():
     # n = 40 <= d = 64 and n² <= 32·T: K gathered from the data Gram
     sched = multi_pass_schedule(40, 1.5, 0.9, 1e-4, 1.0, 1.0)
     data = toy_dataset(40, 64, seed=9)
-    assert engine._gram_route(np.array([data.n]), data.d, sched.T).all()
+    assert engine._gram_route(data.n, data.d, sched.T)
     times, [iterates] = run_multi_pass([data], LOGISTIC, sched, [seeded_rng(27, 0)], log_interval=1)
     return _record_digest(sched, times, iterates, risk_interval=1)
 

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -382,10 +384,36 @@ class TestStabilityExperiment:
         rows, _ = run_experiment(config)
         assert [row.checkpoint_t for row in rows] == [1, 3]
 
-    def test_checkpoints_must_fit_schedule(self):
-        config = small_config(STABILITY, checkpoints=(10**9,))
-        with pytest.raises(InvalidParameterError):
-            run_experiment(config)
+    @pytest.mark.parametrize("checkpoints", [(0,), (5, 10**9)])
+    def test_checkpoints_must_fit_schedule(self, monkeypatch, checkpoints):
+        # refused when the config is built, before any replicate's data is drawn
+        def drawn(*args, **kwargs):
+            raise AssertionError("data drawn before the checkpoints were checked")
+
+        monkeypatch.setattr(harness, "draw_dataset", drawn)
+        [(_, _, schedule)] = harness._cells(small_config(STABILITY))[1]
+        with pytest.raises(InvalidParameterError) as info:
+            run_experiment(small_config(STABILITY, checkpoints=checkpoints))
+        assert str(info.value) == f"times must be steps in 1..{schedule.T}, got {checkpoints}"
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+    def test_a_violated_bound_exits_1_and_writes_nothing(self, tmp_path, flags):
+        # the check is raised, not asserted, so ``python -O`` keeps it
+        script = "\n".join([
+            "import sys",
+            "from dpsgld import cli, harness",
+            "harness.stability_bound = lambda *args: -1.0",
+            "sys.exit(cli.main(['experiment', '--out', sys.argv[1], '--set', 'experiment.name=stability',",
+            "    '--set', 'experiment.n_grid=20', '--set', 'experiment.d_grid=4',",
+            "    '--set', 'experiment.replicates=5']))",
+        ])
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script, str(out)], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert "stability bound violated at t=1:" in proc.stderr
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestPrivacyUtilityExperiment:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from dpsgld import cli
 from dpsgld.core import Dataset, InvalidParameterError
 from dpsgld.losses import (
     FAMILIES,
@@ -14,7 +15,6 @@ from dpsgld.losses import (
     SMOOTHED_HINGE,
     GlmLoss,
     LossBounds,
-    empirical_risk,
     logistic,
     loss_bounds,
 )
@@ -225,21 +225,25 @@ class TestEmpiricalRisk:
         g = float(GlmLoss(LOGISTIC).clipped_phi_prime(float(np.zeros(2) @ x), 1.0)) * x
         np.testing.assert_allclose(g, [0.0, -0.5], rtol=1e-12)
 
-    def test_empirical_risk_is_mean_of_pointwise_losses(self):
+    def test_run_record_risk_is_mean_of_pointwise_losses(self, tmp_path, monkeypatch):
+        # each row's risk column, printed at full precision, against a direct
+        # mean over the rows of the data
+        monkeypatch.setattr(cli, "_fmt", lambda value: repr(float(value)))
         rng = np.random.default_rng(7)
         X = rng.standard_normal((20, 4))
         X /= np.linalg.norm(X, axis=1, keepdims=True) * 1.001
         y = np.where(rng.random(20) < 0.5, -1.0, 1.0)
         data = Dataset(X, y)
-        w = rng.standard_normal(4)
+        W = rng.standard_normal((3, 4))
         for loss in all_losses():
-            direct = np.mean([float(loss.phi(float(w @ X[i]), y[i])) for i in range(20)])
-            np.testing.assert_allclose(empirical_risk(loss, w, data), direct, rtol=1e-12)
-
-    def test_empirical_risk_dimension_check(self):
-        data = Dataset(np.zeros((3, 2)), np.ones(3))
-        with pytest.raises(InvalidParameterError):
-            empirical_risk(GlmLoss(LOGISTIC), np.zeros(3), data)
+            path = tmp_path / f"{loss.family}.csv"
+            cli.write_run_record([1, 2, 5], W, loss, data, path)
+            record = np.loadtxt(path, delimiter=",", skiprows=1)
+            np.testing.assert_array_equal(record[:, 0], [1, 2, 5])
+            for w, (_, risk, norm) in zip(W, record):
+                direct = np.mean([float(loss.phi(float(w @ X[i]), y[i])) for i in range(20)])
+                np.testing.assert_allclose(risk, direct, rtol=1e-12)
+                np.testing.assert_allclose(norm, np.linalg.norm(w), rtol=1e-12)
 
 
 def test_families_tuple_is_exported():
