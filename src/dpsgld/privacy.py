@@ -25,8 +25,12 @@ log1p(1/(t−1)):
     D_t = m_t − m_{t−1} = ℓ_t + 2(t−1)·q_t.
 
 D_t is a sum of positive terms, so it keeps every digit where 1 − r_t² =
-D_t/m_t, formed from the step sizes, loses about log₁₀ t of them; a chunk of
-steps costs one ``np.log`` of u = t−1..t and one ``np.log1p``. The δ_t
+D_t/m_t, formed from the step sizes, loses about log₁₀ t of them. Each
+chunk of steps is one pass through work buffers allocated once per report
+and written in place: one ``np.log`` of u = t−1..t and one ``np.log1p`` give
+the ε_t, one ``np.exp`` and one ``np.log1p`` their amplification
+ε′_t = ln(1 + x_t), x_t = e^{ε_t}/n, and the composition's excess term
+ε′_t·(e^{ε′_t} − 1) reads x_t itself, since e^{ln(1+x)} − 1 = x. The δ_t
 telescope: Σ_(t=2..T) δ_t = δ/2·(1 − 1/T). A step without noise has an
 infinite ε that the m-form never shows, so the report checks the noise
 first, once: σ_t falls with t in both modes, so σ_T = 0 (underflow) iff
@@ -87,11 +91,14 @@ class RdpBudget:
             raise InvalidParameterError(f"epsilon must be >= 0, got {self.epsilon}")
 
 
-def _amplified_epsilon(step_epsilon, m: int):
+def _amplified_epsilon(step_epsilon, m: int, ratio=None, out=None):
     """ε of amplification by uniform subsampling of one element among m:
     ln(1 + m⁻¹·e^ε), the lemma's form verbatim (the +1 inside the log keeps
-    the whole e^ε rather than e^ε − 1)."""
-    return np.log1p(np.exp(step_epsilon) / m)
+    the whole e^ε rather than e^ε − 1). Given float arrays, x = e^ε/m is
+    written to ``ratio`` and the result to ``out``."""
+    ratio = np.exp(step_epsilon, out=ratio)
+    ratio /= m
+    return np.log1p(ratio, out=out)
 
 
 def _composed(sum_sq: float, sum_excess: float, sum_delta: float, delta_prime: float) -> DpBudget:
@@ -196,19 +203,42 @@ def _claimed_budget(epsilon: float, delta: float) -> DpBudget:
     return DpBudget(3.0 * epsilon * math.sqrt(math.log(2.0 / delta)) + 3.0 * epsilon**2, delta)
 
 
-def _step_epsilons(schedule: MultiPassSchedule, lo: int, hi: int) -> np.ndarray:
+def _step_work(steps: int) -> np.ndarray:
+    """Work rows for _step_epsilons over up to ``steps`` steps; row 0 holds
+    0, 1, ..., steps, from which each range's u = lo−1..hi is formed."""
+    work = np.empty((5, steps + 1))
+    work[0] = np.arange(steps + 1)
+    return work
+
+
+def _step_epsilons(schedule: MultiPassSchedule, lo: int, hi: int, work=None) -> np.ndarray:
     """Gaussian ε_t of multi-pass steps t = lo..hi (2 <= lo <= hi), in the
     m-form the module docstring derives. Each ε_t depends on its own t alone,
-    so any range gives the same bits for a step."""
+    so any range gives the same bits for a step.
+
+    ``work`` is a _step_work array for at least hi − lo + 1 steps, written in
+    place; the result is a view into it, valid until its next use."""
+    size = hi - lo + 1
+    if work is None:
+        work = _step_work(size)
+    ramp, u, ell, m, q = work[:, : size + 1]
+    before, q = u[:-1], q[:-1]
     c = math.log(2.5 / (schedule.n * schedule.delta))
-    u = np.arange(lo - 1, hi + 1, dtype=np.float64)
-    ell = c + 2.0 * np.log(u)
-    m = ell * u
-    before = u[:-1]
-    q = np.log1p(1.0 / before)
-    lam = ell[1:] - q
-    D = ell[1:] + 2.0 * before * q
-    return np.sqrt(lam * m[:-1] / (m[1:] * D))
+    np.add(ramp, lo - 1, out=u)
+    np.log(u, out=ell)
+    ell *= 2.0
+    ell += c
+    np.multiply(ell, u, out=m)
+    np.divide(1.0, before, out=q)
+    np.log1p(q, out=q)
+    D = np.multiply(before, 2.0, out=before)  # u is spent: D takes its row
+    D *= q
+    D += ell[1:]
+    lam = np.subtract(ell[1:], q, out=q)
+    lam *= m[:-1]
+    D *= m[1:]
+    lam /= D
+    return np.sqrt(lam, out=lam)
 
 
 def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
@@ -216,18 +246,26 @@ def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
 
     Steps are enumerated _REPORT_CHUNK at a time, keeping only the running
     maxima and the sums the composition needs, so memory does not grow with
-    T. The δ_t need no enumeration: they telescope to δ/2·(1 − 1/T). The
-    caller has refused a schedule with a zero σ_t.
+    T. Each chunk is one pass through work buffers allocated once, cut to
+    the chunk's length. The excess term ε′(e^{ε′} − 1) reads x = e^ε/n from
+    the amplification, since e^{ln(1+x)} − 1 = x. The δ_t need no
+    enumeration: they telescope to δ/2·(1 − 1/T). The caller has refused a
+    schedule with a zero σ_t.
     """
     n, T, delta = schedule.n, schedule.T, schedule.delta
+    steps = min(_REPORT_CHUNK, T - 1)
+    work = _step_work(steps)
+    buffers = np.empty((2, steps))
     step_max = amplified_max = sum_sq = sum_excess = 0.0
     for lo in range(2, T + 1, _REPORT_CHUNK):
-        step_eps = _step_epsilons(schedule, lo, min(lo + _REPORT_CHUNK - 1, T))
-        amplified = _amplified_epsilon(step_eps, n)
+        step_eps = _step_epsilons(schedule, lo, min(lo + _REPORT_CHUNK - 1, T), work)
+        ratio, amplified = buffers[:, : step_eps.size]
+        _amplified_epsilon(step_eps, n, ratio, amplified)
         step_max = max(step_max, float(np.max(step_eps)))
         amplified_max = max(amplified_max, float(np.max(amplified)))
-        sum_sq += float(np.sum(amplified * amplified))
-        sum_excess += float(np.sum(amplified * np.expm1(amplified)))
+        # spent rows take the products: the step ε the squares, x the excess terms
+        sum_sq += float(np.sum(np.multiply(amplified, amplified, out=step_eps)))
+        sum_excess += float(np.sum(np.multiply(amplified, ratio, out=ratio)))
     sum_delta = 0.5 * delta * (1.0 - 1.0 / T)
     return step_max, amplified_max, _composed(sum_sq, sum_excess, sum_delta, delta / 2.0)
 
