@@ -192,8 +192,13 @@ def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
 def write_run_record(times, iterates, loss: GlmLoss, dataset: Dataset, path) -> None:
     """One row per logged step t and its iterate w_t: t, empirical risk on
     ``dataset``, and ‖w_t‖."""
-    # one pass over X for every logged iterate
-    risks = loss.phi(iterates @ dataset.X.T, dataset.y).mean(axis=1)
+    # chunks of 16 to 31 iterates (all of them when fewer than 16), so memory
+    # does not grow with n times the iterates; a one-row chunk would take the
+    # matrix-vector product, whose bits differ
+    risks = np.concatenate([
+        loss.phi(chunk @ dataset.X.T, dataset.y).mean(axis=1)
+        for chunk in np.array_split(iterates, max(1, len(iterates) // 16))
+    ])
     norms = np.linalg.norm(iterates, axis=1)
     lines = ["t,risk_empirical,iterate_norm"]
     lines += [f"{t},{_fmt(risk)},{_fmt(norm)}" for t, risk, norm in zip(times, risks, norms)]

@@ -7,10 +7,11 @@ neighboring datasets against the closed-form bound), and privacy-utility
 
 An experiment is its cells (``_cells``): the loss and, for each row group,
 the data law and schedule. Building an ``ExperimentConfig`` builds them, so
-what they refuse is refused before anything runs, and the runners run the
-same cells. ``run_experiment`` passes every cell's schedule through the
-engine's ``_schedule_steps`` before any data is drawn, so a schedule with
-σ_t = 0 at some step is refused before any cell runs or any file is written.
+what they refuse is refused before anything runs. ``run_experiment`` builds
+them once more, passes every cell's schedule through the engine's
+``_schedule_steps`` before any data is drawn, so a schedule with σ_t = 0 at
+some step is refused before any cell runs or any file is written, and hands
+the loss and cells to the experiment's runner, which runs those very cells.
 
 Determinism contract: every row is a pure function of (config, seed).
 Replicate r draws everything from stream id r of the base seed; the held-out
@@ -19,9 +20,10 @@ are compared under common random numbers. Wall-clock time goes to the sidecar
 text file, never into the CSV, so reruns are byte-identical.
 
 The single-pass experiments run ``planar``'s exact-in-law chain of
-(α, β) = (w₁, ‖w − w₁e₁‖) on the sphere and ball laws with d >= 3 and score
-its pairs directly. The low-rank law and d < 3 run the engine on drawn data,
-which is also the reference the reduced chain is tested against.
+(α, β) = (w₁, ‖w − w₁e₁‖) on the sphere and ball laws with d >= 3, one batch
+per schedule, and score its pairs directly. The low-rank law and d < 3 run
+the engine on drawn data, which is also the reference the reduced chain is
+tested against.
 
 Privacy-utility runs each multi-pass chain in the span of its data. A
 gradient φ′·x lies in span{x₁…x_n}, so the iterate's part orthogonal to that
@@ -351,47 +353,39 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(r))
 
 
-def experiment_single_pass(config: ExperimentConfig) -> list:
+def experiment_single_pass(config: ExperimentConfig, loss: GlmLoss, cells: list) -> list:
     """Excess-risk-vs-n and dimension-independence: one single-pass row per cell.
 
     The schedule and accountant never see d, so dimension-independence's
     cells hold equal schedules and differ only in the data law. Planar cells
-    that share a schedule and whose draws stack (``planar.stack_key``) run as
-    one batch of reduced chains; each cell's pairs are then scored on their own.
+    that share a schedule run as one batch of reduced chains; each cell's
+    pairs are then scored on their own.
     """
-    loss, cells = _cells(config)
     trace_bound = loss_bounds(loss).hessian_trace_bound
     reps = _replicates(config)
-    keys = [
-        (schedule, planar.stack_key(model, schedule)) if planar.applies(model) else None
-        for _, model, schedule in cells
-    ]
-    groups: dict = {}
-    for key, (_, model, _) in zip(keys, cells):
-        if key is not None:
-            groups.setdefault(key, []).append(model)
-    # each batch yields its cells' final pairs in cell order; each (cell, replicate)
-    # chain gets a fresh DATA_SUBSTREAM stream, since a stream caches its generator
-    batches = {
-        key: planar.single_pass(
-            models, loss, key[0],
-            [[rep.substream(DATA_SUBSTREAM).generator for rep in reps] for _ in models],
-        )
-        for key, models in groups.items()
-    }
-    rows = []
-    for key, cell in zip(keys, cells):
-        n, model, schedule = cell
-        if key is not None:
-            finals = next(batches[key])
+    finals = [None] * len(cells)
+    batches: dict = {}
+    for i, (_, model, schedule) in enumerate(cells):
+        if planar.applies(model):
+            batches.setdefault(schedule, []).append(i)
         else:
-            finals = [
+            finals[i] = [
                 run_single_pass(
                     draw_dataset(model, schedule.sample_budget, rep.substream(DATA_SUBSTREAM)),
                     loss, schedule, rep, log_interval=schedule.T,
                 )[1][-1]
                 for rep in reps
             ]
+    for schedule, batch in batches.items():
+        # each (cell, replicate) chain gets a fresh DATA_SUBSTREAM stream,
+        # since a stream caches its generator
+        gens = [[rep.substream(DATA_SUBSTREAM).generator for rep in reps] for _ in batch]
+        pairs = planar.single_pass([cells[i][1] for i in batch], loss, schedule, gens)
+        for i, cell_pairs in zip(batch, pairs):
+            finals[i] = cell_pairs
+    rows = []
+    for cell, final in zip(cells, finals):
+        n, model, schedule = cell
         bound = theorem1_excess_bound(
             model.wstar_norm,
             n,
@@ -401,7 +395,7 @@ def experiment_single_pass(config: ExperimentConfig) -> list:
             schedule.delta,
             trace_bound,
         )
-        excess = _excess_risks(config, loss, model, finals, as_pairs=key is not None)
+        excess = _excess_risks(config, loss, model, final, as_pairs=planar.applies(model))
         rows.append(_row(config, cell, *_mean_se(excess), bound))
     return rows
 
@@ -420,7 +414,7 @@ def _checkpoint_ladder(T: int) -> tuple:
     return tuple(ladder)
 
 
-def experiment_stability(config: ExperimentConfig) -> list:
+def experiment_stability(config: ExperimentConfig, loss: GlmLoss, cells: list) -> list:
     """Coupled chains on datasets differing in the last example.
 
     Each replicate draws n+1 examples and swaps the extra one into the last
@@ -429,7 +423,7 @@ def experiment_stability(config: ExperimentConfig) -> list:
     stays below the closed-form bound plus three standard errors at every
     checkpoint.
     """
-    loss, [cell] = _cells(config)
+    [cell] = cells
     n, model, schedule = cell
     checkpoints = config.checkpoints if config.checkpoints else _checkpoint_ladder(schedule.T)
     pairs, seeds = [], []
@@ -514,7 +508,7 @@ def _span_runs(spans, loss, schedule, reps, log_interval) -> tuple[list, np.ndar
     ])
 
 
-def experiment_privacy_utility(config: ExperimentConfig) -> list:
+def experiment_privacy_utility(config: ExperimentConfig, loss: GlmLoss, cells: list) -> list:
     """Multi-pass risk across an epsilon grid, time-averaged over the run.
 
     The chains run in the span of their data (``_span_runs``), so a step
@@ -523,7 +517,6 @@ def experiment_privacy_utility(config: ExperimentConfig) -> list:
     scored, so the bases are freed before scoring, the memory peak; each ε's
     lifted iterates are held until then, so that peak grows with the ε grid.
     """
-    loss, cells = _cells(config)
     trace_bound = loss_bounds(loss).hessian_trace_bound
     n, model, _ = cells[0]
     reps = _replicates(config)
@@ -604,7 +597,6 @@ def summarize(config: ExperimentConfig, rows) -> dict:
             summary["bound_to_empirical_min"] = min(ratios)
             # statistics.median, not np.median, which loads numpy.ma (about 10 ms) on first use
             summary["bound_to_empirical_median"] = statistics.median(ratios)
-        summary["bound_holds_everywhere"] = all(row.note == "" for row in rows)
     elif config.experiment == PRIVACY_UTILITY:
         ordered = sorted(rows, key=lambda row: row.eps_target)
         worst = 0.0
@@ -623,10 +615,12 @@ def summarize(config: ExperimentConfig, rows) -> dict:
 def run_experiment(config: ExperimentConfig) -> tuple[list, dict]:
     """Dispatch on the experiment name; returns (rows, summary).
 
-    Every cell's schedule first goes through ``_schedule_steps``, so a
-    schedule with σ_t = 0 at some step is refused before any cell runs.
+    The cells are built once and handed to the runner. Every cell's schedule
+    first goes through ``_schedule_steps``, so a schedule with σ_t = 0 at
+    some step is refused before any cell runs.
     """
-    for _, _, schedule in _cells(config)[1]:
+    loss, cells = _cells(config)
+    for _, _, schedule in cells:
         _schedule_steps(schedule)
     runner = {
         EXCESS_RISK_VS_N: experiment_single_pass,
@@ -634,7 +628,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[list, dict]:
         STABILITY: experiment_stability,
         PRIVACY_UTILITY: experiment_privacy_utility,
     }[config.experiment]
-    rows = runner(config)
+    rows = runner(config, loss, cells)
     return rows, summarize(config, rows)
 
 

@@ -23,9 +23,11 @@ rows' and the noise's outside parts enters the step, through
 a = 1 − λ_tη, α ← a(α − (η/b)Σφ′_i x_i1) + σ_t z₁ and β ← √(β₂² + cᵀSc),
 where β₂ = a(β − (η/b)Σφ′_i x_i2) + σ_t z₂, c_i = −a(η/b)φ′_i r_i/‖g_i‖ and
 c_(b+1) = σ_t, with φ′ clipped to [−γ₁, γ₁] as in the engine. S is drawn as
-LLᵀ from its Bartlett factor (χ_(d−2−j) on the diagonal, N(0, 1) below it,
-min(b + 1, d − 2) columns), so a step costs O(b²) whatever d is. The
-low-rank law and d < 3 run the engine on drawn data, this chain's reference.
+LLᵀ from its Bartlett factor (χ_(d−2−j) on the diagonal, N(0, 1) below it),
+which has rank min(b + 1, d − 2) and is kept (b + 1)×(b + 1), its columns past
+d − 2 zero, so a step costs O(b²) whatever d is and the draws of every cell of
+one schedule stack. The low-rank law and d < 3 run the engine on drawn data,
+this chain's reference.
 """
 
 from __future__ import annotations
@@ -56,18 +58,15 @@ def pairs(W: np.ndarray) -> np.ndarray:
     return np.stack([W[:, 0], np.linalg.norm(across, axis=1)], axis=1)
 
 
-def _held_out_margins(model, pairs: np.ndarray, n_test: int, gen):
-    """Yield (margins, y) chunks of an n_test-row held-out sample drawn from ``gen``:
-    margins[i, j] is pair j's margin at the chunk's row i, and y the rows' labels."""
+def _held_out_margins(model, pairs: np.ndarray, rows: int, gen):
+    """(margins, y) of ``rows`` held-out rows drawn from ``gen``: margins[i, j]
+    is pair j's margin at row i, and y the rows' labels."""
+    P = gen.standard_normal((rows, 2))
+    P /= np.sqrt(np.sum(P * P, axis=1) + gen.chisquare(model.d - 2, rows))[:, None]
+    if model.feature_law == "ball":
+        P *= gen.uniform(0.5, 1.0, size=(rows, 1))
     # (2, g) in C order, the layout the scorer has always handed P @ coords
-    coords = pairs.T.copy()
-    for done in range(0, n_test, _MARGIN_CHUNK_ROWS):
-        c = min(_MARGIN_CHUNK_ROWS, n_test - done)
-        P = gen.standard_normal((c, 2))
-        P /= np.sqrt(np.sum(P * P, axis=1) + gen.chisquare(model.d - 2, c))[:, None]
-        if model.feature_law == "ball":
-            P *= gen.uniform(0.5, 1.0, size=(c, 1))
-        yield P @ coords, model.labels(model.wstar_norm * P[:, 0], gen)
+    return P @ pairs.T.copy(), model.labels(model.wstar_norm * P[:, 0], gen)
 
 
 def mean_and_se(loss, chunks, n_test: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,8 +83,13 @@ def mean_and_se(loss, chunks, n_test: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def population_risk(loss, pairs: np.ndarray, model, n_test: int, gen):
-    """(estimates, standard errors) of the iterates with these pairs on one shared 2-D sample."""
-    return mean_and_se(loss, _held_out_margins(model, pairs, n_test, gen), n_test)
+    """(estimates, standard errors) of the iterates with these pairs on one shared
+    2-D sample, drawn and scored a chunk of rows at a time."""
+    chunks = (
+        _held_out_margins(model, pairs, min(_MARGIN_CHUNK_ROWS, n_test - done), gen)
+        for done in range(0, n_test, _MARGIN_CHUNK_ROWS)
+    )
+    return mean_and_se(loss, chunks, n_test)
 
 
 def _reduced_draws(model, b: int, steps: int, gen):
@@ -93,17 +97,20 @@ def _reduced_draws(model, b: int, steps: int, gen):
 
     Returns (x, scale, y, z, L): the rows' (e₁, v) coordinates x (steps, b, 2),
     their r/‖g‖ (steps, b), labels (steps, b), the noise's (e₁, v) part
-    (steps, 2), and the Bartlett factor L (steps, b + 1, min(b + 1, d − 2)) of
-    the Gram matrix of the b + 1 parts outside span{e₁, v}.
+    (steps, 2), and the Bartlett factor L (steps, b + 1, b + 1) of the Gram
+    matrix of the b + 1 parts outside span{e₁, v}, whose columns past d − 2
+    are zero.
     """
     p = model.d - 2
     m = b + 1
     q = min(m, p)
-    L = np.tril(gen.standard_normal((steps, m, q)), -1)
+    L = np.zeros((steps, m, m))
+    # the draws land below the diagonal of the first q columns, in one copy
+    np.copyto(L[..., :q], gen.standard_normal((steps, m, q)), where=np.tri(m, q, -1, dtype=bool))
     diag = np.arange(q)
     L[:, diag, diag] = np.sqrt(gen.chisquare(p - diag, size=(steps, q)))
     g = gen.standard_normal((steps, b, 2))
-    scale = 1.0 / np.sqrt((g * g).sum(axis=2) + (L[:, :b] ** 2).sum(axis=2))
+    scale = 1.0 / np.sqrt((g * g).sum(axis=2) + (L[:, :b, :q] ** 2).sum(axis=2))
     if model.feature_law == "ball":
         scale *= gen.uniform(0.5, 1.0, size=(steps, b))
     x = g * scale[..., None]
@@ -111,24 +118,14 @@ def _reduced_draws(model, b: int, steps: int, gen):
     return x, scale, y, gen.standard_normal((steps, 2)), L
 
 
-def stack_key(model, schedule) -> int:
-    """min(d − 2, b_max + 1): cells of one schedule whose draws stack have equal keys.
-
-    Batch size b's Bartlett factor has min(b + 1, d − 2) columns, so two cells'
-    factors have equal shapes at every b of the schedule exactly when both
-    have d − 2 >= b_max + 1 or both have the same d.
-    """
-    return min(model.d - 2, int(schedule.batch_sizes[-1]) + 1)
-
-
-def single_pass(models, loss, schedule, gens):
+def single_pass(models, loss, schedule, gens) -> np.ndarray:
     """Final pairs of the single-pass chains of cells that share ``schedule``, run as one batch.
 
     Chain (cell i, replicate r) draws with model i from ``gens[i][r]``, a
     generator of its own, a block of steps of one batch size at a time; a
     block's length depends only on b, so a chain's output does not depend on
-    which cells or replicates run beside it. The models' draws must stack
-    (equal ``stack_key``). Yields each cell's (replicates, 2) pairs in turn.
+    which cells or replicates run beside it. Returns the (cells, replicates, 2)
+    array of final pairs.
     """
     chains = [(model, gen) for model, cell in zip(models, gens) for gen in cell]
     # (α, β) of every chain, updated in place
@@ -166,4 +163,4 @@ def single_pass(models, loss, schedule, gens):
                 beta *= beta
                 beta += (outside * outside).sum(axis=1)
                 np.sqrt(beta, out=beta)
-    yield from state.reshape(len(models), -1, 2)
+    return state.reshape(len(models), -1, 2)

@@ -1,15 +1,17 @@
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from dpsgld.cli import ConfigError, main, parse_config_text
-from dpsgld.core import seeded_rng
+from dpsgld.cli import ConfigError, main, parse_config_text, write_run_record
+from dpsgld.core import Dataset, seeded_rng
 from dpsgld.datagen import draw_dataset, export_dataset, PopulationModel
 from dpsgld.harness import EXPERIMENTS, ExperimentConfig, unread_fields
+from dpsgld.losses import FAMILIES, GlmLoss
 
 
 def run_main(capsys, argv):
@@ -222,6 +224,26 @@ def test_run_outputs_match_recorded_digests(capsys, tmp_path, monkeypatch, name)
     for file in ("run_record.csv", "account.txt"):
         got[file] = hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest()
     assert got == expected
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_run_record_memory_does_not_grow_with_the_iterates(tmp_path, family):
+    # 640 logged iterates on n = 4 000 rows: their margins at once would take
+    # 20 MB, and the loss's temporaries as much again; the record scores at
+    # most 31 iterates at a time, so its peak stays under four 32-row chunks
+    gen = np.random.default_rng(5)
+    n, iterates = 4000, 640
+    X = gen.standard_normal((n, 4))
+    X /= np.linalg.norm(X, axis=1, keepdims=True) * 1.001
+    data = Dataset(X, np.where(gen.random(n) < 0.5, -1.0, 1.0))
+    W = gen.standard_normal((iterates, 4))
+    tracemalloc.start()
+    try:
+        write_run_record(range(1, iterates + 1), W, GlmLoss(family), data, tmp_path / "record.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 32 * n * 8
 
 
 class TestAccountCommand:

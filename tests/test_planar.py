@@ -19,7 +19,7 @@ def single_pass(models, loss, schedule, reps):
     """Each cell's final pairs, every (cell, replicate) chain drawing from a
     fresh DATA_SUBSTREAM generator of its replicate, as the experiments run it."""
     gens = [[rep.substream(DATA_SUBSTREAM).generator for rep in reps] for _ in models]
-    return list(planar.single_pass(models, loss, schedule, gens))
+    return planar.single_pass(models, loss, schedule, gens)
 
 
 def lift(pairs, d):
@@ -159,6 +159,24 @@ class TestReducedSinglePass:
             worst[f"{name} var"] = _z((a - a.mean()) ** 2, (b - b.mean()) ** 2)
         assert max(abs(z) for z in worst.values()) <= 4.5, worst
 
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_a_padded_bartlett_factor_keeps_the_gram_law(self, d):
+        # b = 5 leaves d − 2 < b + 1: the factor keeps b + 1 columns, lower
+        # triangular and 0 past column d − 2, and each S_ii = ‖L_i‖² stays
+        # χ²_(d−2), with mean d − 2 and variance 2(d − 2) within 4 standard
+        # errors over 20 000 draws
+        b, steps, k = 5, 20_000, d - 2
+        model = PopulationModel("logistic", d, 2.0, "sphere", 0.1)
+        *_, L = planar._reduced_draws(model, b, steps, np.random.default_rng(d))
+        assert L.shape == (steps, b + 1, b + 1)
+        assert np.all(L[..., k:] == 0.0)
+        assert np.all(np.triu(L, 1) == 0.0)
+        for S_ii in (L * L).sum(axis=2).T:
+            dev = (S_ii - S_ii.mean()) ** 2
+            z_mean = (S_ii.mean() - k) / math.sqrt(S_ii.var(ddof=1) / steps)
+            z_var = (S_ii.var(ddof=1) - 2 * k) / (dev.std(ddof=1) / math.sqrt(steps))
+            assert abs(z_mean) <= 4.0 and abs(z_var) <= 4.0, (z_mean, z_var)
+
     @pytest.mark.parametrize("d", [3, 512])
     def test_lifted_iterates_have_held_out_coordinates_alpha_beta(self, d):
         # The chain's pairs lifted to α·e₁ + β·e₂ project back to (α, β) bit
@@ -182,7 +200,7 @@ class TestReducedSinglePass:
         alpha, beta = pairs.T
         assert np.any(alpha < 0) and np.any(alpha > 0) and np.all(beta > 0)
         assert planar.pairs(lift(pairs, d)).tobytes() == pairs.tobytes()
-        [(margins, _)] = planar._held_out_margins(model, pairs, 2, UnitRows())
+        margins, _ = planar._held_out_margins(model, pairs, 2, UnitRows())
         assert margins.tobytes() == np.stack([alpha, beta]).tobytes()
 
     def test_replicate_output_does_not_depend_on_its_neighbours(self):
@@ -224,15 +242,16 @@ class TestReducedSinglePass:
     @pytest.mark.parametrize("law", ["sphere", "ball"])
     def test_a_batched_cell_has_the_bits_of_the_cell_run_alone(self, monkeypatch, law, family):
         # small blocks split the runs of equal batch sizes, so a block length
-        # that depended on the number of chains would redraw the numbers
+        # that depended on the number of chains would redraw the numbers; at
+        # d = 3 and 5 (b up to 5) the Bartlett factor has padded zero columns
         monkeypatch.setattr(planar, "_REDUCED_BLOCK_FLOATS", 64)
         loss = GlmLoss(family)
         schedule = single_pass_schedule(40, loss_bounds(loss).G, 1.0, 0.5, 1e-3)
-        models = [PopulationModel(data_kind(family), d, 2.0, law, 0.1) for d in (9, 40, 300)]
+        dims = (3, 5, 9, 40, 300)
+        models = [PopulationModel(data_kind(family), d, 2.0, law, 0.1) for d in dims]
         reps = [seeded_rng(6, r) for r in range(3)]
-        assert len({planar.stack_key(model, schedule) for model in models}) == 1
         together = single_pass(models, loss, schedule, reps)
-        assert [pairs.shape for pairs in together] == [(3, 2)] * 3
+        assert together.shape == (len(dims), 3, 2)
         for model, pairs in zip(models, together):
             [alone] = single_pass([model], loss, schedule, reps)
             assert pairs.tobytes() == alone.tobytes()

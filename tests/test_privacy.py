@@ -725,7 +725,10 @@ def test_single_pass_report_matches_recorded_digest(T):
 
 
 @pytest.mark.parametrize(
-    "shape", sorted(set(MULTI_PASS_REPORT_DIGESTS) - {TestStepEpsilonAccuracy.SHAPE})
+    "shape",
+    sorted(set(MULTI_PASS_REPORT_DIGESTS) - {TestStepEpsilonAccuracy.SHAPE}),
+    # named by (n, α, ε, δ), so a new digest renames no other case
+    ids=lambda shape: "n={}-alpha={}-eps={}-delta={}".format(*shape),
 )
 def test_multi_pass_report_matches_recorded_digest(shape):
     text = account_report(multi_pass_schedule(*shape, 1.0, 1.0))
