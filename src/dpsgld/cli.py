@@ -146,6 +146,8 @@ def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
         label_noise = options.get("data.label_noise", float, 0.1) if quadratic else 0.1
     options.reject_leftovers()
 
+    if mode == SINGLE_PASS:
+        schedule = single_pass_schedule(T, bounds.G, eta0, epsilon, delta)
     rng = seeded_rng(seed, 0)
     if data_file is not None:
         dataset, kind = import_dataset(data_file)
@@ -156,16 +158,13 @@ def cmd_run(options: _Options, seed: int, out_dir: str, quiet: bool) -> int:
                 f"trains on kind={expected}"
             )
     else:
-        if mode == SINGLE_PASS and n is None:
-            # size the synthetic sample to the schedule's exact budget
-            n = single_pass_schedule(T, bounds.G, eta0, epsilon, delta).sample_budget
-        if mode == MULTI_PASS and n is None:
-            n = 256
+        if n is None:
+            # a single-pass sample is sized to the schedule's exact budget
+            n = schedule.sample_budget if mode == SINGLE_PASS else 256
         model = PopulationModel(data_kind(loss.family), d, wstar_norm, law, label_noise)
         dataset = draw_dataset(model, n, rng.substream(DATA_SUBSTREAM))
 
     if mode == SINGLE_PASS:
-        schedule = single_pass_schedule(T, bounds.G, eta0, epsilon, delta)
         times, iterates = run_single_pass(dataset, loss, schedule, rng, log_interval=log_interval)
     else:
         schedule = multi_pass_schedule(

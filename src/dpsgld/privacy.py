@@ -211,7 +211,7 @@ def _step_work(steps: int) -> np.ndarray:
     return work
 
 
-def _step_epsilons(schedule: MultiPassSchedule, lo: int, hi: int, work=None) -> np.ndarray:
+def _step_epsilons(schedule: MultiPassSchedule, lo: int, hi: int, work: np.ndarray) -> np.ndarray:
     """Gaussian ε_t of multi-pass steps t = lo..hi (2 <= lo <= hi), in the
     m-form the module docstring derives. Each ε_t depends on its own t alone,
     so any range gives the same bits for a step.
@@ -219,8 +219,6 @@ def _step_epsilons(schedule: MultiPassSchedule, lo: int, hi: int, work=None) -> 
     ``work`` is a _step_work array for at least hi − lo + 1 steps, written in
     place; the result is a view into it, valid until its next use."""
     size = hi - lo + 1
-    if work is None:
-        work = _step_work(size)
     ramp, u, ell, m, q = work[:, : size + 1]
     before, q = u[:-1], q[:-1]
     c = math.log(2.5 / (schedule.n * schedule.delta))
@@ -344,10 +342,7 @@ def account_report(schedule) -> str:
     lines += [
         f"closed_form_epsilon = {_fmt(closed.epsilon)}",
         f"claimed_epsilon = {_fmt(claimed.epsilon)}",
+        f"closed_to_claimed_ratio = {_fmt(closed.epsilon / claimed.epsilon)}",
+        "note = amplification uses ln(1 + exp(eps)/m) with the whole exp(eps) kept inside the log",
     ]
-    if claimed.epsilon > 0:
-        lines.append(f"closed_to_claimed_ratio = {_fmt(closed.epsilon / claimed.epsilon)}")
-    lines.append(
-        "note = amplification uses ln(1 + exp(eps)/m) with the whole exp(eps) kept inside the log"
-    )
     return "\n".join(lines) + "\n"

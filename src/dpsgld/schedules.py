@@ -1,6 +1,13 @@
 """Per-step parameter sequences for both run modes, read as the arrays
 ``etas`` (η_t), ``lambda_etas`` (λ_tη_t) and ``batch_sizes`` (|M_t|), beside β₀.
 
+A schedule is built from its inputs alone, and each rule on them is checked
+once, in the class. The values the certificates are calibrated on (η, β₀
+and the Rényi order in single pass, T and β₀ in multi pass) are computed
+from the inputs and cannot be passed in, so no schedule holds a derived
+value that disagrees with its inputs, and ``dataclasses.replace`` rebuilds
+them. ``single_pass_schedule`` and ``multi_pass_schedule`` name the classes.
+
 Single pass: constant η, λ_t = 1/(tη), growing mini-batches, an explicit
 Rényi order, and a sample budget Σ_t |M_t| ≈ √2·T that the runner requires
 the dataset to cover (the budget is reported, never silently rescaled).
@@ -15,7 +22,7 @@ N(0, β₀I) regardless of the data; the initial draw is step one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,25 +45,44 @@ def minibatch_size(T: int, t: int) -> int:
     return max(m, 1)
 
 
+def _set(schedule, **values) -> None:
+    """Write fields of a frozen schedule; only its ``__post_init__`` calls this."""
+    for name, value in values.items():
+        object.__setattr__(schedule, name, value)
+
+
 @dataclass(frozen=True)
 class SinglePassSchedule:
+    """η = η₀√(1/(4G²T)), β₀ = (ε + ln(1/δ))η₀²/(2ε²T), α = 1 + ln(1/δ)/ε."""
+
     T: int
     G: float
     eta0: float
     epsilon: float
     delta: float
-    eta: float
-    beta0: float
-    renyi_order: float
+    eta: float = field(init=False)
+    beta0: float = field(init=False)
+    renyi_order: float = field(init=False)
 
     mode = SINGLE_PASS
 
     def __post_init__(self):
         _require_count("T", self.T, 1)
-        _require_positive(G=self.G, eta0=self.eta0, epsilon=self.epsilon, eta=self.eta, beta0=self.beta0)
+        _require_positive(G=self.G, eta0=self.eta0, epsilon=self.epsilon)
         _require_unit_interval(delta=self.delta)
-        if not self.renyi_order > 1:
-            raise InvalidParameterError(f"Renyi order must be > 1, got {self.renyi_order}")
+        T, G, eta0, epsilon, delta = (
+            int(self.T), float(self.G), float(self.eta0), float(self.epsilon), float(self.delta)
+        )
+        eta = eta0 * math.sqrt(1.0 / (4.0 * G * G * T))
+        denominator = 2.0 * epsilon**2 * T
+        # ε² underflows to 0 below about 1e-162; β₀ is then infinite, which is refused
+        beta0 = (epsilon + math.log(1.0 / delta)) * eta0**2 / denominator if denominator else math.inf
+        renyi_order = 1.0 + math.log(1.0 / delta) / epsilon
+        _require_positive(eta=eta, beta0=beta0)
+        if not renyi_order > 1:
+            raise InvalidParameterError(f"Renyi order must be > 1, got {renyi_order}")
+        _set(self, T=T, G=G, eta0=eta0, epsilon=epsilon, delta=delta,
+             eta=eta, beta0=beta0, renyi_order=renyi_order)
 
     @cached_property
     def etas(self) -> np.ndarray:
@@ -88,51 +114,44 @@ def _batch_runs(T: int) -> tuple[np.ndarray, np.ndarray]:
     return sizes, -np.diff(k_min, prepend=T + 1)
 
 
-def single_pass_schedule(
-    T: int, G: float, eta0: float, epsilon: float, delta: float
-) -> SinglePassSchedule:
-    """Schedule with η = η₀√(1/(4G²T)), β₀ = (ε + ln(1/δ))η₀²/(2ε²T), α = 1 + ln(1/δ)/ε."""
-    _require_count("T", T, 1)
-    _require_positive(G=G, eta0=eta0, epsilon=epsilon)
-    _require_unit_interval(delta=delta)
-    eta = eta0 * math.sqrt(1.0 / (4.0 * G * G * T))
-    denominator = 2.0 * epsilon**2 * T
-    # ε² underflows to 0 below about 1e-162; β₀ is then infinite, which the schedule refuses
-    beta0 = (epsilon + math.log(1.0 / delta)) * eta0**2 / denominator if denominator else math.inf
-    renyi_order = 1.0 + math.log(1.0 / delta) / epsilon
-    return SinglePassSchedule(
-        T=int(T),
-        G=float(G),
-        eta0=float(eta0),
-        epsilon=float(epsilon),
-        delta=float(delta),
-        eta=eta,
-        beta0=beta0,
-        renyi_order=renyi_order,
-    )
-
-
 @dataclass(frozen=True)
 class MultiPassSchedule:
+    """T = round(n^α·ε²), β₀ = η₀²·n/T, decreasing η_t."""
+
     n: int
     pass_exponent: float
     epsilon: float
     delta: float
     eta0: float
     G: float
-    T: int
-    beta0: float
+    T: int = field(init=False)
+    beta0: float = field(init=False)
 
     mode = MULTI_PASS
 
     def __post_init__(self):
-        _require_positive(n=self.n, G=self.G, beta0=self.beta0)
+        _require_count("n", self.n, 2)
+        if not 1.0 <= self.pass_exponent <= 2.0:
+            raise InvalidParameterError(f"pass exponent must be in [1, 2], got {self.pass_exponent}")
+        _require_positive(epsilon=self.epsilon, eta0=self.eta0, G=self.G)
         _require_unit_interval(delta=self.delta)
-        _require_count("T", self.T, 1)
-        if not 2.5 / (self.n * self.delta) > 1.0:
+        n, pass_exponent, epsilon, delta, eta0, G = (
+            int(self.n), float(self.pass_exponent), float(self.epsilon),
+            float(self.delta), float(self.eta0), float(self.G),
+        )
+        T = round(float(n) ** pass_exponent * epsilon * epsilon)
+        if T < 1:
             raise InvalidParameterError(
-                f"need 2.5/(n·δ) > 1 for a real step size at t=1, got n·δ = {self.n * self.delta:.6g}"
+                f"T = round(n^α·ε²) = {T} < 1: epsilon too small for n={n}, α={pass_exponent}"
             )
+        beta0 = eta0 * eta0 * (n / T)
+        _require_positive(beta0=beta0)
+        if not 2.5 / (n * delta) > 1.0:
+            raise InvalidParameterError(
+                f"need 2.5/(n·δ) > 1 for a real step size at t=1, got n·δ = {n * delta:.6g}"
+            )
+        _set(self, n=n, pass_exponent=pass_exponent, epsilon=epsilon, delta=delta,
+             eta0=eta0, G=G, T=T, beta0=beta0)
 
     @cached_property
     def etas(self) -> np.ndarray:
@@ -167,31 +186,9 @@ def _multi_pass_etas(schedule: MultiPassSchedule, first: int, last: int) -> np.n
     return math.sqrt(schedule.beta0) / scale
 
 
-def multi_pass_schedule(
-    n: int, pass_exponent: float, epsilon: float, delta: float, eta0: float, G: float
-) -> MultiPassSchedule:
-    """Schedule with T = round(n^α·ε²), β₀ = η₀²·n/T, decreasing η_t."""
-    _require_count("n", n, 2)
-    if not 1.0 <= pass_exponent <= 2.0:
-        raise InvalidParameterError(f"pass exponent must be in [1, 2], got {pass_exponent}")
-    _require_positive(epsilon=epsilon, eta0=eta0, G=G)
-    _require_unit_interval(delta=delta)
-    T = round(float(n) ** pass_exponent * epsilon * epsilon)
-    if T < 1:
-        raise InvalidParameterError(
-            f"T = round(n^α·ε²) = {T} < 1: epsilon too small for n={n}, α={pass_exponent}"
-        )
-    beta0 = eta0 * eta0 * (n / T)
-    return MultiPassSchedule(
-        n=int(n),
-        pass_exponent=float(pass_exponent),
-        epsilon=float(epsilon),
-        delta=float(delta),
-        eta0=float(eta0),
-        G=float(G),
-        T=int(T),
-        beta0=beta0,
-    )
+# The one constructor of each mode, under the names callers use.
+single_pass_schedule = SinglePassSchedule
+multi_pass_schedule = MultiPassSchedule
 
 
 def _noise_scales(lambda_etas, beta0: float):

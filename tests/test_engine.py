@@ -1,15 +1,18 @@
 import hashlib
+import itertools
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpsgld import engine
 from dpsgld.core import Dataset, InfinitePrivacyLossError, InvalidParameterError, seeded_rng
 from dpsgld.engine import coupled_stability_run, run_multi_pass, run_single_pass
 from dpsgld.losses import GlmLoss, loss_bounds
-from dpsgld.schedules import MultiPassSchedule, multi_pass_schedule, single_pass_schedule
+from dpsgld.schedules import multi_pass_schedule, single_pass_schedule
 
 from helpers import advance_one_step
 
@@ -191,10 +194,7 @@ class TestRunMultiPass:
     def test_rejects_schedule_outside_noise_domain(self):
         # n·δ >= 2.5 would make η_1 NaN: the schedule refuses to exist, so no run sees it
         with pytest.raises(InvalidParameterError, match="n·δ = 5"):
-            sched = MultiPassSchedule(
-                n=10, pass_exponent=1.0, epsilon=0.1, delta=0.5,
-                eta0=1.0, G=1.0, T=5, beta0=0.25,
-            )
+            sched = multi_pass_schedule(10, 1.0, 0.75, 0.5, 1.0, 1.0)
             run_multi_pass([toy_dataset(10, 2)], LOGISTIC, sched, [seeded_rng(0, 0)])
 
     def test_final_state_always_logged(self):
@@ -818,6 +818,58 @@ def _residual_correlation_condition(Sigma):
     kept = Sigma.diagonal() > 0.0
     scales = np.sqrt(Sigma.diagonal()[kept])
     return np.linalg.cond(Sigma[kept][:, kept] / np.outer(scales, scales)) if kept.any() else 1.0
+
+
+@given(
+    multi=st.booleans(),
+    T=st.integers(min_value=1, max_value=2000),
+    n=st.integers(min_value=10, max_value=100),
+    pass_exponent=st.floats(min_value=1.0, max_value=2.0),
+    epsilon=st.floats(min_value=0.3, max_value=1.0),
+    delta=st.floats(min_value=1e-7, max_value=1e-3),
+    eta0=st.floats(min_value=0.1, max_value=3.0),
+    G=st.floats(min_value=0.5, max_value=4.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_data_free_chain_variance_is_beta0_at_every_step(
+    multi, T, n, pass_exponent, epsilon, delta, eta0, G
+):
+    # without data each coordinate follows v_t = a_t²·v_(t−1) + σ_t² from v₀ = 0,
+    # a_t = 1 − λ_tη_t; σ_t² = (1 − a_t²)·β₀, through its factor (2 − λ_tη_t), keeps v_t = β₀
+    if multi:
+        sched = multi_pass_schedule(n, pass_exponent, epsilon, delta, eta0, G)
+    else:
+        sched = single_pass_schedule(T, G, eta0, epsilon, delta)
+    _, lambda_etas, sigmas, _ = engine._schedule_steps(sched)
+    terms = zip(((1.0 - lambda_etas) ** 2).tolist(), (sigmas**2).tolist())
+    variances = list(itertools.accumulate(terms, lambda v, term: term[0] * v + term[1], initial=0.0))
+    np.testing.assert_allclose(variances[1:], sched.beta0, rtol=1e-12)
+
+
+def test_multi_pass_iterate_is_a_dual_average():
+    # in multi pass a_t = 1 − λ_tη_t = η_t/η_(t−1) and a₁ = 0, so dividing step t by η_t gives
+    # w_t/η_t = w_(t−1)/η_(t−1) − a_t·ḡ_t + (σ_t/η_t)·z_t: w_T = η_T·(−Σ a_t·ḡ_t + Σ (σ_t/η_t)·z_t)
+    sched = multi_pass_schedule(50, 2.0, 0.5, 1e-5, 1.0, loss_bounds(LOGISTIC).G)
+    T, d = sched.T, 8
+    assert T == 625
+    data = toy_dataset(50, d, seed=3)
+    steps = engine._schedule_steps(sched)
+    etas, lambda_etas, sigmas, _ = steps
+    order = np.random.default_rng(5).integers(0, data.n, size=(1, T))
+    _, logged = engine._advance(
+        np.zeros((1, 1, d)), engine._stacked([data]), LOGISTIC, order, steps,
+        [np.random.default_rng(7)], list(range(1, T + 1)),
+    )
+    W = logged[0, 0]
+    # the noise replayed, and each step's clipped gradient at the iterate before it
+    z = np.random.default_rng(7).standard_normal((T, d))
+    X, y = data.X[order[0]], data.y[order[0]]
+    before = np.vstack([np.zeros(d), W[:-1]])
+    grads = LOGISTIC.clipped_phi_prime(np.sum(before * X, axis=1), y)[:, None] * X
+    dual = -(1.0 - lambda_etas) @ grads + (sigmas / etas) @ z
+    np.testing.assert_allclose(etas[-1] * dual, W[-1], rtol=0, atol=1e-12 * max(1.0, np.abs(W).max()))
+    # and the noise alone has variance η_T²·Σ (σ_t/η_t)² = β₀
+    np.testing.assert_allclose(etas[-1] ** 2 * np.sum((sigmas / etas) ** 2), sched.beta0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("log_interval", [7, 50])

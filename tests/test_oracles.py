@@ -5,7 +5,7 @@ import pytest
 
 from dpsgld.core import InvalidParameterError
 from dpsgld.oracles import stability_bound, theorem1_excess_bound, theorem2_excess_bound
-from dpsgld.schedules import MultiPassSchedule
+from dpsgld.schedules import multi_pass_schedule
 
 
 class TestStabilityBound:
@@ -35,10 +35,7 @@ class TestStabilityBound:
     def test_schedule_outside_noise_domain_rejected(self):
         # n·δ >= 2.5 would make η_1 NaN and so the bound at every t
         with pytest.raises(InvalidParameterError, match="n·δ"):
-            sched = MultiPassSchedule(
-                n=10, pass_exponent=1.0, epsilon=0.1, delta=0.5,
-                eta0=1.0, G=1.0, T=5, beta0=0.25,
-            )
+            sched = multi_pass_schedule(10, 1.0, 0.75, 0.5, 1.0, 1.0)
             stability_bound(3, sched.n, sched.G, sched.etas)
 
 

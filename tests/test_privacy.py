@@ -185,6 +185,7 @@ class TestMultiPassPrivacy:
 
     def test_zero_steps_costs_nothing(self):
         assert multi_pass_privacy(100, 0, 1e-5).epsilon == 0.0
+        assert multi_pass_privacy(1000, 0, 1e-5).epsilon == 0.0
 
     def test_depends_on_t_over_n_squared(self):
         # with T = (n eps)^2 the value is a function of eps and delta alone
@@ -333,17 +334,6 @@ class TestCertifyTheorem2:
             assert sched.T == T
             direct = multi_pass_privacy(n, T, 1e-5)
             assert abs(exact.epsilon - direct.epsilon) <= 1e-12 * max(direct.epsilon, 1.0)
-
-    def test_zero_epsilon_costs_nothing(self):
-        # multi_pass_schedule refuses eps = 0, so the schedule is built by hand
-        sched = MultiPassSchedule(
-            n=1000, pass_exponent=2.0, epsilon=0.0, delta=1e-5, eta0=1.0, G=1.0, T=1, beta0=1.0
-        )
-        _, claimed = certify_theorem2(sched)
-        assert claimed.epsilon == 0.0
-        assert multi_pass_privacy(1000, 0, 1e-5).epsilon == 0.0
-        # and the report prints no ratio against a zero claim
-        assert "closed_to_claimed_ratio" not in parse_report(account_report(sched))
 
     def test_epsilon_too_small_for_n(self):
         with pytest.raises(InvalidParameterError, match="epsilon too small for n=10"):
@@ -563,10 +553,7 @@ class TestAccountReport:
     def test_schedule_outside_noise_domain_rejected(self):
         # n·δ >= 2.5 would make η_1 NaN and every enumerated step NaN
         with pytest.raises(InvalidParameterError, match="n·δ"):
-            account_report(MultiPassSchedule(
-                n=10, pass_exponent=1.0, epsilon=0.1, delta=0.5,
-                eta0=1.0, G=1.0, T=5, beta0=0.25,
-            ))
+            account_report(multi_pass_schedule(10, 1.0, 0.75, 0.5, 1.0, 1.0))
 
 
 def scalar_composition(sched):
@@ -678,11 +665,12 @@ class TestStepEpsilonAccuracy:
         sched = multi_pass_schedule(*self.SHAPE, 1.0, 1.0)
         assert sched.T == 9_985_600
         ts = sorted({int(t) for t in np.geomspace(2, sched.T, 200)} | {2, 3, sched.T})
-        got = np.array([privacy._step_epsilons(sched, t, t)[0] for t in ts])
+        work = privacy._step_work(10)
+        got = np.array([privacy._step_epsilons(sched, t, t, work)[0] for t in ts])
         want = np.array([decimal_step_epsilon(sched, t) for t in ts])
         np.testing.assert_allclose(got, want, rtol=1e-13)
         # a range gives each step the bits it gets alone
-        tail = privacy._step_epsilons(sched, sched.T - 9, sched.T)
+        tail = privacy._step_epsilons(sched, sched.T - 9, sched.T, work)
         assert tail[-1] == got[-1]
 
     def test_report_prints_the_exact_step_epsilon_max(self):

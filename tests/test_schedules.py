@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpsgld.core import InvalidParameterError
+from dpsgld.privacy import certify_theorem1, certify_theorem2, multi_pass_privacy
 from dpsgld.schedules import (
     MULTI_PASS,
     MultiPassSchedule,
@@ -76,6 +78,10 @@ def test_budget_within_sqrt2_t_plus_t(T):
     assert s.sample_budget == int(s.batch_sizes.sum())
 
 
+def _changes_id(value):
+    return ",".join(f"{k}={v}" for k, v in value.items()) if isinstance(value, dict) else "refused"
+
+
 class TestSinglePassSchedule:
     def test_calibration_constants(self):
         s = single_pass_schedule(10_000, 1.0, 1.0, 0.5, 1e-5)
@@ -132,27 +138,27 @@ class TestSinglePassSchedule:
                 steps[0] = 1
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "changes, message",
         [
-            ("T", 0, "T must be an integer >= 1"),
-            ("T", 2.5, "T must be an integer >= 1"),
-            ("G", 0.0, "G must be > 0"),
-            ("eta0", -1.0, "eta0 must be > 0"),
-            ("epsilon", 0.0, "epsilon must be > 0"),
-            ("eta", float("nan"), "eta must be > 0"),
-            ("eta", -0.2, "eta must be > 0"),
-            ("beta0", 0.0, "beta0 must be > 0"),
-            ("delta", 0.0, r"delta must be in \(0, 1\)"),
-            ("delta", 1.0, r"delta must be in \(0, 1\)"),
-            ("renyi_order", 1.0, "Renyi order must be > 1"),
+            ({"T": 0}, "T must be an integer >= 1"),
+            ({"T": 2.5}, "T must be an integer >= 1"),
+            ({"G": 0.0}, "G must be > 0"),
+            ({"eta0": -1.0}, "eta0 must be > 0"),
+            ({"epsilon": 0.0}, "epsilon must be > 0"),
+            ({"delta": 0.0}, r"delta must be in \(0, 1\)"),
+            ({"delta": 1.0}, r"delta must be in \(0, 1\)"),
+            # the rules on derived values, reached from inputs: G² overflows, so η = 0
+            ({"G": 1e200}, "^eta must be > 0 and finite, got 0.0$"),
+            # ln(1/δ)/ε vanishes next to 1
+            ({"epsilon": 1e150, "delta": 1.0 - 1e-16}, "^Renyi order must be > 1, got 1.0$"),
         ],
+        ids=_changes_id,
     )
-    def test_direct_construction_is_validated(self, field, value, message):
-        fields = dict(T=8, G=1.0, eta0=1.0, epsilon=0.5, delta=1e-5, eta=0.2, beta0=0.3, renyi_order=24.0)
-        SinglePassSchedule(**fields)
-        fields[field] = value
+    def test_direct_construction_is_validated(self, changes, message):
+        inputs = dict(T=8, G=1.0, eta0=1.0, epsilon=0.5, delta=1e-5)
+        SinglePassSchedule(**inputs)
         with pytest.raises(InvalidParameterError, match=message):
-            SinglePassSchedule(**fields)
+            SinglePassSchedule(**{**inputs, **changes})
 
 
 class TestMultiPassSchedule:
@@ -204,32 +210,101 @@ class TestMultiPassSchedule:
         with pytest.raises(InvalidParameterError):
             multi_pass_schedule(10, 1.0, 0.01, 1e-4, 1.0, 1.0)
 
-    def test_needs_at_least_one_step(self):
-        # multi_pass_schedule never builds T < 1, and a hand-built schedule cannot either
-        fields = dict(n=10, pass_exponent=1.0, epsilon=0.1, delta=1e-4, eta0=1.0, G=1.0, beta0=0.25)
-        for T in (0, 2.5):
-            with pytest.raises(InvalidParameterError, match="T must be an integer >= 1"):
-                MultiPassSchedule(**fields, T=T)
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"n": 1}, "n must be an integer >= 2"),
+            ({"n": 10.0}, "n must be an integer >= 2"),
+            ({"pass_exponent": 7.0}, r"^pass exponent must be in \[1, 2\], got 7.0$"),
+            ({"pass_exponent": 0.5}, r"pass exponent must be in \[1, 2\]"),
+            ({"epsilon": 0.0}, "epsilon must be > 0"),
+            ({"eta0": -2.0}, "^eta0 must be > 0 and finite, got -2.0$"),
+            ({"G": 0.0}, "G must be > 0"),
+            ({"delta": 0.0}, r"delta must be in \(0, 1\)"),
+            ({"delta": 1.0}, r"delta must be in \(0, 1\)"),
+            ({"epsilon": 0.01}, r"T = round\(n\^α·ε²\) = 0 < 1: epsilon too small for n=10"),
+            # η₀² underflows, so β₀ = 0
+            ({"eta0": 1e-170}, "^beta0 must be > 0 and finite, got 0.0$"),
+            ({"delta": 0.25}, r"n·δ = 2\.5"),
+        ],
+        ids=_changes_id,
+    )
+    def test_direct_construction_is_validated(self, changes, message):
+        inputs = dict(n=10, pass_exponent=1.0, epsilon=0.75, delta=1e-4, eta0=1.0, G=1.0)
+        assert MultiPassSchedule(**inputs).T == 6
+        with pytest.raises(InvalidParameterError, match=message):
+            MultiPassSchedule(**{**inputs, **changes})
+
+
+class TestBuiltFromInputs:
+    """A schedule holds its inputs, and the values derived from them cannot disagree."""
+
+    SINGLE = dict(T=10_000, G=1.0, eta0=1.0, epsilon=0.5, delta=1e-5)
+    MULTI = dict(n=256, pass_exponent=2.0, epsilon=0.3, delta=1e-5, eta0=1.0, G=1.0)
+
+    def test_init_fields_are_the_inputs(self):
+        def init_fields(cls):
+            return tuple(f.name for f in dataclasses.fields(cls) if f.init)
+
+        assert init_fields(SinglePassSchedule) == ("T", "G", "eta0", "epsilon", "delta")
+        assert init_fields(MultiPassSchedule) == ("n", "pass_exponent", "epsilon", "delta", "eta0", "G")
+        assert single_pass_schedule is SinglePassSchedule
+        assert multi_pass_schedule is MultiPassSchedule
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "cls, derived",
         [
-            ("delta", 0.25, r"n·δ = 2\.5"),
-            ("n", 0, "n must be > 0"),
-            ("G", 0.0, "G must be > 0"),
-            ("delta", 0.0, r"delta must be in \(0, 1\)"),
-            ("delta", 1.0, r"delta must be in \(0, 1\)"),
-            ("beta0", -1e-3, "beta0 must be > 0"),
-            ("beta0", 0.0, "beta0 must be > 0"),
-            pytest.param("T", -1, "T must be an integer >= 1", id="T--1-T must be >= 1"),
+            (SinglePassSchedule, {"eta": 0.005}),
+            (SinglePassSchedule, {"beta0": 1.0}),
+            (SinglePassSchedule, {"renyi_order": 24.0}),
+            (MultiPassSchedule, {"T": 5898}),
+            (MultiPassSchedule, {"beta0": 1.0}),
         ],
+        ids=lambda value: value.__name__ if isinstance(value, type) else _changes_id(value),
     )
-    def test_direct_construction_is_validated(self, field, value, message):
-        fields = dict(n=10, pass_exponent=1.0, epsilon=0.1, delta=1e-4, eta0=1.0, G=1.0, T=5, beta0=0.25)
-        MultiPassSchedule(**fields)
-        fields[field] = value
-        with pytest.raises(InvalidParameterError, match=message):
-            MultiPassSchedule(**fields)
+    def test_derived_values_cannot_be_passed(self, cls, derived):
+        inputs = self.SINGLE if cls is SinglePassSchedule else self.MULTI
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            cls(**inputs, **derived)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(cls(**inputs), **derived)
+
+    @given(epsilon=st.floats(min_value=0.05, max_value=2.0))
+    @settings(max_examples=50, deadline=None)
+    def test_replace_rebuilds_the_schedule(self, epsilon):
+        for cls, inputs in ((SinglePassSchedule, self.SINGLE), (MultiPassSchedule, self.MULTI)):
+            replaced = dataclasses.replace(cls(**inputs), epsilon=epsilon)
+            fresh = cls(**{**inputs, "epsilon": epsilon})
+            # == compares every field, the derived ones too
+            assert replaced == fresh and hash(replaced) == hash(fresh)
+
+    def test_replaced_epsilon_is_certified(self):
+        # the (2ε, δ) of Theorem 1 and the closed form of Theorem 2 hold for the new ε
+        single = dataclasses.replace(single_pass_schedule(10_000, 1.0, 1.0, 0.5, 1e-5), epsilon=0.1)
+        np.testing.assert_allclose(certify_theorem1(single).epsilon, 0.2, rtol=1e-12)
+        multi = dataclasses.replace(multi_pass_schedule(256, 2.0, 0.3, 1e-5, 1.0, 1.0), epsilon=1.0)
+        assert multi.T == 65_536
+        exact, _ = certify_theorem2(multi)
+        assert exact == multi_pass_privacy(256, 65_536, 1e-5)
+
+    def test_equal_inputs_hash_equal(self):
+        # experiments group cells by schedule, so equal inputs must make one key
+        keys = {
+            single_pass_schedule(64, 1, 1, 0.5, 1e-5),
+            single_pass_schedule(np.int64(64), 1.0, np.float64(1.0), 0.5, 1e-5),
+            dataclasses.replace(single_pass_schedule(64, 1.0, 1.0, 0.9, 1e-5), epsilon=0.5),
+            multi_pass_schedule(100, 2, 0.5, 1e-5, 1, 1),
+            multi_pass_schedule(np.int64(100), 2.0, 0.5, 1e-5, 1.0, np.float64(1.0)),
+            dataclasses.replace(multi_pass_schedule(100, 2.0, 0.9, 1e-5, 1.0, 1.0), epsilon=0.5),
+        }
+        assert len(keys) == 2
+
+    def test_inputs_are_coerced(self):
+        # _fmt prints an int and a float differently, so the report needs these types
+        single = single_pass_schedule(np.int64(64), 1, np.float64(1.0), 0.5, 1e-5)
+        assert [type(v) for v in dataclasses.astuple(single)] == [int] + [float] * 7
+        multi = multi_pass_schedule(np.int64(100), 2, 0.5, 1e-5, 1, np.float64(1.0))
+        assert [type(v) for v in dataclasses.astuple(multi)] == [int, *[float] * 5, int, float]
 
 
 @given(
