@@ -22,10 +22,9 @@ for X and one for y. ``steps`` holds the (η_t, λ_tη_t, σ_t, |M_t|) arrays. A
 kernel returns the final iterates and the (g, k, len(log_times), d) iterates
 after the ascending steps ``log_times``.
 
-Every step is noisy. A step's account rests on its Gaussian noise and is
-infinite where σ_t = 0 (σ_t² underflows to 0 when β₀ is tiny), so a run
-builds its steps through ``_schedule_steps``, which refuses such a schedule
-before anything runs, and both kernels draw noise at every step.
+Every step is noisy: a schedule with σ_t = 0 at some step cannot be built
+(see ``schedules``), so a run reads its steps from the schedule's arrays as
+they are, and both kernels draw noise at every step.
 
 ``_advance`` runs one step at a time, on any batch sizes. Single-pass runs
 read disjoint blocks of a pre-shuffled dataset (g = k = 1), and coupled runs
@@ -141,11 +140,10 @@ import bisect
 import numpy as np
 
 from .core import (
-    Dataset, InfinitePrivacyLossError, InvalidParameterError, RngStream, _require_count, _require_times,
-    seeded_rng,
+    Dataset, InvalidParameterError, RngStream, _require_count, _require_times, seeded_rng,
 )
 from .losses import QUADRATIC, GlmLoss, loss_bounds
-from .schedules import MultiPassSchedule, SinglePassSchedule, _noise_scales
+from .schedules import MultiPassSchedule, SinglePassSchedule
 
 # A block of steps gathers about 1 MB of rows (unit batches) across all
 # chains and draws its noise rows at once: one (m, d) draw gives the same
@@ -163,34 +161,6 @@ _BEFORE_LAST = np.tri(_BLOCK_STEPS + 1, _BLOCK_STEPS, k=-2, dtype=bool)
 # The smallest scale whose square is a normal float64. A row of K∘Σ with a
 # smaller scale is normalised as if it had this one, which keeps 1/w² finite.
 _MIN_SCALE = np.sqrt(np.finfo(np.float64).tiny)
-
-
-def _steps(etas, lambda_etas, beta0: float, batch_sizes) -> tuple:
-    """(η_t, λ_tη_t, σ_t, |M_t|) arrays, with σ_t = √(λ_tη_t(2−λ_tη_t)β₀)."""
-    outside = ~((lambda_etas >= 0.0) & (lambda_etas <= 2.0))
-    if outside.any():
-        lambda_eta = lambda_etas[outside][0]
-        if np.isnan(lambda_eta):
-            raise InvalidParameterError("lambda_t*eta_t is not a number")
-        raise InvalidParameterError(
-            f"lambda_t*eta_t = {lambda_eta:.6g} outside [0, 2]: negative noise variance"
-        )
-    if beta0 < 0:
-        raise InvalidParameterError(f"beta0 must be >= 0, got {beta0}")
-    return etas, lambda_etas, _noise_scales(lambda_etas, beta0), batch_sizes
-
-
-def _schedule_steps(schedule) -> tuple:
-    """``_steps`` of a schedule's arrays; refuses a schedule with σ_t = 0 at any
-    step, naming the first (the module docstring says why)."""
-    steps = _steps(schedule.etas, schedule.lambda_etas, schedule.beta0, schedule.batch_sizes)
-    sigmas = steps[2]
-    if not sigmas.all():
-        raise InfinitePrivacyLossError(
-            f"sigma_t = 0 at step t = {int(sigmas.argmin()) + 1} of {len(sigmas)}: a step "
-            f"without noise has unbounded privacy loss (beta0 = {schedule.beta0:.6g})"
-        )
-    return steps
 
 
 def _stacked(datasets, k: int = 1) -> tuple:
@@ -481,7 +451,7 @@ def _logged_runs(datasets, loss, schedule, orders, rngs, log_interval):
     times = list(range(log_interval, T + 1, log_interval))
     if T % log_interval:
         times.append(T)
-    steps = _schedule_steps(schedule)
+    steps = (schedule.etas, schedule.lambda_etas, schedule.sigmas, schedule.batch_sizes)
     gens = [rng.substream(1).generator for rng in rngs]
     kernel = _advance_blocks if isinstance(schedule, MultiPassSchedule) else _advance
     _, logged = kernel(
@@ -572,7 +542,7 @@ def coupled_stability_run(pairs, loss: GlmLoss, schedule: MultiPassSchedule, see
             f"eta_1 = {eta1:.6g} exceeds 1/L = {1.0 / bounds.L:.6g}"
         )
     log_times, slots = np.unique(_require_times(times, schedule.T), return_inverse=True)
-    steps = _schedule_steps(schedule)
+    steps = (schedule.etas, schedule.lambda_etas, schedule.sigmas, schedule.batch_sizes)
     indices = np.stack([
         seeded_rng(seed, 0).generator.integers(0, a.n, size=schedule.T)
         for (a, _), seed in zip(pairs, seeds)

@@ -7,11 +7,10 @@ neighboring datasets against the closed-form bound), and privacy-utility
 
 An experiment is its cells (``_cells``): the loss and, for each row group,
 the data law and schedule. Building an ``ExperimentConfig`` builds them, so
-what they refuse is refused before anything runs. ``run_experiment`` builds
-them once more, passes every cell's schedule through the engine's
-``_schedule_steps`` before any data is drawn, so a schedule with σ_t = 0 at
-some step is refused before any cell runs or any file is written, and hands
-the loss and cells to the experiment's runner, which runs those very cells.
+what they refuse, a schedule with σ_t = 0 at some step among it, is refused
+before any data is drawn or any file is written. ``run_experiment`` builds
+them once more and hands the loss and cells to the experiment's runner,
+which runs those very cells.
 
 Determinism contract: every row is a pure function of (config, seed).
 Replicate r draws everything from stream id r of the base seed; the held-out
@@ -54,7 +53,7 @@ from .datagen import (
     draw_dataset,
     population_risk_many,
 )
-from .engine import _schedule_steps, coupled_stability_run, run_multi_pass, run_single_pass
+from .engine import coupled_stability_run, run_multi_pass, run_single_pass
 from .losses import GlmLoss, loss_bounds
 from .oracles import stability_bound, theorem1_excess_bound, theorem2_excess_bound
 from .privacy import certify_theorem1, certify_theorem2
@@ -104,9 +103,9 @@ class ExperimentConfig:
     so no grid may repeat one. Building a config builds its cells
     (``_cells``): the loss, data law and schedule refuse what they cannot
     run, in their own words, so an infeasible schedule (T = round(n^α·ε²)
-    < 1, or n·δ >= 2.5) is refused here by every experiment, as are stability
-    checkpoints outside 1..T. The cells check only the fields their
-    experiment reads; the CLI refuses the rest as keys.
+    < 1, n·δ >= 2.5, or σ_t = 0 at some step) is refused here by every
+    experiment, as are stability checkpoints outside 1..T. The cells check
+    only the fields their experiment reads; the CLI refuses the rest as keys.
     """
 
     experiment: str
@@ -615,13 +614,9 @@ def summarize(config: ExperimentConfig, rows) -> dict:
 def run_experiment(config: ExperimentConfig) -> tuple[list, dict]:
     """Dispatch on the experiment name; returns (rows, summary).
 
-    The cells are built once and handed to the runner. Every cell's schedule
-    first goes through ``_schedule_steps``, so a schedule with σ_t = 0 at
-    some step is refused before any cell runs.
+    The cells are built once and handed to the runner.
     """
     loss, cells = _cells(config)
-    for _, _, schedule in cells:
-        _schedule_steps(schedule)
     runner = {
         EXCESS_RISK_VS_N: experiment_single_pass,
         DIMENSION_INDEPENDENCE: experiment_single_pass,

@@ -15,10 +15,12 @@ frame of span{e₁, w}, so held-out rows are drawn as r·(g₁, g₂)/‖g‖ wi
 ‖g‖² = g₁² + g₂² + χ²_(d−2) (``_held_out_margins``): each estimate has its
 d-dimensional law, and iterates scored together share the draws.
 
-The chain (``single_pass``) runs (α, β) from (0, 0). A single pass reads
-each i.i.d. row once, so step t may use fresh rows in the frame (e₁, v), v
-the direction of w's part orthogonal to e₁. Only the Gram matrix S of the b
-rows' and the noise's outside parts enters the step, through
+The chain (``single_pass``) runs (α, β) from (0, 0), reading its schedule's
+arrays η_t, λ_tη_t, σ_t and |M_t|; every σ_t > 0, since a schedule with a
+noiseless step cannot be built. A single pass reads each i.i.d. row once,
+so step t may use fresh rows in the frame (e₁, v), v the direction of w's
+part orthogonal to e₁. Only the Gram matrix S of the b rows' and the
+noise's outside parts enters the step, through
 ‖g_i‖² = g_i1² + g_i2² + S_ii and the new orthogonal length: with
 a = 1 − λ_tη, α ← a(α − (η/b)Σφ′_i x_i1) + σ_t z₁ and β ← √(β₂² + cᵀSc),
 where β₂ = a(β − (η/b)Σφ′_i x_i2) + σ_t z₂, c_i = −a(η/b)φ′_i r_i/‖g_i‖ and
@@ -33,8 +35,6 @@ this chain's reference.
 from __future__ import annotations
 
 import numpy as np
-
-from .engine import _schedule_steps
 
 # Rows per chunk of the 2-D held-out sampler. It depends on neither d nor the
 # number of iterates, so an iterate scored alone sees the same draws as when
@@ -131,8 +131,8 @@ def single_pass(models, loss, schedule, gens) -> np.ndarray:
     # (α, β) of every chain, updated in place
     state = np.zeros((len(chains), 2))
     beta = state[:, 1]
-    etas, lambda_etas, sigmas, sizes = _schedule_steps(schedule)
-    shrinks, etas = (1.0 - lambda_etas).tolist(), etas.tolist()
+    sigmas, sizes = schedule.sigmas, schedule.batch_sizes
+    shrinks, etas = (1.0 - schedule.lambda_etas).tolist(), schedule.etas.tolist()
     runs = np.flatnonzero(np.diff(sizes, prepend=0, append=0))
     for lo, hi in zip(runs[:-1], runs[1:]):
         b = int(sizes[lo])

@@ -32,10 +32,8 @@ the ε_t, one ``np.exp`` and one ``np.log1p`` their amplification
 ε′_t = ln(1 + x_t), x_t = e^{ε_t}/n, and the composition's excess term
 ε′_t·(e^{ε′_t} − 1) reads x_t itself, since e^{ln(1+x)} − 1 = x. The δ_t
 telescope: Σ_(t=2..T) δ_t = δ/2·(1 − 1/T). A step without noise has an
-infinite ε that the m-form never shows, so the report checks the noise
-first, once: σ_t falls with t in both modes, so σ_T = 0 (underflow) iff
-some σ_t = 0, and the report refuses the schedules that
-``engine._schedule_steps`` refuses, also past the enumeration's step cap.
+infinite ε that the m-form never shows; no schedule has one, since its
+class refuses to build with σ_t = 0 at any step (see ``schedules``).
 """
 
 from __future__ import annotations
@@ -52,15 +50,13 @@ from .core import (
     _require_count,
     _require_unit_interval,
 )
-from .schedules import MultiPassSchedule, SinglePassSchedule, _multi_pass_etas, _noise_scales
+from .schedules import MultiPassSchedule, SinglePassSchedule, _multi_pass_etas
 
 # Per-step enumeration in the account report is vectorized over chunks of
 # _REPORT_CHUNK steps; past _REPORT_STEP_CAP steps only the closed form is
 # printed.
 _REPORT_STEP_CAP = 10**7
 _REPORT_CHUNK = 1 << 16
-
-_ZERO_NOISE = "zero noise with nonzero sensitivity"
 
 
 @dataclass(frozen=True)
@@ -247,8 +243,7 @@ def _enumerated_multi_pass(schedule: MultiPassSchedule) -> tuple:
     T. Each chunk is one pass through work buffers allocated once, cut to
     the chunk's length. The excess term ε′(e^{ε′} − 1) reads x = e^ε/n from
     the amplification, since e^{ln(1+x)} − 1 = x. The δ_t need no
-    enumeration: they telescope to δ/2·(1 − 1/T). The caller has refused a
-    schedule with a zero σ_t.
+    enumeration: they telescope to δ/2·(1 − 1/T).
     """
     n, T, delta = schedule.n, schedule.T, schedule.delta
     steps = min(_REPORT_CHUNK, T - 1)
@@ -279,18 +274,7 @@ def account_report(schedule) -> str:
     """
     if not isinstance(schedule, (SinglePassSchedule, MultiPassSchedule)):
         raise InvalidParameterError(f"unknown schedule type {type(schedule).__name__}")
-    # σ_t falls with t in both modes, so the last step has the smallest: σ_T
-    # = 0 (underflow) iff some σ_t = 0. λ_1η_1 = 1, so a one-step schedule is noisy.
     T = schedule.T
-    if T == 1:
-        last_lambda_eta = 1.0
-    elif isinstance(schedule, SinglePassSchedule):
-        last_lambda_eta = 1.0 / T
-    else:
-        eta_before, eta_last = _multi_pass_etas(schedule, T - 1, T)
-        last_lambda_eta = 1.0 - eta_last / eta_before
-    if not _noise_scales(last_lambda_eta, schedule.beta0):
-        raise InfinitePrivacyLossError(_ZERO_NOISE)
     lines = [
         f"mode = {schedule.mode}",
         f"T = {schedule.T}",

@@ -1,5 +1,6 @@
 """Per-step parameter sequences for both run modes, read as the arrays
-``etas`` (η_t), ``lambda_etas`` (λ_tη_t) and ``batch_sizes`` (|M_t|), beside β₀.
+``etas`` (η_t), ``lambda_etas`` (λ_tη_t), ``sigmas`` (σ_t) and ``batch_sizes``
+(|M_t|), beside β₀.
 
 A schedule is built from its inputs alone, and each rule on them is checked
 once, in the class. The values the certificates are calibrated on (η, β₀
@@ -17,6 +18,13 @@ Multi pass: T = round(n^α·ε²) unit batches sampled with replacement,
 
 Both schedules pin λ₁η₁ = 1 exactly, which makes the first update's output
 N(0, β₀I) regardless of the data; the initial draw is step one.
+
+Every step is noisy. A step's account rests on its Gaussian noise
+σ_t = √(λ_tη_t(2 − λ_tη_t)β₀) and is infinite where σ_t = 0, which happens
+when σ_t² underflows (β₀ tiny). σ_t falls with t in both modes, so σ_T = 0
+iff some σ_t = 0, and each class checks σ_T alone, from λ_Tη_T in closed
+form (1/T in single pass, 1 − η_T/η_(T−1) in multi pass): a schedule with
+σ_t = 0 at any step cannot be built, at any T, without a T-long array.
 """
 
 from __future__ import annotations
@@ -27,7 +35,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import InvalidParameterError, _require_count, _require_positive, _require_unit_interval
+from .core import (
+    InfinitePrivacyLossError, InvalidParameterError, _require_count, _require_positive, _require_unit_interval,
+)
 
 SINGLE_PASS = "single-pass"
 MULTI_PASS = "multi-pass"
@@ -49,6 +59,20 @@ def _set(schedule, **values) -> None:
     """Write fields of a frozen schedule; only its ``__post_init__`` calls this."""
     for name, value in values.items():
         object.__setattr__(schedule, name, value)
+
+
+def _require_noise(schedule, last_lambda_eta: float) -> None:
+    """Refuse a schedule with σ_t = 0 at some step, given λ_Tη_T: the module docstring says why."""
+    if not _noise_scales(last_lambda_eta, schedule.beta0):
+        raise InfinitePrivacyLossError(
+            f"zero noise with nonzero sensitivity: sigma_t = 0 at step T = {schedule.T} "
+            f"(beta0 = {schedule.beta0:.6g}), an unbounded privacy loss"
+        )
+
+
+def _sigmas(schedule) -> np.ndarray:
+    """σ_t = √(λ_tη_t(2 − λ_tη_t)β₀) for t = 1..T, formed on each read and not held."""
+    return _noise_scales(schedule.lambda_etas, schedule.beta0)
 
 
 @dataclass(frozen=True)
@@ -83,6 +107,7 @@ class SinglePassSchedule:
             raise InvalidParameterError(f"Renyi order must be > 1, got {renyi_order}")
         _set(self, T=T, G=G, eta0=eta0, epsilon=epsilon, delta=delta,
              eta=eta, beta0=beta0, renyi_order=renyi_order)
+        _require_noise(self, 1.0 / T)
 
     @cached_property
     def etas(self) -> np.ndarray:
@@ -93,6 +118,8 @@ class SinglePassSchedule:
     def lambda_etas(self) -> np.ndarray:
         """λ_t·η = 1/t for t = 1..T (read-only array)."""
         return _read_only(1.0 / np.arange(1, self.T + 1, dtype=np.float64))
+
+    sigmas = property(_sigmas)
 
     @cached_property
     def batch_sizes(self) -> np.ndarray:
@@ -152,6 +179,11 @@ class MultiPassSchedule:
             )
         _set(self, n=n, pass_exponent=pass_exponent, epsilon=epsilon, delta=delta,
              eta0=eta0, G=G, T=T, beta0=beta0)
+        if T == 1:
+            _require_noise(self, 1.0)
+        else:
+            eta_before, eta_last = _multi_pass_etas(self, T - 1, T)
+            _require_noise(self, 1.0 - eta_last / eta_before)
 
     @cached_property
     def etas(self) -> np.ndarray:
@@ -163,6 +195,8 @@ class MultiPassSchedule:
         """λ_t·η_t: exactly 1 at t = 1, then 1 − η_t/η_{t−1} ∈ (0, 1)."""
         e = self.etas
         return _read_only(np.concatenate(([1.0], 1.0 - e[1:] / e[:-1])))
+
+    sigmas = property(_sigmas)
 
     @cached_property
     def batch_sizes(self) -> np.ndarray:

@@ -6,20 +6,25 @@ Rényi divergence between two isotropic
 Gaussians, and the textbook per-step privacy chain (``step_delta_allotment``,
 ``gaussian_step_epsilon``, ``subsample_amplify``), which checks one step's
 scalars and which the account report's closed-form step ε is checked
-against. ``advance_one_step`` runs one update of ``engine._advance``, the
-kernel that single-pass and coupled runs step through.
+against. ``kernel_steps`` builds the (η_t, λ_tη_t, σ_t, |M_t|) arrays a
+kernel takes from raw per-step values, which no schedule need make, and
+``advance_one_step`` runs one update of ``engine._advance``, the kernel that
+single-pass and coupled runs step through.
 """
 
 import math
+import re
 
 import numpy as np
+import pytest
 
-from dpsgld import engine
+from dpsgld import engine, schedules
 from dpsgld.core import (
     InfinitePrivacyLossError, InvalidParameterError, _require_count, _require_unit_interval, as_vector,
 )
 from dpsgld.losses import LOGISTIC, SMOOTHED_HINGE, logistic
-from dpsgld.privacy import _ZERO_NOISE, DpBudget, _amplified_epsilon
+from dpsgld.privacy import DpBudget, _amplified_epsilon
+from dpsgld.schedules import _noise_scales
 
 
 def finite_diff_gradient(loss, w, x, y, h: float) -> np.ndarray:
@@ -81,7 +86,7 @@ def gaussian_step_epsilon(eta: float, G: float, sigma: float, delta: float) -> f
         raise InvalidParameterError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         if eta * G > 0.0:
-            raise InfinitePrivacyLossError(_ZERO_NOISE)
+            raise InfinitePrivacyLossError("zero noise with nonzero sensitivity")
         sigma = math.inf
     return math.sqrt(8.0 * math.log(1.25 / delta)) * eta * G / sigma
 
@@ -106,18 +111,45 @@ def step_delta_allotment(t: int, delta: float) -> float:
     return 0.5 * delta / (t * (t - 1))
 
 
+# matches every refusal of a schedule with σ_t = 0 at some step, whatever its T and β₀
+ZERO_NOISE = "^zero noise with nonzero sensitivity: "
+
+
+def zero_noise_message(T: int, beta0: str) -> str:
+    """The start of the message that refuses a schedule with σ_t = 0 at some step."""
+    return f"zero noise with nonzero sensitivity: sigma_t = 0 at step T = {T} (beta0 = {beta0})"
+
+
+def refuses_zero_noise(T: int, beta0: str):
+    """``pytest.raises`` for that refusal, naming T and β₀ as ``beta0`` prints."""
+    return pytest.raises(InfinitePrivacyLossError, match="^" + re.escape(zero_noise_message(T, beta0)))
+
+
+def build_unchecked(build, *args):
+    """The schedule ``build(*args)`` without its zero-noise refusal, whose full
+    ``sigmas`` array that refusal is checked against."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schedules, "_require_noise", lambda schedule, last_lambda_eta: None)
+        return build(*args)
+
+
+def kernel_steps(etas, lambda_etas, beta0: float, batch_sizes) -> tuple:
+    """(η_t, λ_tη_t, σ_t, |M_t|) with σ_t = √(λ_tη_t(2 − λ_tη_t)β₀), as a kernel
+    takes them; it checks nothing, so a test may run steps no schedule makes."""
+    return etas, lambda_etas, _noise_scales(lambda_etas, beta0), batch_sizes
+
+
 def advance_one_step(W0, X, y, loss, eta, lambda_eta, beta0, noise_gens) -> np.ndarray:
     """The (g, k, d) iterates after one ``engine._advance`` step from ``W0``.
 
     Every chain reads the whole mini-batch of rows ``X`` (b, d) and labels
     ``y``; group j draws its noise from ``noise_gens[j]``, shared by its k
-    chains. The step's (η, λη, β₀) go through ``engine._steps``, so its
-    refusals apply.
+    chains.
     """
     W0 = np.asarray(W0, dtype=np.float64)
     g, k, _ = W0.shape
     b = len(y)
-    steps = engine._steps(np.array([eta]), np.array([lambda_eta]), beta0, np.array([b]))
+    steps = kernel_steps(np.array([eta]), np.array([lambda_eta]), beta0, np.array([b]))
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y, dtype=np.float64)
     data = (np.broadcast_to(X, (g, k, *X.shape)), np.broadcast_to(y, (g, k, b)))
     orders = np.tile(np.arange(b), (g, 1))

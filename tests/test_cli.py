@@ -13,6 +13,8 @@ from dpsgld.datagen import draw_dataset, export_dataset, PopulationModel
 from dpsgld.harness import EXPERIMENTS, ExperimentConfig, unread_fields
 from dpsgld.losses import FAMILIES, GlmLoss
 
+from helpers import zero_noise_message
+
 
 def run_main(capsys, argv):
     code = main(argv)
@@ -753,64 +755,73 @@ class TestErrorPaths:
 
 
 class TestZeroNoiseIsRefused:
-    """A schedule whose σ_t underflows to 0 at some step has an infinite account:
-    every command refuses it with exit 2, warns of nothing and writes nothing."""
+    """A schedule whose σ_t underflows to 0 at some step has an infinite account
+    and cannot be built: every command refuses it with exit 2, warns of nothing
+    and writes nothing."""
 
     @pytest.mark.parametrize(
-        "settings, step",
+        "settings, T, beta0",
         [
-            (["schedule.eta0=1e-161"], "step t = 8 of 256"),
-            (["mode=multi-pass", "schedule.epsilon=0.3", "schedule.eta0=1e-160"], "step t = 197 of 5898"),
+            (["schedule.eta0=1e-161"], 256, "9.88131e-324"),
+            (["mode=multi-pass", "schedule.epsilon=0.3", "schedule.eta0=1e-160"], 5898, "4.34778e-322"),
         ],
         ids=["single-pass", "multi-pass"],
     )
-    def test_run(self, capsys, tmp_path, settings, step):
+    def test_run(self, capsys, tmp_path, settings, T, beta0):
         argv = ["run", "--out", str(tmp_path)]
         for setting in settings:
             argv += ["--set", setting]
         code, out, err = run_main(capsys, argv)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: sigma_t = 0 at {step}: ")
+        assert err.startswith(f"error: {zero_noise_message(T, beta0)}")
         assert not (tmp_path / "run_record.csv").exists()
         assert not (tmp_path / "account.txt").exists()
 
     @pytest.mark.parametrize(
-        "settings",
+        "settings, T, beta0",
         [
-            # σ_t = 0 from step 8: the report checks σ_T, the smallest
-            ["schedule.T=256", "schedule.eta0=1e-161"],
-            # the enumeration refuses σ_t = 0 before dividing by it
-            ["mode=multi-pass", "schedule.n=256", "schedule.epsilon=0.3", "schedule.eta0=1e-160"],
+            # σ_t = 0 from step 8: the schedule checks σ_T, the smallest
+            (["schedule.T=256", "schedule.eta0=1e-161"], 256, "9.88131e-324"),
+            # below the report's enumeration cap, and past it
+            (
+                ["mode=multi-pass", "schedule.n=256", "schedule.epsilon=0.3", "schedule.eta0=1e-160"],
+                5898, "4.34778e-322",
+            ),
+            (
+                ["mode=multi-pass", "schedule.n=100000", "schedule.epsilon=0.1", "schedule.delta=1e-6",
+                 "schedule.eta0=1e-160"],
+                10**8, "9.88131e-324",
+            ),
         ],
-        ids=["single-pass", "multi-pass"],
+        ids=["single-pass", "multi-pass", "multi-pass-past-cap"],
     )
-    def test_account(self, capsys, settings):
+    def test_account(self, capsys, settings, T, beta0):
         argv = ["account"]
         for setting in settings:
             argv += ["--set", setting]
         code, out, err = run_main(capsys, argv)
         assert code == 2
         assert out == ""
-        assert err == "error: zero noise with nonzero sensitivity\n"
+        assert err.startswith(f"error: {zero_noise_message(T, beta0)}")
 
     @pytest.mark.parametrize(
-        "name, eta0, step",
+        "name, eta0, T, beta0",
         [
-            ("excess-risk-vs-n", "1e-161", "step t = 36 of 128"),
-            ("dimension-independence", "1e-161", "step t = 24 of 512"),
-            ("stability", "1e-161", "step t = 5 of 1000"),
+            ("excess-risk-vs-n", "1e-161", 128, "4.44659e-323"),
+            ("dimension-independence", "1e-161", 512, "2.96439e-323"),
+            ("stability", "1e-161", 1000, "9.88131e-324"),
             # at 1e-161, β₀ of the ε = 0.1 cell is 0, which the schedule refuses
-            ("privacy-utility", "3e-161", "step t = 160 of 655"),
+            ("privacy-utility", "3e-161", 655, "3.50787e-322"),
         ],
     )
-    def test_experiment(self, capsys, tmp_path, name, eta0, step):
+    def test_experiment(self, capsys, tmp_path, name, eta0, T, beta0):
         argv = ["experiment", "--out", str(tmp_path / "out"), "--set", f"experiment.name={name}"]
         argv += ["--set", f"experiment.eta0={eta0}", "--set", "experiment.replicates=2"]
         code, out, err = run_main(capsys, argv)
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: sigma_t = 0 at {step}: ")
+        assert err.startswith(f"error: {zero_noise_message(T, beta0)}")
         assert not (tmp_path / "out").exists()
 
 

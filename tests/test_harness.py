@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dpsgld import datagen, engine, harness, planar
-from dpsgld.core import Dataset, InfinitePrivacyLossError, InvalidParameterError, seeded_rng
+from dpsgld.core import Dataset, InvalidParameterError, seeded_rng
 from dpsgld.datagen import PopulationModel, draw_dataset
 from dpsgld.harness import (
     COMPLEMENT_SUBSTREAM,
@@ -36,6 +36,8 @@ from dpsgld.harness import (
 )
 from dpsgld.losses import GlmLoss
 from dpsgld.schedules import multi_pass_schedule
+
+from helpers import refuses_zero_noise
 
 
 class TestLoglogSlopeFit:
@@ -285,24 +287,24 @@ def small_config(experiment, **overrides):
 
 
 @pytest.mark.parametrize(
-    ("name", "eta0", "step"),
+    ("name", "eta0", "T", "beta0"),
     [
-        (EXCESS_RISK_VS_N, 1e-161, "36 of 128"),
-        (DIMENSION_INDEPENDENCE, 1e-161, "24 of 512"),
-        (STABILITY, 1e-161, "5 of 1000"),
+        (EXCESS_RISK_VS_N, 1e-161, 128, "4.44659e-323"),
+        (DIMENSION_INDEPENDENCE, 1e-161, 512, "2.96439e-323"),
+        (STABILITY, 1e-161, 1000, "9.88131e-324"),
         # the ε = 0.1 cell could run; the ε = 0.3 cell after it could not
-        (PRIVACY_UTILITY, 1e-160, "197 of 5898"),
+        (PRIVACY_UTILITY, 1e-160, 5898, "4.34778e-322"),
     ],
 )
-def test_a_noiseless_cell_is_refused_before_any_data_is_drawn(monkeypatch, name, eta0, step):
+def test_a_noiseless_cell_is_refused_before_any_data_is_drawn(monkeypatch, name, eta0, T, beta0):
     def drawn(*args, **kwargs):
         raise AssertionError("data drawn before every cell's schedule was checked")
 
     monkeypatch.setattr(harness, "draw_dataset", drawn)
     monkeypatch.setattr(planar, "_reduced_draws", drawn)
-    config = replace(default_config(name), eta0=eta0, replicates=2)
-    with pytest.raises(InfinitePrivacyLossError, match=f"^sigma_t = 0 at step t = {step}: "):
-        run_experiment(config)
+    # the config builds every cell's schedule, which refuses σ_t = 0 at some step
+    with refuses_zero_noise(T, beta0):
+        replace(default_config(name), eta0=eta0, replicates=2)
 
 
 class TestExcessRiskExperiment:
@@ -696,30 +698,34 @@ class TestSpanRuns:
 )
 def test_run_experiment_builds_the_cells_once(monkeypatch, experiment, overrides):
     # the config builds its cells to validate them and run_experiment once
-    # more; the runner runs the very schedules that went through the σ check
-    built, checked, ran = [], [], []
+    # more; the runner runs the very schedules run_experiment constructed,
+    # each of which refused σ_t = 0 as it was built
+    built, constructed, ran = [], [], []
 
-    def spy(module, name, record, argument):
+    def spy(module, name, record, argument=None):
         real = getattr(module, name)
 
         def spied(*args, **kwargs):
-            record.append(args[argument])
-            return real(*args, **kwargs)
+            result = real(*args, **kwargs)
+            record.append(result if argument is None else args[argument])
+            return result
 
         monkeypatch.setattr(module, name, spied)
 
     spy(harness, "_cells", built, 0)
-    spy(harness, "_schedule_steps", checked, 0)
+    for name in ("single_pass_schedule", "multi_pass_schedule"):
+        spy(harness, name, constructed)
     # every run takes its schedule third
     for name in ("run_single_pass", "coupled_stability_run", "run_multi_pass"):
         spy(harness, name, ran, 2)
     spy(planar, "single_pass", ran, 2)
     config = small_config(experiment, **overrides)
     assert len(built) == 1
+    constructed.clear()
     run_experiment(config)
     assert len(built) == 2
     # cells with equal schedules run as one batch, on the first cell's schedule
-    assert ran and {id(schedule) for schedule in ran} <= {id(schedule) for schedule in checked}
+    assert ran and {id(schedule) for schedule in ran} <= {id(schedule) for schedule in constructed}
 
 
 class TestSinglePassBatches:

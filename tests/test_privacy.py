@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsgld import engine, privacy
+from dpsgld import privacy
 from dpsgld.core import InfinitePrivacyLossError, InvalidParameterError, _fmt
 from dpsgld.privacy import (
     DpBudget,
@@ -28,7 +28,9 @@ from dpsgld.schedules import (
     single_pass_schedule,
 )
 
-from helpers import gaussian_step_epsilon, step_delta_allotment, subsample_amplify
+from helpers import (
+    ZERO_NOISE, build_unchecked, gaussian_step_epsilon, refuses_zero_noise, step_delta_allotment, subsample_amplify,
+)
 
 # Reference values below were computed once with 40-digit arithmetic and frozen.
 
@@ -393,22 +395,21 @@ class TestAccountReport:
         np.testing.assert_allclose(chunked[2].epsilon, whole[2].epsilon, rtol=1e-12)
         np.testing.assert_allclose(chunked[2].delta, whole[2].delta, rtol=1e-12)
 
-    def test_refuses_the_single_pass_schedules_the_engine_refuses(self):
-        # σ_t falls with t, so the report checks σ_T alone: across the eta0 at
+    def test_refuses_the_single_pass_schedules_with_a_noiseless_step(self):
+        # σ_t falls with t, so the schedule checks σ_T alone: across the eta0 at
         # which σ_t² underflows to 0 at some step of T = 256 (eta0 < 6e-161,
-        # from step 8 at 1e-161 to step 240 at 5.6e-161) it refuses exactly
-        # the schedules that _schedule_steps refuses
+        # from step 8 at 1e-161 to step 240 at 5.6e-161) it refuses to build
+        # exactly where its full σ array has a zero, and every schedule it
+        # builds has a finite account
         outcomes = set()
         for eta0 in np.geomspace(1e-161, 1e-160, 200):
-            sched = single_pass_schedule(256, 1.0, float(eta0), 0.5, 1e-5)
-            try:
-                engine._schedule_steps(sched)
-            except InfinitePrivacyLossError:
-                with pytest.raises(InfinitePrivacyLossError, match="zero noise"):
-                    account_report(sched)
+            args = (256, 1.0, float(eta0), 0.5, 1e-5)
+            if not build_unchecked(single_pass_schedule, *args).sigmas.all():
+                with pytest.raises(InfinitePrivacyLossError, match=ZERO_NOISE):
+                    account_report(single_pass_schedule(*args))
                 outcomes.add("refused")
             else:
-                assert float(parse_report(account_report(sched))["dp_epsilon"]) > 0.0
+                assert float(parse_report(account_report(single_pass_schedule(*args)))["dp_epsilon"]) > 0.0
                 outcomes.add("reported")
         assert outcomes == {"refused", "reported"}
 
@@ -476,53 +477,54 @@ class TestAccountReport:
     def test_report_past_the_step_cap_refuses_zero_noise(self, monkeypatch):
         # β₀ = 9.9e-324: σ_t² underflows to 0 from step 5 of 8, so the
         # account is infinite whether or not the steps are enumerated
-        sched = multi_pass_schedule(10, 1.0, 0.9, 1e-3, 3e-162, 1.0)
-        assert sched.T == 8
-        with pytest.raises(InfinitePrivacyLossError, match="step t = 5 of 8"):
-            engine._schedule_steps(sched)
+        args = (10, 1.0, 0.9, 1e-3, 3e-162, 1.0)
+        sigmas = build_unchecked(multi_pass_schedule, *args).sigmas
+        assert len(sigmas) == 8 and sigmas[:4].all() and not sigmas[4:].any()
         monkeypatch.setattr(privacy, "_REPORT_STEP_CAP", 5)
-        with pytest.raises(InfinitePrivacyLossError, match="zero noise"):
-            account_report(sched)
+        with refuses_zero_noise(8, "9.88131e-324"):
+            account_report(multi_pass_schedule(*args))
 
     @pytest.mark.parametrize("cap", [10**7, 5], ids=["below-cap", "past-cap"])
-    def test_refuses_the_multi_pass_schedules_the_engine_refuses(self, monkeypatch, cap):
-        # σ_t falls with t, so the report checks σ_T alone: across the eta0 at
+    def test_refuses_the_multi_pass_schedules_with_a_noiseless_step(self, monkeypatch, cap):
+        # σ_t falls with t, so the schedule checks σ_T alone: across the eta0 at
         # which σ_t² underflows to 0 at some step of T = 2291 (from step 5 at
-        # 1e-161 to step 2250 at 2.4e-160) it refuses exactly the schedules
-        # that _schedule_steps refuses, with or without the enumeration
+        # 1e-161 to step 2250 at 2.4e-160) it refuses to build exactly where
+        # its full σ array has a zero, with or without the enumeration
         monkeypatch.setattr(privacy, "_REPORT_STEP_CAP", cap)
         outcomes = set()
         for eta0 in np.geomspace(1e-161, 3e-160, 200):
-            sched = multi_pass_schedule(200, 1.5, 0.9, 1e-5, float(eta0), 1.0)
-            try:
-                engine._schedule_steps(sched)
-            except InfinitePrivacyLossError:
-                with pytest.raises(InfinitePrivacyLossError, match="zero noise"):
-                    account_report(sched)
+            args = (200, 1.5, 0.9, 1e-5, float(eta0), 1.0)
+            sigmas = build_unchecked(multi_pass_schedule, *args).sigmas
+            if not sigmas.all():
+                with pytest.raises(InfinitePrivacyLossError, match=ZERO_NOISE):
+                    account_report(multi_pass_schedule(*args))
                 outcomes.add("refused")
             else:
-                assert float(parse_report(account_report(sched))["closed_form_epsilon"]) > 0.0
+                report = parse_report(account_report(multi_pass_schedule(*args)))
+                assert float(report["closed_form_epsilon"]) > 0.0
                 outcomes.add("reported")
-        assert sched.T == 2291 and outcomes == {"refused", "reported"}
+        assert len(sigmas) == 2291 and outcomes == {"refused", "reported"}
 
     @pytest.mark.parametrize("cap", [10**7, 5], ids=["below-cap", "past-cap"])
     @pytest.mark.parametrize(
-        "make, refused",
+        "make, cls",
         [
-            (lambda: single_pass_schedule(2000, 1.0, 1.0, 0.5, 1e-5), (SinglePassSchedule, "batch_sizes")),
-            (lambda: multi_pass_schedule(200, 1.5, 0.9, 1e-5, 1.0, 1.0), (MultiPassSchedule, "etas")),
+            (lambda: single_pass_schedule(2000, 1.0, 1.0, 0.5, 1e-5), SinglePassSchedule),
+            (lambda: multi_pass_schedule(200, 1.5, 0.9, 1e-5, 1.0, 1.0), MultiPassSchedule),
         ],
         ids=["single-pass", "multi-pass"],
     )
-    def test_report_builds_no_per_step_array(self, monkeypatch, cap, make, refused):
-        # a T-long array would bound T by memory; the report evaluates what it reads
+    def test_report_builds_no_per_step_array(self, monkeypatch, cap, make, cls):
+        # a T-long array would bound T by memory; neither the schedule's build,
+        # with its noise check, nor the report reads one
         monkeypatch.setattr(privacy, "_REPORT_STEP_CAP", cap)
         expected = account_report(make())
+        for name in ("etas", "lambda_etas", "sigmas", "batch_sizes"):
 
-        def refuse(schedule):
-            raise AssertionError(f"the report read {refused[0].__name__}.{refused[1]}")
+            def refuse(schedule, name=name):
+                raise AssertionError(f"read {cls.__name__}.{name}")
 
-        monkeypatch.setattr(*refused, property(refuse))
+            monkeypatch.setattr(cls, name, property(refuse))
         assert account_report(make()) == expected
 
     def test_enumeration_memory_is_a_few_chunks(self):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpsgld.core import InvalidParameterError
+from dpsgld.core import InfinitePrivacyLossError, InvalidParameterError
 from dpsgld.privacy import certify_theorem1, certify_theorem2, multi_pass_privacy
 from dpsgld.schedules import (
     MULTI_PASS,
@@ -18,6 +18,8 @@ from dpsgld.schedules import (
     multi_pass_schedule,
     single_pass_schedule,
 )
+
+from helpers import ZERO_NOISE, build_unchecked
 
 # Budgets Σ_t batchSize(t) enumerated once by hand with exact integer arithmetic.
 KNOWN_BUDGETS = {1: 1, 8: 11, 100: 172, 1000: 1788, 4096: 7397}
@@ -346,3 +348,42 @@ def test_eta_formula_on_any_steps_equals_etas(n, pass_exponent, epsilon, delta, 
     assert got.tobytes() == s.etas[first - 1 : last].tobytes()
     for t in (1, s.T):
         assert _multi_pass_etas(s, t, t).tobytes() == s.etas[t - 1 : t].tobytes()
+
+
+@given(
+    multi=st.booleans(),
+    T=st.integers(min_value=1, max_value=100_000),
+    n=st.integers(min_value=10, max_value=300),
+    pass_exponent=st.floats(min_value=1.0, max_value=2.0),
+    epsilon=st.floats(min_value=0.1, max_value=1.0),
+    delta=st.floats(min_value=1e-9, max_value=1e-3),
+    # η₀ near 1e-161, where σ_t² underflows at some steps, as often as in the usual range
+    log_eta0=st.one_of(st.floats(min_value=-163.0, max_value=-159.0), st.floats(min_value=-1.0, max_value=0.5)),
+    G=st.floats(min_value=0.25, max_value=4.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_schedule_builds_iff_every_step_is_noisy(multi, T, n, pass_exponent, epsilon, delta, log_eta0, G):
+    # the constructor checks σ_T alone, in closed form; that is the whole σ
+    # array's check because σ_t never rises with t
+    eta0 = 10.0**log_eta0
+    if multi:
+        build, args = multi_pass_schedule, (n, pass_exponent, epsilon, delta, eta0, G)
+    else:
+        build, args = single_pass_schedule, (T, G, eta0, epsilon, delta)
+    try:
+        unchecked = build_unchecked(build, *args)
+    except InvalidParameterError:
+        # refused by another rule (β₀ = 0, T < 1)
+        with pytest.raises(InvalidParameterError):
+            build(*args)
+        return
+    sigmas, lambda_etas = unchecked.sigmas, unchecked.lambda_etas
+    assert len(sigmas) == unchecked.T <= 100_000
+    assert lambda_etas[0] == 1.0
+    assert np.all(lambda_etas > 0.0) and np.all(lambda_etas <= 1.0)
+    assert np.all(sigmas[1:] <= sigmas[:-1])
+    if sigmas.all():
+        assert build(*args).sigmas.tobytes() == sigmas.tobytes()
+    else:
+        with pytest.raises(InfinitePrivacyLossError, match=ZERO_NOISE):
+            build(*args)
